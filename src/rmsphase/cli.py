@@ -122,6 +122,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _omega_mhz(config: RunConfig, j: int) -> float:
+    """The --omega value when one is given, else state j's reference frequency."""
+    # a given 0 must reach PhysicalConstants, which rejects it
+    if config.omega_mhz is not None:
+        return config.omega_mhz
+    return val.ROW_FREQUENCIES_MHZ.get(j, 240.4)
+
+
 def _phase_converged(j: int, config: RunConfig,
                      constants: osc.PhysicalConstants) -> tuple[berry.PhaseResult, bool]:
     nodes = config.node_counts()
@@ -135,8 +143,7 @@ def _phase_converged(j: int, config: RunConfig,
 def _table_rows(config: RunConfig) -> list[dict]:
     rows = []
     for j in osc.live_indices():
-        omega_mhz = config.omega_mhz or val.ROW_FREQUENCIES_MHZ[j]
-        constants = config.constants_for(omega_mhz)
+        constants = config.constants_for(_omega_mhz(config, j))
         result, converged = _phase_converged(j, config, constants)
         rows.append({
             "j": j,
@@ -184,8 +191,11 @@ def _render_rows(rows: list[dict], config: RunConfig) -> str:
 
 def _emit(text: str, config: RunConfig) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {config.out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -203,8 +213,7 @@ def cmd_table(config: RunConfig) -> int:
 
 def cmd_phase(config: RunConfig, j: int, method: str) -> int:
     record = osc.get_state(j)
-    omega_mhz = config.omega_mhz or val.ROW_FREQUENCIES_MHZ.get(j, 240.4)
-    constants = config.constants_for(omega_mhz)
+    constants = config.constants_for(_omega_mhz(config, j))
     nodes = config.node_counts()
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
     if method == "closed":
@@ -238,8 +247,7 @@ def cmd_oracle(config: RunConfig, j: int) -> int:
     record = osc.get_state(j)
     if record.is_null:
         raise ConfigError(f"state {j} vanishes identically; no oracle comparison")
-    omega_mhz = config.omega_mhz or val.ROW_FREQUENCIES_MHZ.get(j, 240.4)
-    constants = config.constants_for(omega_mhz)
+    constants = config.constants_for(_omega_mhz(config, j))
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
     report = berry.oracle_comparison(j, constants, loop, config.node_counts())
     lines = [f"state {j} oracle comparison (dimensionless values)"]

@@ -4,6 +4,11 @@ Geometry of the spacelike coordinate patch (rho, theta, phi, beta), the
 16-state catalogue with exact eigenvalues, and numerically normalized
 eigenfunctions of the four-dimensional oscillator.
 
+Each integral is a product of four 1-d integrals, so ``overlap_tables``
+evaluates every state's axis profiles once per rule and forms all pairs at
+once as weighted matrix products (F * w * g^p) @ F.T: one cached build of
+10x10 tables per resolution, which every overlap below reads.
+
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
 converts at the boundary, which keeps the SI conventions in one place and
@@ -16,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +45,9 @@ __all__ = [
     "eval_state",
     "state_table",
     "live_indices",
+    "OverlapTables",
+    "overlap_tables",
+    "live_entry",
     "gram_matrix",
 ]
 
@@ -56,8 +65,8 @@ class PhysicalConstants:
     omega: float
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0 or self.omega <= 0:
-            raise ParameterError("hbar, mass and omega must all be positive")
+        if not all(0 < v < math.inf for v in (self.hbar, self.mass, self.omega)):
+            raise ParameterError("hbar, mass and omega must all be finite and positive")
 
     @property
     def inverse_length2(self) -> float:
@@ -337,79 +346,96 @@ def eval_unnormalized(qn: QuantumNumbers, p: RmsPoint,
 
 
 # ---------------------------------------------------------------------------
-# dimensionless axis integrals
+# overlap tables: every dimensionless integral of one resolution
 
-def _phase_parity_weight(n_sum: int) -> str:
-    """Rule family for Legendre-order sum n_i + n_j: odd sums leave a
-    sqrt(1-x^2) factor behind."""
-    return "legendre" if n_sum % 2 == 0 else "chebyshev-u"
+class OverlapTables(NamedTuple):
+    """Read-only tables over the live states, in ``live_indices()`` order.
 
+    ``coupling`` holds the normalized theta, beta and rho integrals of the
+    shared coupling factor rho^2 sin^2(theta) cosh^2(beta); ``shared`` is
+    that factor's full matrix element, with the phi integral by quadrature.
+    """
 
-def _radial_alpha(l_sum: int) -> float:
-    """Laguerre exponent matching the s-power parity of l_i + l_j."""
-    return 0.5 if l_sum % 2 == 0 else 0.0
-
-
-def polar_overlap(qi: QuantumNumbers, qj: QuantumNumbers, power: int,
-                  n_polar: int) -> float:
-    """integral over theta of f_i f_j sin^2(theta) * sin(theta)^{2 power}."""
-    rule = quad.polar_rule(n_polar, _phase_parity_weight(qi.n + qj.n))
-    fi, fj = polar_profile(qi), polar_profile(qj)
-
-    def integrand(theta):
-        s2 = np.sin(theta) ** 2
-        return fi(theta) * fj(theta) * s2 ** (power + 1)
-
-    return quad.integrate(rule, integrand).real
+    norms: np.ndarray
+    gram: np.ndarray
+    coupling: np.ndarray
+    shared: np.ndarray
 
 
-def rapidity_overlap(qi: QuantumNumbers, qj: QuantumNumbers, power: int,
-                     n_rapidity: int) -> float:
-    """integral over beta of f_i f_j cosh(beta) * cosh(beta)^{2 power}."""
-    rule = quad.rapidity_rule(n_rapidity, _phase_parity_weight(qi.n + qj.n))
-    fi, fj = rapidity_profile(qi), rapidity_profile(qj)
-
-    def integrand(beta):
-        ch = np.cosh(beta)
-        return fi(beta) * fj(beta) * ch ** (2 * power + 1)
-
-    return quad.integrate(rule, integrand).real
+def _hermitian(table: np.ndarray) -> np.ndarray:
+    """A matrix product need not round (i, j) and (j, i) alike; the overlap
+    loop divides the anti-Hermitian part of the Gram matrix by r^2."""
+    return 0.5 * (table + table.conj().T)
 
 
-def radial_overlap(qi: QuantumNumbers, qj: QuantumNumbers, power: int,
-                   n_radial: int) -> float:
-    """integral over rho of f_i f_j rho^3 * rho^{2 power}, dimensionless."""
-    rule = quad.radial_rule(n_radial, 1.0, _radial_alpha(qi.l + qj.l))
-    fi, fj = radial_profile(qi), radial_profile(qj)
+def _axis_overlaps(rules, profile, parity_of, weight):
+    """int f_i f_j weight(x, p) on one axis, for p = 0 and 1.  The two rules
+    serve the pairs whose ``parity_of`` quantum numbers sum to even and odd."""
+    qns = [get_state(i).qn for i in live_indices()]
+    k = np.array([getattr(qn, parity_of) for qn in qns])
+    odd = (k[:, None] + k) % 2 == 1
+    tables = []
+    for rule in rules:
+        f = np.array([quad.evaluate(rule, profile(qn)) for qn in qns])
+        tables.append([(f * rule.weights * weight(rule.nodes, p)) @ f.T for p in (0, 1)])
+    return [_hermitian(np.where(odd, o, e)) for e, o in zip(*tables)]
 
-    def integrand(rho):
-        return fi(rho) * fj(rho) * rho ** (3 + 2 * power)
 
-    return quad.integrate(rule, integrand).real
+@lru_cache(maxsize=8)
+def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
+    """Every dimensionless integral of the live states at one resolution.
+
+    The parity of a pair picks its rule, so that every integral is
+    polynomial-exact: Legendre or Chebyshev-U by n_i + n_j (polar and
+    rapidity), radial alpha 1/2 or 0 by l_i + l_j.  A profile that is not
+    finite at a node raises EvaluationError naming the axis.
+    """
+    qns = [get_state(i).qn for i in live_indices()]
+    families = ("legendre", "chebyshev-u")
+    polar = _axis_overlaps([quad.polar_rule(nodes.polar, w) for w in families],
+                           polar_profile, "n", lambda t, p: np.sin(t) ** (2 + 2 * p))
+    rapidity = _axis_overlaps([quad.rapidity_rule(nodes.rapidity, w) for w in families],
+                              rapidity_profile, "n", lambda b, p: np.cosh(b) ** (1 + 2 * p))
+    radial = _axis_overlaps([quad.radial_rule(nodes.radial, 1.0, a) for a in (0.5, 0.0)],
+                            radial_profile, "l", lambda r, p: r ** (3 + 2 * p))
+    phi = quad.gauss_legendre(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    m = np.array([qn.m for qn in qns])
+    deltas, inverse = np.unique((m - m[:, None]).ravel(), return_inverse=True)
+    integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in deltas]
+    azimuthal = np.array(integrals)[inverse].reshape(m.size, m.size)
+    axes = polar[0] * rapidity[0] * radial[0]
+    norm_sq = azimuthal.diagonal().real * axes.diagonal()
+    if np.any(norm_sq <= 0.0):
+        raise NormalizationError(f"non-positive norm for {qns[int(np.argmin(norm_sq))]}")
+    norms = 1.0 / np.sqrt(norm_sq)
+    pair = np.outer(norms, norms)
+    coupling = pair * polar[1] * rapidity[1] * radial[1]
+    tables = OverlapTables(norms, pair * azimuthal * axes, coupling, azimuthal * coupling)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def azimuthal_overlap(qi: QuantumNumbers, qj: QuantumNumbers,
-                      n_azimuthal: int) -> complex:
-    """integral over phi of exp(i (m_j - m_i) phi), by quadrature."""
-    rule = quad.gauss_legendre(n_azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
-    delta = qj.m - qi.m
-    return quad.integrate(rule, lambda phi: np.exp(1j * delta * phi))
+def live_entry(table: np.ndarray, i: int, j: int) -> complex:
+    """Entry for catalogue states i, j of a table over the live states;
+    exactly 0 when either state is null."""
+    ri, rj = get_state(i), get_state(j)
+    if ri.is_null or rj.is_null:
+        return 0.0 + 0.0j
+    rows = live_indices()
+    return complex(table[rows.index(i), rows.index(j)])
 
 
 @lru_cache(maxsize=None)
 def _norm_factor(qn: QuantumNumbers, nodes: NodeCounts) -> float:
-    """Dimensionless normalization from the product of four 1-d integrals."""
+    """Dimensionless normalization of a catalogue state, from the overlap tables."""
     if qn.is_null:
         raise NormalizationError(
             f"state {qn} vanishes identically; normalization undefined")
-    j_phi = azimuthal_overlap(qn, qn, nodes.azimuthal).real
-    j_theta = polar_overlap(qn, qn, 0, nodes.polar)
-    j_beta = rapidity_overlap(qn, qn, 0, nodes.rapidity)
-    j_rho = radial_overlap(qn, qn, 0, nodes.radial)
-    norm_sq = j_phi * j_theta * j_beta * j_rho
-    if norm_sq <= 0.0:
-        raise NormalizationError(f"non-positive norm for {qn}")
-    return 1.0 / math.sqrt(norm_sq)
+    qns = [get_state(i).qn for i in live_indices()]
+    if qn not in qns:
+        raise ParameterError(f"{qn} is not a catalogue state")
+    return float(overlap_tables(nodes).norms[qns.index(qn)])
 
 
 def normalization_constant(qn: QuantumNumbers, constants: PhysicalConstants,
@@ -432,30 +458,12 @@ def eval_state(qn: QuantumNumbers, p: RmsPoint, constants: PhysicalConstants,
 
 
 def state_overlap(i: int, j: int, nodes: NodeCounts = NodeCounts()) -> complex:
-    """<psi_i | psi_j> of normalized states via separable quadrature."""
-    ri, rj = get_state(i), get_state(j)
-    if ri.is_null or rj.is_null:
-        return 0.0 + 0.0j
-    qi, qj = ri.qn, rj.qn
-    value = (azimuthal_overlap(qi, qj, nodes.azimuthal)
-             * polar_overlap(qi, qj, 0, nodes.polar)
-             * rapidity_overlap(qi, qj, 0, nodes.rapidity)
-             * radial_overlap(qi, qj, 0, nodes.radial))
-    return _norm_factor(qi, nodes) * _norm_factor(qj, nodes) * value
+    """<psi_i | psi_j> of normalized states, read from the Gram table."""
+    return live_entry(overlap_tables(nodes).gram, i, j)
 
 
-@lru_cache(maxsize=8)
 def gram_matrix(nodes: NodeCounts = NodeCounts()) -> tuple[tuple[int, ...], np.ndarray]:
     """Gram matrix of the normalizable states (dimensionless, so it is
     independent of the physical constants).  Returns (indices, matrix);
-    the cached matrix is read-only."""
-    idx = live_indices()
-    g = np.empty((len(idx), len(idx)), dtype=complex)
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            if b < a:
-                g[a, b] = np.conj(g[b, a])
-            else:
-                g[a, b] = state_overlap(i, j, nodes)
-    g.setflags(write=False)
-    return idx, g
+    the matrix is read-only."""
+    return live_indices(), overlap_tables(nodes).gram

@@ -6,10 +6,10 @@ the cosine channel and sin^2(2 phi/3) for the sine channel.  The
 non-integer angular coefficient makes the phi integrals complex for
 m_bra != m_ket, which is the whole mechanism of interest.
 
-Matrix elements are assembled as products of four 1-d integrals and kept
-dimensionless (the operator's hbar/(M omega) length^2 factor and the
-hbar omega energy denominators are attached symbolically), so coefficient
-tables are computed once per resolution and reused for any constants.
+A coupling matrix is the closed-form phi integrals times the shared-factor
+table of ``oscillator.overlap_tables``, elementwise.  Both are dimensionless
+(the hbar/(M omega) length^2 factor and the hbar omega energy denominators
+are attached symbolically), so one build per resolution serves any constants.
 """
 
 from __future__ import annotations
@@ -90,18 +90,18 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _element_core(i: int, j: int, channel: Channel,
-                  nodes: osc.NodeCounts) -> complex:
-    """Dimensionless <psi_i | V_channel | psi_j> (rho^2 in units hbar/(M omega))."""
-    ri, rj = osc.get_state(i), osc.get_state(j)
-    if ri.is_null or rj.is_null:
-        return 0.0 + 0.0j
-    qi, qj = ri.qn, rj.qn
-    value = (phi_integral(qi.m, qj.m, channel)
-             * osc.polar_overlap(qi, qj, 1, nodes.polar)
-             * osc.rapidity_overlap(qi, qj, 1, nodes.rapidity)
-             * osc.radial_overlap(qi, qj, 1, nodes.radial))
-    return osc._norm_factor(qi, nodes) * osc._norm_factor(qj, nodes) * value
+def _phi_table(channel: Channel) -> np.ndarray:
+    """phi_integral between the live states, in overlap-table order."""
+    m = [osc.get_state(i).qn.m for i in osc.live_indices()]
+    table = np.array([[phi_integral(mi, mj, channel) for mj in m] for mi in m])
+    table.setflags(write=False)
+    return table
+
+
+def _couplings(channel: Channel, nodes: osc.NodeCounts) -> np.ndarray:
+    """Dimensionless <psi_i | V_channel | psi_j> over the live states
+    (rho^2 in units hbar/(M omega))."""
+    return _phi_table(channel) * osc.overlap_tables(nodes).coupling
 
 
 def matrix_element(i: int, j: int, channel: Channel,
@@ -112,13 +112,12 @@ def matrix_element(i: int, j: int, channel: Channel,
     Dimensionless when ``constants`` is None, otherwise multiplied by the
     length^2 scale hbar/(M omega) so the value is in SI m^2.
     """
-    value = _element_core(i, j, channel, nodes)
+    value = osc.live_entry(_couplings(channel, nodes), i, j)
     if constants is not None:
         value *= constants.length2_scale
     return value
 
 
-@lru_cache(maxsize=None)
 def shared_factor_element(i: int, j: int,
                           nodes: osc.NodeCounts = osc.NodeCounts()) -> complex:
     """Matrix element of the phi-independent factor rho^2 sin^2 theta cosh^2 beta.
@@ -126,15 +125,7 @@ def shared_factor_element(i: int, j: int,
     Computed with the azimuthal integral done by quadrature instead of the
     closed form; the two channels must sum to exactly this (cos^2 + sin^2 = 1).
     """
-    ri, rj = osc.get_state(i), osc.get_state(j)
-    if ri.is_null or rj.is_null:
-        return 0.0 + 0.0j
-    qi, qj = ri.qn, rj.qn
-    value = (osc.azimuthal_overlap(qi, qj, nodes.azimuthal)
-             * osc.polar_overlap(qi, qj, 1, nodes.polar)
-             * osc.rapidity_overlap(qi, qj, 1, nodes.rapidity)
-             * osc.radial_overlap(qi, qj, 1, nodes.radial))
-    return osc._norm_factor(qi, nodes) * osc._norm_factor(qj, nodes) * value
+    return osc.live_entry(osc.overlap_tables(nodes).shared, i, j)
 
 
 @dataclass(frozen=True)
@@ -197,14 +188,17 @@ def correction_coefficients(j: int,
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
     scale = 1.0 / constants.coupling_scale
+    live = osc.live_indices()
+    cos_column, sin_column = (_couplings(c, nodes)[:, live.index(j)] for c in Channel)
     a: dict[int, complex] = {}
     b: dict[int, complex] = {}
-    for ri in osc.state_table():
-        if ri.is_null or ri.energy_factor == rj.energy_factor:
+    for row, i in enumerate(live):
+        ri = osc.get_state(i)
+        if ri.energy_factor == rj.energy_factor:
             continue
         denom = float(rj.energy_factor - ri.energy_factor)
-        a[ri.index] = _element_core(ri.index, j, Channel.COSINE, nodes) / denom * scale
-        b[ri.index] = _element_core(ri.index, j, Channel.SINE, nodes) / denom * scale
+        a[i] = complex(cos_column[row]) / denom * scale
+        b[i] = complex(sin_column[row]) / denom * scale
     return CorrectionCoefficients(j, a, b, constants)
 
 
@@ -254,8 +248,5 @@ def degeneracy_report(subspace: int, channel: Channel,
     if not 1 <= subspace <= 4:
         raise ParameterError(f"subspace must be 1..4, got {subspace}")
     members = [r.index for r in osc.state_table() if r.subspace == subspace]
-    block = np.zeros((4, 4), dtype=complex)
-    for a, i in enumerate(members):
-        for b, j in enumerate(members):
-            block[a, b] = _element_core(i, j, channel, nodes)
-    return block
+    table = _couplings(channel, nodes)
+    return np.array([[osc.live_entry(table, i, j) for j in members] for i in members])

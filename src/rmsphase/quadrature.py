@@ -39,6 +39,7 @@ __all__ = [
     "polar_rule",
     "rapidity_rule",
     "radial_rule",
+    "evaluate",
     "integrate",
     "doubling_gap",
 ]
@@ -175,11 +176,11 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
                           meta={"scale": scale, "alpha": alpha})
 
 
-def integrate(rule: QuadratureRule, f) -> complex:
-    """Apply the rule: sum_k w_k f(x_k).
+def evaluate(rule: QuadratureRule, f) -> np.ndarray:
+    """Values of ``f`` at the rule's nodes.
 
     ``f`` may be vectorized over an ndarray of nodes or accept scalars.
-    Non-finite integrand values raise EvaluationError naming the node.
+    Non-finite values raise EvaluationError naming the node and the axis.
     """
     try:
         values = np.asarray(f(rule.nodes))
@@ -197,8 +198,12 @@ def integrate(rule: QuadratureRule, f) -> complex:
         raise EvaluationError(
             f"integrand not finite at node {k} (x={rule.nodes[k]!r}) on "
             f"{rule.domain} axis", node_index=k, node_value=float(rule.nodes[k]))
-    total = np.dot(rule.weights, values)
-    return complex(total)
+    return values
+
+
+def integrate(rule: QuadratureRule, f) -> complex:
+    """Apply the rule: sum_k w_k f(x_k), with ``f`` evaluated by ``evaluate``."""
+    return complex(np.dot(rule.weights, evaluate(rule, f)))
 
 
 def doubling_gap(make_rule, f) -> float:
@@ -212,8 +217,8 @@ def doubling_gap(make_rule, f) -> float:
     rule1 = make_rule(1)
     rule2 = make_rule(2)
     i1 = integrate(rule1, f)
-    i2 = integrate(rule2, f)
-    values = np.asarray([f(x) for x in rule2.nodes], dtype=complex)
+    values = evaluate(rule2, f)
+    i2 = complex(np.dot(rule2.weights, values))
     l1_mass = float(np.dot(rule2.weights, np.abs(values)))
     denom = max(abs(i1), abs(i2), l1_mass, 1e-300)
     return abs(i2 - i1) / denom

@@ -184,3 +184,29 @@ class TestMutationHook:
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] sign-mutation-detector" in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", [("table",), ("phase", "--state", "1"),
+                                         ("oracle", "--state", "1")])
+    def test_omega_zero_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--omega", "0", *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "finite and positive" in err
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_omega_is_config_error(self, capsys, omega):
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--omega", omega, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "finite and positive" in err
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "table", "--format", "csv",
+                                 "--out", str(target), *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error: cannot write output file")
+        assert not target.exists()

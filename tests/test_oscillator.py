@@ -120,6 +120,14 @@ class TestCatalogue:
             7.5 * c.hbar * c.omega, rel=1e-15)
 
 
+class TestConstants:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_rejected(self, bad):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ParameterError):
+                PhysicalConstants(*args)
+
+
 class TestEvaluation:
     def test_null_states_evaluate_to_zero(self, dimensionless):
         p = RmsPoint(1.2, 1.0, 0.5, 0.3)

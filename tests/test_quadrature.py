@@ -165,6 +165,18 @@ class TestIntegrate:
         assert err.value.node_index == 3
 
 
+def test_doubling_gap_evaluates_each_rule_once():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.cos(x)
+
+    gap = doubling_gap(lambda k: gauss_legendre(16 * k, 0.0, 1.0), f)
+    assert gap < 1e-15
+    assert calls == [16, 32]
+
+
 def test_rule_immutable():
     rule = gauss_legendre(8, 0.0, 1.0)
     with pytest.raises(ValueError):
