@@ -29,10 +29,8 @@ from .oscillator import (
 from .perturbation import (
     Channel,
     CorrectionCoefficients,
-    PerturbationParams,
     correction_coefficients,
     degeneracy_report,
-    first_order_state,
     matrix_element,
     phi_integral,
 )
@@ -44,7 +42,7 @@ from .quadrature import (
     radial_rule,
     rapidity_rule,
 )
-from .specfun import assoc_legendre, gamma_fn, gen_laguerre
+from .specfun import assoc_legendre, gen_laguerre
 
 __version__ = "0.1.0"
 
@@ -54,10 +52,10 @@ __all__ = [
     "NodeCounts", "PhysicalConstants", "QuantumNumbers", "RmsPoint", "StateRecord",
     "eigenvalue", "embed", "eval_state", "eval_unnormalized", "gram_matrix",
     "live_indices", "measure_weight", "normalization_constant", "state_table",
-    "Channel", "CorrectionCoefficients", "PerturbationParams",
-    "correction_coefficients", "degeneracy_report", "first_order_state",
+    "Channel", "CorrectionCoefficients",
+    "correction_coefficients", "degeneracy_report",
     "matrix_element", "phi_integral",
     "QuadratureRule", "gauss_legendre", "integrate", "polar_rule",
     "radial_rule", "rapidity_rule",
-    "assoc_legendre", "gamma_fn", "gen_laguerre",
+    "assoc_legendre", "gen_laguerre",
 ]

@@ -8,8 +8,8 @@ Three routes to the same quantity:
   connection <Psi | grad Psi> over the circle eps1 = r cos(alpha),
   eps2 = r sin(alpha);
 * ``berry_phase_loop_overlap``    -- gauge-invariant product of successive
-  normalized-state overlaps around the same circle (with optional
-  small-radius Richardson extrapolation).
+  normalized-state overlaps around the same circle, Richardson-extrapolated
+  to small radius.
 
 The loop computations always run on the dimensionless coefficient tables
 (couplings in units of M omega^2), where every number is O(1); results are
@@ -229,13 +229,12 @@ def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
 
 def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
                              loop: LoopParams = LoopParams(),
-                             nodes: osc.NodeCounts = osc.NodeCounts(),
-                             extrapolate: bool = True) -> PhaseResult:
+                             nodes: osc.NodeCounts = osc.NodeCounts()) -> PhaseResult:
     """Overlap-product loop phase per squared radius for state j.
 
     Per-sample normalization makes the raw value differ from the closed
-    form at O(r^2); with ``extrapolate`` the loop runs at r and r/2 and
-    Richardson-extrapolates that error away.
+    form at O(r^2); the loop runs at r and r/2 and Richardson-extrapolates
+    that error away.
     """
     if osc.get_state(j).is_null:
         return _null_result(j, "loop-overlap", constants)
@@ -243,15 +242,11 @@ def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
     gram_data = osc.gram_matrix(nodes)
     r = _auto_radius(coeffs, loop)
     gamma_r = overlap_loop_phase(coeffs, gram_data, loop, r)
+    gamma_half = overlap_loop_phase(coeffs, gram_data, loop, 0.5 * r)
     metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
-                "extrapolated": extrapolate}
-    if extrapolate:
-        gamma_half = overlap_loop_phase(coeffs, gram_data, loop, 0.5 * r)
-        metadata["raw_values"] = (gamma_r, gamma_half)
-        gamma = (4.0 * gamma_half - gamma_r) / 3.0
-    else:
-        gamma = gamma_r
-    return _result(j, gamma, "loop-overlap", constants, metadata)
+                "raw_values": (gamma_r, gamma_half)}
+    return _result(j, (4.0 * gamma_half - gamma_r) / 3.0, "loop-overlap",
+                   constants, metadata)
 
 
 def oracle_comparison(j: int, constants: osc.PhysicalConstants,

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import berry, oscillator as osc, validate as val
-from .errors import ConfigError, NonConvergenceError, ParameterError, RmsPhaseError
+from .errors import ConfigError, ParameterError, RmsPhaseError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -71,6 +71,9 @@ class RunConfig:
             raise ConfigError(f"unknown omega convention {self.omega_convention!r}")
         if self.hbar_convention not in ("hbar", "h"):
             raise ConfigError(f"unknown hbar convention {self.hbar_convention!r}")
+        if self.dimensionless and self.omega_mhz is not None:
+            raise ConfigError("omega_mhz (--omega) cannot be combined with "
+                              "dimensionless (--dimensionless)")
 
     def node_counts(self) -> osc.NodeCounts:
         return osc.NodeCounts.uniform(self.nodes)
@@ -260,11 +263,9 @@ def cmd_oracle(config: RunConfig, j: int) -> int:
     lines.append(f"  gap closed/connection: {report['gap_closed_connection']:.3e}")
     lines.append(f"  gap closed/overlap:    {report['gap_closed_overlap']:.3e}")
     lines.append(f"  gap connection/overlap:{report['gap_connection_overlap']:.3e}")
-    over = report["loop_overlap"]
-    if "raw_values" in over.metadata:
-        raw = over.metadata["raw_values"]
-        lines.append(f"  overlap raw values at r, r/2: {_fmt(raw[0])}, {_fmt(raw[1])}"
-                     f" (Richardson extrapolated)")
+    raw = report["loop_overlap"].metadata["raw_values"]
+    lines.append(f"  overlap raw values at r, r/2: {_fmt(raw[0])}, {_fmt(raw[1])}"
+                 f" (Richardson extrapolated)")
     _emit("\n".join(lines) + "\n", config)
     return EXIT_OK
 
@@ -352,9 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"non-convergence: {exc}\n")
-        return EXIT_NONCONVERGENCE
     except RmsPhaseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

@@ -35,9 +35,5 @@ class StepResolutionError(RmsPhaseError):
     """Adjacent loop samples overlap too weakly; increase the step count."""
 
 
-class NonConvergenceError(RmsPhaseError):
-    """A doubling check found a quadrature result that has not converged."""
-
-
 class ConfigError(RmsPhaseError):
     """Invalid run configuration."""

@@ -7,7 +7,9 @@ eigenfunctions of the four-dimensional oscillator.
 Each integral is a product of four 1-d integrals, so ``overlap_tables``
 evaluates every state's axis profiles once per rule and forms all pairs at
 once as weighted matrix products (F * w * g^p) @ F.T: one cached build of
-10x10 tables per resolution, which every overlap below reads.
+10x10 tables per resolution, which every overlap below reads.  ``AXES``
+says, for the polar, rapidity and radial axes, which rule a pair's parity
+selects; the build and the doubling self-check both read it.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,8 @@ __all__ = [
     "eval_state",
     "state_table",
     "live_indices",
+    "AxisSpec",
+    "AXES",
     "OverlapTables",
     "overlap_tables",
     "live_entry",
@@ -368,37 +372,72 @@ def _hermitian(table: np.ndarray) -> np.ndarray:
     return 0.5 * (table + table.conj().T)
 
 
-def _axis_overlaps(rules, profile, parity_of, weight):
-    """int f_i f_j weight(x, p) on one axis, for p = 0 and 1.  The two rules
-    serve the pairs whose ``parity_of`` quantum numbers sum to even and odd."""
-    qns = [get_state(i).qn for i in live_indices()]
-    k = np.array([getattr(qn, parity_of) for qn in qns])
-    odd = (k[:, None] + k) % 2 == 1
+class AxisSpec(NamedTuple):
+    """One separable axis, and the one place where a pair's parity picks its rule.
+
+    ``rules`` maps a node count to the rule for pairs whose ``parity_of``
+    numbers sum to even and to odd, which keeps every integral
+    polynomial-exact.  ``weight(x, p)`` is the measure times the p-th power
+    of the shared coupling factor on this axis.
+    """
+
+    field: str
+    profile: Callable
+    parity_of: str
+    weight: Callable
+    rules: tuple[Callable, Callable]
+
+    def rule_index(self, qns) -> np.ndarray:
+        """Pair matrix of indices into ``rules`` (0 even, 1 odd)."""
+        k = np.array([getattr(qn, self.parity_of) for qn in qns])
+        return (k[:, None] + k) % 2
+
+
+AXES = (
+    AxisSpec("polar", polar_profile, "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
+             (lambda n: quad.polar_rule(n, "legendre"),
+              lambda n: quad.polar_rule(n, "chebyshev-u"))),
+    AxisSpec("rapidity", rapidity_profile, "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
+             (lambda n: quad.rapidity_rule(n, "legendre"),
+              lambda n: quad.rapidity_rule(n, "chebyshev-u"))),
+    AxisSpec("radial", radial_profile, "l", lambda r, p: r ** (3 + 2 * p),
+             (lambda n: quad.radial_rule(n, 1.0, 0.5),
+              lambda n: quad.radial_rule(n, 1.0, 0.0))),
+)
+
+
+def azimuthal_rule(n: int) -> quad.QuadratureRule:
+    """Gauss-Legendre rule over phi in [0, 2 pi)."""
+    return quad.gauss_legendre(n, 0.0, 2.0 * math.pi, "azimuthal")
+
+
+def _live_qns() -> list[QuantumNumbers]:
+    return [get_state(i).qn for i in live_indices()]
+
+
+def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
+    """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
+    the rule its parity selects."""
+    qns = _live_qns()
     tables = []
-    for rule in rules:
-        f = np.array([quad.evaluate(rule, profile(qn)) for qn in qns])
-        tables.append([(f * rule.weights * weight(rule.nodes, p)) @ f.T for p in (0, 1)])
-    return [_hermitian(np.where(odd, o, e)) for e, o in zip(*tables)]
+    for make_rule in axis.rules:
+        rule = make_rule(getattr(nodes, axis.field))
+        f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in qns])
+        tables.append([(f * rule.weights * axis.weight(rule.nodes, p)) @ f.T for p in (0, 1)])
+    pick = axis.rule_index(qns)
+    return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]
 
 
 @lru_cache(maxsize=8)
 def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     """Every dimensionless integral of the live states at one resolution.
 
-    The parity of a pair picks its rule, so that every integral is
-    polynomial-exact: Legendre or Chebyshev-U by n_i + n_j (polar and
-    rapidity), radial alpha 1/2 or 0 by l_i + l_j.  A profile that is not
-    finite at a node raises EvaluationError naming the axis.
+    The polar, rapidity and radial integrals follow ``AXES``.  A profile
+    that is not finite at a node raises EvaluationError naming the axis.
     """
-    qns = [get_state(i).qn for i in live_indices()]
-    families = ("legendre", "chebyshev-u")
-    polar = _axis_overlaps([quad.polar_rule(nodes.polar, w) for w in families],
-                           polar_profile, "n", lambda t, p: np.sin(t) ** (2 + 2 * p))
-    rapidity = _axis_overlaps([quad.rapidity_rule(nodes.rapidity, w) for w in families],
-                              rapidity_profile, "n", lambda b, p: np.cosh(b) ** (1 + 2 * p))
-    radial = _axis_overlaps([quad.radial_rule(nodes.radial, 1.0, a) for a in (0.5, 0.0)],
-                            radial_profile, "l", lambda r, p: r ** (3 + 2 * p))
-    phi = quad.gauss_legendre(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    qns = _live_qns()
+    polar, rapidity, radial = (_axis_overlaps(axis, nodes) for axis in AXES)
+    phi = azimuthal_rule(nodes.azimuthal)
     m = np.array([qn.m for qn in qns])
     deltas, inverse = np.unique((m - m[:, None]).ravel(), return_inverse=True)
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in deltas]
@@ -426,27 +465,21 @@ def live_entry(table: np.ndarray, i: int, j: int) -> complex:
     return complex(table[rows.index(i), rows.index(j)])
 
 
-@lru_cache(maxsize=None)
-def _norm_factor(qn: QuantumNumbers, nodes: NodeCounts) -> float:
-    """Dimensionless normalization of a catalogue state, from the overlap tables."""
-    if qn.is_null:
-        raise NormalizationError(
-            f"state {qn} vanishes identically; normalization undefined")
-    qns = [get_state(i).qn for i in live_indices()]
-    if qn not in qns:
-        raise ParameterError(f"{qn} is not a catalogue state")
-    return float(overlap_tables(nodes).norms[qns.index(qn)])
-
-
 def normalization_constant(qn: QuantumNumbers, constants: PhysicalConstants,
                            nodes: NodeCounts = NodeCounts()) -> float:
     """Positive N with ||N psi_unnorm||^2 = 1 against the invariant measure.
 
-    The dimensionless part comes from quadrature (cached per state and
-    resolution); the (M omega/hbar)^{3/4} length factor is attached
-    analytically, so the physical normalization is exact in the constants.
+    The dimensionless part is read from the overlap tables of ``nodes``;
+    the (M omega/hbar)^{3/4} length factor is attached analytically, so the
+    physical normalization is exact in the constants.
     """
-    return _norm_factor(qn, nodes) * constants.inverse_length2 ** 0.75
+    if qn.is_null:
+        raise NormalizationError(
+            f"state {qn} vanishes identically; normalization undefined")
+    qns = _live_qns()
+    if qn not in qns:
+        raise ParameterError(f"{qn} is not a catalogue state")
+    return float(overlap_tables(nodes).norms[qns.index(qn)]) * constants.inverse_length2 ** 0.75
 
 
 def eval_state(qn: QuantumNumbers, p: RmsPoint, constants: PhysicalConstants,

@@ -27,13 +27,11 @@ from .errors import CorrectionError, ParameterError
 
 __all__ = [
     "Channel",
-    "PerturbationParams",
     "CorrectionCoefficients",
     "phi_integral",
     "matrix_element",
     "shared_factor_element",
     "correction_coefficients",
-    "first_order_state",
     "degeneracy_report",
 ]
 
@@ -45,24 +43,6 @@ class Channel(Enum):
 
     COSINE = "cos^2(2*phi/3)"
     SINE = "sin^2(2*phi/3)"
-
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    """Couplings of the four perturbing terms, energy/length^2 units.
-
-    Only eps1 (cosine channel) and eps2 (sine channel) participate in the
-    computations here; eps0 and eps3 are accepted and must stay zero.
-    """
-
-    eps1: float = 0.0
-    eps2: float = 0.0
-    eps0: float = 0.0
-    eps3: float = 0.0
-
-    def __post_init__(self):
-        if self.eps0 != 0.0 or self.eps3 != 0.0:
-            raise ParameterError("eps0 and eps3 are fixed to zero in this model")
 
 
 def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
@@ -135,14 +115,13 @@ class CorrectionCoefficients:
     ``a`` holds the cosine-channel coefficients, ``b`` the sine-channel
     ones, both keyed by catalogue index and restricted to normalizable
     states outside the degenerate subspace of ``state_index``.  Values are
-    in the coupling units of ``constants`` (pure numbers for dimensionless
-    constants; SI values carry 1/(M omega^2)).
+    in the coupling units of the constants they were computed with (pure
+    numbers for dimensionless constants; SI values carry 1/(M omega^2)).
     """
 
     state_index: int
     a: dict[int, complex] = field(compare=False)
     b: dict[int, complex] = field(compare=False)
-    constants: osc.PhysicalConstants = osc.PhysicalConstants.dimensionless()
 
     def sum_abs2_a(self) -> float:
         return sum(abs(v) ** 2 for v in self.a.values())
@@ -170,7 +149,7 @@ class CorrectionCoefficients:
              for i, v in self.a.items()}
         b = {i: v * cmath.exp(-1j * phases.get(i, 0.0)) * shift
              for i, v in self.b.items()}
-        return CorrectionCoefficients(self.state_index, a, b, self.constants)
+        return CorrectionCoefficients(self.state_index, a, b)
 
 
 def correction_coefficients(j: int,
@@ -199,42 +178,7 @@ def correction_coefficients(j: int,
         denom = float(rj.energy_factor - ri.energy_factor)
         a[i] = complex(cos_column[row]) / denom * scale
         b[i] = complex(sin_column[row]) / denom * scale
-    return CorrectionCoefficients(j, a, b, constants)
-
-
-@dataclass(frozen=True)
-class FirstOrderState:
-    """Evaluable first-order wavefunction psi_j + eps1 psi' + eps2 psi''."""
-
-    coefficients: CorrectionCoefficients
-    eps1: float
-    eps2: float
-    nodes: osc.NodeCounts = osc.NodeCounts()
-
-    def __call__(self, p: osc.RmsPoint) -> complex:
-        c = self.coefficients.constants
-        value = osc.eval_state(osc.get_state(self.coefficients.state_index).qn,
-                               p, c, self.nodes)
-        for i, ai in self.coefficients.a.items():
-            bi = self.coefficients.b[i]
-            weight = self.eps1 * ai + self.eps2 * bi
-            if weight != 0.0:
-                value += weight * osc.eval_state(osc.get_state(i).qn, p, c, self.nodes)
-        return value
-
-    def norm_squared_expansion(self) -> float:
-        """1 + eps1^2 sum|a|^2 + eps2^2 sum|b|^2 + 2 eps1 eps2 Re sum a* b."""
-        co = self.coefficients
-        return (1.0 + self.eps1 ** 2 * co.sum_abs2_a()
-                + self.eps2 ** 2 * co.sum_abs2_b()
-                + 2.0 * self.eps1 * self.eps2 * co.sum_conj_a_b().real)
-
-
-def first_order_state(j: int, eps1: float, eps2: float,
-                      constants: osc.PhysicalConstants = osc.PhysicalConstants.dimensionless(),
-                      nodes: osc.NodeCounts = osc.NodeCounts()) -> FirstOrderState:
-    """Evaluable perturbed wavefunction for couplings (eps1, eps2)."""
-    return FirstOrderState(correction_coefficients(j, constants, nodes), eps1, eps2, nodes)
+    return CorrectionCoefficients(j, a, b)
 
 
 def degeneracy_report(subspace: int, channel: Channel,

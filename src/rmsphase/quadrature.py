@@ -24,7 +24,7 @@ and the same rule object may be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +57,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     domain: str = "generic-finite"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -74,10 +73,6 @@ class QuadratureRule:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def count(self) -> int:
-        return self.nodes.size
 
 
 @lru_cache(maxsize=128)
@@ -126,8 +121,7 @@ def polar_rule(n: int, weight: str = "legendre") -> QuadratureRule:
     base = _unit_rule(n, weight)
     theta = np.arccos(base.nodes)[::-1]
     sin_theta = np.sqrt((1.0 - base.nodes) * (1.0 + base.nodes))[::-1]
-    return QuadratureRule(theta, base.weights[::-1] / sin_theta, "polar",
-                          meta={"weight": weight})
+    return QuadratureRule(theta, base.weights[::-1] / sin_theta, "polar")
 
 
 @lru_cache(maxsize=128)
@@ -140,7 +134,7 @@ def rapidity_rule(n: int, weight: str = "legendre") -> QuadratureRule:
     base = _unit_rule(n, weight)
     u = base.nodes
     return QuadratureRule(np.arctanh(u), base.weights / ((1.0 - u) * (1.0 + u)),
-                          "rapidity", meta={"weight": weight})
+                          "rapidity")
 
 
 @lru_cache(maxsize=128)
@@ -172,8 +166,7 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
     # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1} computed in
     # log space to survive large n
     log_w = np.log(w) + s - alpha * np.log(s) - np.log(2.0 * scale * rho)
-    return QuadratureRule(rho, np.exp(log_w), "radial",
-                          meta={"scale": scale, "alpha": alpha})
+    return QuadratureRule(rho, np.exp(log_w), "radial")
 
 
 def evaluate(rule: QuadratureRule, f) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Special functions for the oscillator eigenbasis.
 
-Gamma, Ferrers associated Legendre functions and generalized Laguerre
+Ferrers associated Legendre functions and generalized Laguerre
 polynomials.  Conventions are fixed once here so every caller agrees:
 
 * Legendre functions are the real Ferrers functions on [-1, 1] with the
@@ -23,26 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["gamma_fn", "assoc_legendre", "gen_laguerre"]
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real arguments away from its poles.
-
-    Parameters
-    ----------
-    x : float
-        Argument; zero and negative integers are poles and rejected.
-
-    Returns
-    -------
-    float
-        Gamma(x), accurate to at least 12 significant digits on [0.5, 30].
-    """
-    xf = float(x)
-    if xf <= 0.0 and xf == math.floor(xf):
-        raise DomainError(f"gamma function pole at x={xf}")
-    return math.gamma(xf)
+__all__ = ["assoc_legendre", "gen_laguerre"]
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:

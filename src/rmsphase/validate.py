@@ -176,25 +176,22 @@ def _check_pair_equalities(constants_map, nodes: osc.NodeCounts) -> CheckResult:
 
 
 def _check_doubling(nodes: osc.NodeCounts) -> CheckResult:
-    """Doubling self-consistency of representative build integrands."""
+    """Doubling self-consistency of representative build integrands: each
+    pair times the shared coupling factor on every axis of ``osc.AXES``, on
+    the rule that axis gives the pair's parity, as ``overlap_tables`` does."""
     cases = []
     q1 = osc.QuantumNumbers(2, 2, 2, 2)
     q8 = osc.QuantumNumbers(2, 3, 3, 3)
     q9 = osc.QuantumNumbers(3, 2, 2, 2)
     for qi, qj in ((q1, q1), (q8, q8), (q1, q8), (q1, q9)):
-        fi, fj = osc.polar_profile(qi), osc.polar_profile(qj)
-        weight = "legendre" if (qi.n + qj.n) % 2 == 0 else "chebyshev-u"
-        cases.append((lambda k, w=weight: quad.polar_rule(k * nodes.polar, w),
-                      lambda th, a=fi, b=fj: a(th) * b(th) * np.sin(th) ** 4))
-        gi, gj = osc.rapidity_profile(qi), osc.rapidity_profile(qj)
-        cases.append((lambda k, w=weight: quad.rapidity_rule(k * nodes.rapidity, w),
-                      lambda be, a=gi, b=gj: a(be) * b(be) * np.cosh(be) ** 3))
-        hi, hj = osc.radial_profile(qi), osc.radial_profile(qj)
-        alpha = 0.5 if (qi.l + qj.l) % 2 == 0 else 0.0
-        cases.append((lambda k, al=alpha: quad.radial_rule(k * nodes.radial, 1.0, al),
-                      lambda r, a=hi, b=hj: a(r) * b(r) * r ** 5))
+        for axis in osc.AXES:
+            make_rule = axis.rules[axis.rule_index((qi, qj))[0, 1]]
+            n = getattr(nodes, axis.field)
+            fi, fj = axis.profile(qi), axis.profile(qj)
+            cases.append((lambda k, make=make_rule, n=n: make(k * n),
+                          lambda x, a=fi, b=fj, g=axis.weight: a(x) * b(x) * g(x, 1)))
     for delta in (0, 1):
-        cases.append((lambda k: quad.gauss_legendre(k * nodes.azimuthal, 0.0, 2.0 * math.pi),
+        cases.append((lambda k: osc.azimuthal_rule(k * nodes.azimuthal),
                       lambda phi, d=delta: np.exp(1j * d * phi) * np.cos(2 * phi / 3) ** 2))
     worst = 0.0
     for make_rule, f in cases:

@@ -186,6 +186,44 @@ class TestMutationHook:
         assert "[FAIL] sign-mutation-detector" in out
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty the table caches around a test that patches what they are built from."""
+    from rmsphase import oscillator, perturbation
+    caches = (oscillator.overlap_tables, perturbation._phi_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestTableFaults:
+    def test_swapped_radial_rules_detected_by_validate(self, monkeypatch, capsys,
+                                                       fresh_tables):
+        from rmsphase import oscillator as osc
+        axes = tuple(axis._replace(rules=axis.rules[::-1]) if axis.field == "radial"
+                     else axis for axis in osc.AXES)
+        monkeypatch.setattr(osc, "AXES", axes)
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
+        assert code == cli.EXIT_VALIDATION
+        assert "[FAIL] orthonormality" in out
+
+    def test_flipped_sine_channel_detected_by_validate(self, monkeypatch, capsys,
+                                                       fresh_tables):
+        from rmsphase import perturbation as pert
+        straight = pert.phi_integral
+
+        def flipped(m_bra, m_ket, channel):
+            value = straight(m_bra, m_ket, channel)
+            return -value if channel is pert.Channel.SINE else value
+
+        monkeypatch.setattr(pert, "phi_integral", flipped)
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
+        assert code == cli.EXIT_VALIDATION
+        assert "[FAIL] channel-sum-rule" in out
+
+
 class TestBadInput:
     @pytest.mark.parametrize("command", [("table",), ("phase", "--state", "1"),
                                          ("oracle", "--state", "1")])
@@ -201,6 +239,26 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert out == ""
         assert "finite and positive" in err
+
+    def test_omega_with_dimensionless_flags(self, capsys):
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--dimensionless",
+                                 "--omega", "0", *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
+
+    @pytest.mark.parametrize("settings, flags", [
+        ("omega_mhz = 240.4\ndimensionless = true\n", ()),
+        ("omega_mhz = 240.4\n", ("--dimensionless",)),
+    ], ids=["both-in-file", "file-and-flag"])
+    def test_omega_with_dimensionless_in_config_file(self, capsys, tmp_path, settings, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings)
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--config", str(cfg),
+                                 *flags, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.csv"

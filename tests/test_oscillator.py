@@ -30,7 +30,6 @@ from rmsphase import (
 )
 from rmsphase.errors import DomainError, NormalizationError, ParameterError
 from rmsphase.oscillator import (
-    _norm_factor,
     polar_profile,
     radial_profile,
     rapidity_profile,
@@ -196,16 +195,9 @@ class TestNormalization:
         n2 = normalization_constant(qn, dimensionless, nodes64.doubled())
         assert n1 == pytest.approx(n2, rel=1e-9)
 
-    def test_null_state_rejected(self, nodes64):
+    def test_null_state_rejected(self, dimensionless, nodes64):
         with pytest.raises(NormalizationError):
-            _norm_factor(QuantumNumbers(2, 2, 3, 3), nodes64)
-
-    def test_memoized_per_state(self, dimensionless, nodes64):
-        qn = QuantumNumbers(2, 2, 2, 2)
-        normalization_constant(qn, dimensionless, nodes64)
-        hits_before = _norm_factor.cache_info().hits
-        normalization_constant(qn, dimensionless, nodes64)
-        assert _norm_factor.cache_info().hits == hits_before + 1
+            normalization_constant(QuantumNumbers(2, 2, 3, 3), dimensionless, nodes64)
 
 
 class TestOrthonormality:

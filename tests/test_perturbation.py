@@ -13,13 +13,9 @@ import pytest
 from rmsphase import (
     Channel,
     NodeCounts,
-    PerturbationParams,
     PhysicalConstants,
-    RmsPoint,
     correction_coefficients,
     degeneracy_report,
-    first_order_state,
-    gram_matrix,
     live_indices,
     matrix_element,
     phi_integral,
@@ -186,41 +182,6 @@ class TestCorrectionCoefficients:
                 assert base.a[i] == pytest.approx(fine.a[i], rel=1e-8)
 
 
-class TestFirstOrderState:
-    def test_unperturbed_limit(self, dimensionless, nodes64):
-        from rmsphase import QuantumNumbers, eval_state
-        state = first_order_state(1, 0.0, 0.0, dimensionless, nodes64)
-        p = RmsPoint(1.0, 1.2, 0.8, 0.4)
-        assert state(p) == eval_state(QuantumNumbers(2, 2, 2, 2), p, dimensionless, nodes64)
-
-    def test_stays_normalized_to_first_order(self, dimensionless, nodes64):
-        # <psi_j | Psi_j> = 1: corrections live outside the subspace of j
-        eps1, eps2 = 3e-3, -2e-3
-        state = first_order_state(1, eps1, eps2, dimensionless, nodes64)
-        indices, gram = gram_matrix(nodes64)
-        pos = {idx: k for k, idx in enumerate(indices)}
-        vec = np.zeros(len(indices), dtype=complex)
-        vec[pos[1]] = 1.0
-        for i, ai in state.coefficients.a.items():
-            vec[pos[i]] = eps1 * ai + eps2 * state.coefficients.b[i]
-        e1 = np.zeros_like(vec)
-        e1[pos[1]] = 1.0
-        overlap = np.conj(e1) @ gram @ vec
-        assert overlap == pytest.approx(1.0, abs=1e-10)
-
-    def test_norm_expansion_matches_gram_quadrature(self, dimensionless, nodes64):
-        eps1, eps2 = 4e-3, 1.5e-3
-        state = first_order_state(1, eps1, eps2, dimensionless, nodes64)
-        indices, gram = gram_matrix(nodes64)
-        pos = {idx: k for k, idx in enumerate(indices)}
-        vec = np.zeros(len(indices), dtype=complex)
-        vec[pos[1]] = 1.0
-        for i, ai in state.coefficients.a.items():
-            vec[pos[i]] = eps1 * ai + eps2 * state.coefficients.b[i]
-        direct = (np.conj(vec) @ gram @ vec).real
-        assert state.norm_squared_expansion() == pytest.approx(direct, abs=1e-9)
-
-
 class TestDegeneracyReport:
     def test_blocks_hermitian(self, nodes64):
         for k in (1, 2, 3, 4):
@@ -237,9 +198,3 @@ class TestDegeneracyReport:
         with pytest.raises(ParameterError):
             degeneracy_report(5, Channel.COSINE, nodes64)
 
-
-def test_perturbation_params_reject_extra_couplings():
-    with pytest.raises(ParameterError):
-        PerturbationParams(eps1=0.1, eps2=0.2, eps0=0.5)
-    params = PerturbationParams(eps1=0.1, eps2=0.2)
-    assert params.eps3 == 0.0

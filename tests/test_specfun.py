@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rmsphase import assoc_legendre, gamma_fn, gen_laguerre
+from rmsphase import assoc_legendre, gen_laguerre
 from rmsphase.errors import DomainError
 
 
@@ -27,22 +27,6 @@ def laguerre_series(degree: int, alpha2: int, x: Fraction) -> Fraction:
         coeff /= math.factorial(degree - k) * math.factorial(k)
         total += (-1) ** k * coeff * x ** k
     return total
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(6.0) == 120.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_accuracy_against_functional_equation(self, rng):
-        for x in rng.uniform(0.5, 29.0, size=50):
-            assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-    @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0])
-    def test_poles_rejected(self, pole):
-        with pytest.raises(DomainError):
-            gamma_fn(pole)
 
 
 class TestAssocLegendre:
