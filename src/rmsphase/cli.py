@@ -63,8 +63,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.nodes < 16:
-            raise ConfigError(f"node count must be >= 16, got {self.nodes}")
+        if not 16 <= self.nodes <= 1024:
+            raise ConfigError(f"node count must be in 16..1024, got {self.nodes}")
         if self.format not in ("csv", "json", "pretty"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.omega_convention not in ("angular", "cyclic"):
@@ -300,7 +300,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dimensionless", action="store_true", default=False,
                         help="report pure numbers, couplings in units of M*omega^2")
     parser.add_argument("--nodes", type=int, default=None,
-                        help="quadrature nodes per axis (default 128)")
+                        help="quadrature nodes per axis, 16..1024 (default 128)")
     parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
 

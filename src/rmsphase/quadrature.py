@@ -11,6 +11,9 @@ measure factors) and never see the underlying change of variables:
 * ``radial_rule``    -- rho on [0, inf), mapped from s = scale * rho^2 with
   generalized Gauss-Laguerre nodes.
 
+The Legendre and Laguerre rules come from one Golub-Welsch routine that
+keeps every node at any node count; the Chebyshev-U rule is closed-form.
+
 The polar/rapidity rules take a ``weight`` switch ('legendre' or
 'chebyshev-u') and the radial rule an exponent ``alpha`` (0 or 1/2);
 choosing them to match the half-integer power structure of the integrand
@@ -24,11 +27,11 @@ and the same rule object may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .errors import EvaluationError, ParameterError
 
@@ -43,12 +46,6 @@ __all__ = [
     "integrate",
     "doubling_gap",
 ]
-
-# Laguerre nodes beyond this point would overflow the plain-form weight
-# w*exp(s); everything integrated here decays like exp(-s), so the dropped
-# tail contributes < exp(-650).
-_RADIAL_NODE_CUTOFF = 650.0
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -75,6 +72,28 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _gauss(diag: np.ndarray, off: np.ndarray, log_mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log-weights of a Gauss rule (Golub & Welsch, Math. Comp. 23, 1969).
+
+    ``diag`` and ``off`` form the Jacobi matrix: the three-term recurrence of
+    the orthonormal polynomials p_k of a weight of total mass mu0.  Its
+    eigenvalues are the nodes, and mu0 / sum_k p_k(x)^2 are the weights.  The
+    sum is rescaled past 1e200 and the scale kept as a log, so no node
+    overflows at any n.
+    """
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    total, log_scale = np.ones_like(x), np.zeros_like(x)
+    for a, b, b_prev in zip(diag, off, (0.0, *off)):
+        p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
+        total += p * p
+        if total.max() > 1e200:
+            c = np.where(total > 1e200, np.sqrt(total), 1.0)
+            p, p_prev, total = p / c, p_prev / c, total / (c * c)
+            log_scale += np.log(c)
+    return x, log_mu0 - np.log(total) - 2.0 * log_scale
+
+
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -> QuadratureRule:
     """Gauss-Legendre rule on [a, b], exact for polynomials of degree <= 2n-1."""
@@ -82,9 +101,10 @@ def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -
         raise ParameterError(f"need at least 2 nodes, got {n}")
     if not a < b:
         raise ParameterError(f"empty interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    k = np.arange(1.0, n)
+    x, log_w = _gauss(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), math.log(2.0))
     half = 0.5 * (b - a)
-    return QuadratureRule(a + half * (x + 1.0), half * w, domain)
+    return QuadratureRule(a + half * (x + 1.0), half * np.exp(log_w), domain)
 
 
 @lru_cache(maxsize=128)
@@ -147,9 +167,7 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
     s^{alpha+k} e^{-s} * polynomial(s) * rho-Jacobian with integer k >= 0;
     pick alpha in {0, 1/2} to match the integrand's power parity.
 
-    Far-tail nodes (s > 650, or with underflowed raw weights) are dropped:
-    their plain-form weights would overflow while the integrand class
-    contributes < e^{-650} there.
+    The Golub-Welsch weights are folded in log space; no node is dropped.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
@@ -157,15 +175,12 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
         raise ParameterError(f"scale must be positive, got {scale}")
     if alpha <= -1.0:
         raise ParameterError(f"alpha must exceed -1, got {alpha}")
-    s, w = roots_genlaguerre(int(n), alpha)
-    keep = (s <= _RADIAL_NODE_CUTOFF) & (w > 0.0)
-    if keep.sum() < 2:
-        raise ParameterError("radial rule collapsed; node count too small")
-    s, w = s[keep], w[keep]
+    k = np.arange(float(n))
+    s, log_w = _gauss(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)),
+                      math.lgamma(alpha + 1.0))
     rho = np.sqrt(s / scale)
-    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1} computed in
-    # log space to survive large n
-    log_w = np.log(w) + s - alpha * np.log(s) - np.log(2.0 * scale * rho)
+    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
+    log_w += s - alpha * np.log(s) - np.log(2.0 * scale * rho)
     return QuadratureRule(rho, np.exp(log_w), "radial")
 
 

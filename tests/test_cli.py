@@ -3,10 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from rmsphase import cli
+
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table.csv"
 
 
 def run_cli(capsys, *argv):
@@ -164,8 +171,10 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
 
     def test_low_node_count_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--nodes", "8")
-        assert code == cli.EXIT_CONFIG
+        for nodes in ("8", "1025"):
+            code, _, err = run_cli(capsys, "table", "--nodes", nodes)
+            assert code == cli.EXIT_CONFIG
+            assert "node count must be in 16..1024" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "table", "--config", "/nonexistent.cfg")
@@ -175,6 +184,42 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             cli.main(["phase"])          # --state is required
         assert exc.value.code == 2
+
+
+class TestHighNodeCounts:
+    """Node counts at which the radial rule used to overflow (n >= 364)."""
+
+    def test_table_at_192_nodes_matches_reference(self, capsys):
+        # table doubles the node count for its convergence flag
+        code, out, _ = run_cli(capsys, "table", "--nodes", "192", "--format", "csv")
+        assert code == cli.EXIT_OK
+        assert out == REFERENCE_CSV.read_bytes().decode()
+
+    def test_validate_at_364_nodes(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "364")
+        assert code == cli.EXIT_OK
+        assert "9/9 checks passed" in out
+
+
+def test_runs_on_numpy_alone():
+    """scipy is a test-only dependency: block it and run a table."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None    # every scipy import now raises ImportError
+        from rmsphase import cli, oscillator
+        code = cli.main(["table", "--format", "csv"])
+        oscillator.overlap_tables()
+        loaded = [name for name, module in sys.modules.items()
+                  if name.startswith("scipy") and module is not None]
+        assert not loaded, loaded
+        sys.exit(code)
+    """)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
+    assert proc.stdout == REFERENCE_CSV.read_bytes()
 
 
 class TestMutationHook:

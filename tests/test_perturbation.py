@@ -114,6 +114,25 @@ class TestMatrixElements:
         assert abs(value.imag) > 0.1
 
 
+class TestStructuralZero:
+    def test_one_gauge_makes_both_channels_real_symmetric(self, nodes64):
+        # chi_k = arg Phi_cos(2, 3) on the m = 3 states, 0 elsewhere: one
+        # diagonal phase change makes both coupling matrices real, so every
+        # Berry phase of this coupling pair vanishes
+        live = live_indices()
+        m = {r.index: r.qn.m for r in state_table()}
+        chi = np.array([np.angle(phi_integral(2, 3, Channel.COSINE)) if m[i] == 3
+                        else 0.0 for i in live])
+        rotate = np.exp(1j * chi)
+        for channel in Channel:
+            mat = np.array([[matrix_element(i, j, channel, nodes=nodes64)
+                             for j in live] for i in live])
+            assert np.max(np.abs(mat.imag)) > 0.1
+            rotated = rotate[:, None] * mat * rotate.conj()[None, :]
+            assert np.max(np.abs(rotated.imag)) < 1e-12
+            assert np.max(np.abs(rotated - rotated.T)) < 1e-12
+
+
 class TestCorrectionCoefficients:
     def test_index_set_for_ground_state(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_genlaguerre
 
 from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase.errors import EvaluationError, ParameterError
@@ -91,6 +92,28 @@ class TestRadialRule:
         gap = doubling_gap(lambda k: radial_rule(128 * k, 1.0, 0.5),
                            lambda r: f(r) ** 2 * r ** 3)
         assert gap < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [32, 128, 256])
+    def test_matches_scipy_laguerre(self, n, alpha):
+        # scipy's far-tail weights underflow; compare where they stay accurate
+        s_ref, w_ref = roots_genlaguerre(n, alpha)
+        keep = s_ref <= 650.0
+        s_ref, w_ref = s_ref[keep], w_ref[keep]
+        plain_ref = w_ref * np.exp(s_ref) * s_ref ** -alpha / (2.0 * np.sqrt(s_ref))
+        rule = radial_rule(n, 1.0, alpha)
+        np.testing.assert_allclose(rule.nodes[keep], np.sqrt(s_ref), rtol=1e-11)
+        np.testing.assert_allclose(rule.weights[keep], plain_ref, rtol=1e-11)
+
+    @pytest.mark.parametrize("alpha, power, exact", [
+        (0.0, 3.0, 6.0),
+        (0.5, 3.5, math.gamma(4.5)),
+    ])
+    def test_moments_at_1024_nodes(self, alpha, power, exact):
+        # int s^power e^{-s} ds with every one of the 1024 nodes kept
+        rule = radial_rule(1024, 1.0, alpha)
+        got = integrate(rule, lambda r: 2.0 * r * (r * r) ** power * np.exp(-r * r)).real
+        assert got == pytest.approx(exact, rel=1e-13)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -189,6 +212,9 @@ def test_rule_immutable():
     lambda: polar_rule(128, "chebyshev-u"),
     lambda: rapidity_rule(256),
     lambda: radial_rule(256, 1.0, 0.5),
+    lambda: radial_rule(364, 1.0, 0.5),
+    lambda: radial_rule(1024, 1.0, 0.0),
+    lambda: gauss_legendre(1024, -1.0, 1.0),
 ])
 def test_all_families_positive_and_increasing(make):
     rule = make()
