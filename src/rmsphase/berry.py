@@ -17,6 +17,12 @@ converted through the symbolic 1/(M omega^2)^2 prefactor at the end.  For
 this coupling pair the cross sums come out real, so all three routes
 agree on zero phases; the machinery is exercised against synthetic
 nonzero coefficient sets in the test suite.
+
+What is constant around a loop is computed once, not once per step: the
+connection reads the three coefficient sums that
+``CorrectionCoefficients`` stores at construction, and the overlap chain
+runs in the 3-dim span of e_j, a and b, on a metric reduced once per
+coefficient set and shared by both Richardson radii.
 """
 
 from __future__ import annotations
@@ -66,8 +72,9 @@ class LoopParams:
     def __post_init__(self):
         if self.steps < 8:
             raise ParameterError(f"need at least 8 loop steps, got {self.steps}")
-        if self.radius is not None and not self.radius > 0.0:
-            raise ParameterError("loop radius must be positive")
+        if self.radius is not None and not 0.0 < self.radius < math.inf:
+            raise ParameterError(
+                f"loop radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,10 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
 
     (eps1 sum|a|^2 + eps2 sum a b*,  eps1 sum a* b + eps2 sum|b|^2);
     both vanish at the origin because the corrections are orthogonal to
-    the unperturbed state.
+    the unperturbed state.  The sums are the ones ``coeffs`` stored at
+    construction.
     """
-    sum_aa = coeffs.sum_abs2_a()
-    sum_bb = coeffs.sum_abs2_b()
-    sum_ab = coeffs.sum_conj_a_b()          # sum conj(a) b
-    sum_ba = complex(np.conj(sum_ab))       # sum a conj(b)
+    sum_aa, sum_bb, sum_ab, sum_ba = coeffs.connection_sums
     return (eps1 * sum_aa + eps2 * sum_ba, eps1 * sum_ab + eps2 * sum_bb)
 
 
@@ -157,13 +162,14 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     Returns (gamma_per_r2, imag_residual, radius).  The integrand is a
     degree-2 trigonometric polynomial in alpha, so the periodic trapezoid
     rule is exact once steps > 4; the imaginary residual of the complex
-    result is a roundoff diagnostic.
+    result is a roundoff diagnostic.  The coefficient sums are the ones
+    ``coeffs`` stored at construction, so each step does only the
+    connection's scalar arithmetic, on Python floats.
     """
     r = _auto_radius(coeffs, loop)
-    alphas = _alphas(loop)
     orientation = -1.0 if loop.reverse else 1.0
     total = 0.0 + 0.0j
-    for alpha in alphas:
+    for alpha in _alphas(loop).tolist():
         c, s = math.cos(alpha), math.sin(alpha)
         a1, a2 = berry_connection(coeffs, r * c, r * s)
         # dR/d(alpha) on the circle, signed by traversal direction
@@ -186,16 +192,31 @@ def berry_phase_loop_connection(j: int, constants: osc.PhysicalConstants,
                     "imag_residual": residual, "nodes": nodes})
 
 
+def _loop_basis(coeffs: pert.CorrectionCoefficients,
+                indices: tuple[int, ...]) -> np.ndarray:
+    """Columns e_j, a, b in the normalizable-state basis.
+
+    The sample at radius r and angle alpha is this basis applied to
+    (1, r cos alpha, r sin alpha), so every loop lies in their span.
+    """
+    pos = {idx: k for k, idx in enumerate(indices)}
+    basis = np.zeros((len(indices), 3), dtype=complex)
+    basis[pos[coeffs.state_index], 0] = 1.0
+    for i, ai in coeffs.a.items():
+        basis[pos[i], 1:] = ai, coeffs.b[i]
+    return basis
+
+
+def _circle(alphas: np.ndarray) -> np.ndarray:
+    """Rows (1, cos alpha, sin alpha); scaled by (1, r, r) they are samples."""
+    return np.stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)], axis=1)
+
+
 def _loop_vectors(coeffs: pert.CorrectionCoefficients, indices: tuple[int, ...],
                   radius: float, alphas: np.ndarray) -> np.ndarray:
     """Coefficient vectors of Psi(alpha) in the normalizable-state basis."""
-    pos = {idx: k for k, idx in enumerate(indices)}
-    vectors = np.zeros((len(alphas), len(indices)), dtype=complex)
-    vectors[:, pos[coeffs.state_index]] = 1.0
-    for i, ai in coeffs.a.items():
-        bi = coeffs.b[i]
-        vectors[:, pos[i]] = radius * (np.cos(alphas) * ai + np.sin(alphas) * bi)
-    return vectors
+    coords = _circle(alphas) * np.array([1.0, radius, radius])
+    return coords @ _loop_basis(coeffs, indices).T
 
 
 def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
@@ -219,12 +240,34 @@ def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
     return -float(cmath.phase(product))
 
 
+def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
+                    loop: LoopParams, radii: tuple[float, ...]) -> list[float]:
+    """Overlap-product phase per squared radius at each of ``radii``.
+
+    The chains run in the 3-dim span of ``_loop_basis``.  The reduced
+    metric H = B^dagger G B and the angles are computed once for all
+    radii; each radius scales H by (1, r, r) on both sides, so its samples
+    are the real rows of ``_circle``.  H is made exactly Hermitian first:
+    the phase is the anti-Hermitian part of O(r^2) overlaps, so a
+    roundoff asymmetry would be divided by r^2.
+    """
+    indices, gram = gram_data
+    basis = _loop_basis(coeffs, indices)
+    metric = osc._hermitian(basis.conj().T @ gram @ basis)
+    circle = _circle(_alphas(loop))
+    phases = []
+    for r in radii:
+        scale = np.array([1.0, r, r])
+        phases.append(overlap_product_phase(circle, metric * np.outer(scale, scale))
+                      / r ** 2)
+    return phases
+
+
 def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
                        loop: LoopParams, radius: float) -> float:
     """Overlap-product phase per squared radius at one fixed radius."""
-    indices, gram = gram_data
-    vectors = _loop_vectors(coeffs, indices, radius, _alphas(loop))
-    return overlap_product_phase(vectors, gram) / radius ** 2
+    (phase,) = _overlap_phases(coeffs, gram_data, loop, (radius,))
+    return phase
 
 
 def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
@@ -233,16 +276,16 @@ def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
     """Overlap-product loop phase per squared radius for state j.
 
     Per-sample normalization makes the raw value differ from the closed
-    form at O(r^2); the loop runs at r and r/2 and Richardson-extrapolates
-    that error away.
+    form at O(r^2); the loop runs at r and r/2, in one batch that shares
+    the reduced metric and the angles, and Richardson-extrapolates that
+    error away.
     """
     if osc.get_state(j).is_null:
         return _null_result(j, "loop-overlap", constants)
     coeffs = pert.correction_coefficients(j, nodes=nodes)
-    gram_data = osc.gram_matrix(nodes)
     r = _auto_radius(coeffs, loop)
-    gamma_r = overlap_loop_phase(coeffs, gram_data, loop, r)
-    gamma_half = overlap_loop_phase(coeffs, gram_data, loop, 0.5 * r)
+    gamma_r, gamma_half = _overlap_phases(coeffs, osc.gram_matrix(nodes), loop,
+                                          (r, 0.5 * r))
     metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
                 "raw_values": (gamma_r, gamma_half)}
     return _result(j, (4.0 * gamma_half - gamma_r) / 3.0, "loop-overlap",

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,21 +119,40 @@ class CorrectionCoefficients:
     states outside the degenerate subspace of ``state_index``.  Values are
     in the coupling units of the constants they were computed with (pure
     numbers for dimensionless constants; SI values carry 1/(M omega^2)).
+
+    Both mappings are read-only copies, so ``connection_sums`` -- the
+    four numbers every loop step reads, sum|a|^2, sum|b|^2,
+    sum conj(a) b and its conjugate -- are computed once, at
+    construction, and cannot go stale.
     """
 
     state_index: int
-    a: dict[int, complex] = field(compare=False)
-    b: dict[int, complex] = field(compare=False)
+    a: Mapping[int, complex] = field(compare=False)
+    b: Mapping[int, complex] = field(compare=False)
+    connection_sums: tuple[float, float, complex, complex] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = MappingProxyType(dict(self.a)), MappingProxyType(dict(self.b))
+        sum_ab = complex(sum(np.conj(a[i]) * b[i] for i in a))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "connection_sums", (
+            sum(abs(v) ** 2 for v in a.values()),
+            sum(abs(v) ** 2 for v in b.values()),
+            sum_ab,
+            sum_ab.conjugate(),
+        ))
 
     def sum_abs2_a(self) -> float:
-        return sum(abs(v) ** 2 for v in self.a.values())
+        return self.connection_sums[0]
 
     def sum_abs2_b(self) -> float:
-        return sum(abs(v) ** 2 for v in self.b.values())
+        return self.connection_sums[1]
 
     def sum_conj_a_b(self) -> complex:
         """sum over i of conj(a_i) b_i, the cross inner product <psi'|psi''>."""
-        return sum(np.conj(self.a[i]) * self.b[i] for i in self.a)
+        return self.connection_sums[2]
 
     def max_magnitude(self) -> float:
         mags = [abs(v) for v in self.a.values()] + [abs(v) for v in self.b.values()]

@@ -152,6 +152,55 @@ class TestSyntheticLoops:
             overlap_product_phase(vectors, np.eye(6))
 
 
+def reference_connection_loop(coeffs, loop):
+    """The connection loop with every sum rebuilt from the mappings at each step."""
+    r = loop.radius
+    alphas = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
+    orientation = 1.0
+    if loop.reverse:
+        alphas, orientation = alphas[::-1], -1.0
+    total = 0.0 + 0.0j
+    for alpha in alphas:
+        c, s = math.cos(alpha), math.sin(alpha)
+        sum_aa = sum(abs(v) ** 2 for v in coeffs.a.values())
+        sum_bb = sum(abs(v) ** 2 for v in coeffs.b.values())
+        sum_ab = sum(np.conj(coeffs.a[i]) * coeffs.b[i] for i in coeffs.a)
+        sum_ba = complex(np.conj(sum_ab))
+        a1 = r * c * sum_aa + r * s * sum_ba
+        a2 = r * c * sum_ab + r * s * sum_bb
+        total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
+    value = 1j * (total * (2.0 * math.pi / loop.steps))
+    return value.real / r ** 2, abs(value.imag) / r ** 2, r
+
+
+class TestStoredSums:
+    def test_mappings_are_read_only_copies(self):
+        a, b = {5: 0.3 + 0.4j}, {5: 0.5 - 0.2j}
+        coeffs = CorrectionCoefficients(1, a, b)
+        a[5] = 7.0
+        assert coeffs.a[5] == 0.3 + 0.4j
+        assert coeffs.sum_abs2_a() == pytest.approx(0.25, rel=1e-15)
+        with pytest.raises(TypeError):
+            coeffs.a[5] = 7.0
+        with pytest.raises(TypeError):
+            coeffs.b[9] = 7.0
+
+    def test_basis_phases_build_new_sums(self, synthetic):
+        rotated = synthetic.with_basis_phases({5: 0.7, 9: -1.1}, 0.3)
+        assert rotated.a[5] == pytest.approx(synthetic.a[5] * np.exp(-0.4j), rel=1e-15)
+        assert rotated.sum_conj_a_b() == pytest.approx(synthetic.sum_conj_a_b(), rel=1e-14)
+        assert rotated.sum_abs2_b() == pytest.approx(synthetic.sum_abs2_b(), rel=1e-14)
+        with pytest.raises(TypeError):
+            rotated.b[5] = 7.0
+
+    @pytest.mark.parametrize("steps", [8, 720, 1001])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_connection_loop_is_exactly_the_reference(self, synthetic, steps, reverse):
+        loop = LoopParams(radius=1e-3, steps=steps, reverse=reverse)
+        assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
+            synthetic, loop)
+
+
 class TestPhysicalPhases:
     def test_all_live_states_zero(self, dimensionless, nodes64):
         for j in live_indices():
@@ -205,8 +254,9 @@ class TestParams:
     def test_loop_validation(self):
         with pytest.raises(ParameterError):
             LoopParams(steps=4)
-        with pytest.raises(ParameterError):
-            LoopParams(radius=-1.0)
+        for radius in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                LoopParams(radius=radius)
 
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)

@@ -305,6 +305,15 @@ class TestBadInput:
         assert out == ""
         assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
 
+    @pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
+    def test_bad_radius_is_config_error(self, capsys, radius):
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--method",
+                                 "loop-connection", "--dimensionless",
+                                 "--radius", radius, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "finite and positive" in err
+
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.csv"
         code, out, err = run_cli(capsys, "table", "--format", "csv",
