@@ -30,7 +30,6 @@ from .perturbation import (
     Channel,
     CorrectionCoefficients,
     correction_coefficients,
-    degeneracy_report,
     matrix_element,
     phi_integral,
 )
@@ -53,8 +52,7 @@ __all__ = [
     "eigenvalue", "embed", "eval_state", "eval_unnormalized", "gram_matrix",
     "live_indices", "measure_weight", "normalization_constant", "state_table",
     "Channel", "CorrectionCoefficients",
-    "correction_coefficients", "degeneracy_report",
-    "matrix_element", "phi_integral",
+    "correction_coefficients", "matrix_element", "phi_integral",
     "QuadratureRule", "gauss_legendre", "integrate", "polar_rule",
     "radial_rule", "rapidity_rule",
     "assoc_legendre", "gen_laguerre",

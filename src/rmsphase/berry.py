@@ -55,6 +55,9 @@ _PHASE_ORIENTATION = -1.0
 # loop stays in the perturbative regime.
 _PERTURBATIVE_BUDGET = 1e-2
 
+# Every loop route holds O(steps) samples in memory.
+MAX_STEPS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class LoopParams:
@@ -70,8 +73,9 @@ class LoopParams:
     reverse: bool = False
 
     def __post_init__(self):
-        if self.steps < 8:
-            raise ParameterError(f"need at least 8 loop steps, got {self.steps}")
+        if not 8 <= self.steps <= MAX_STEPS:
+            raise ParameterError(
+                f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")
         if self.radius is not None and not 0.0 < self.radius < math.inf:
             raise ParameterError(
                 f"loop radius must be finite and positive, got {self.radius}")
@@ -150,6 +154,13 @@ def _auto_radius(coeffs: pert.CorrectionCoefficients, loop: LoopParams) -> float
     return _PERTURBATIVE_BUDGET / top if top > 0.0 else _PERTURBATIVE_BUDGET
 
 
+def _check_radius(r: float) -> None:
+    """Every route divides by r ** 2, which overflows for the auto radius
+    once every coefficient is below ~1e-156."""
+    if not r * r < math.inf:
+        raise ParameterError(f"loop radius {r!r} has no finite square")
+
+
 def _alphas(loop: LoopParams) -> np.ndarray:
     a = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
     return a[::-1] if loop.reverse else a
@@ -167,6 +178,7 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     connection's scalar arithmetic, on Python floats.
     """
     r = _auto_radius(coeffs, loop)
+    _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
     total = 0.0 + 0.0j
     for alpha in _alphas(loop).tolist():
@@ -251,6 +263,8 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     the phase is the anti-Hermitian part of O(r^2) overlaps, so a
     roundoff asymmetry would be divided by r^2.
     """
+    for r in radii:
+        _check_radius(r)
     indices, gram = gram_data
     basis = _loop_basis(coeffs, indices)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)

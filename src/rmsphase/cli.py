@@ -35,6 +35,8 @@ CONFIG_ENV_VAR = "RMSPHASE_CONFIG"
 
 CSV_COLUMNS = ("j", "omega_hz", "gamma_over_r2", "method", "converged")
 
+STEPS_HELP = f"loop samples per circle, 8..{berry.MAX_STEPS} (default 720)"
+
 _CONFIG_KEYS = {
     "omega_mhz": float,
     "omega_convention": str,
@@ -319,13 +321,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--state", type=int, required=True, metavar="J")
     p_phase.add_argument("--method", choices=("closed", "loop-connection", "loop-overlap"),
                          default="closed")
-    p_phase.add_argument("--steps", type=int, default=None)
+    p_phase.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     p_phase.add_argument("--radius", type=float, default=None)
 
     p_oracle = sub.add_parser("oracle", help="compare closed form against loop oracles")
     _add_common(p_oracle)
     p_oracle.add_argument("--state", type=int, required=True, metavar="J")
-    p_oracle.add_argument("--steps", type=int, default=None)
+    p_oracle.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     p_oracle.add_argument("--radius", type=float, default=None)
 
     p_validate = sub.add_parser("validate", help="run the invariant self-checks")

@@ -59,6 +59,9 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
+# The CLI's 1024 doubled; every rule is built from a dense n x n Jacobi matrix.
+MAX_NODES = 2048
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -200,7 +203,7 @@ class StateRecord:
 
 @dataclass(frozen=True)
 class NodeCounts:
-    """Quadrature nodes per axis."""
+    """Quadrature nodes per axis, each in 2..``MAX_NODES``."""
 
     radial: int = 128
     polar: int = 128
@@ -209,8 +212,9 @@ class NodeCounts:
 
     def __post_init__(self):
         for name in ("radial", "polar", "azimuthal", "rapidity"):
-            if getattr(self, name) < 2:
-                raise ParameterError(f"{name} node count must be >= 2")
+            if not 2 <= getattr(self, name) <= MAX_NODES:
+                raise ParameterError(f"{name} node count must be in 2..{MAX_NODES}, "
+                                     f"got {getattr(self, name)}")
 
     @classmethod
     def uniform(cls, n: int) -> "NodeCounts":
@@ -488,11 +492,6 @@ def eval_state(qn: QuantumNumbers, p: RmsPoint, constants: PhysicalConstants,
     if qn.is_null:
         return 0.0 + 0.0j
     return normalization_constant(qn, constants, nodes) * eval_unnormalized(qn, p, constants)
-
-
-def state_overlap(i: int, j: int, nodes: NodeCounts = NodeCounts()) -> complex:
-    """<psi_i | psi_j> of normalized states, read from the Gram table."""
-    return live_entry(overlap_tables(nodes).gram, i, j)
 
 
 def gram_matrix(nodes: NodeCounts = NodeCounts()) -> tuple[tuple[int, ...], np.ndarray]:

@@ -7,9 +7,11 @@ non-integer angular coefficient makes the phi integrals complex for
 m_bra != m_ket, which is the whole mechanism of interest.
 
 A coupling matrix is the closed-form phi integrals times the shared-factor
-table of ``oscillator.overlap_tables``, elementwise.  Both are dimensionless
-(the hbar/(M omega) length^2 factor and the hbar omega energy denominators
-are attached symbolically), so one build per resolution serves any constants.
+table of ``oscillator.overlap_tables``, elementwise.  One masked division
+of both by the energy gaps E_j - E_i gives every state's coefficients, and
+``correction_coefficients(j)`` reads column j.  All are dimensionless (the
+hbar/(M omega) length^2 factor and the hbar omega energy denominators are
+attached symbolically), so one build per resolution serves any constants.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "matrix_element",
     "shared_factor_element",
     "correction_coefficients",
-    "degeneracy_report",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -71,10 +72,15 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
     raise ParameterError(f"unknown channel {channel!r}")
 
 
+# Reduced energies l + 2 n_a + 3/2 of the live states, in overlap-table
+# order: half-integers, so every gap E_j - E_i is exact.
+_ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._live_qns()])
+
+
 @lru_cache(maxsize=None)
 def _phi_table(channel: Channel) -> np.ndarray:
     """phi_integral between the live states, in overlap-table order."""
-    m = [osc.get_state(i).qn.m for i in osc.live_indices()]
+    m = [qn.m for qn in osc._live_qns()]
     table = np.array([[phi_integral(mi, mj, channel) for mj in m] for mi in m])
     table.setflags(write=False)
     return table
@@ -155,8 +161,7 @@ class CorrectionCoefficients:
         return self.connection_sums[2]
 
     def max_magnitude(self) -> float:
-        mags = [abs(v) for v in self.a.values()] + [abs(v) for v in self.b.values()]
-        return max(mags) if mags else 0.0
+        return max(map(abs, (*self.a.values(), *self.b.values())), default=0.0)
 
     def with_basis_phases(self, phases: dict[int, float],
                           own_phase: float = 0.0) -> "CorrectionCoefficients":
@@ -166,11 +171,24 @@ class CorrectionCoefficients:
         the loop phase are invariant under this map.
         """
         shift = cmath.exp(1j * own_phase)
-        a = {i: v * cmath.exp(-1j * phases.get(i, 0.0)) * shift
-             for i, v in self.a.items()}
-        b = {i: v * cmath.exp(-1j * phases.get(i, 0.0)) * shift
-             for i, v in self.b.items()}
+        a, b = ({i: v * cmath.exp(-1j * phases.get(i, 0.0)) * shift for i, v in c.items()}
+                for c in (self.a, self.b))
         return CorrectionCoefficients(self.state_index, a, b)
+
+
+@lru_cache(maxsize=8)
+def _coefficient_tables(nodes: osc.NodeCounts) -> np.ndarray:
+    """Every live state's dimensionless coefficients, read-only: entry
+    [c, i, j] is <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j.
+    Real and imaginary parts are divided separately, as a complex by a
+    float is; numpy's complex division multiplies by a rounded reciprocal.
+    """
+    gap = _ENERGIES - _ENERGIES[:, None]
+    gap[gap == 0.0] = np.inf        # x / inf = 0: degenerate entries vanish
+    couplings = np.stack([_couplings(c, nodes) for c in Channel])
+    tables = couplings.real / gap + 1j * (couplings.imag / gap)
+    tables.setflags(write=False)
+    return tables
 
 
 def correction_coefficients(j: int,
@@ -178,40 +196,19 @@ def correction_coefficients(j: int,
                             nodes: osc.NodeCounts = osc.NodeCounts()) -> CorrectionCoefficients:
     """First-order coefficients a_i = <psi_i|V_cos|psi_j> / (K_j - K_i).
 
-    Sums run over normalizable catalogue states outside the degenerate
-    subspace of j (the energy denominators are exact multiples of
-    hbar omega); entries for null intermediate states are absent, which is
-    the same as zero.
+    Column j of ``_coefficient_tables``: sums run over normalizable
+    catalogue states outside the degenerate subspace of j (the energy
+    denominators are exact multiples of hbar omega); entries for null
+    intermediate states are absent, which is the same as zero.
     """
-    rj = osc.get_state(j)
-    if rj.is_null:
+    if osc.get_state(j).is_null:
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
     scale = 1.0 / constants.coupling_scale
     live = osc.live_indices()
-    cos_column, sin_column = (_couplings(c, nodes)[:, live.index(j)] for c in Channel)
-    a: dict[int, complex] = {}
-    b: dict[int, complex] = {}
-    for row, i in enumerate(live):
-        ri = osc.get_state(i)
-        if ri.energy_factor == rj.energy_factor:
-            continue
-        denom = float(rj.energy_factor - ri.energy_factor)
-        a[i] = complex(cos_column[row]) / denom * scale
-        b[i] = complex(sin_column[row]) / denom * scale
+    col = live.index(j)
+    rows = np.flatnonzero(_ENERGIES != _ENERGIES[col])
+    keys = [live[row] for row in rows]
+    a, b = (dict(zip(keys, (table[rows, col] * scale).tolist()))
+            for table in _coefficient_tables(nodes))
     return CorrectionCoefficients(j, a, b)
-
-
-def degeneracy_report(subspace: int, channel: Channel,
-                      nodes: osc.NodeCounts = osc.NodeCounts()) -> np.ndarray:
-    """4x4 coupling block within one degenerate subspace (diagnostic only).
-
-    Off-diagonal magnitudes quantify how far the fixed catalogue basis is
-    from diagonalizing the coupling inside the subspace; rows and columns
-    of null states are zero.
-    """
-    if not 1 <= subspace <= 4:
-        raise ParameterError(f"subspace must be 1..4, got {subspace}")
-    members = [r.index for r in osc.state_table() if r.subspace == subspace]
-    table = _couplings(channel, nodes)
-    return np.array([[osc.live_entry(table, i, j) for j in members] for i in members])

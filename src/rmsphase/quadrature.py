@@ -187,20 +187,18 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
 def evaluate(rule: QuadratureRule, f) -> np.ndarray:
     """Values of ``f`` at the rule's nodes.
 
-    ``f`` may be vectorized over an ndarray of nodes or accept scalars.
-    Non-finite values raise EvaluationError naming the node and the axis.
+    ``f`` is called once, on the ndarray of nodes.  A result that does not
+    have the nodes' shape, or is not finite, raises EvaluationError naming
+    the axis.
     """
-    try:
-        values = np.asarray(f(rule.nodes))
-        if values.shape != rule.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.asarray([f(x) for x in rule.nodes])
+    values = np.asarray(f(rule.nodes))
+    if values.shape != rule.nodes.shape:
+        raise EvaluationError(
+            f"integrand returned shape {values.shape} for {rule.nodes.size} nodes on "
+            f"{rule.domain} axis; it must be vectorized over the nodes")
     if values.dtype.kind not in "fc":
         values = values.astype(complex)
-    bad = ~np.isfinite(values)
-    if values.dtype.kind == "c":
-        bad = ~(np.isfinite(values.real) & np.isfinite(values.imag))
+    bad = ~np.isfinite(values)      # a complex value is finite when both parts are
     if np.any(bad):
         k = int(np.argmax(bad))
         raise EvaluationError(

@@ -25,10 +25,12 @@ from rmsphase import (
     oracle_comparison,
 )
 from rmsphase.berry import (
+    MAX_STEPS,
     _alphas,
     _loop_vectors,
     closed_form_phase,
     connection_loop_integral,
+    overlap_loop_phase,
     overlap_product_phase,
 )
 from rmsphase.errors import ParameterError, StepResolutionError
@@ -252,11 +254,21 @@ class TestPhysicalPhases:
 
 class TestParams:
     def test_loop_validation(self):
-        with pytest.raises(ParameterError):
-            LoopParams(steps=4)
+        for steps in (4, MAX_STEPS + 1):
+            with pytest.raises(ParameterError, match=f"8..{MAX_STEPS}"):
+                LoopParams(steps=steps)
+        assert LoopParams(steps=MAX_STEPS).steps == MAX_STEPS
         for radius in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 LoopParams(radius=radius)
+
+    def test_radius_with_overflowing_square(self, nodes64):
+        # auto radius 1e-2 / 1e-160 = 1e158, whose square overflows
+        tiny = CorrectionCoefficients(1, {5: 1e-160}, {5: 1e-160j})
+        with pytest.raises(ParameterError, match="no finite square"):
+            connection_loop_integral(tiny, LoopParams())
+        with pytest.raises(ParameterError, match="no finite square"):
+            overlap_loop_phase(tiny, gram_matrix(nodes64), LoopParams(), 1e158)
 
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)

@@ -235,7 +235,8 @@ class TestMutationHook:
 def fresh_tables(monkeypatch):
     """Empty the table caches around a test that patches what they are built from."""
     from rmsphase import oscillator, perturbation
-    caches = (oscillator.overlap_tables, perturbation._phi_table)
+    caches = (oscillator.overlap_tables, perturbation._phi_table,
+              perturbation._coefficient_tables)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -267,6 +268,21 @@ class TestTableFaults:
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] channel-sum-rule" in out
+
+    def test_non_hermitian_phi_integral_detected_by_validate(self, monkeypatch, capsys,
+                                                             fresh_tables):
+        from rmsphase import perturbation as pert
+        straight = pert.phi_integral
+
+        def skewed(m_bra, m_ket, channel):
+            # the imaginary part keeps its sign under bra/ket swap
+            value = straight(m_bra, m_ket, channel)
+            return complex(value.real, abs(value.imag))
+
+        monkeypatch.setattr(pert, "phi_integral", skewed)
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
+        assert code == cli.EXIT_VALIDATION
+        assert "[FAIL] hermiticity" in out
 
 
 class TestBadInput:
@@ -313,6 +329,35 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert out == ""
         assert "configuration error" in err and "finite and positive" in err
+
+    @pytest.mark.parametrize("method", ["loop-connection", "loop-overlap"])
+    def test_radius_with_overflowing_square_is_config_error(self, capsys, method):
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--method", method,
+                                 "--radius", "1e200", *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "no finite square" in err
+
+    @pytest.mark.parametrize("command", ["phase", "oracle"])
+    @pytest.mark.parametrize("steps", ["7", "1048577"])
+    def test_steps_out_of_range_is_config_error(self, capsys, command, steps):
+        code, out, err = run_cli(capsys, command, "--state", "1", "--steps", steps, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "8..1048576" in err
+
+    @pytest.mark.parametrize("command", ["phase", "oracle"])
+    def test_steps_help_names_the_range(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert "8..1048576" in capsys.readouterr().out
+
+    def test_node_count_above_bound_is_parameter_error(self):
+        from rmsphase.errors import ParameterError
+        from rmsphase.oscillator import MAX_NODES, NodeCounts
+        assert NodeCounts.uniform(1024).doubled().radial == MAX_NODES == 2048
+        with pytest.raises(ParameterError, match="2..2048"):
+            NodeCounts(128, 128, MAX_NODES + 1, 128)
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.csv"

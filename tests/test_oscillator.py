@@ -207,11 +207,12 @@ class TestOrthonormality:
         assert np.max(np.abs(gram - np.eye(len(indices)))) < 1e-8
 
     def test_selected_overlaps(self, dimensionless, nodes64):
-        from rmsphase.oscillator import state_overlap
-        assert abs(state_overlap(1, 1, nodes64) - 1.0) < 1e-10
-        assert abs(state_overlap(1, 5, nodes64)) < 1e-10   # theta orthogonality
-        assert abs(state_overlap(1, 2, nodes64)) < 1e-12   # phi selection
-        assert state_overlap(3, 1, nodes64) == 0.0          # null state
+        from rmsphase.oscillator import live_entry
+        gram = gram_matrix(nodes64)[1]
+        assert abs(live_entry(gram, 1, 1) - 1.0) < 1e-10
+        assert abs(live_entry(gram, 1, 5)) < 1e-10   # theta orthogonality
+        assert abs(live_entry(gram, 1, 2)) < 1e-12   # phi selection
+        assert live_entry(gram, 3, 1) == 0.0          # null state
 
     def test_normalized_eval_consistent(self, dimensionless, nodes64):
         qn = QuantumNumbers(2, 2, 2, 2)

@@ -15,13 +15,12 @@ from rmsphase import (
     NodeCounts,
     PhysicalConstants,
     correction_coefficients,
-    degeneracy_report,
     live_indices,
     matrix_element,
     phi_integral,
 )
 from rmsphase import state_table
-from rmsphase.errors import CorrectionError, ParameterError
+from rmsphase.errors import CorrectionError
 from rmsphase.perturbation import shared_factor_element
 from rmsphase.quadrature import gauss_legendre, integrate
 
@@ -141,12 +140,20 @@ class TestCorrectionCoefficients:
         # never the degenerate partners, never the null states
         assert not set(coeffs.a) & {1, 2, 3, 4, 7, 11, 12, 15}
 
-    def test_energy_denominators(self, nodes64):
-        # a_i (K_1 - K_i) must reproduce the bare matrix element
-        coeffs = correction_coefficients(1, nodes=nodes64)
-        for i, expected_d in ((5, -1.0), (9, -2.0), (16, -3.0)):
-            element = matrix_element(i, 1, Channel.COSINE, nodes=nodes64)
-            assert coeffs.a[i] * expected_d == pytest.approx(element, abs=1e-13)
+    @pytest.mark.parametrize("j", live_indices())
+    def test_energy_denominators(self, nodes64, j):
+        # a_i (K_j - K_i) and b_i (K_j - K_i) must reproduce the bare matrix
+        # elements, over exactly the live states of another energy
+        energy = {r.index: r.energy_factor for r in state_table()}
+        coeffs = correction_coefficients(j, nodes=nodes64)
+        assert set(coeffs.a) == {i for i in live_indices() if energy[i] != energy[j]}
+        if j == 1:
+            assert [energy[1] - energy[i] for i in (5, 9, 16)] == [-1, -2, -3]
+        for i in coeffs.a:
+            d = float(energy[j] - energy[i])
+            for value, channel in ((coeffs.a[i], Channel.COSINE), (coeffs.b[i], Channel.SINE)):
+                element = matrix_element(i, j, channel, nodes=nodes64)
+                assert value * d == pytest.approx(element, abs=1e-13)
 
     def test_frozen_values(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
@@ -199,21 +206,4 @@ class TestCorrectionCoefficients:
         for i in base.a:
             if abs(base.a[i]) > 1e-13:
                 assert base.a[i] == pytest.approx(fine.a[i], rel=1e-8)
-
-
-class TestDegeneracyReport:
-    def test_blocks_hermitian(self, nodes64):
-        for k in (1, 2, 3, 4):
-            block = degeneracy_report(k, Channel.COSINE, nodes64)
-            assert block.shape == (4, 4)
-            assert np.max(np.abs(block - block.conj().T)) < 1e-10
-
-    def test_null_rows_zero(self, nodes64):
-        block = degeneracy_report(1, Channel.SINE, nodes64)   # states 1..4
-        assert np.all(block[2:, :] == 0)                       # states 3, 4
-        assert np.all(block[:, 2:] == 0)
-
-    def test_bad_subspace(self, nodes64):
-        with pytest.raises(ParameterError):
-            degeneracy_report(5, Channel.COSINE, nodes64)
 

@@ -173,8 +173,11 @@ class TestIntegrate:
         assert got == pytest.approx(6 * SQRT3 / 7 - 27j / 14, abs=1e-12)
 
     def test_scalar_callable(self):
-        rule = gauss_legendre(8, 0.0, 2.0)
-        assert integrate(rule, lambda x: float(x) ** 2).real == pytest.approx(8 / 3, rel=1e-14)
+        # a callable not vectorized over the nodes is rejected, not re-run per node
+        rule = polar_rule(8)
+        for f in (lambda x: 8 / 3, lambda x: np.ones(3), lambda x: x[:, None] ** 2):
+            with pytest.raises(EvaluationError, match="on polar axis"):
+                integrate(rule, f)
 
     def test_non_finite_integrand_reports_node(self):
         rule = gauss_legendre(8, 0.0, 1.0)
