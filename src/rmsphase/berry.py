@@ -156,9 +156,10 @@ def _auto_radius(coeffs: pert.CorrectionCoefficients, loop: LoopParams) -> float
 
 def _check_radius(r: float) -> None:
     """Every route divides by r ** 2, which overflows for the auto radius
-    once every coefficient is below ~1e-156."""
-    if not r * r < math.inf:
-        raise ParameterError(f"loop radius {r!r} has no finite square")
+    once every coefficient is below ~1e-156, and underflows to 0 for a
+    radius below ~1e-162."""
+    if not 0.0 < r * r < math.inf:
+        raise ParameterError(f"loop radius {r!r} has no finite square or squares to zero")
 
 
 def _alphas(loop: LoopParams) -> np.ndarray:

@@ -342,12 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return cmd_table(config)
         if args.command == "phase":
-            if not 1 <= args.state <= 16:
-                raise ConfigError(f"state index must be in 1..16, got {args.state}")
             return cmd_phase(config, args.state, args.method)
         if args.command == "oracle":
-            if not 1 <= args.state <= 16:
-                raise ConfigError(f"state index must be in 1..16, got {args.state}")
             return cmd_oracle(config, args.state)
         if args.command == "validate":
             return cmd_validate(config)

@@ -9,7 +9,9 @@ evaluates every state's axis profiles once per rule and forms all pairs at
 once as weighted matrix products (F * w * g^p) @ F.T: one cached build of
 10x10 tables per resolution, which every overlap below reads.  ``AXES``
 says, for the polar, rapidity and radial axes, which rule a pair's parity
-selects; the build and the doubling self-check both read it.
+selects; the azimuthal integrals use one Gauss-Legendre rule.  The
+doubling self-check compares the whole build with the build at twice the
+nodes.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -74,6 +76,16 @@ class PhysicalConstants:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.hbar, self.mass, self.omega)):
             raise ParameterError("hbar, mass and omega must all be finite and positive")
+        # a float ** raises on overflow, and a division by an underflowed 0 raises
+        try:
+            coupling = self.coupling_scale
+            prefactor = 1.0 / coupling ** 2
+        except (OverflowError, ZeroDivisionError):
+            coupling = prefactor = 0.0
+        if not (0 < coupling < math.inf and 0 < prefactor < math.inf):
+            raise ParameterError(
+                f"M omega^2 and 1/(M omega^2)^2 must be finite and positive; "
+                f"omega = {self.omega!r} rad/s and mass {self.mass!r} kg put them out of range")
 
     @property
     def inverse_length2(self) -> float:
@@ -257,9 +269,15 @@ def get_state(index: int) -> StateRecord:
     return table[index - 1]
 
 
+# The live (normalizable) states, and each one's row in the overlap tables.
+_LIVE_INDICES = tuple(r.index for r in state_table() if not r.is_null)
+_LIVE_QNS = tuple(state_table()[i - 1].qn for i in _LIVE_INDICES)
+_ROW = {qn: row for row, qn in enumerate(_LIVE_QNS)}
+
+
 def live_indices() -> tuple[int, ...]:
     """Indices of the normalizable (not identically zero) states."""
-    return tuple(r.index for r in state_table() if not r.is_null)
+    return _LIVE_INDICES
 
 
 def embed(p: RmsPoint) -> np.ndarray:
@@ -382,7 +400,8 @@ class AxisSpec(NamedTuple):
     ``rules`` maps a node count to the rule for pairs whose ``parity_of``
     numbers sum to even and to odd, which keeps every integral
     polynomial-exact.  ``weight(x, p)`` is the measure times the p-th power
-    of the shared coupling factor on this axis.
+    of the shared coupling factor on this axis.  ``overlap_tables`` is the
+    only reader, so a wrong rule here shows in the tables themselves.
     """
 
     field: str
@@ -410,25 +429,15 @@ AXES = (
 )
 
 
-def azimuthal_rule(n: int) -> quad.QuadratureRule:
-    """Gauss-Legendre rule over phi in [0, 2 pi)."""
-    return quad.gauss_legendre(n, 0.0, 2.0 * math.pi, "azimuthal")
-
-
-def _live_qns() -> list[QuantumNumbers]:
-    return [get_state(i).qn for i in live_indices()]
-
-
 def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
     """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
     the rule its parity selects."""
-    qns = _live_qns()
     tables = []
     for make_rule in axis.rules:
         rule = make_rule(getattr(nodes, axis.field))
-        f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in qns])
+        f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in _LIVE_QNS])
         tables.append([(f * rule.weights * axis.weight(rule.nodes, p)) @ f.T for p in (0, 1)])
-    pick = axis.rule_index(qns)
+    pick = axis.rule_index(_LIVE_QNS)
     return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]
 
 
@@ -439,17 +448,16 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     The polar, rapidity and radial integrals follow ``AXES``.  A profile
     that is not finite at a node raises EvaluationError naming the axis.
     """
-    qns = _live_qns()
     polar, rapidity, radial = (_axis_overlaps(axis, nodes) for axis in AXES)
-    phi = azimuthal_rule(nodes.azimuthal)
-    m = np.array([qn.m for qn in qns])
+    phi = quad.gauss_legendre(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    m = np.array([qn.m for qn in _LIVE_QNS])
     deltas, inverse = np.unique((m - m[:, None]).ravel(), return_inverse=True)
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in deltas]
     azimuthal = np.array(integrals)[inverse].reshape(m.size, m.size)
     axes = polar[0] * rapidity[0] * radial[0]
     norm_sq = azimuthal.diagonal().real * axes.diagonal()
     if np.any(norm_sq <= 0.0):
-        raise NormalizationError(f"non-positive norm for {qns[int(np.argmin(norm_sq))]}")
+        raise NormalizationError(f"non-positive norm for {_LIVE_QNS[int(np.argmin(norm_sq))]}")
     norms = 1.0 / np.sqrt(norm_sq)
     pair = np.outer(norms, norms)
     coupling = pair * polar[1] * rapidity[1] * radial[1]
@@ -462,11 +470,10 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
 def live_entry(table: np.ndarray, i: int, j: int) -> complex:
     """Entry for catalogue states i, j of a table over the live states;
     exactly 0 when either state is null."""
-    ri, rj = get_state(i), get_state(j)
-    if ri.is_null or rj.is_null:
+    ri, rj = _ROW.get(get_state(i).qn), _ROW.get(get_state(j).qn)
+    if ri is None or rj is None:
         return 0.0 + 0.0j
-    rows = live_indices()
-    return complex(table[rows.index(i), rows.index(j)])
+    return complex(table[ri, rj])
 
 
 def normalization_constant(qn: QuantumNumbers, constants: PhysicalConstants,
@@ -480,10 +487,9 @@ def normalization_constant(qn: QuantumNumbers, constants: PhysicalConstants,
     if qn.is_null:
         raise NormalizationError(
             f"state {qn} vanishes identically; normalization undefined")
-    qns = _live_qns()
-    if qn not in qns:
+    if qn not in _ROW:
         raise ParameterError(f"{qn} is not a catalogue state")
-    return float(overlap_tables(nodes).norms[qns.index(qn)]) * constants.inverse_length2 ** 0.75
+    return float(overlap_tables(nodes).norms[_ROW[qn]]) * constants.inverse_length2 ** 0.75
 
 
 def eval_state(qn: QuantumNumbers, p: RmsPoint, constants: PhysicalConstants,

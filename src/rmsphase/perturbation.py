@@ -74,13 +74,13 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 
 # Reduced energies l + 2 n_a + 3/2 of the live states, in overlap-table
 # order: half-integers, so every gap E_j - E_i is exact.
-_ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._live_qns()])
+_ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
 
 
 @lru_cache(maxsize=None)
 def _phi_table(channel: Channel) -> np.ndarray:
     """phi_integral between the live states, in overlap-table order."""
-    m = [qn.m for qn in osc._live_qns()]
+    m = [qn.m for qn in osc._LIVE_QNS]
     table = np.array([[phi_integral(mi, mj, channel) for mj in m] for mi in m])
     table.setflags(write=False)
     return table
@@ -201,13 +201,14 @@ def correction_coefficients(j: int,
     denominators are exact multiples of hbar omega); entries for null
     intermediate states are absent, which is the same as zero.
     """
-    if osc.get_state(j).is_null:
+    record = osc.get_state(j)
+    if record.is_null:
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
     scale = 1.0 / constants.coupling_scale
-    live = osc.live_indices()
-    col = live.index(j)
+    col = osc._ROW[record.qn]
     rows = np.flatnonzero(_ENERGIES != _ENERGIES[col])
+    live = osc.live_indices()
     keys = [live[row] for row in rows]
     a, b = (dict(zip(keys, (table[rows, col] * scale).tolist()))
             for table in _coefficient_tables(nodes))

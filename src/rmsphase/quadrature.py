@@ -44,7 +44,6 @@ __all__ = [
     "radial_rule",
     "evaluate",
     "integrate",
-    "doubling_gap",
 ]
 
 @dataclass(frozen=True)
@@ -211,20 +210,3 @@ def integrate(rule: QuadratureRule, f) -> complex:
     """Apply the rule: sum_k w_k f(x_k), with ``f`` evaluated by ``evaluate``."""
     return complex(np.dot(rule.weights, evaluate(rule, f)))
 
-
-def doubling_gap(make_rule, f) -> float:
-    """Relative gap between a rule and its node-doubled refinement.
-
-    ``make_rule(n_scale)`` must return the rule at 1x and 2x resolution.
-    The residual is normalized by max(|I|, L1 mass) so integrals that
-    vanish by symmetry are measured against their own magnitude instead
-    of blowing up.
-    """
-    rule1 = make_rule(1)
-    rule2 = make_rule(2)
-    i1 = integrate(rule1, f)
-    values = evaluate(rule2, f)
-    i2 = complex(np.dot(rule2.weights, values))
-    l1_mass = float(np.dot(rule2.weights, np.abs(values)))
-    denom = max(abs(i1), abs(i2), l1_mass, 1e-300)
-    return abs(i2 - i1) / denom

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import berry, oscillator as osc, perturbation as pert, quadrature as quad
+from . import berry, oscillator as osc, perturbation as pert
 
 __all__ = ["CheckResult", "run_checks", "within"]
 
@@ -166,28 +166,13 @@ def _check_pair_equalities(constants_map, nodes: osc.NodeCounts) -> CheckResult:
 
 
 def _check_doubling(nodes: osc.NodeCounts) -> CheckResult:
-    """Doubling self-consistency of representative build integrands: each
-    pair times the shared coupling factor on every axis of ``osc.AXES``, on
-    the rule that axis gives the pair's parity, as ``overlap_tables`` does."""
-    cases = []
-    q1 = osc.QuantumNumbers(2, 2, 2, 2)
-    q8 = osc.QuantumNumbers(2, 3, 3, 3)
-    q9 = osc.QuantumNumbers(3, 2, 2, 2)
-    for qi, qj in ((q1, q1), (q8, q8), (q1, q8), (q1, q9)):
-        for axis in osc.AXES:
-            make_rule = axis.rules[axis.rule_index((qi, qj))[0, 1]]
-            n = getattr(nodes, axis.field)
-            fi, fj = axis.profile(qi), axis.profile(qj)
-            cases.append((lambda k, make=make_rule, n=n: make(k * n),
-                          lambda x, a=fi, b=fj, g=axis.weight: a(x) * b(x) * g(x, 1)))
-    for delta in (0, 1):
-        cases.append((lambda k: osc.azimuthal_rule(k * nodes.azimuthal),
-                      lambda phi, d=delta: np.exp(1j * d * phi) * np.cos(2 * phi / 3) ** 2))
-    worst = 0.0
-    for make_rule, f in cases:
-        worst = max(worst, quad.doubling_gap(make_rule, f))
+    """Each table of the build against the same table at twice the nodes,
+    relative to the table's largest entry."""
+    coarse, fine = osc.overlap_tables(nodes), osc.overlap_tables(nodes.doubled())
+    worst = float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b))
+                          for a, b in zip(coarse, fine)]))
     return CheckResult("doubling-convergence", worst < 1e-9,
-                       f"{len(cases)} integrands, worst doubling gap {worst:.3e}")
+                       f"{len(coarse)} tables, worst relative doubling gap {worst:.3e}")
 
 
 def run_checks(nodes: osc.NodeCounts = osc.NodeCounts(),

@@ -270,6 +270,14 @@ class TestParams:
         with pytest.raises(ParameterError, match="no finite square"):
             overlap_loop_phase(tiny, gram_matrix(nodes64), LoopParams(), 1e158)
 
+    def test_radius_with_underflowing_square(self, nodes64):
+        coeffs = correction_coefficients(1, nodes=nodes64)
+        for radius in (1e-170, 1e-200):
+            with pytest.raises(ParameterError, match="squares to zero"):
+                connection_loop_integral(coeffs, LoopParams(radius=radius))
+            with pytest.raises(ParameterError, match="squares to zero"):
+                overlap_loop_phase(coeffs, gram_matrix(nodes64), LoopParams(), radius)
+
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)
         result = berry_phase_closed(1, c, nodes64)

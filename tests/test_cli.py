@@ -255,6 +255,21 @@ class TestTableFaults:
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] orthonormality" in out
 
+    @pytest.mark.parametrize("field, pick, failing", [
+        ("rapidity", lambda rules: (rules[0], rules[0]), ["doubling-convergence"]),
+        ("radial", lambda rules: rules[::-1], ["orthonormality", "doubling-convergence"]),
+    ], ids=["rapidity-even-rule-for-odd-pairs", "radial-rules-swapped"])
+    def test_wrong_rule_detected_by_doubling_check(self, monkeypatch, capsys, fresh_tables,
+                                                   field, pick, failing):
+        from rmsphase import oscillator as osc
+        axes = tuple(axis._replace(rules=pick(axis.rules)) if axis.field == field else axis
+                     for axis in osc.AXES)
+        monkeypatch.setattr(osc, "AXES", axes)
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "128")
+        assert code == cli.EXIT_VALIDATION
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("[FAIL]")] == [f"[FAIL] {name}" for name in failing]
+
     def test_flipped_sine_channel_detected_by_validate(self, monkeypatch, capsys,
                                                        fresh_tables):
         from rmsphase import perturbation as pert
@@ -301,6 +316,18 @@ class TestBadInput:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("command, omega", [
+        (("phase", "--state", "1"), "1e-70"),
+        (("table", "--format", "csv"), "1e-70"),
+        (("phase", "--state", "1"), "1e-300"),
+        (("phase", "--state", "1"), "1e90"),
+    ])
+    def test_omega_with_coupling_out_of_range_is_config_error(self, capsys, command, omega):
+        code, out, err = run_cli(capsys, *command, "--omega", omega, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "M omega^2" in err
+
     def test_omega_with_dimensionless_flags(self, capsys):
         code, out, err = run_cli(capsys, "phase", "--state", "1", "--dimensionless",
                                  "--omega", "0", *FAST)
@@ -332,11 +359,12 @@ class TestBadInput:
 
     @pytest.mark.parametrize("method", ["loop-connection", "loop-overlap"])
     def test_radius_with_overflowing_square_is_config_error(self, capsys, method):
-        code, out, err = run_cli(capsys, "phase", "--state", "1", "--method", method,
-                                 "--radius", "1e200", *FAST)
-        assert code == cli.EXIT_CONFIG
-        assert out == ""
-        assert "configuration error" in err and "no finite square" in err
+        for radius in ("1e200", "1e-200"):
+            code, out, err = run_cli(capsys, "phase", "--state", "1", "--method", method,
+                                     "--radius", radius, *FAST)
+            assert code == cli.EXIT_CONFIG
+            assert out == ""
+            assert "configuration error" in err and "no finite square" in err
 
     @pytest.mark.parametrize("command", ["phase", "oracle"])
     @pytest.mark.parametrize("steps", ["7", "1048577"])

@@ -120,10 +120,15 @@ class TestCatalogue:
 
 
 class TestConstants:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e200])
     def test_non_finite_or_non_positive_rejected(self, bad):
-        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-            with pytest.raises(ParameterError):
+        # 1e-200 and 1e200 are a valid hbar; as mass or omega they put
+        # M omega^2 or 1/(M omega^2)^2 at 0 or inf
+        slots = [(1.0, bad, 1.0), (1.0, 1.0, bad)]
+        if not 0 < bad < math.inf:
+            slots.append((bad, 1.0, 1.0))
+        for args in slots:
+            with pytest.raises(ParameterError, match="finite and positive"):
                 PhysicalConstants(*args)
 
 

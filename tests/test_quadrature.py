@@ -8,7 +8,7 @@ from scipy.special import roots_genlaguerre
 
 from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase.errors import EvaluationError, ParameterError
-from rmsphase.quadrature import chebyshev_u, doubling_gap
+from rmsphase.quadrature import chebyshev_u
 
 SQRT3 = math.sqrt(3.0)
 
@@ -89,9 +89,9 @@ class TestRadialRule:
         # radial norm integrand of the (n_a=2, l=2) profile
         from rmsphase.oscillator import QuantumNumbers, radial_profile
         f = radial_profile(QuantumNumbers(2, 2, 2, 2))
-        gap = doubling_gap(lambda k: radial_rule(128 * k, 1.0, 0.5),
-                           lambda r: f(r) ** 2 * r ** 3)
-        assert gap < 1e-10
+        coarse, fine = (integrate(radial_rule(n, 1.0, 0.5), lambda r: f(r) ** 2 * r ** 3)
+                        for n in (128, 256))
+        assert abs(fine - coarse) < 1e-10 * abs(fine)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("n", [32, 128, 256])
@@ -140,9 +140,14 @@ class TestRapidityRule:
         from rmsphase.oscillator import QuantumNumbers, rapidity_profile
         f = rapidity_profile(QuantumNumbers(2, 2, 2, 2))
         g = rapidity_profile(QuantumNumbers(2, 2, 2, 3))
-        gap = doubling_gap(lambda k: rapidity_rule(128 * k),
-                           lambda b: f(b) * g(b) * np.cosh(b) ** 3)
-        assert gap < 1e-9
+
+        def h(b):
+            return f(b) * g(b) * np.cosh(b) ** 3
+
+        coarse, fine = (integrate(rapidity_rule(n), h) for n in (128, 256))
+        # the integral vanishes by parity, so measure the gap against its L1 mass
+        mass = integrate(rapidity_rule(256), lambda b: np.abs(h(b))).real
+        assert abs(fine - coarse) < 1e-9 * mass
 
 
 class TestPolarRule:
@@ -189,18 +194,6 @@ class TestIntegrate:
         with pytest.raises(EvaluationError) as err:
             integrate(rule, bad)
         assert err.value.node_index == 3
-
-
-def test_doubling_gap_evaluates_each_rule_once():
-    calls = []
-
-    def f(x):
-        calls.append(np.size(x))
-        return np.cos(x)
-
-    gap = doubling_gap(lambda k: gauss_legendre(16 * k, 0.0, 1.0), f)
-    assert gap < 1e-15
-    assert calls == [16, 32]
 
 
 def test_rule_immutable():
