@@ -118,7 +118,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         settings.update(read_config_file(path))
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             settings[key] = flag
     return RunConfig(**settings)
 
@@ -299,8 +299,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hbar-convention", dest="hbar_convention",
                         choices=("hbar", "h"), default=None,
                         help="treat the Planck default as hbar or as h")
-    parser.add_argument("--dimensionless", action="store_true", default=False,
-                        help="report pure numbers, couplings in units of M*omega^2")
+    parser.add_argument("--dimensionless", action=argparse.BooleanOptionalAction,
+                        default=None,
+                        help="report pure numbers, couplings in units of M*omega^2 "
+                             "(--no-dimensionless overrides a config file)")
     parser.add_argument("--nodes", type=int, default=None,
                         help="quadrature nodes per axis, 16..1024 (default 128)")
     parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)

@@ -5,13 +5,16 @@ Geometry of the spacelike coordinate patch (rho, theta, phi, beta), the
 eigenfunctions of the four-dimensional oscillator.
 
 Each integral is a product of four 1-d integrals, so ``overlap_tables``
-evaluates every state's axis profiles once per rule and forms all pairs at
-once as weighted matrix products (F * w * g^p) @ F.T: one cached build of
-10x10 tables per resolution, which every overlap below reads.  ``AXES``
-says, for the polar, rapidity and radial axes, which rule a pair's parity
-selects; the azimuthal integrals use one Gauss-Legendre rule.  The
-doubling self-check compares the whole build with the build at twice the
-nodes.
+evaluates every state's axis profiles once per set of nodes and forms all
+pairs at once as weighted matrix products (F * w * g^p) @ F.T: one cached
+build of 10x10 tables per resolution, which every overlap below reads.
+``AXES`` says, for the polar, rapidity and radial axes, which rule a
+pair's parity selects.  The two polar (and the two rapidity) rules share
+their nodes, so those profiles are evaluated once per axis; only the two
+radial rules need their own nodes and eigen-solves.  The azimuthal
+integrals use the periodic trapezoid rule, exact for every m_j - m_i the
+catalogue has from 2 nodes on.  The doubling self-check compares the
+whole build with the build at twice the nodes.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -22,6 +25,7 @@ makes the computed pure numbers independent of the frequency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,7 +65,7 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
-# The CLI's 1024 doubled; every rule is built from a dense n x n Jacobi matrix.
+# The CLI's 1024 doubled; each radial rule solves a dense n x n Jacobi matrix.
 MAX_NODES = 2048
 
 
@@ -86,6 +90,14 @@ class PhysicalConstants:
             raise ParameterError(
                 f"M omega^2 and 1/(M omega^2)^2 must be finite and positive; "
                 f"omega = {self.omega!r} rad/s and mass {self.mass!r} kg put them out of range")
+        # a scale below the normal floats is 0 or has lost precision
+        scales = (self.hbar, self.mass, self.omega, self.inverse_length2,
+                  self.inverse_length2 ** 0.75, self.length2_scale, self.energy_scale)
+        if not all(sys.float_info.min <= v < math.inf for v in scales):
+            raise ParameterError(
+                f"hbar, M, omega, M omega/hbar and its 3/4 power, hbar/(M omega) and "
+                f"hbar omega must be finite normal floats; hbar = {self.hbar!r} J s, "
+                f"mass {self.mass!r} kg and omega {self.omega!r} rad/s put one out of range")
 
     @property
     def inverse_length2(self) -> float:
@@ -431,12 +443,15 @@ AXES = (
 
 def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
     """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
-    the rule its parity selects."""
-    tables = []
+    the rule its parity selects.  Rules with the same nodes share one
+    evaluation of the profiles."""
+    tables, x = [], None
     for make_rule in axis.rules:
         rule = make_rule(getattr(nodes, axis.field))
-        f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in _LIVE_QNS])
-        tables.append([(f * rule.weights * axis.weight(rule.nodes, p)) @ f.T for p in (0, 1)])
+        if x is None or not np.array_equal(rule.nodes, x):
+            x = rule.nodes
+            f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in _LIVE_QNS])
+        tables.append([(f * rule.weights * axis.weight(x, p)) @ f.T for p in (0, 1)])
     pick = axis.rule_index(_LIVE_QNS)
     return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]
 
@@ -449,7 +464,7 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     that is not finite at a node raises EvaluationError naming the axis.
     """
     polar, rapidity, radial = (_axis_overlaps(axis, nodes) for axis in AXES)
-    phi = quad.gauss_legendre(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
     m = np.array([qn.m for qn in _LIVE_QNS])
     deltas, inverse = np.unique((m - m[:, None]).ravel(), return_inverse=True)
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in deltas]

@@ -140,7 +140,7 @@ class CorrectionCoefficients:
 
     def __post_init__(self):
         a, b = MappingProxyType(dict(self.a)), MappingProxyType(dict(self.b))
-        sum_ab = complex(sum(np.conj(a[i]) * b[i] for i in a))
+        sum_ab = complex(sum((a[i].conjugate() * b[i] for i in a), 0j))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "connection_sums", (

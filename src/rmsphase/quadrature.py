@@ -1,28 +1,36 @@
-"""Gaussian quadrature rules for the four separable axes.
+"""Quadrature rules for the four separable axes.
 
 Every rule is returned in the physical coordinate of its axis and its
 weights integrate plain ``dx`` there, so callers write
 ``integrate(rule, f)`` with the full integrand (including any decay or
 measure factors) and never see the underlying change of variables:
 
-* ``gauss_legendre`` -- finite intervals (azimuth, generic checks).
-* ``polar_rule``     -- theta in [0, pi], mapped from c = cos(theta).
-* ``rapidity_rule``  -- beta on the real line, mapped from u = tanh(beta).
-* ``radial_rule``    -- rho on [0, inf), mapped from s = scale * rho^2 with
-  generalized Gauss-Laguerre nodes.
-
-The Legendre and Laguerre rules come from one Golub-Welsch routine that
-keeps every node at any node count; the Chebyshev-U rule is closed-form.
+* ``periodic_trapezoid`` -- one period of a periodic integrand (azimuth).
+* ``gauss_legendre``     -- generic finite intervals.
+* ``polar_rule``         -- theta in [0, pi], mapped from c = cos(theta).
+* ``rapidity_rule``      -- beta on the real line, mapped from u = tanh(beta).
+* ``radial_rule``        -- rho on [0, inf), mapped from s = scale * rho^2
+  with generalized Gauss-Laguerre nodes.
 
 The polar/rapidity rules take a ``weight`` switch ('legendre' or
 'chebyshev-u') and the radial rule an exponent ``alpha`` (0 or 1/2);
 choosing them to match the half-integer power structure of the integrand
-makes every integral in this package polynomial-exact.  A plain
-Gauss-Legendre rule on a sqrt(1-x^2)-type integrand converges only
-algebraically (~4e-7 at 128 nodes), which is why the switch exists.
+makes every integral in this package exact.  A plain Gauss-Legendre rule
+on a sqrt(1-x^2)-type integrand converges only algebraically (~4e-7 at
+128 nodes), which is why the switch exists.
 
-Rules are immutable after construction, so the constructors are memoized
-and the same rule object may be shared freely across threads.
+Only the Laguerre rules (and ``gauss_legendre``) need the Golub-Welsch
+eigen-solve.  Both weights of the finite axes share the closed-form nodes
+cos(k pi/(n+1)): 'chebyshev-u' is the Gauss rule of sqrt(1-x^2), and
+'legendre' is Fejer's second rule for weight 1, an interpolatory rule
+exact to degree n-1 (Trefethen, SIAM Rev. 50, 67, 2008), whose weights
+come from one FFT.  The two rules of an axis therefore differ only in
+their weights.  The periodic trapezoid rule is exact for e^{i d x} on
+[0, 2 pi) with |d| < n (Trefethen & Weideman, SIAM Rev. 56, 385, 2014).
+
+Rules are immutable after construction, so every constructor but the
+trapezoid rule's is memoized and the same rule object may be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .errors import EvaluationError, ParameterError
 
 __all__ = [
     "QuadratureRule",
+    "periodic_trapezoid",
     "gauss_legendre",
     "chebyshev_u",
     "polar_rule",
@@ -121,9 +130,38 @@ def chebyshev_u(n: int, domain: str = "generic-finite") -> QuadratureRule:
     return QuadratureRule(np.cos(theta), (np.pi / (n + 1)) * np.sin(theta), domain)
 
 
+def periodic_trapezoid(n: int, a: float, b: float,
+                       domain: str = "generic-periodic") -> QuadratureRule:
+    """n-point trapezoid rule for one period [a, b) of a periodic integrand.
+
+    Nodes a + k h with h = (b - a)/n, every weight h.  Exact for
+    e^{2 pi i d (x - a)/(b - a)} with integer |d| < n.
+    """
+    if n < 2:
+        raise ParameterError(f"need at least 2 nodes, got {n}")
+    if not a < b:
+        raise ParameterError(f"empty interval [{a}, {b}]")
+    h = (b - a) / n
+    return QuadratureRule(a + h * np.arange(n), np.full(n, h), domain)
+
+
+def _fejer2_weights(n: int) -> np.ndarray:
+    """Weights of Fejer's second rule on the nodes of ``chebyshev_u(n)``.
+
+    w_k = 4 sin(t_k)/(n+1) * sum over odd j < n+1 of sin(j t_k)/j, with
+    t_k = k pi/(n+1); the sums are a sine transform, taken from one rfft.
+    """
+    size = n + 1
+    odd = np.zeros(2 * size)
+    odd[1:size:2] = 1.0 / np.arange(1, size, 2)
+    sums = -np.fft.rfft(odd).imag[n:0:-1]
+    theta = np.arange(n, 0, -1) * np.pi / size
+    return (4.0 / size) * np.sin(theta) * sums
+
+
 def _unit_rule(n: int, weight: str) -> QuadratureRule:
     if weight == "legendre":
-        return gauss_legendre(n, -1.0, 1.0)
+        return QuadratureRule(chebyshev_u(n).nodes, _fejer2_weights(n))
     if weight == "chebyshev-u":
         return chebyshev_u(n)
     raise ParameterError(f"unknown weight family {weight!r}")
@@ -134,8 +172,10 @@ def polar_rule(n: int, weight: str = "legendre") -> QuadratureRule:
     """Rule for integrals over theta in [0, pi].
 
     Built in c = cos(theta); the Jacobian d(theta) = -dc/sin(theta) is
-    folded into the weights.  Use weight='chebyshev-u' when the integrand
-    carries an odd net power of sin(theta) after the substitution.
+    folded into the weights.  weight='legendre' (Fejer's second rule) is
+    exact when the integrand divided by sin(theta) is a polynomial in c of
+    degree <= n-1.  Use weight='chebyshev-u' when the integrand carries an
+    odd net power of sin(theta) after the substitution.
     """
     base = _unit_rule(n, weight)
     theta = np.arccos(base.nodes)[::-1]
@@ -149,6 +189,8 @@ def rapidity_rule(n: int, weight: str = "legendre") -> QuadratureRule:
 
     Built in u = tanh(beta) with d(beta) = du/(1-u^2); integrands must
     decay at least like sech^2(beta), which every one used here does.
+    weight='legendre' (Fejer's second rule) is exact when the integrand
+    times cosh^2(beta) is a polynomial in u of degree <= n-1.
     """
     base = _unit_rule(n, weight)
     u = base.nodes

@@ -164,6 +164,35 @@ class TestConfig:
         assert code == cli.EXIT_OK
         assert out.startswith("j,omega_hz")
 
+    @pytest.mark.parametrize("file_value, flags, dimensionless", [
+        ("true", (), True),
+        ("true", ("--dimensionless",), True),
+        ("true", ("--no-dimensionless",), False),
+        ("false", (), False),
+        ("false", ("--dimensionless",), True),
+        ("false", ("--no-dimensionless",), False),
+    ])
+    def test_dimensionless_file_key_and_flags(self, capsys, tmp_path, file_value, flags,
+                                              dimensionless):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dimensionless = {file_value}\nnodes = 32\nformat = json\n")
+        code, out, _ = run_cli(capsys, "table", "--config", str(cfg), *flags)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["config"]["dimensionless"] is dimensionless
+        assert (payload["rows"][0]["omega_hz"] == 0.0) is dimensionless
+
+    def test_no_dimensionless_admits_omega_over_file_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dimensionless = true\n")
+        command = ("phase", "--state", "1", "--config", str(cfg), "--omega", "240.4", *FAST)
+        code, _, err = run_cli(capsys, *command)
+        assert code == cli.EXIT_CONFIG
+        assert "cannot be combined" in err
+        code, out, _ = run_cli(capsys, *command, "--no-dimensionless")
+        assert code == cli.EXIT_OK
+        assert "(r in J/m^2)" in out
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wavelength = 7\n")
@@ -255,17 +284,22 @@ class TestTableFaults:
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] orthonormality" in out
 
-    @pytest.mark.parametrize("field, pick, failing", [
-        ("rapidity", lambda rules: (rules[0], rules[0]), ["doubling-convergence"]),
-        ("radial", lambda rules: rules[::-1], ["orthonormality", "doubling-convergence"]),
-    ], ids=["rapidity-even-rule-for-odd-pairs", "radial-rules-swapped"])
+    # Chebyshev-U weights on the even polar pairs' polynomials converge like
+    # n^-6: the doubling gap is 3e-9 at 48 nodes but 9e-12 at 128
+    @pytest.mark.parametrize("field, pick, nodes, failing", [
+        ("rapidity", lambda rules: (rules[0], rules[0]), "128", ["doubling-convergence"]),
+        ("radial", lambda rules: rules[::-1], "128",
+         ["orthonormality", "doubling-convergence"]),
+        ("polar", lambda rules: (rules[1], rules[1]), "48", ["doubling-convergence"]),
+    ], ids=["rapidity-even-rule-for-odd-pairs", "radial-rules-swapped",
+            "polar-odd-rule-for-even-pairs"])
     def test_wrong_rule_detected_by_doubling_check(self, monkeypatch, capsys, fresh_tables,
-                                                   field, pick, failing):
+                                                   field, pick, nodes, failing):
         from rmsphase import oscillator as osc
         axes = tuple(axis._replace(rules=pick(axis.rules)) if axis.field == field else axis
                      for axis in osc.AXES)
         monkeypatch.setattr(osc, "AXES", axes)
-        code, out, _ = run_cli(capsys, "validate", "--nodes", "128")
+        code, out, _ = run_cli(capsys, "validate", "--nodes", nodes)
         assert code == cli.EXIT_VALIDATION
         assert [line.split(":")[0] for line in out.splitlines()
                 if line.startswith("[FAIL]")] == [f"[FAIL] {name}" for name in failing]

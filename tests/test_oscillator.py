@@ -131,6 +131,22 @@ class TestConstants:
             with pytest.raises(ParameterError, match="finite and positive"):
                 PhysicalConstants(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1e-320, 9.109e-31, 1e9),   # subnormal hbar: M omega/hbar ~ 9e298
+        (1e-300, 1e5, 1e10),        # M omega/hbar overflows to inf
+        (1e300, 1e-15, 1e-15),      # M omega/hbar underflows to 0
+        (1e-300, 1.0, 1e-10),       # hbar omega is subnormal
+    ])
+    def test_length_and_energy_scales_out_of_range_rejected(self, args):
+        with pytest.raises(ParameterError, match="finite normal floats"):
+            PhysicalConstants(*args)
+
+    def test_subnormal_hbar_rejected_before_evaluation(self):
+        # unchecked, this hbar makes eval_state return nan at this point
+        with pytest.raises(ParameterError):
+            eval_state(QuantumNumbers(2, 2, 2, 2), RmsPoint(1e-10, 1.0, 0.3, 0.1),
+                       PhysicalConstants(1e-320, 9.109e-31, 1e9))
+
 
 class TestEvaluation:
     def test_null_states_evaluate_to_zero(self, dimensionless):

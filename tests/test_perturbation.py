@@ -189,6 +189,22 @@ class TestCorrectionCoefficients:
         with pytest.raises(CorrectionError):
             correction_coefficients(7, nodes=nodes64)
 
+    @pytest.mark.parametrize("nodes", [NodeCounts.uniform(64), NodeCounts(40, 72, 33, 96)],
+                             ids=["nodes64", "uneven"])
+    def test_connection_sums_bit_identical_to_numpy_scalar_sums(self, nodes):
+        # the sums are taken in Python complex arithmetic; they must match,
+        # bit for bit, the same sums over numpy scalars (np.conj per entry)
+        def bits(values):
+            return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+        for j in live_indices():
+            coeffs = correction_coefficients(j, nodes=nodes)
+            a, b = coeffs.a, coeffs.b
+            sum_ab = complex(sum(np.conj(a[i]) * b[i] for i in a))
+            expected = (sum(abs(v) ** 2 for v in a.values()),
+                        sum(abs(v) ** 2 for v in b.values()), sum_ab, sum_ab.conjugate())
+            assert bits(coeffs.connection_sums) == bits(expected)
+
     def test_gauge_covariance(self, rng, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
         phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in coeffs.a}

@@ -8,7 +8,7 @@ from scipy.special import roots_genlaguerre
 
 from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase.errors import EvaluationError, ParameterError
-from rmsphase.quadrature import chebyshev_u
+from rmsphase.quadrature import chebyshev_u, periodic_trapezoid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -57,6 +57,75 @@ class TestChebyshevU:
         rule = chebyshev_u(16)
         got = integrate(rule, lambda x: np.sqrt(1 - x * x) * x ** 4).real
         assert got == pytest.approx(math.pi / 16.0, rel=1e-14)
+
+
+class TestFejerSecondRule:
+    """weight='legendre' on the polar and rapidity axes: Fejer's second rule."""
+
+    # int_{-1}^{1} p(x) dx written on each axis: x = cos(theta) and x = tanh(beta)
+    AXES = {
+        "polar": (polar_rule, lambda p: lambda t: np.polyval(p, np.cos(t)) * np.sin(t)),
+        "rapidity": (rapidity_rule, lambda p: lambda b: np.polyval(p, np.tanh(b))
+                     / np.cosh(b) ** 2),
+    }
+
+    @staticmethod
+    def exact(p):
+        """int_{-1}^{1} of the polynomial with np.polyval coefficients p."""
+        return sum(c * 2.0 / (k + 1) for k, c in enumerate(p[::-1]) if k % 2 == 0)
+
+    @pytest.mark.parametrize("axis", ["polar", "rapidity"])
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 24])
+    def test_exact_to_degree_n_minus_1(self, rng, axis, n):
+        make, integrand = self.AXES[axis]
+        p = rng.uniform(-1, 1, size=n)          # degree n-1
+        got = integrate(make(n, "legendre"), integrand(p)).real
+        assert abs(got - self.exact(p)) < 1e-13 * max(1.0, abs(self.exact(p)))
+
+    @pytest.mark.parametrize("axis", ["polar", "rapidity"])
+    @pytest.mark.parametrize("n", [4, 8, 24])
+    def test_misses_degree_n_plus_1_at_even_n(self, rng, axis, n):
+        # an n-point Gauss rule would be exact to degree 2n-1
+        make, integrand = self.AXES[axis]
+        rule = make(n, "legendre")
+        for p in (np.eye(n + 1)[0], rng.uniform(0.5, 1, size=n + 2)):   # x^n, degree n+1
+            got = integrate(rule, integrand(p)).real
+            assert abs(got - self.exact(p)) > 1e-9        # roundoff is ~1e-16
+
+    @pytest.mark.parametrize("make", [polar_rule, rapidity_rule])
+    def test_parity_rules_share_nodes(self, make):
+        for n in (2, 9, 128):
+            even, odd = make(n, "legendre"), make(n, "chebyshev-u")
+            assert np.array_equal(even.nodes, odd.nodes)
+            assert not np.array_equal(even.weights, odd.weights)
+
+
+class TestPeriodicTrapezoid:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_exact_for_fourier_modes_below_n(self, n):
+        rule = periodic_trapezoid(n, 0.0, 2.0 * math.pi)
+        for d in range(1 - n, n):
+            got = integrate(rule, lambda p: np.exp(1j * d * p))
+            assert abs(got - (2.0 * math.pi if d == 0 else 0.0)) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_mode_n_aliases_to_the_mean(self, n):
+        rule = periodic_trapezoid(n, 0.0, 2.0 * math.pi)
+        got = integrate(rule, lambda p: np.exp(1j * n * p))
+        assert got == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+    def test_shifted_period(self):
+        rule = periodic_trapezoid(7, -1.0, 2.0)
+        assert rule.nodes[0] == -1.0 and rule.nodes[-1] < 2.0
+        # cos(2 pi x) is mode 3 of the period [-1, 2)
+        got = integrate(rule, lambda x: np.cos(2.0 * math.pi * x) + 1.0)
+        assert got.real == pytest.approx(3.0, rel=1e-14)
+
+    def test_parameter_errors(self):
+        with pytest.raises(ParameterError):
+            periodic_trapezoid(1, 0.0, 1.0)
+        with pytest.raises(ParameterError):
+            periodic_trapezoid(4, 1.0, 1.0)
 
 
 class TestRadialRule:
@@ -211,6 +280,9 @@ def test_rule_immutable():
     lambda: radial_rule(364, 1.0, 0.5),
     lambda: radial_rule(1024, 1.0, 0.0),
     lambda: gauss_legendre(1024, -1.0, 1.0),
+    lambda: polar_rule(2048),
+    lambda: rapidity_rule(2048),
+    lambda: periodic_trapezoid(2048, 0.0, 2.0 * math.pi),
 ])
 def test_all_families_positive_and_increasing(make):
     rule = make()

@@ -5,6 +5,7 @@ the tables existed: one ``integrate`` call per axis and pair, on the rule
 the pair's parity selects.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from rmsphase import Channel, NodeCounts, gram_matrix, live_indices, matrix_element
 from rmsphase import oscillator as osc
+from rmsphase import quadrature as quad
 from rmsphase.errors import EvaluationError
 from rmsphase.oscillator import (
     live_entry,
@@ -125,3 +127,38 @@ def test_second_build_is_a_cache_hit():
     assert overlap_tables(UNEVEN) is first
     assert overlap_tables.cache_info().hits == hits + 1
     assert overlap_tables.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("field, count", [("polar", 9), ("rapidity", 5), ("radial", 6),
+                                          ("azimuthal", 2)])
+def test_minimal_exact_node_counts(field, count):
+    # one axis at `count` nodes, the others at 128, against the 128-node
+    # tables: Fejer's second rule on the polar (degree 8) and rapidity
+    # (degree 4) polynomials needs degree + 1 nodes, the trapezoid rule
+    # |m_j - m_i| + 1; all sit below the CLI floor of 16
+    reference_tables = overlap_tables(NodeCounts.uniform(128))
+
+    def gap(k):
+        tables = overlap_tables(dataclasses.replace(NodeCounts.uniform(128), **{field: k}))
+        return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+                   for a, b in zip(tables, reference_tables))
+
+    assert gap(count) <= 1e-13
+    if count > 2:
+        assert gap(count - 1) > 1e-6
+
+
+def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
+    # the two polar (and rapidity) rules share nodes; the radial rules do not
+    calls = {}
+    evaluate = quad.evaluate
+
+    def counted(rule, f):
+        calls[rule.domain] = calls.get(rule.domain, 0) + 1
+        return evaluate(rule, f)
+
+    monkeypatch.setattr(quad, "evaluate", counted)
+    osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
+    # the three azimuthal calls are integrate's, one per distinct m_j - m_i
+    assert calls == {"polar": 10, "rapidity": 10, "radial": 20, "azimuthal": 3}
+    assert sum(calls.values()) - calls["azimuthal"] == 40
