@@ -5,16 +5,18 @@ Geometry of the spacelike coordinate patch (rho, theta, phi, beta), the
 eigenfunctions of the four-dimensional oscillator.
 
 Each integral is a product of four 1-d integrals, so ``overlap_tables``
-evaluates every state's axis profiles once per set of nodes and forms all
+evaluates each distinct axis profile once per set of nodes and forms all
 pairs at once as weighted matrix products (F * w * g^p) @ F.T: one cached
 build of 10x10 tables per resolution, which every overlap below reads.
-``AXES`` says, for the polar, rapidity and radial axes, which rule a
-pair's parity selects.  The two polar (and the two rapidity) rules share
-their nodes, so those profiles are evaluated once per axis; only the two
-radial rules need their own nodes and eigen-solves.  The azimuthal
-integrals use the periodic trapezoid rule, exact for every m_j - m_i the
-catalogue has from 2 nodes on.  The doubling self-check compares the
-whole build with the build at twice the nodes.
+``AXES`` says, for the polar, rapidity and radial axes, which quantum
+numbers a profile reads (so the ten states share 3, 3 and 4 profiles) and
+which rule a pair's parity selects.  The two polar (and the two rapidity)
+rules share their nodes, so those profiles are evaluated once per axis;
+only the two radial rules need their own nodes, and both come from one
+Golub-Welsch pass.  The azimuthal integrals use the periodic trapezoid
+rule, exact for every m_j - m_i the catalogue has from 2 nodes on.  The
+doubling self-check compares the whole build with the build at twice the
+nodes.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -65,7 +67,8 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
-# The CLI's 1024 doubled; each radial rule solves a dense n x n Jacobi matrix.
+# The CLI's 1024 doubled; a build solves one dense n x n Jacobi matrix per
+# radial parity, one after the other.
 MAX_NODES = 2048
 
 
@@ -347,16 +350,22 @@ def rapidity_profile(qn: QuantumNumbers):
 
 
 def radial_profile(qn: QuantumNumbers, scale: float = 1.0):
-    """rho factor: rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2."""
+    """rho factor: rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2.
+
+    Exactly 0 wherever e^{-s/2} underflows: the polynomial is taken at
+    s = 0 there, since far enough out it would overflow and make 0 * inf.
+    """
     n_a, l = qn.n_a, qn.l
 
     def f(rho):
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
             raise DomainError("radial profile is singular at rho = 0")
-        s = scale * rho * rho
-        return (s ** (0.5 * l) * np.exp(-0.5 * s)
-                * gen_laguerre(n_a, l + 0.5, s) / np.sqrt(rho))
+        with np.errstate(over="ignore"):
+            s = scale * rho * rho
+        decay = np.exp(-0.5 * s)
+        s = np.where(decay > 0.0, s, 0.0)
+        return s ** (0.5 * l) * decay * gen_laguerre(n_a, l + 0.5, s) / np.sqrt(rho)
 
     return f
 
@@ -409,15 +418,18 @@ def _hermitian(table: np.ndarray) -> np.ndarray:
 class AxisSpec(NamedTuple):
     """One separable axis, and the one place where a pair's parity picks its rule.
 
-    ``rules`` maps a node count to the rule for pairs whose ``parity_of``
-    numbers sum to even and to odd, which keeps every integral
-    polynomial-exact.  ``weight(x, p)`` is the measure times the p-th power
-    of the shared coupling factor on this axis.  ``overlap_tables`` is the
-    only reader, so a wrong rule here shows in the tables themselves.
+    ``profile(qn)`` reads only the quantum numbers named in ``reads``, so
+    states that agree on those share one profile.  ``rules`` maps a node
+    count to the rule for pairs whose ``parity_of`` numbers sum to even and
+    to odd, which keeps every integral polynomial-exact.  ``weight(x, p)``
+    is the measure times the p-th power of the shared coupling factor on
+    this axis.  ``overlap_tables`` is the only reader, so a wrong rule here
+    shows in the tables themselves.
     """
 
     field: str
     profile: Callable
+    reads: tuple[str, ...]
     parity_of: str
     weight: Callable
     rules: tuple[Callable, Callable]
@@ -429,13 +441,13 @@ class AxisSpec(NamedTuple):
 
 
 AXES = (
-    AxisSpec("polar", polar_profile, "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
+    AxisSpec("polar", polar_profile, ("l", "n"), "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
              (lambda n: quad.polar_rule(n, "legendre"),
               lambda n: quad.polar_rule(n, "chebyshev-u"))),
-    AxisSpec("rapidity", rapidity_profile, "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
+    AxisSpec("rapidity", rapidity_profile, ("m", "n"), "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
              (lambda n: quad.rapidity_rule(n, "legendre"),
               lambda n: quad.rapidity_rule(n, "chebyshev-u"))),
-    AxisSpec("radial", radial_profile, "l", lambda r, p: r ** (3 + 2 * p),
+    AxisSpec("radial", radial_profile, ("n_a", "l"), "l", lambda r, p: r ** (3 + 2 * p),
              (lambda n: quad.radial_rule(n, 1.0, 0.5),
               lambda n: quad.radial_rule(n, 1.0, 0.0))),
 )
@@ -443,14 +455,19 @@ AXES = (
 
 def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
     """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
-    the rule its parity selects.  Rules with the same nodes share one
-    evaluation of the profiles."""
+    the rule its parity selects.  Each distinct profile is evaluated once
+    per set of nodes, which rules with the same nodes share; its row is
+    then copied to every state that has it."""
+    keys = [tuple(getattr(qn, name) for name in axis.reads) for qn in _LIVE_QNS]
+    unique = list(dict.fromkeys(keys))
+    states = [_LIVE_QNS[keys.index(key)] for key in unique]
+    rows = [unique.index(key) for key in keys]
     tables, x = [], None
     for make_rule in axis.rules:
         rule = make_rule(getattr(nodes, axis.field))
         if x is None or not np.array_equal(rule.nodes, x):
             x = rule.nodes
-            f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in _LIVE_QNS])
+            f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in states])[rows]
         tables.append([(f * rule.weights * axis.weight(x, p)) @ f.T for p in (0, 1)])
     pick = axis.rule_index(_LIVE_QNS)
     return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]

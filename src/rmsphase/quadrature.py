@@ -20,7 +20,9 @@ on a sqrt(1-x^2)-type integrand converges only algebraically (~4e-7 at
 128 nodes), which is why the switch exists.
 
 Only the Laguerre rules (and ``gauss_legendre``) need the Golub-Welsch
-eigen-solve.  Both weights of the finite axes share the closed-form nodes
+eigen-solve.  It takes a stack of Jacobi matrices, so the alpha 1/2 and
+alpha 0 rules a build asks for come from one pass of the weight
+recurrence.  Both weights of the finite axes share the closed-form nodes
 cos(k pi/(n+1)): 'chebyshev-u' is the Gauss rule of sqrt(1-x^2), and
 'legendre' is Fejer's second rule for weight 1, an interpolatory rule
 exact to degree n-1 (Trefethen, SIAM Rev. 50, 67, 2008), whose weights
@@ -80,18 +82,24 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _gauss(diag: np.ndarray, off: np.ndarray, log_mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log-weights of a Gauss rule (Golub & Welsch, Math. Comp. 23, 1969).
+def _gauss(diag: np.ndarray, off: np.ndarray,
+           log_mu0: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log-weights of stacked Gauss rules (Golub & Welsch, Math. Comp. 23, 1969).
 
-    ``diag`` and ``off`` form the Jacobi matrix: the three-term recurrence of
-    the orthonormal polynomials p_k of a weight of total mass mu0.  Its
-    eigenvalues are the nodes, and mu0 / sum_k p_k(x)^2 are the weights.  The
-    sum is rescaled past 1e200 and the scale kept as a log, so no node
-    overflows at any n.
+    Each row of ``diag`` (shape (r, n)) and ``off`` (shape (r, n-1)) forms a
+    Jacobi matrix: the three-term recurrence of the orthonormal polynomials
+    p_k of a weight of total mass mu0 = e^{log_mu0[row]}.  Its eigenvalues
+    are the nodes, and mu0 / sum_k p_k(x)^2 are the weights.  The
+    eigenvalues are solved one dense matrix at a time; the sum runs once
+    over the whole stack.  It is rescaled, node by node, past 1e200 and the
+    scale kept as a log, so no node overflows at any n, and each row is
+    bit-identical to the same problem solved alone.
     """
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
+    x = np.array([np.linalg.eigvalsh(np.diag(d) + np.diag(o, 1), UPLO="U")
+                  for d, o in zip(diag, off)])
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     total, log_scale = np.ones_like(x), np.zeros_like(x)
+    diag, off = diag.T[:, :, None], off.T[:, :, None]     # one (r, 1) column per step
     for a, b, b_prev in zip(diag, off, (0.0, *off)):
         p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
         total += p * p
@@ -99,7 +107,7 @@ def _gauss(diag: np.ndarray, off: np.ndarray, log_mu0: float) -> tuple[np.ndarra
             c = np.where(total > 1e200, np.sqrt(total), 1.0)
             p, p_prev, total = p / c, p_prev / c, total / (c * c)
             log_scale += np.log(c)
-    return x, log_mu0 - np.log(total) - 2.0 * log_scale
+    return x, np.asarray(log_mu0)[:, None] - np.log(total) - 2.0 * log_scale
 
 
 @lru_cache(maxsize=128)
@@ -110,7 +118,8 @@ def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -
     if not a < b:
         raise ParameterError(f"empty interval [{a}, {b}]")
     k = np.arange(1.0, n)
-    x, log_w = _gauss(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), math.log(2.0))
+    (x,), (log_w,) = _gauss(np.zeros((1, n)), (k / np.sqrt(4.0 * k * k - 1.0))[None],
+                            [math.log(2.0)])
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * np.exp(log_w), domain)
 
@@ -198,6 +207,31 @@ def rapidity_rule(n: int, weight: str = "legendre") -> QuadratureRule:
                           "rapidity")
 
 
+def _laguerre(n: int, scale: float, alphas: tuple[float, ...]) -> tuple[QuadratureRule, ...]:
+    """Radial rules of n nodes for each of ``alphas``, from one stacked ``_gauss``."""
+    alpha = np.array(alphas)[:, None]
+    k = np.arange(float(n))
+    s, log_w = _gauss(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)),
+                      [math.lgamma(a + 1.0) for a in alphas])
+    rho = np.sqrt(s / scale)
+    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
+    log_w += s - alpha * np.log(s) - np.log(2.0 * scale * rho)
+    return tuple(QuadratureRule(r, np.exp(w), "radial") for r, w in zip(rho, log_w))
+
+
+_PARITIES = (0.5, 0.0)
+
+
+@lru_cache(maxsize=1)
+def _both_parities(n: int, scale: float) -> tuple[QuadratureRule, QuadratureRule]:
+    """The alpha 1/2 and alpha 0 rules of one (n, scale), from one solve.
+
+    A build asks ``radial_rule`` for the two in turn, and one entry bridges
+    those calls; ``radial_rule``'s own cache is the one that keeps rules.
+    """
+    return _laguerre(n, scale, _PARITIES)
+
+
 @lru_cache(maxsize=128)
 def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRule:
     """Rule for integrals over rho on [0, inf).
@@ -208,7 +242,9 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
     s^{alpha+k} e^{-s} * polynomial(s) * rho-Jacobian with integer k >= 0;
     pick alpha in {0, 1/2} to match the integrand's power parity.
 
-    The Golub-Welsch weights are folded in log space; no node is dropped.
+    Those two alphas come from one Golub-Welsch pass over both Jacobi
+    matrices, kept for the latest (n, scale); any other alpha is solved
+    alone.  The weights are folded in log space; no node is dropped.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
@@ -216,13 +252,9 @@ def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRul
         raise ParameterError(f"scale must be positive, got {scale}")
     if alpha <= -1.0:
         raise ParameterError(f"alpha must exceed -1, got {alpha}")
-    k = np.arange(float(n))
-    s, log_w = _gauss(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)),
-                      math.lgamma(alpha + 1.0))
-    rho = np.sqrt(s / scale)
-    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
-    log_w += s - alpha * np.log(s) - np.log(2.0 * scale * rho)
-    return QuadratureRule(rho, np.exp(log_w), "radial")
+    if alpha in _PARITIES:
+        return _both_parities(n, scale)[_PARITIES.index(alpha)]
+    return _laguerre(n, scale, (alpha,))[0]
 
 
 def evaluate(rule: QuadratureRule, f) -> np.ndarray:

@@ -7,6 +7,7 @@ package rules.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,15 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_unnormalized(QuantumNumbers(2, 2, 2, 2),
                               RmsPoint(1.0, 0.0, 0.0, 0.0), dimensionless)
+
+    @pytest.mark.parametrize("rho", [1e80, 1e200, math.inf])
+    def test_far_radial_tail_is_exactly_zero(self, dimensionless, rho):
+        # e^{-rho^2/2} underflows long before L_{n_a}(rho^2) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = eval_unnormalized(QuantumNumbers(2, 2, 2, 2),
+                                      RmsPoint(rho, 1.0, 0.3, 0.1), dimensionless)
+        assert value == 0.0
 
 
 class TestNormalization:

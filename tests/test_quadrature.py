@@ -8,7 +8,7 @@ from scipy.special import roots_genlaguerre
 
 from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase.errors import EvaluationError, ParameterError
-from rmsphase.quadrature import chebyshev_u, periodic_trapezoid
+from rmsphase.quadrature import _gauss, chebyshev_u, periodic_trapezoid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -162,7 +162,7 @@ class TestRadialRule:
                         for n in (128, 256))
         assert abs(fine - coarse) < 1e-10 * abs(fine)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
     @pytest.mark.parametrize("n", [32, 128, 256])
     def test_matches_scipy_laguerre(self, n, alpha):
         # scipy's far-tail weights underflow; compare where they stay accurate
@@ -183,6 +183,20 @@ class TestRadialRule:
         rule = radial_rule(1024, 1.0, alpha)
         got = integrate(rule, lambda r: 2.0 * r * (r * r) ** power * np.exp(-r * r)).real
         assert got == pytest.approx(exact, rel=1e-13)
+
+    # 364 and 2048 nodes rescale the weight sums past 1e200; 2 and 37 do not
+    @pytest.mark.parametrize("n", [2, 37, 364, 2048])
+    def test_stacked_solve_matches_each_row_alone(self, n):
+        k = np.arange(float(n))
+        alpha = np.array([[0.5], [0.0]])
+        diag, off = 2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha))
+        log_mu0 = [math.lgamma(1.5), math.lgamma(1.0)]
+        nodes, log_w = _gauss(diag, off, log_mu0)
+        for row in range(2):
+            (alone_nodes,), (alone_log_w,) = _gauss(diag[row:row + 1], off[row:row + 1],
+                                                    log_mu0[row:row + 1])
+            assert np.array_equal(nodes[row], alone_nodes)
+            assert np.array_equal(log_w[row], alone_log_w)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

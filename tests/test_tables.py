@@ -148,8 +148,25 @@ def test_minimal_exact_node_counts(field, count):
         assert gap(count - 1) > 1e-6
 
 
+def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
+    calls = []
+    gauss = quad._gauss
+
+    def counted(diag, off, log_mu0):
+        calls.append(diag.shape)
+        return gauss(diag, off, log_mu0)
+
+    quad.radial_rule.cache_clear()
+    quad._both_parities.cache_clear()
+    monkeypatch.setattr(quad, "_gauss", counted)
+    osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
+    assert calls == [(2, 37)]
+
+
 def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
-    # the two polar (and rapidity) rules share nodes; the radial rules do not
+    # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
+    # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones;
+    # the two polar (and rapidity) rules share nodes, the radial rules do not
     calls = {}
     evaluate = quad.evaluate
 
@@ -160,5 +177,4 @@ def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
     monkeypatch.setattr(quad, "evaluate", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     # the three azimuthal calls are integrate's, one per distinct m_j - m_i
-    assert calls == {"polar": 10, "rapidity": 10, "radial": 20, "azimuthal": 3}
-    assert sum(calls.values()) - calls["azimuthal"] == 40
+    assert calls == {"polar": 3, "rapidity": 3, "radial": 8, "azimuthal": 3}
