@@ -37,11 +37,20 @@ CSV_COLUMNS = ("j", "omega_hz", "gamma_over_r2", "method", "converged")
 
 STEPS_HELP = f"loop samples per circle, 8..{berry.MAX_STEPS} (default 720)"
 
+
+def _switch(value: str) -> bool:
+    """A config-file boolean: 1/true/yes or 0/false/no, in any case."""
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+    return word in ("1", "true", "yes")
+
+
 _CONFIG_KEYS = {
     "omega_mhz": float,
     "omega_convention": str,
     "hbar_convention": str,
-    "dimensionless": lambda v: v.lower() in ("1", "true", "yes"),
+    "dimensionless": _switch,
     "nodes": int,
     "steps": int,
     "radius": float,

@@ -10,13 +10,13 @@ pairs at once as weighted matrix products (F * w * g^p) @ F.T: one cached
 build of 10x10 tables per resolution, which every overlap below reads.
 ``AXES`` says, for the polar, rapidity and radial axes, which quantum
 numbers a profile reads (so the ten states share 3, 3 and 4 profiles) and
-which rule a pair's parity selects.  The two polar (and the two rapidity)
-rules share their nodes, so those profiles are evaluated once per axis;
-only the two radial rules need their own nodes, and both come from one
-Golub-Welsch pass.  The azimuthal integrals use the periodic trapezoid
-rule, exact for every m_j - m_i the catalogue has from 2 nodes on.  The
-doubling self-check compares the whole build with the build at twice the
-nodes.
+which of the axis's (even, odd) pair of rules a pair's parity selects.
+The polar (and the rapidity) pair stand on one node array, so those
+profiles are evaluated once per axis; only the two radial rules have
+their own nodes, and both come from one Golub-Welsch pass.  The azimuthal
+integrals use the periodic trapezoid rule, exact for every m_j - m_i the
+catalogue has from 2 nodes on.  The doubling self-check compares the
+whole build with the build at twice the nodes.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -26,6 +26,7 @@ makes the computed pure numbers independent of the frequency.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -208,7 +209,7 @@ class RmsPoint:
 
 @dataclass(frozen=True)
 class StateRecord:
-    """Catalogue row: index, quantum numbers, exact eigenvalue, subspace.
+    """Catalogue row: index, quantum numbers and degenerate subspace.
 
     ``identically_zero`` marks the l < n states whose polar factor kills
     them; ``vanishing_rapidity`` marks the m < n states killed by the
@@ -218,14 +219,24 @@ class StateRecord:
 
     index: int
     qn: QuantumNumbers
-    energy_factor: Fraction
     subspace: int
-    identically_zero: bool
-    vanishing_rapidity: bool
+
+    @property
+    def energy_factor(self) -> Fraction:
+        """Exact eigenvalue in units of hbar*omega."""
+        return self.qn.reduced_energy
+
+    @property
+    def identically_zero(self) -> bool:
+        return self.qn.vanishing_polar
+
+    @property
+    def vanishing_rapidity(self) -> bool:
+        return self.qn.vanishing_rapidity
 
     @property
     def is_null(self) -> bool:
-        return self.identically_zero or self.vanishing_rapidity
+        return self.qn.is_null
 
 
 @dataclass(frozen=True)
@@ -252,41 +263,28 @@ class NodeCounts:
                           2 * self.azimuthal, 2 * self.rapidity)
 
 
-@lru_cache(maxsize=1)
+_STATES = tuple(
+    StateRecord(index, QuantumNumbers(*qn), (index - 1) // 4 + 1)
+    for index, qn in enumerate(itertools.product((2, 3), repeat=4), start=1))
+
+
 def state_table() -> tuple[StateRecord, ...]:
     """The 16 catalogue states in lexicographic (n_a, l, n, m) order.
 
     Null states stay in the table so the index arithmetic is stable.
     """
-    records = []
-    index = 0
-    for n_a in (2, 3):
-        for l in (2, 3):
-            for n in (2, 3):
-                for m in (2, 3):
-                    index += 1
-                    qn = QuantumNumbers(n_a, l, n, m)
-                    records.append(StateRecord(
-                        index=index,
-                        qn=qn,
-                        energy_factor=qn.reduced_energy,
-                        subspace=(index - 1) // 4 + 1,
-                        identically_zero=qn.vanishing_polar,
-                        vanishing_rapidity=qn.vanishing_rapidity,
-                    ))
-    return tuple(records)
+    return _STATES
 
 
 def get_state(index: int) -> StateRecord:
-    table = state_table()
-    if not 1 <= index <= len(table):
-        raise ParameterError(f"state index must be in 1..{len(table)}, got {index}")
-    return table[index - 1]
+    if not 1 <= index <= len(_STATES):
+        raise ParameterError(f"state index must be in 1..{len(_STATES)}, got {index}")
+    return _STATES[index - 1]
 
 
 # The live (normalizable) states, and each one's row in the overlap tables.
-_LIVE_INDICES = tuple(r.index for r in state_table() if not r.is_null)
-_LIVE_QNS = tuple(state_table()[i - 1].qn for i in _LIVE_INDICES)
+_LIVE_INDICES = tuple(r.index for r in _STATES if not r.is_null)
+_LIVE_QNS = tuple(_STATES[i - 1].qn for i in _LIVE_INDICES)
 _ROW = {qn: row for row, qn in enumerate(_LIVE_QNS)}
 
 
@@ -419,9 +417,11 @@ class AxisSpec(NamedTuple):
     """One separable axis, and the one place where a pair's parity picks its rule.
 
     ``profile(qn)`` reads only the quantum numbers named in ``reads``, so
-    states that agree on those share one profile.  ``rules`` maps a node
-    count to the rule for pairs whose ``parity_of`` numbers sum to even and
-    to odd, which keeps every integral polynomial-exact.  ``weight(x, p)``
+    states that agree on those share one profile.  ``rules(n)`` returns the
+    (even, odd) pair of n-node rules, for pairs whose ``parity_of`` numbers
+    sum to even and to odd, which keeps every integral polynomial-exact.  It
+    looks the constructor up on ``quad`` at each call, so a wrapper put on
+    the module attribute sees every build.  ``weight(x, p)``
     is the measure times the p-th power of the shared coupling factor on
     this axis.  ``overlap_tables`` is the only reader, so a wrong rule here
     shows in the tables themselves.
@@ -432,40 +432,36 @@ class AxisSpec(NamedTuple):
     reads: tuple[str, ...]
     parity_of: str
     weight: Callable
-    rules: tuple[Callable, Callable]
+    rules: Callable
 
     def rule_index(self, qns) -> np.ndarray:
-        """Pair matrix of indices into ``rules`` (0 even, 1 odd)."""
+        """Pair matrix of indices into the pair ``rules`` returns (0 even, 1 odd)."""
         k = np.array([getattr(qn, self.parity_of) for qn in qns])
         return (k[:, None] + k) % 2
 
 
 AXES = (
     AxisSpec("polar", polar_profile, ("l", "n"), "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
-             (lambda n: quad.polar_rule(n, "legendre"),
-              lambda n: quad.polar_rule(n, "chebyshev-u"))),
+             lambda n: quad.polar_rule(n)),
     AxisSpec("rapidity", rapidity_profile, ("m", "n"), "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
-             (lambda n: quad.rapidity_rule(n, "legendre"),
-              lambda n: quad.rapidity_rule(n, "chebyshev-u"))),
+             lambda n: quad.rapidity_rule(n)),
     AxisSpec("radial", radial_profile, ("n_a", "l"), "l", lambda r, p: r ** (3 + 2 * p),
-             (lambda n: quad.radial_rule(n, 1.0, 0.5),
-              lambda n: quad.radial_rule(n, 1.0, 0.0))),
+             lambda n: quad.radial_rule(n)),
 )
 
 
 def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
     """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
     the rule its parity selects.  Each distinct profile is evaluated once
-    per set of nodes, which rules with the same nodes share; its row is
-    then copied to every state that has it."""
+    per node array, which the two rules of the finite axes share; its row
+    is then copied to every state that has it."""
     keys = [tuple(getattr(qn, name) for name in axis.reads) for qn in _LIVE_QNS]
     unique = list(dict.fromkeys(keys))
     states = [_LIVE_QNS[keys.index(key)] for key in unique]
     rows = [unique.index(key) for key in keys]
     tables, x = [], None
-    for make_rule in axis.rules:
-        rule = make_rule(getattr(nodes, axis.field))
-        if x is None or not np.array_equal(rule.nodes, x):
+    for rule in axis.rules(getattr(nodes, axis.field)):
+        if rule.nodes is not x:
             x = rule.nodes
             f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in states])[rows]
         tables.append([(f * rule.weights * axis.weight(x, p)) @ f.T for p in (0, 1)])

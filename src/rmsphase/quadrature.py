@@ -9,25 +9,24 @@ measure factors) and never see the underlying change of variables:
 * ``gauss_legendre``     -- generic finite intervals.
 * ``polar_rule``         -- theta in [0, pi], mapped from c = cos(theta).
 * ``rapidity_rule``      -- beta on the real line, mapped from u = tanh(beta).
-* ``radial_rule``        -- rho on [0, inf), mapped from s = scale * rho^2
-  with generalized Gauss-Laguerre nodes.
+* ``radial_rule``        -- rho on [0, inf), mapped from s = rho^2 with
+  generalized Gauss-Laguerre nodes.
 
-The polar/rapidity rules take a ``weight`` switch ('legendre' or
-'chebyshev-u') and the radial rule an exponent ``alpha`` (0 or 1/2);
-choosing them to match the half-integer power structure of the integrand
-makes every integral in this package exact.  A plain Gauss-Legendre rule
-on a sqrt(1-x^2)-type integrand converges only algebraically (~4e-7 at
-128 nodes), which is why the switch exists.
+Each of the last three returns the (even, odd) pair of rules that a pair of
+states of that parity needs, matched to the half-integer power structure
+of the integrand so that every integral in this package is exact.  A plain
+Gauss-Legendre rule on a sqrt(1-x^2)-type integrand converges only
+algebraically (~4e-7 at 128 nodes), which is why there are two.
 
-Only the Laguerre rules (and ``gauss_legendre``) need the Golub-Welsch
-eigen-solve.  It takes a stack of Jacobi matrices, so the alpha 1/2 and
-alpha 0 rules a build asks for come from one pass of the weight
-recurrence.  Both weights of the finite axes share the closed-form nodes
-cos(k pi/(n+1)): 'chebyshev-u' is the Gauss rule of sqrt(1-x^2), and
-'legendre' is Fejer's second rule for weight 1, an interpolatory rule
-exact to degree n-1 (Trefethen, SIAM Rev. 50, 67, 2008), whose weights
-come from one FFT.  The two rules of an axis therefore differ only in
-their weights.  The periodic trapezoid rule is exact for e^{i d x} on
+On the finite axes both rules stand on one node array, mapped from the
+closed-form nodes cos(k pi/(n+1)): the odd rule is the Gauss rule of
+sqrt(1-x^2) (Chebyshev-U), and the even rule is Fejer's second rule for
+weight 1, an interpolatory rule exact to degree n-1 (Trefethen, SIAM
+Rev. 50, 67, 2008), whose weights come from one FFT.  The radial pair is
+the alpha 1/2 and alpha 0 Laguerre rules, with their own nodes; only they
+(and ``gauss_legendre``) need the Golub-Welsch eigen-solve, which takes a
+stack of Jacobi matrices, so both come from one pass of the weight
+recurrence.  The periodic trapezoid rule is exact for e^{i d x} on
 [0, 2 pi) with |d| < n (Trefethen & Weideman, SIAM Rev. 56, 385, 2014).
 
 Rules are immutable after construction, so every constructor but the
@@ -168,93 +167,64 @@ def _fejer2_weights(n: int) -> np.ndarray:
     return (4.0 / size) * np.sin(theta) * sums
 
 
-def _unit_rule(n: int, weight: str) -> QuadratureRule:
-    if weight == "legendre":
-        return QuadratureRule(chebyshev_u(n).nodes, _fejer2_weights(n))
-    if weight == "chebyshev-u":
-        return chebyshev_u(n)
-    raise ParameterError(f"unknown weight family {weight!r}")
-
-
-@lru_cache(maxsize=128)
-def polar_rule(n: int, weight: str = "legendre") -> QuadratureRule:
-    """Rule for integrals over theta in [0, pi].
+@lru_cache(maxsize=64)
+def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
+    """(even, odd) rules for integrals over theta in [0, pi], on one node array.
 
     Built in c = cos(theta); the Jacobian d(theta) = -dc/sin(theta) is
-    folded into the weights.  weight='legendre' (Fejer's second rule) is
-    exact when the integrand divided by sin(theta) is a polynomial in c of
-    degree <= n-1.  Use weight='chebyshev-u' when the integrand carries an
-    odd net power of sin(theta) after the substitution.
+    folded into the weights.  The even rule (Fejer's second) is exact when
+    the integrand divided by sin(theta) is a polynomial in c of degree
+    <= n-1; the odd rule (Chebyshev-U) is for integrands that carry an odd
+    net power of sin(theta) after the substitution.
     """
-    base = _unit_rule(n, weight)
-    theta = np.arccos(base.nodes)[::-1]
-    sin_theta = np.sqrt((1.0 - base.nodes) * (1.0 + base.nodes))[::-1]
-    return QuadratureRule(theta, base.weights[::-1] / sin_theta, "polar")
+    base = chebyshev_u(n)
+    c = base.nodes
+    theta = np.arccos(c)[::-1].copy()      # contiguous, so both rules keep this array
+    sin_theta = np.sqrt((1.0 - c) * (1.0 + c))[::-1]
+    return tuple(QuadratureRule(theta, w[::-1] / sin_theta, "polar")
+                 for w in (_fejer2_weights(n), base.weights))
 
 
-@lru_cache(maxsize=128)
-def rapidity_rule(n: int, weight: str = "legendre") -> QuadratureRule:
-    """Rule for integrals over the rapidity beta on (-inf, inf).
+@lru_cache(maxsize=64)
+def rapidity_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
+    """(even, odd) rules for integrals over beta on the real line, on one node array.
 
     Built in u = tanh(beta) with d(beta) = du/(1-u^2); integrands must
-    decay at least like sech^2(beta), which every one used here does.
-    weight='legendre' (Fejer's second rule) is exact when the integrand
-    times cosh^2(beta) is a polynomial in u of degree <= n-1.
+    decay at least like sech^2(beta), which every one used here does.  The
+    even rule (Fejer's second) is exact when the integrand times
+    cosh^2(beta) is a polynomial in u of degree <= n-1; the odd rule
+    (Chebyshev-U) when that product is sqrt(1-u^2) times a polynomial.
     """
-    base = _unit_rule(n, weight)
+    base = chebyshev_u(n)
     u = base.nodes
-    return QuadratureRule(np.arctanh(u), base.weights / ((1.0 - u) * (1.0 + u)),
-                          "rapidity")
+    beta = np.arctanh(u)
+    jacobian = (1.0 - u) * (1.0 + u)
+    return tuple(QuadratureRule(beta, w / jacobian, "rapidity")
+                 for w in (_fejer2_weights(n), base.weights))
 
 
-def _laguerre(n: int, scale: float, alphas: tuple[float, ...]) -> tuple[QuadratureRule, ...]:
-    """Radial rules of n nodes for each of ``alphas``, from one stacked ``_gauss``."""
-    alpha = np.array(alphas)[:, None]
-    k = np.arange(float(n))
-    s, log_w = _gauss(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)),
-                      [math.lgamma(a + 1.0) for a in alphas])
-    rho = np.sqrt(s / scale)
-    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
-    log_w += s - alpha * np.log(s) - np.log(2.0 * scale * rho)
-    return tuple(QuadratureRule(r, np.exp(w), "radial") for r, w in zip(rho, log_w))
+@lru_cache(maxsize=64)
+def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
+    """(even, odd) rules for integrals over rho on [0, inf), from one solve.
 
-
-_PARITIES = (0.5, 0.0)
-
-
-@lru_cache(maxsize=1)
-def _both_parities(n: int, scale: float) -> tuple[QuadratureRule, QuadratureRule]:
-    """The alpha 1/2 and alpha 0 rules of one (n, scale), from one solve.
-
-    A build asks ``radial_rule`` for the two in turn, and one entry bridges
-    those calls; ``radial_rule``'s own cache is the one that keeps rules.
-    """
-    return _laguerre(n, scale, _PARITIES)
-
-
-@lru_cache(maxsize=128)
-def radial_rule(n: int, scale: float = 1.0, alpha: float = 0.5) -> QuadratureRule:
-    """Rule for integrals over rho on [0, inf).
-
-    Built from generalized Gauss-Laguerre nodes in s = scale * rho^2 with
-    weight s^alpha e^{-s}; the weight and the Jacobian are folded back so
-    the rule integrates plain d(rho).  Exact for integrands of the form
-    s^{alpha+k} e^{-s} * polynomial(s) * rho-Jacobian with integer k >= 0;
-    pick alpha in {0, 1/2} to match the integrand's power parity.
-
-    Those two alphas come from one Golub-Welsch pass over both Jacobi
-    matrices, kept for the latest (n, scale); any other alpha is solved
-    alone.  The weights are folded in log space; no node is dropped.
+    Built from generalized Gauss-Laguerre nodes in s = rho^2 with weight
+    s^alpha e^{-s}, alpha 1/2 for the even rule and 0 for the odd one; the
+    weight and the Jacobian are folded back so each rule integrates plain
+    d(rho).  Exact for integrands of the form s^{alpha+k} e^{-s} *
+    polynomial(s) * rho-Jacobian with integer k >= 0.  Both Jacobi
+    matrices go through one Golub-Welsch pass, and the weights are folded
+    in log space; no node is dropped.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
-    if not scale > 0.0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    if alpha <= -1.0:
-        raise ParameterError(f"alpha must exceed -1, got {alpha}")
-    if alpha in _PARITIES:
-        return _both_parities(n, scale)[_PARITIES.index(alpha)]
-    return _laguerre(n, scale, (alpha,))[0]
+    alpha = np.array([[0.5], [0.0]])
+    k = np.arange(float(n))
+    s, log_w = _gauss(2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha)),
+                      [math.lgamma(1.5), math.lgamma(1.0)])
+    rho = np.sqrt(s)
+    # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
+    log_w += s - alpha * np.log(s) - np.log(2.0 * rho)
+    return tuple(QuadratureRule(r, np.exp(w), "radial") for r, w in zip(rho, log_w))
 
 
 def evaluate(rule: QuadratureRule, f) -> np.ndarray:

@@ -171,7 +171,7 @@ def _check_doubling(nodes: osc.NodeCounts) -> CheckResult:
     coarse, fine = osc.overlap_tables(nodes), osc.overlap_tables(nodes.doubled())
     worst = float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b))
                           for a, b in zip(coarse, fine)]))
-    return CheckResult("doubling-convergence", worst < 1e-9,
+    return CheckResult("doubling-convergence", worst < 1e-12,
                        f"{len(coarse)} tables, worst relative doubling gap {worst:.3e}")
 
 

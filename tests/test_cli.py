@@ -273,36 +273,52 @@ def fresh_tables(monkeypatch):
         cache.cache_clear()
 
 
+def patch_rules(monkeypatch, osc, field, pick):
+    """Make the ``field`` axis of ``osc.AXES`` hand out ``pick`` of its rule pair."""
+    axes = tuple(axis._replace(rules=lambda n, rules=axis.rules: pick(rules(n)))
+                 if axis.field == field else axis for axis in osc.AXES)
+    monkeypatch.setattr(osc, "AXES", axes)
+
+
 class TestTableFaults:
     def test_swapped_radial_rules_detected_by_validate(self, monkeypatch, capsys,
                                                        fresh_tables):
         from rmsphase import oscillator as osc
-        axes = tuple(axis._replace(rules=axis.rules[::-1]) if axis.field == "radial"
-                     else axis for axis in osc.AXES)
-        monkeypatch.setattr(osc, "AXES", axes)
+        patch_rules(monkeypatch, osc, "radial", lambda rules: rules[::-1])
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] orthonormality" in out
 
     # Chebyshev-U weights on the even polar pairs' polynomials converge like
-    # n^-6: the doubling gap is 3e-9 at 48 nodes but 9e-12 at 128
+    # n^-6: the doubling gap is 3e-9 at 48 nodes and 9e-12 at 128, both over the 1e-12 bound
     @pytest.mark.parametrize("field, pick, nodes, failing", [
         ("rapidity", lambda rules: (rules[0], rules[0]), "128", ["doubling-convergence"]),
         ("radial", lambda rules: rules[::-1], "128",
          ["orthonormality", "doubling-convergence"]),
         ("polar", lambda rules: (rules[1], rules[1]), "48", ["doubling-convergence"]),
+        ("polar", lambda rules: (rules[1], rules[1]), "128", ["doubling-convergence"]),
     ], ids=["rapidity-even-rule-for-odd-pairs", "radial-rules-swapped",
-            "polar-odd-rule-for-even-pairs"])
+            "polar-odd-rule-for-even-pairs", "polar-odd-rule-for-even-pairs-128"])
     def test_wrong_rule_detected_by_doubling_check(self, monkeypatch, capsys, fresh_tables,
                                                    field, pick, nodes, failing):
         from rmsphase import oscillator as osc
-        axes = tuple(axis._replace(rules=pick(axis.rules)) if axis.field == field else axis
-                     for axis in osc.AXES)
-        monkeypatch.setattr(osc, "AXES", axes)
+        patch_rules(monkeypatch, osc, field, pick)
         code, out, _ = run_cli(capsys, "validate", "--nodes", nodes)
         assert code == cli.EXIT_VALIDATION
         assert [line.split(":")[0] for line in out.splitlines()
                 if line.startswith("[FAIL]")] == [f"[FAIL] {name}" for name in failing]
+
+    # the even rapidity rule on the odd pairs' sqrt(1-u^2) integrands leaves a
+    # doubling gap of 6e-10 at 1024 rapidity nodes (1e-15 with the right rule);
+    # the other axes at 16 nodes keep the radial solve off 2048 nodes
+    @pytest.mark.parametrize("faulty", [True, False], ids=["even-rule-for-odd-pairs", "clean"])
+    def test_rapidity_doubling_check_at_1024_nodes(self, monkeypatch, fresh_tables, faulty):
+        from rmsphase import oscillator as osc
+        from rmsphase import validate as val
+        if faulty:
+            patch_rules(monkeypatch, osc, "rapidity", lambda rules: (rules[0], rules[0]))
+        result = val._check_doubling(osc.NodeCounts(16, 16, 16, 1024))
+        assert result.passed is not faulty, result.detail
 
     def test_flipped_sine_channel_detected_by_validate(self, monkeypatch, capsys,
                                                        fresh_tables):
@@ -381,6 +397,23 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert out == ""
         assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
+
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_bad_dimensionless_value_in_config_file(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dimensionless = {value}\n")
+        code, out, err = run_cli(capsys, "phase", "--state", "1", "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "configuration error" in err and "bad value for dimensionless" in err
+
+    @pytest.mark.parametrize("value, dimensionless", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False),
+    ])
+    def test_dimensionless_values_in_config_file(self, tmp_path, value, dimensionless):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dimensionless = {value}\n")
+        assert cli.read_config_file(str(cfg)) == {"dimensionless": dimensionless}
 
     @pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
     def test_bad_radius_is_config_error(self, capsys, radius):

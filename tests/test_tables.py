@@ -38,16 +38,15 @@ UNEVEN = NodeCounts(40, 72, 33, 96)
 
 def axis_product(qi, qj, power, nodes):
     """theta, beta and rho integrals of f_i f_j (measure) (shared factor)^power."""
-    weight = "legendre" if (qi.n + qj.n) % 2 == 0 else "chebyshev-u"
-    alpha = 0.5 if (qi.l + qj.l) % 2 == 0 else 0.0
+    n_parity, l_parity = (qi.n + qj.n) % 2, (qi.l + qj.l) % 2
     fi, fj = polar_profile(qi), polar_profile(qj)
     gi, gj = rapidity_profile(qi), rapidity_profile(qj)
     hi, hj = radial_profile(qi), radial_profile(qj)
-    polar = integrate(polar_rule(nodes.polar, weight),
+    polar = integrate(polar_rule(nodes.polar)[n_parity],
                       lambda t: fi(t) * fj(t) * np.sin(t) ** (2 * power + 2)).real
-    rapidity = integrate(rapidity_rule(nodes.rapidity, weight),
+    rapidity = integrate(rapidity_rule(nodes.rapidity)[n_parity],
                          lambda b: gi(b) * gj(b) * np.cosh(b) ** (2 * power + 1)).real
-    radial = integrate(radial_rule(nodes.radial, 1.0, alpha),
+    radial = integrate(radial_rule(nodes.radial)[l_parity],
                        lambda r: hi(r) * hj(r) * r ** (3 + 2 * power)).real
     return polar * rapidity * radial
 
@@ -157,16 +156,27 @@ def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
         return gauss(diag, off, log_mu0)
 
     quad.radial_rule.cache_clear()
-    quad._both_parities.cache_clear()
     monkeypatch.setattr(quad, "_gauss", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     assert calls == [(2, 37)]
 
 
+def test_build_asks_each_axis_for_one_pair(monkeypatch):
+    # AXES looks the constructors up on the module, so wrappers see the build
+    calls = []
+    for name in ("polar_rule", "rapidity_rule", "radial_rule"):
+        def counted(n, make=getattr(quad, name), name=name):
+            calls.append((name, n))
+            return make(n)
+        monkeypatch.setattr(quad, name, counted)
+    osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
+    assert sorted(calls) == [("polar_rule", 39), ("radial_rule", 37), ("rapidity_rule", 43)]
+
+
 def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
     # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
     # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones;
-    # the two polar (and rapidity) rules share nodes, the radial rules do not
+    # the polar (and rapidity) pair share one node array, the radial pair does not
     calls = {}
     evaluate = quad.evaluate
 
