@@ -74,8 +74,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not 16 <= self.nodes <= 1024:
-            raise ConfigError(f"node count must be in 16..1024, got {self.nodes}")
+        if not 16 <= self.nodes <= osc.MAX_NODES:
+            raise ConfigError(f"node count must be in 16..{osc.MAX_NODES}, got {self.nodes}")
         if self.format not in ("csv", "json", "pretty"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.omega_convention not in ("angular", "cyclic"):
@@ -144,21 +144,13 @@ def _omega_mhz(config: RunConfig, j: int) -> float:
     return val.ROW_FREQUENCIES_MHZ.get(j, 240.4)
 
 
-def _phase_converged(j: int, config: RunConfig,
-                     constants: osc.PhysicalConstants) -> tuple[berry.PhaseResult, bool]:
-    nodes = config.node_counts()
-    result = berry.berry_phase_closed(j, constants, nodes)
-    refined = berry.berry_phase_closed(j, constants, nodes.doubled())
-    converged = bool(val.within(result.dimensionless_value,
-                                refined.dimensionless_value, 1e-9, 1e-9))
-    return result, converged
-
-
 def _table_rows(config: RunConfig) -> list[dict]:
+    nodes = config.node_counts()
+    converged = val.exactness_gap(nodes) < val.EXACTNESS_BOUND
     rows = []
     for j in osc.live_indices():
         constants = config.constants_for(_omega_mhz(config, j))
-        result, converged = _phase_converged(j, config, constants)
+        result = berry.berry_phase_closed(j, constants, nodes)
         rows.append({
             "j": j,
             "omega_hz": 0.0 if config.dimensionless else constants.omega,
@@ -313,7 +305,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="report pure numbers, couplings in units of M*omega^2 "
                              "(--no-dimensionless overrides a config file)")
     parser.add_argument("--nodes", type=int, default=None,
-                        help="quadrature nodes per axis, 16..1024 (default 128)")
+                        help=f"quadrature nodes per axis, 16..{osc.MAX_NODES} (default 128)")
     parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
 

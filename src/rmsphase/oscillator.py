@@ -15,8 +15,9 @@ The polar (and the rapidity) pair stand on one node array, so those
 profiles are evaluated once per axis; only the two radial rules have
 their own nodes, and both come from one Golub-Welsch pass.  The azimuthal
 integrals use the periodic trapezoid rule, exact for every m_j - m_i the
-catalogue has from 2 nodes on.  The doubling self-check compares the
-whole build with the build at twice the nodes.
+catalogue has from 2 nodes on.  So every build from 9 polar, 5 rapidity,
+6 radial and 2 azimuthal nodes on is exact, and the exactness self-check
+compares the whole build with the cached 9-node build.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -68,9 +69,8 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
-# The CLI's 1024 doubled; a build solves one dense n x n Jacobi matrix per
-# radial parity, one after the other.
-MAX_NODES = 2048
+# The CLI's cap; a build solves one dense n x n Jacobi matrix per radial parity.
+MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,8 @@ class StateRecord:
 
 @dataclass(frozen=True)
 class NodeCounts:
-    """Quadrature nodes per axis, each in 2..``MAX_NODES``."""
+    """Quadrature nodes per axis, each in 2..``MAX_NODES``.  Every count from
+    the 9 of ``validate.EXACT_NODES`` on gives the same tables to roundoff."""
 
     radial: int = 128
     polar: int = 128
@@ -257,10 +258,6 @@ class NodeCounts:
     @classmethod
     def uniform(cls, n: int) -> "NodeCounts":
         return cls(n, n, n, n)
-
-    def doubled(self) -> "NodeCounts":
-        return NodeCounts(2 * self.radial, 2 * self.polar,
-                          2 * self.azimuthal, 2 * self.rapidity)
 
 
 _STATES = tuple(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import berry, oscillator as osc, perturbation as pert
 
-__all__ = ["CheckResult", "run_checks", "within"]
+__all__ = ["CheckResult", "exactness_gap", "run_checks", "within"]
 
 # Frequencies (MHz) attached to the catalogue rows in the reference table.
 ROW_FREQUENCIES_MHZ = {
@@ -29,6 +29,13 @@ EQUAL_PHASE_PAIRS = ((2, 10), (5, 13), (6, 14), (8, 16))
 
 # Minimum per-axis resolution the suite is validated at.
 MIN_VALIDATED_NODES = 32
+
+# Every rule of a build is exact from 9 polar, 5 rapidity, 6 radial and 2
+# azimuthal nodes, so a correct build at any node count is within
+# EXACTNESS_BOUND (relative) of this one; a wrong rule is not exact at 9
+# nodes, so its build is not.
+EXACT_NODES = osc.NodeCounts.uniform(9)
+EXACTNESS_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,14 +172,18 @@ def _check_pair_equalities(constants_map, nodes: osc.NodeCounts) -> CheckResult:
                        f"4 pairs equal; worst relative gap {worst:.3e}")
 
 
-def _check_doubling(nodes: osc.NodeCounts) -> CheckResult:
-    """Each table of the build against the same table at twice the nodes,
-    relative to the table's largest entry."""
-    coarse, fine = osc.overlap_tables(nodes), osc.overlap_tables(nodes.doubled())
-    worst = float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b))
-                          for a, b in zip(coarse, fine)]))
-    return CheckResult("doubling-convergence", worst < 1e-12,
-                       f"{len(coarse)} tables, worst relative doubling gap {worst:.3e}")
+def exactness_gap(nodes: osc.NodeCounts) -> float:
+    """Worst gap of the four tables of the build from those of the exact
+    build, each relative to that table's largest entry."""
+    return float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in
+                         zip(osc.overlap_tables(nodes), osc.overlap_tables(EXACT_NODES))]))
+
+
+def _check_exactness(nodes: osc.NodeCounts) -> CheckResult:
+    gap = exactness_gap(nodes)
+    return CheckResult("exactness", gap < EXACTNESS_BOUND,
+                       f"4 tables, worst relative gap {gap:.3e} from the "
+                       f"{EXACT_NODES.polar}-node exact build")
 
 
 def run_checks(nodes: osc.NodeCounts = osc.NodeCounts(),
@@ -190,7 +201,7 @@ def run_checks(nodes: osc.NodeCounts = osc.NodeCounts(),
         _check_measure(rng),
         _check_hermiticity(nodes),
         _check_sum_rule(nodes),
-        _check_doubling(nodes),
+        _check_exactness(nodes),
         _check_oracle_agreement(nodes, constants),
         _check_sign_mutation_detector(),
         _check_zero_classes(constants, nodes),

@@ -218,9 +218,8 @@ class TestConfig:
 class TestHighNodeCounts:
     """Node counts at which the radial rule used to overflow (n >= 364)."""
 
-    def test_table_at_192_nodes_matches_reference(self, capsys):
-        # table doubles the node count for its convergence flag
-        code, out, _ = run_cli(capsys, "table", "--nodes", "192", "--format", "csv")
+    def test_table_at_384_nodes_matches_reference(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--nodes", "384", "--format", "csv")
         assert code == cli.EXIT_OK
         assert out == REFERENCE_CSV.read_bytes().decode()
 
@@ -280,6 +279,14 @@ def patch_rules(monkeypatch, osc, field, pick):
     monkeypatch.setattr(osc, "AXES", axes)
 
 
+# (axis, pick) arguments of patch_rules for the three known rule faults
+RULE_FAULTS = {
+    "polar-odd-for-even": ("polar", lambda rules: (rules[1], rules[1])),
+    "rapidity-even-for-odd": ("rapidity", lambda rules: (rules[0], rules[0])),
+    "radial-swapped": ("radial", lambda rules: rules[::-1]),
+}
+
+
 class TestTableFaults:
     def test_swapped_radial_rules_detected_by_validate(self, monkeypatch, capsys,
                                                        fresh_tables):
@@ -289,36 +296,41 @@ class TestTableFaults:
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] orthonormality" in out
 
-    # Chebyshev-U weights on the even polar pairs' polynomials converge like
-    # n^-6: the doubling gap is 3e-9 at 48 nodes and 9e-12 at 128, both over the 1e-12 bound
-    @pytest.mark.parametrize("field, pick, nodes, failing", [
-        ("rapidity", lambda rules: (rules[0], rules[0]), "128", ["doubling-convergence"]),
-        ("radial", lambda rules: rules[::-1], "128",
-         ["orthonormality", "doubling-convergence"]),
-        ("polar", lambda rules: (rules[1], rules[1]), "48", ["doubling-convergence"]),
-        ("polar", lambda rules: (rules[1], rules[1]), "128", ["doubling-convergence"]),
-    ], ids=["rapidity-even-rule-for-odd-pairs", "radial-rules-swapped",
-            "polar-odd-rule-for-even-pairs", "polar-odd-rule-for-even-pairs-128"])
-    def test_wrong_rule_detected_by_doubling_check(self, monkeypatch, capsys, fresh_tables,
-                                                   field, pick, nodes, failing):
+    # each fault leaves a relative gap of 6e-5 to 1.1e-3 from the 9-node build at
+    # every count; the swapped radial rules also break orthonormality below 256
+    @pytest.mark.parametrize("nodes", ["16", "17", "48", "128", "256", "1024"])
+    @pytest.mark.parametrize("fault", ["clean", *RULE_FAULTS])
+    def test_wrong_rule_fails_exactness(self, monkeypatch, capsys, fresh_tables, fault, nodes):
         from rmsphase import oscillator as osc
-        patch_rules(monkeypatch, osc, field, pick)
+        failing = []
+        if fault != "clean":
+            patch_rules(monkeypatch, osc, *RULE_FAULTS[fault])
+            failing = ["orthonormality"] * (fault == "radial-swapped" and int(nodes) < 256)
+            failing.append("exactness")
         code, out, _ = run_cli(capsys, "validate", "--nodes", nodes)
-        assert code == cli.EXIT_VALIDATION
         assert [line.split(":")[0] for line in out.splitlines()
                 if line.startswith("[FAIL]")] == [f"[FAIL] {name}" for name in failing]
+        assert (code == cli.EXIT_VALIDATION) is bool(failing)
+        assert ("[PASS] exactness" in out) is not bool(failing)
 
     # the even rapidity rule on the odd pairs' sqrt(1-u^2) integrands leaves a
-    # doubling gap of 6e-10 at 1024 rapidity nodes (1e-15 with the right rule);
-    # the other axes at 16 nodes keep the radial solve off 2048 nodes
+    # gap of 7e-4 at 1024 rapidity nodes (1e-15 with the right rule)
     @pytest.mark.parametrize("faulty", [True, False], ids=["even-rule-for-odd-pairs", "clean"])
-    def test_rapidity_doubling_check_at_1024_nodes(self, monkeypatch, fresh_tables, faulty):
+    def test_rapidity_exactness_check_at_1024_nodes(self, monkeypatch, fresh_tables, faulty):
         from rmsphase import oscillator as osc
         from rmsphase import validate as val
         if faulty:
-            patch_rules(monkeypatch, osc, "rapidity", lambda rules: (rules[0], rules[0]))
-        result = val._check_doubling(osc.NodeCounts(16, 16, 16, 1024))
+            patch_rules(monkeypatch, osc, *RULE_FAULTS["rapidity-even-for-odd"])
+        result = val._check_exactness(osc.NodeCounts(16, 16, 16, 1024))
         assert result.passed is not faulty, result.detail
+
+    def test_polar_fault_makes_table_non_converged(self, monkeypatch, capsys, fresh_tables):
+        from rmsphase import oscillator as osc
+        patch_rules(monkeypatch, osc, *RULE_FAULTS["polar-odd-for-even"])
+        code, out, err = run_cli(capsys, "table", "--format", "csv")
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert [row[4] for row in csv.reader(io.StringIO(out))][1:] == ["false"] * len(LIVE)
+        assert err == f"non-converged states: {LIVE}\n"
 
     def test_flipped_sine_channel_detected_by_validate(self, monkeypatch, capsys,
                                                        fresh_tables):
@@ -450,8 +462,8 @@ class TestBadInput:
     def test_node_count_above_bound_is_parameter_error(self):
         from rmsphase.errors import ParameterError
         from rmsphase.oscillator import MAX_NODES, NodeCounts
-        assert NodeCounts.uniform(1024).doubled().radial == MAX_NODES == 2048
-        with pytest.raises(ParameterError, match="2..2048"):
+        assert MAX_NODES == 1024
+        with pytest.raises(ParameterError, match="2..1024"):
             NodeCounts(128, 128, MAX_NODES + 1, 128)
 
     def test_out_into_missing_directory(self, capsys, tmp_path):

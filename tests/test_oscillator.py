@@ -223,7 +223,7 @@ class TestNormalization:
     def test_doubling_stability(self, dimensionless, nodes64):
         qn = QuantumNumbers(3, 3, 3, 3)
         n1 = normalization_constant(qn, dimensionless, nodes64)
-        n2 = normalization_constant(qn, dimensionless, nodes64.doubled())
+        n2 = normalization_constant(qn, dimensionless, NodeCounts.uniform(128))
         assert n1 == pytest.approx(n2, rel=1e-9)
 
     def test_null_state_rejected(self, dimensionless, nodes64):
