@@ -121,6 +121,10 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    # a config file's format is a default for table; a flag on another command is an error
+    if args.command != "table" and args.format in ("csv", "json"):
+        raise ConfigError(f"--format {args.format}: only table reads --format; "
+                          f"{args.command} prints plain text")
     settings: dict = {}
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:

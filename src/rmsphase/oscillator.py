@@ -13,7 +13,8 @@ numbers a profile reads (so the ten states share 3, 3 and 4 profiles) and
 which of the axis's (even, odd) pair of rules a pair's parity selects.
 The polar (and the rapidity) pair stand on one node array, so those
 profiles are evaluated once per axis; only the two radial rules have
-their own nodes, and both come from one Golub-Welsch pass.  The azimuthal
+their own nodes, and both come from one stacked Halley refinement on the
+Laguerre recurrence.  The azimuthal
 integrals use the periodic trapezoid rule, exact for every m_j - m_i the
 catalogue has from 2 nodes on.  So every build from 9 polar, 5 rapidity,
 6 radial and 2 azimuthal nodes on is exact, and the exactness self-check
@@ -69,7 +70,8 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
-# The CLI's cap; a build solves one dense n x n Jacobi matrix per radial parity.
+# The CLI's cap; a build refines both radial parities by Halley passes on the
+# n-term Laguerre recurrence, O(n^2) work in all.
 MAX_NODES = 1024
 
 

@@ -363,6 +363,23 @@ class TestTableFaults:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("command, fmt", [(("validate",), "json"),
+                                              (("oracle", "--state", "1"), "csv"),
+                                              (("phase", "--state", "1"), "json")])
+    def test_format_flag_outside_table_is_config_error(self, capsys, command, fmt):
+        # these commands print plain text only; a CSV or JSON request is not ignored
+        code, out, err = run_cli(capsys, *command, "--format", fmt, *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert f"--format {fmt}: only table reads --format" in err
+
+    def test_format_in_config_file_stays_a_table_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n")
+        code, out, _ = run_cli(capsys, "phase", "--state", "1", "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_OK
+        assert out.startswith("state 1:")
+
     @pytest.mark.parametrize("command", [("table",), ("phase", "--state", "1"),
                                          ("oracle", "--state", "1")])
     def test_omega_zero_is_config_error(self, capsys, command):

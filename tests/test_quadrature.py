@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
+from rmsphase import quadrature as quad
 from rmsphase.errors import EvaluationError, ParameterError
-from rmsphase.quadrature import _gauss, chebyshev_u, periodic_trapezoid
+from rmsphase.quadrature import (
+    _gauss,
+    _laguerre_halley,
+    _laguerre_nodes0,
+    chebyshev_u,
+    periodic_trapezoid,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -183,17 +191,19 @@ class TestRadialRule:
         got = integrate(rule, lambda r: 2.0 * r * (r * r) ** power * np.exp(-r * r)).real
         assert got == pytest.approx(exact, rel=1e-13)
 
-    # 364 and 2048 nodes rescale the weight sums past 1e200; 2 and 37 do not
-    @pytest.mark.parametrize("n", [2, 37, 364, 2048])
+    # 364 and 1024 nodes rescale the weight sums past 1e100; 2 and 37 do not
+    @pytest.mark.parametrize("n", [2, 37, 364, 1024])
     def test_stacked_solve_matches_each_row_alone(self, n):
         k = np.arange(float(n))
         alpha = np.array([[0.5], [0.0]])
-        diag, off = 2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha))
+        args = (_laguerre_nodes0(n, alpha), 2.0 * k + 1.0 + alpha,
+                np.sqrt((k + 1.0) * (k + 1.0 + alpha)))
         log_mu0 = [math.lgamma(1.5), math.lgamma(1.0)]
-        nodes, log_w = _gauss(diag, off, log_mu0)
+        nodes, log_w = _gauss(*args, log_mu0, *_laguerre_halley(n, alpha), "radial")
         for row in range(2):
-            (alone_nodes,), (alone_log_w,) = _gauss(diag[row:row + 1], off[row:row + 1],
-                                                    log_mu0[row:row + 1])
+            one = slice(row, row + 1)
+            (alone_nodes,), (alone_log_w,) = _gauss(*(a[one] for a in args), log_mu0[one],
+                                                    *_laguerre_halley(n, alpha[one]), "radial")
             assert np.array_equal(nodes[row], alone_nodes)
             assert np.array_equal(log_w[row], alone_log_w)
 
@@ -205,6 +215,79 @@ class TestRadialRule:
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             radial_rule(1)
+
+
+def _christoffel_log_weights(x, diag, off, log_mu0):
+    """log(mu0 / sum_k p_k(x)^2), summed one step at a time, rescaled past 1e200."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    total, log_scale = np.ones_like(x), np.zeros_like(x)
+    for a, b, b_prev in zip(diag, off, (0.0, *off)):
+        p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
+        total += p * p
+        if total.max() > 1e200:
+            c = np.where(total > 1e200, np.sqrt(total), 1.0)
+            p, p_prev, total = p / c, p_prev / c, total / (c * c)
+            log_scale += np.log(c)
+    return log_mu0 - np.log(total) - 2.0 * log_scale
+
+
+def dense_laguerre(n, alpha):
+    """Plain-form radial rule by Golub-Welsch: a tridiagonal eigensolver and the weight sum."""
+    k = np.arange(float(n))
+    diag, off = 2.0 * k + 1.0 + alpha, np.sqrt(k[1:] * (k[1:] + alpha))
+    s = eigvalsh_tridiagonal(diag, off)
+    log_w = _christoffel_log_weights(s, diag, off, math.lgamma(alpha + 1.0))
+    rho = np.sqrt(s)
+    return rho, np.exp(log_w + s - alpha * np.log(s) - np.log(2.0 * rho))
+
+
+def dense_legendre(n):
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = eigvalsh_tridiagonal(np.zeros(n), off)
+    return x, np.exp(_christoffel_log_weights(x, np.zeros(n), off, math.log(2.0)))
+
+
+class TestDenseReference:
+    """The Halley-refined rules against a dense Golub-Welsch solve of the same recurrence."""
+
+    @staticmethod
+    def worst_gaps(counts):
+        worst_nodes = worst_weights = 0.0
+        for n in counts:
+            for rule, alpha in zip(radial_rule.__wrapped__(n), (0.5, 0.0)):
+                nodes, weights = dense_laguerre(n, alpha)
+                worst_nodes = max(worst_nodes, np.max(np.abs(rule.nodes / nodes - 1.0)))
+                worst_weights = max(worst_weights, np.max(np.abs(rule.weights / weights - 1.0)))
+        return worst_nodes, worst_weights
+
+    def test_radial_rules_to_256_nodes(self):
+        worst_nodes, worst_weights = self.worst_gaps(range(2, 257))
+        assert worst_nodes < 2e-12 and worst_weights < 3e-12
+
+    def test_radial_rules_to_1024_nodes(self):
+        worst_nodes, worst_weights = self.worst_gaps([*range(257, 1024, 37), 1024])
+        assert worst_nodes < 3e-11 and worst_weights < 5e-11
+
+    @pytest.mark.parametrize("n, node_tol, weight_tol", [
+        (2, 2e-12, 3e-12), (12, 2e-12, 3e-12), (128, 2e-12, 3e-12), (1024, 3e-11, 5e-11)])
+    def test_gauss_legendre(self, n, node_tol, weight_tol):
+        nodes, weights = dense_legendre(n)
+        rule = gauss_legendre.__wrapped__(n, -1.0, 1.0)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=node_tol)
+        np.testing.assert_allclose(rule.weights, weights, rtol=weight_tol)
+
+
+@pytest.mark.parametrize("passes", [quad.HALLEY_PASSES - 1, 0])
+@pytest.mark.parametrize("make", [lambda: radial_rule.__wrapped__(64),
+                                  lambda: gauss_legendre.__wrapped__(64, -1.0, 1.0)],
+                         ids=["radial", "legendre"])
+def test_unconverged_nodes_raise(monkeypatch, make, passes):
+    # one pass fewer leaves a Newton correction ~1e-4 of a node gap; none
+    # leaves the initial nodes, a few % of a gap off
+    monkeypatch.setattr(quad, "HALLEY_PASSES", passes)
+    with pytest.raises(EvaluationError, match=r"Halley passes on (radial|generic-finite) axis"):
+        make()
 
 
 class TestRapidityRule:

@@ -148,17 +148,31 @@ def test_minimal_exact_node_counts(field, count):
 
 
 def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
+    # one _gauss call refines both parities as one (2, n) stack of initial nodes
     calls = []
     gauss = quad._gauss
 
-    def counted(diag, off, log_mu0):
-        calls.append(diag.shape)
-        return gauss(diag, off, log_mu0)
+    def counted(x, *args):
+        calls.append(x.shape)
+        return gauss(x, *args)
 
     quad.radial_rule.cache_clear()
     monkeypatch.setattr(quad, "_gauss", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     assert calls == [(2, 37)]
+
+
+@pytest.mark.parametrize("nodes", [NodeCounts.uniform(1024), NodeCounts(37, 39, 41, 43)])
+def test_build_runs_no_dense_eigensolver(monkeypatch, nodes):
+    # the Gauss nodes come from Halley steps on the recurrence, at any count
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    quad.radial_rule.cache_clear()
+    tables = osc.overlap_tables.__wrapped__(nodes)
+    assert np.all(np.isfinite(tables.gram))
 
 
 def test_build_asks_each_axis_for_one_pair(monkeypatch):
