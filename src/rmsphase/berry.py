@@ -174,9 +174,11 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     Returns (gamma_per_r2, imag_residual, radius).  The integrand is a
     degree-2 trigonometric polynomial in alpha, so the periodic trapezoid
     rule is exact once steps > 4; the imaginary residual of the complex
-    result is a roundoff diagnostic.  The coefficient sums are the ones
-    ``coeffs`` stored at construction, so each step does only the
-    connection's scalar arithmetic, on Python floats.
+    result is a roundoff diagnostic.  An exact zero is returned as +0, so
+    the printed sign of a structural zero does not follow roundoff.  The
+    coefficient sums are the ones ``coeffs`` stored at construction, so
+    each step does only the connection's scalar arithmetic, on Python
+    floats.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
@@ -189,7 +191,8 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
         total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
     total *= 2.0 * math.pi / loop.steps
     value = 1j * total
-    return value.real / r ** 2, abs(value.imag) / r ** 2, r
+    # + 0.0 makes an exact zero +0, whichever sign roundoff in the tables gave it
+    return value.real / r ** 2 + 0.0, abs(value.imag) / r ** 2, r
 
 
 def berry_phase_loop_connection(j: int, constants: osc.PhysicalConstants,

@@ -11,14 +11,17 @@ build of 10x10 tables per resolution, which every overlap below reads.
 ``AXES`` says, for the polar, rapidity and radial axes, which quantum
 numbers a profile reads (so the ten states share 3, 3 and 4 profiles) and
 which of the axis's (even, odd) pair of rules a pair's parity selects.
-The polar (and the rapidity) pair stand on one node array, so those
-profiles are evaluated once per axis; only the two radial rules have
-their own nodes, and both come from one stacked Halley refinement on the
-Laguerre recurrence.  The azimuthal
-integrals use the periodic trapezoid rule, exact for every m_j - m_i the
-catalogue has from 2 nodes on.  So every build from 9 polar, 5 rapidity,
-6 radial and 2 azimuthal nodes on is exact, and the exactness self-check
-compares the whole build with the cached 9-node build.
+Each axis evaluates its distinct profiles in one stacked call
+(``polar_profiles``, ``rapidity_profiles``, ``radial_profiles``), which
+takes the shared factors once.  The polar (and the rapidity) pair stand
+on one node array; only the two radial rules have their own nodes, both
+from one stacked two-pass solve on the Laguerre recurrence, and their
+profiles are evaluated on the two arrays stacked, in one Laguerre
+recurrence.  The azimuthal integrals use the periodic trapezoid rule,
+exact for every m_j - m_i the catalogue has from 2 nodes on.  So every
+build from 9 polar, 5 rapidity, 6 radial and 2 azimuthal nodes on is
+exact, and the exactness self-check compares the whole build with the
+cached 9-node build.
 
 Internally every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
@@ -70,8 +73,8 @@ __all__ = [
 DEFAULT_PLANCK = 6.626e-34
 DEFAULT_MASS = 9.109e-31
 
-# The CLI's cap; a build refines both radial parities by Halley passes on the
-# n-term Laguerre recurrence, O(n^2) work in all.
+# The CLI's cap; a build solves both radial parities by two passes of the
+# n-term Laguerre recurrence over 2n nodes, O(n^2) work in all.
 MAX_NODES = 1024
 
 
@@ -320,39 +323,53 @@ def eigenvalue(qn: QuantumNumbers, constants: PhysicalConstants) -> float:
 # ---------------------------------------------------------------------------
 # factor functions (dimensionless axis profiles of the product eigenfunction)
 
-def polar_profile(qn: QuantumNumbers):
-    """theta factor: (sin theta)^{-1/2} P_l^n(cos theta)."""
-    l, n = qn.l, qn.n
+def polar_profiles(qns):
+    """theta factors (sin theta)^{-1/2} P_l^n(cos theta) of the states ``qns``.
+
+    f(theta) has shape (len(qns), *theta.shape); the trigonometric factors
+    are taken once for all of them.
+    """
+    pairs = [(qn.l, qn.n) for qn in qns]
 
     def f(theta):
         theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
         if np.any(s <= 0.0):
             raise DomainError("polar profile is singular on the polar axis")
-        return assoc_legendre(l, n, np.cos(theta)) / np.sqrt(s)
+        c = np.cos(theta)
+        return np.array([assoc_legendre(l, n, c) for l, n in pairs]) / np.sqrt(s)
 
     return f
 
 
-def rapidity_profile(qn: QuantumNumbers):
-    """beta factor: (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta)."""
-    m, n = qn.m, qn.n
+def rapidity_profiles(qns):
+    """beta factors (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta) of the states ``qns``.
+
+    f(beta) has shape (len(qns), *beta.shape); tanh and the envelope are
+    taken once for all of them.
+    """
+    pairs = [(qn.m, qn.n) for qn in qns]
 
     def f(beta):
-        beta = np.asarray(beta, dtype=float)
-        u = np.tanh(beta)
-        return ((1.0 - u) * (1.0 + u)) ** 0.25 * assoc_legendre(m, -n, u)
+        u = np.tanh(np.asarray(beta, dtype=float))
+        return ((1.0 - u) * (1.0 + u)) ** 0.25 * np.array([assoc_legendre(m, -n, u)
+                                                             for m, n in pairs])
 
     return f
 
 
-def radial_profile(qn: QuantumNumbers, scale: float = 1.0):
-    """rho factor: rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2.
+def radial_profiles(qns, scale: float = 1.0):
+    """rho factors rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2,
+    of the states ``qns``.
 
-    Exactly 0 wherever e^{-s/2} underflows: the polynomial is taken at
-    s = 0 there, since far enough out it would overflow and make 0 * inf.
+    f(rho) has shape (len(qns), *rho.shape): s, e^{-s/2} and rho^{-1/2} are
+    taken once, and one Laguerre recurrence runs over the column of
+    (n_a, l + 1/2).  Exactly 0 wherever e^{-s/2} underflows: the polynomial
+    is taken at s = 0 there, since far enough out it would overflow and
+    make 0 * inf.
     """
-    n_a, l = qn.n_a, qn.l
+    n_a = np.array([qn.n_a for qn in qns])
+    half_l = 0.5 * np.array([qn.l for qn in qns])
 
     def f(rho):
         rho = np.asarray(rho, dtype=float)
@@ -362,9 +379,34 @@ def radial_profile(qn: QuantumNumbers, scale: float = 1.0):
             s = scale * rho * rho
         decay = np.exp(-0.5 * s)
         s = np.where(decay > 0.0, s, 0.0)
-        return s ** (0.5 * l) * decay * gen_laguerre(n_a, l + 0.5, s) / np.sqrt(rho)
+        column = (-1,) + (1,) * rho.ndim
+        power = half_l.reshape(column)
+        polynomial = gen_laguerre(n_a.reshape(column), 2.0 * power + 0.5, s)
+        return s ** power * polynomial * (decay / np.sqrt(rho))
 
     return f
+
+
+def _single(profiles: Callable, qn: QuantumNumbers, *args) -> Callable:
+    """The profile of one state, from the stacked ``profiles`` of its axis."""
+    f = profiles([qn], *args)
+    return lambda x: f(x)[0]
+
+
+def polar_profile(qn: QuantumNumbers):
+    """theta factor: (sin theta)^{-1/2} P_l^n(cos theta)."""
+    return _single(polar_profiles, qn)
+
+
+def rapidity_profile(qn: QuantumNumbers):
+    """beta factor: (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta)."""
+    return _single(rapidity_profiles, qn)
+
+
+def radial_profile(qn: QuantumNumbers, scale: float = 1.0):
+    """rho factor: rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2;
+    exactly 0 wherever e^{-s/2} underflows."""
+    return _single(radial_profiles, qn, scale)
 
 
 def eval_unnormalized(qn: QuantumNumbers, p: RmsPoint,
@@ -415,8 +457,9 @@ def _hermitian(table: np.ndarray) -> np.ndarray:
 class AxisSpec(NamedTuple):
     """One separable axis, and the one place where a pair's parity picks its rule.
 
-    ``profile(qn)`` reads only the quantum numbers named in ``reads``, so
-    states that agree on those share one profile.  ``rules(n)`` returns the
+    ``profiles(qns)`` evaluates the profiles of several states in one call,
+    each row reading only the quantum numbers named in ``reads``, so states
+    that agree on those share one profile.  ``rules(n)`` returns the
     (even, odd) pair of n-node rules, for pairs whose ``parity_of`` numbers
     sum to even and to odd, which keeps every integral polynomial-exact.  It
     looks the constructor up on ``quad`` at each call, so a wrapper put on
@@ -427,7 +470,7 @@ class AxisSpec(NamedTuple):
     """
 
     field: str
-    profile: Callable
+    profiles: Callable
     reads: tuple[str, ...]
     parity_of: str
     weight: Callable
@@ -440,30 +483,35 @@ class AxisSpec(NamedTuple):
 
 
 AXES = (
-    AxisSpec("polar", polar_profile, ("l", "n"), "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
+    AxisSpec("polar", polar_profiles, ("l", "n"), "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
              lambda n: quad.polar_rule(n)),
-    AxisSpec("rapidity", rapidity_profile, ("m", "n"), "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
+    AxisSpec("rapidity", rapidity_profiles, ("m", "n"), "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
              lambda n: quad.rapidity_rule(n)),
-    AxisSpec("radial", radial_profile, ("n_a", "l"), "l", lambda r, p: r ** (3 + 2 * p),
+    AxisSpec("radial", radial_profiles, ("n_a", "l"), "l", lambda r, p: r ** (3 + 2 * p),
              lambda n: quad.radial_rule(n)),
 )
 
 
 def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
     """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
-    the rule its parity selects.  Each distinct profile is evaluated once
-    per node array, which the two rules of the finite axes share; its row
-    is then copied to every state that has it."""
+    the rule its parity selects.  The distinct profiles are evaluated in one
+    call on the pair's node arrays stacked: one array on the finite axes,
+    whose two rules share it, two on the radial axis.  Each row is then
+    copied to every state that has it."""
     keys = [tuple(getattr(qn, name) for name in axis.reads) for qn in _LIVE_QNS]
     unique = list(dict.fromkeys(keys))
     states = [_LIVE_QNS[keys.index(key)] for key in unique]
     rows = [unique.index(key) for key in keys]
-    tables, x = [], None
-    for rule in axis.rules(getattr(nodes, axis.field)):
-        if rule.nodes is not x:
-            x = rule.nodes
-            f = np.array([quad.evaluate(rule, axis.profile(qn)) for qn in states])[rows]
-        tables.append([(f * rule.weights * axis.weight(x, p)) @ f.T for p in (0, 1)])
+    rules = axis.rules(getattr(nodes, axis.field))
+    x = np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
+                 else [rule.nodes for rule in rules])
+    f = quad.check_finite(axis.profiles(states)(x), x, axis.field, "profile")[rows]
+    weights = [axis.weight(x, p) for p in (0, 1)]
+    tables = []
+    for k, rule in enumerate(rules):
+        row = k % len(x)            # the row of x that holds this rule's nodes
+        fx = f[:, row]
+        tables.append([(fx * rule.weights * g[row]) @ fx.T for g in weights])
     pick = axis.rule_index(_LIVE_QNS)
     return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]
 

@@ -25,11 +25,13 @@ weight 1, an interpolatory rule exact to degree n-1 (Trefethen, SIAM
 Rev. 50, 67, 2008), whose weights come from one FFT.  The radial pair is
 the alpha 1/2 and alpha 0 Laguerre rules, with their own nodes; only they
 (and ``gauss_legendre``) are Gauss rules without closed-form nodes.
-``_gauss`` takes their nodes from closed-form asymptotic ones by Halley
-steps on the three-term recurrence, and their weights from one pass of
-it, both parities as one stack; no eigen-solve is run.  The periodic
-trapezoid rule is exact for e^{i d x} on [0, 2 pi) with |d| < n
-(Trefethen & Weideman, SIAM Rev. 56, 385, 2014).
+``_gauss`` takes them from closed-form asymptotic nodes in two passes of
+the three-term recurrence, both parities as one stack: one pass and a
+Taylor solve of the family's differential equation move every node to
+its root, and one more checks the nodes and gives the weights; no
+eigen-solve is run.  The periodic trapezoid rule is exact for e^{i d x}
+on [0, 2 pi) with |d| < n (Trefethen & Weideman, SIAM Rev. 56, 385,
+2014).
 
 Rules are immutable after construction, so every constructor but the
 trapezoid rule's is memoized and the same rule object may be shared freely
@@ -54,6 +56,7 @@ __all__ = [
     "polar_rule",
     "rapidity_rule",
     "radial_rule",
+    "check_finite",
     "evaluate",
     "integrate",
 ]
@@ -83,12 +86,13 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-# Halley passes from the initial nodes of a Gauss rule.
-HALLEY_PASSES = 2
-# Largest Newton correction accepted after them, as a fraction of the node's gap
-# to its neighbour.  Up to 1024 nodes two passes leave at most 2.2e-9 on the
-# radial rules and 2e-12 on Gauss-Legendre; one pass leaves 1.6e-6 to 2e-4 on
-# the radial rules.
+# Order of the local Taylor polynomial of P_n that moves each initial node to
+# its root; order 1 is a plain Newton step.
+TAYLOR_ORDER = 8
+# Largest Newton correction accepted at the refined nodes, as a fraction of the
+# node's gap to its neighbour.  Up to 1024 nodes the Taylor solve leaves at most
+# 3.7e-12 on the radial rules and 4.5e-12 on Gauss-Legendre; a plain Newton
+# step leaves 1.8e-3 and 1.8e-4.
 NEWTON_BOUND = 1e-6
 
 
@@ -103,86 +107,150 @@ def _spread(coef: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(coef.T, n, axis=1)
 
 
-def _gauss(x: np.ndarray, diag: np.ndarray, off: np.ndarray, log_mu0: list[float],
-           newton, curvature, domain: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log-weights of stacked Gauss rules, refined from initial nodes ``x``.
+def _blocks(n: int) -> list[slice]:
+    """The recurrence steps in blocks of 16; each block's coefficients are spread at once."""
+    return [slice(k, k + 16) for k in range(0, n, 16)]
 
-    Each row of ``diag`` (shape (r, n)) and ``off`` (shape (r, n)) holds the
-    three-term recurrence b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1} of
-    the orthonormal polynomials of a weight of total mass
-    mu0 = e^{log_mu0[row]}, and the same row of ``x`` the initial nodes of
-    its rule; the nodes are the zeros of p_n.  Each Halley pass runs the
-    ratio P_k/P_{k-1} of the monic polynomials up the recurrence, which
-    never overflows; ``newton(x, ratio)`` turns P_n/P_{n-1} into the Newton
-    step P_n/P_n' by the family's derivative identity, and
-    ``curvature(x, step)`` gives P_n''/P_n' from its differential equation,
-    so no derivative recurrence is run (Hale & Townsend, SIAM J. Sci.
-    Comput. 35, A652, 2013).  The weights mu0 / sum_{k<n} p_k(x)^2 come
-    from one pass of the recurrence over the whole stack, rescaled node by
-    node past 1e100 with the scale kept as a log, so no node overflows at
-    any n.  That pass also reaches p_n, and so the Newton correction left
-    at each node: one larger than ``NEWTON_BOUND`` of the node's gap to its
-    neighbour raises EvaluationError naming ``domain``.
 
-    The stack runs flat, 16 recurrence steps to a block: the per-step
-    coefficients of a block are spread over the nodes in one go, and
-    whatever does not depend on the previous step, x - a_k, is taken there
-    too.  Every step acts node by node, so each row comes out as if solved
-    alone.
+def _monic_ratio(x: np.ndarray, diag: np.ndarray, off_prev: np.ndarray) -> np.ndarray:
+    """P_n/P_{n-1} of the monic polynomials at ``x``, run up the recurrence as a
+    ratio, which never overflows."""
+    n = x.shape[1]
+    flat, ratio = x.ravel(), np.ones(x.size)
+    with np.errstate(divide="ignore"):      # ratio 0 at a root of P_k: inf, then x - a_k
+        for cols in _blocks(n):
+            for shifted, b2 in zip(flat - _spread(diag[:, cols], n),
+                                   _spread(off_prev[:, cols] ** 2, n)):
+                ratio = shifted - b2 / ratio
+    return ratio.reshape(x.shape)
+
+
+def _orthonormal(x: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                 off_prev: np.ndarray) -> tuple[np.ndarray, ...]:
+    """p_{n-1}, p_n and the Christoffel sum sum_{k<n} p_k^2 at ``x``, the
+    first two over the scale e^{log_scale} and the sum over its square.
+
+    With p_k = sigma_k u_k and sigma_{k+1} = (b_k/b_{k+1}) sigma_{k-1}, the
+    recurrence is u_{k+1} = c_k (x - a_k) u_k - u_{k-1}, two ufuncs a step.
+    Each block of 16 steps writes its u into one array, which is summed
+    once; the sum is rescaled past 1e100 after a block (16 steps grow it by
+    less than 1e95 up to 4096 nodes), so no node overflows at any n.
     """
     rows, n = x.shape
-    off_prev = np.concatenate([np.zeros((rows, 1)), off[:, :-1]], axis=1)    # b_0 = 0
-    blocks = [slice(k, k + 16) for k in range(0, n, 16)]
-    for _ in range(HALLEY_PASSES):
-        flat, ratio = x.ravel(), np.ones(x.size)
-        with np.errstate(divide="ignore"):      # ratio 0 at a root of P_k: inf, then x - a_k
-            for cols in blocks:
-                for shifted, b2 in zip(flat - _spread(diag[:, cols], n),
-                                       _spread(off_prev[:, cols] ** 2, n)):
-                    ratio = shifted - b2 / ratio
-            step = newton(x, ratio.reshape(x.shape))
-        x = x - step / (1.0 - 0.5 * step * curvature(x, step))
+    h = off_prev[:, 1:] / off[:, 1:]            # b_k/b_{k+1} for k = 1..n-1
+    sigma = np.ones((rows, n + 1))
+    sigma[:, 2::2] = np.cumprod(h[:, 0::2], axis=1)
+    sigma[:, 3::2] = np.cumprod(h[:, 1::2], axis=1)
+    c = sigma[:, :-1] / (off * sigma[:, 1:])
+    square = sigma[:, 1:] ** 2                  # of u_{k+1}; p_n is not in the sum
+    square[:, -1] = 0.0
     flat = x.ravel()
-    p_prev, p = np.zeros_like(flat), np.ones_like(flat)
-    total, log_scale = np.zeros_like(flat), np.zeros_like(flat)
-    for cols in blocks:
-        b = _spread(off[:, cols], n)
-        # p_{k+1} = g p_k - h p_{k-1}, g = (x - a_k)/b_{k+1}, h = b_k/b_{k+1}
-        for g, h in zip((flat - _spread(diag[:, cols], n)) / b, _spread(off_prev[:, cols], n) / b):
-            total += p * p
-            p_prev, p = p, g * p - h * p_prev
-        if total.max() > 1e100:     # 16 steps grow it by less than 1e95 up to 4096 nodes
-            c = np.where(total > 1e100, np.sqrt(total), 1.0)
-            p, p_prev, total = p / c, p_prev / c, total / (c * c)
-            log_scale += np.log(c)
-    with np.errstate(divide="ignore"):          # p_n = 0 at an exact node
-        correction = newton(x, off[:, -1:] * (p / p_prev).reshape(x.shape))
+    u_prev, u = np.zeros_like(flat), np.ones_like(flat)
+    total, log_scale = np.ones_like(flat), np.zeros_like(flat)
+    for cols in _blocks(n):
+        steps = (flat - _spread(diag[:, cols], n)) * _spread(c[:, cols], n)
+        for g, out in zip(steps, steps):        # each u_{k+1} overwrites its g_k
+            np.subtract(g * u, u_prev, out=out)
+            u_prev, u = u, out
+        total += np.sum(steps * steps * _spread(square[:, cols], n), axis=0)
+        if total.max() > 1e100:
+            scale = np.where(total > 1e100, np.sqrt(total), 1.0)
+            u, u_prev, total = u / scale, u_prev / scale, total / (scale * scale)
+            log_scale += np.log(scale)
+    u_prev, u, total, log_scale = (a.reshape(x.shape) for a in (u_prev, u, total, log_scale))
+    return sigma[:, n - 1:n] * u_prev, sigma[:, n:] * u, total, log_scale
+
+
+def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
+    """Shift from ``x`` to the nearest root of P, from its Newton step P/P' at ``x``.
+
+    P/P' and 1 are P and P' up to a common scale, and ``ode`` gives every
+    higher derivative from the two before it, so the Taylor polynomial of P
+    about x to ``TAYLOR_ORDER`` is known without another pass of the
+    recurrence (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007).
+    Its root is taken by three Newton steps from the Newton step of P itself.
+    """
+    derivatives = [step, np.ones_like(x)]
+    for k in range(TAYLOR_ORDER - 1):
+        c1, c0 = ode(x, k)
+        derivatives.append(c1 * derivatives[-1] + c0 * derivatives[-2])
+    coef = [d / math.factorial(k) for k, d in enumerate(derivatives)]
+    shift = -step
+    for _ in range(3):
+        value, slope = coef[-1], 0.0
+        for c in coef[-2::-1]:
+            slope = slope * shift + value
+            value = value * shift + c
+        shift = shift - value / slope
+    return shift
+
+
+def _gauss(x: np.ndarray, diag: np.ndarray, off: np.ndarray, log_mu0: list[float],
+           identity, ode, domain: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log-weights of stacked Gauss rules, refined from initial nodes ``x``.
+
+    Each row of ``diag`` and ``off`` (shape (r, n)) holds the three-term
+    recurrence b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1} of the
+    orthonormal polynomials of a weight of total mass mu0 = e^{log_mu0[row]},
+    and the same row of ``x`` the initial nodes of its rule; the nodes are
+    the zeros of p_n.  For the monic P = P_n, ``identity(x)`` gives (a, b)
+    with P' = a P + b P_{n-1}, and ``ode(x, k)`` gives (c1, c0) with
+    y^(k+2) = c1 y^(k+1) + c0 y^(k), the family's differential equation
+    differentiated k times.  Two passes of the recurrence run over the
+    whole stack (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013):
+
+    1. ``_monic_ratio`` at the initial nodes gives the Newton step P/P',
+       and ``_taylor_root`` moves every node to its root;
+    2. ``_orthonormal`` at the refined nodes gives the last Newton
+       correction, which is applied to the nodes, and the weight
+       mu0 / sum_{k<n} p_k^2, moved with the node to first order.  A
+       correction larger than ``NEWTON_BOUND`` of the node's gap to its
+       neighbour raises EvaluationError naming ``domain``.
+
+    The shorter weight mu0 / (b_n p_n' p_{n-1}) is not used: p_{n-1} at the
+    smallest Laguerre nodes is ~1/n of its neighbours, and the cancellation
+    costs up to 2.8e-12 at 256 nodes, where the sum keeps 8e-13.  Every
+    step acts node by node, so each row comes out as if solved alone.
+    """
+    off_prev = np.concatenate([np.zeros((x.shape[0], 1)), off[:, :-1]], axis=1)    # b_0 = 0
+    a, b = identity(x)
+    with np.errstate(divide="ignore"):      # P_n = 0 at an exact node: a zero step
+        step = 1.0 / (a + b / _monic_ratio(x, diag, off_prev))
+    x = x + _taylor_root(x, step, ode)
+    p_prev, p, total, log_scale = _orthonormal(x, diag, off, off_prev)
+    a, b = identity(x)
+    with np.errstate(divide="ignore"):      # p_n = 0 at an exact node: no correction
+        correction = 1.0 / (a + b / (off[:, -1:] * p / p_prev))
     gap = np.diff(x)                    # to the next node; for the last node, to the one before
     if not np.all(np.abs(correction) <= NEWTON_BOUND * np.append(gap, gap[:, -1:], axis=1)):
-        raise EvaluationError(f"Gauss nodes not converged after {HALLEY_PASSES} Halley "
-                              f"passes on {domain} axis")
-    total, log_scale = total.reshape(x.shape), log_scale.reshape(x.shape)
-    return x, np.asarray(log_mu0)[:, None] - np.log(total) - 2.0 * log_scale
+        raise EvaluationError(f"Gauss nodes not converged by the order-{TAYLOR_ORDER} Taylor "
+                              f"solve on {domain} axis")
+    # at a root, K = sum_k p_k^2 = b_n p_n' p_{n-1} by Christoffel-Darboux, so
+    # K'/K = p_n''/p_n', the ODE's c1: the weight moves with the node to first order
+    log_w = np.asarray(log_mu0)[:, None] - np.log(total) + correction * ode(x, 0)[0]
+    return x - correction, log_w - 2.0 * log_scale
 
 
-def _legendre_halley(n: int):
-    """Newton step and curvature of the Legendre polynomial P_n for ``_gauss``."""
-    def newton(x, ratio):       # (1 - x^2) P_n' = n (P_{n-1} - x P_n), with P_n standard:
-        # P_{n-1}/P_n = n/((2n - 1) ratio)
-        return (1.0 - x * x) / (n * (n / ((2.0 * n - 1.0) * ratio) - x))
+def _legendre_family(n: int):
+    """``identity`` and ``ode`` of the monic Legendre polynomial of degree n for ``_gauss``."""
+    def identity(x):            # (1 - x^2) P' = -n x P + n^2/(2n - 1) P_{n-1}
+        inv = 1.0 / (1.0 - x * x)
+        return -n * x * inv, (n * n / (2.0 * n - 1.0)) * inv
 
-    def curvature(x, step):     # (1 - x^2) P'' - 2x P' + n(n+1) P = 0
-        return (2.0 * x - n * (n + 1.0) * step) / (1.0 - x * x)
+    def ode(x, k):              # (1 - x^2) y'' - 2x y' + n(n+1) y = 0, differentiated k times
+        inv = 1.0 / (1.0 - x * x)
+        return (2.0 * k + 2.0) * x * inv, (k * (k + 1.0) - n * (n + 1.0)) * inv
 
-    return newton, curvature
+    return identity, ode
 
 
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -> QuadratureRule:
     """Gauss-Legendre rule on [a, b], exact for polynomials of degree <= 2n-1.
 
-    Refined by ``_gauss`` from the initial nodes cos((4k - 1) pi/(4n + 2)),
-    within 4% of a node gap of the nodes.
+    Solved by ``_gauss`` from the initial nodes cos((4k - 1) pi/(4n + 2)),
+    within 4% of a node gap of the nodes, which one Taylor solve of the
+    Legendre equation moves to the roots.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
@@ -191,7 +259,7 @@ def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -
     k = np.arange(1.0, n + 1.0)
     x0 = np.cos((4.0 * k[::-1] - 1.0) * np.pi / (4.0 * n + 2.0))
     (x,), (log_w,) = _gauss(x0[None], np.zeros((1, n)), (k / np.sqrt(4.0 * k * k - 1.0))[None],
-                            [math.log(2.0)], *_legendre_halley(n), domain)
+                            [math.log(2.0)], *_legendre_family(n), domain)
     half = 0.5 * (b - a)
     return QuadratureRule(a + half * (x + 1.0), half * np.exp(log_w), domain)
 
@@ -300,16 +368,18 @@ def _laguerre_nodes0(n: int, alpha: np.ndarray) -> np.ndarray:
     return np.where(k * k <= n, bessel, nu * np.cos(0.5 * t) ** 2)
 
 
-def _laguerre_halley(n: int, alpha: np.ndarray):
-    """Newton step and curvature of L_n^(alpha) for ``_gauss``, alpha an (r, 1) column."""
-    def newton(s, ratio):       # s L_n' = n L_n - (n + alpha) L_{n-1}, with
-        # L_{n-1}/L_n = -n P_{n-1}/P_n for the monic P_n
-        return s / (n + n * (n + alpha) / ratio)
+def _laguerre_family(n: int, alpha: np.ndarray):
+    """``identity`` and ``ode`` of the monic Laguerre polynomials of degree n for
+    ``_gauss``, alpha an (r, 1) column."""
+    def identity(s):            # s P' = n P + n (n + alpha) P_{n-1}
+        inv = 1.0 / s
+        return n * inv, (n * (n + alpha)) * inv
 
-    def curvature(s, step):     # s L'' + (alpha + 1 - s) L' + n L = 0
-        return (s - alpha - 1.0 - n * step) / s
+    def ode(s, k):              # s y'' + (alpha + 1 - s) y' + n y = 0, differentiated k times
+        inv = 1.0 / s
+        return 1.0 - (alpha + 1.0 + k) * inv, (k - n) * inv
 
-    return newton, curvature
+    return identity, ode
 
 
 @lru_cache(maxsize=64)
@@ -321,9 +391,10 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     weight and the Jacobian are folded back so each rule integrates plain
     d(rho).  Exact for integrands of the form s^{alpha+k} e^{-s} *
     polynomial(s) * rho-Jacobian with integer k >= 0.  Both rules are one
-    (2, n) stack through ``_gauss``, from the closed-form initial nodes of
-    ``_laguerre_nodes0``, and their weights are folded in log space; no
-    node is dropped.
+    (2, n) stack through ``_gauss``: the closed-form initial nodes of
+    ``_laguerre_nodes0`` go to the roots by one Taylor solve of the
+    Laguerre equation, two recurrence passes in all, and the weights are
+    folded in log space; no node is dropped.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
@@ -331,11 +402,29 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     k = np.arange(float(n))
     s, log_w = _gauss(_laguerre_nodes0(n, alpha), 2.0 * k + 1.0 + alpha,
                       np.sqrt((k + 1.0) * (k + 1.0 + alpha)),
-                      [math.lgamma(1.5), math.lgamma(1.0)], *_laguerre_halley(n, alpha), "radial")
+                      [math.lgamma(1.5), math.lgamma(1.0)], *_laguerre_family(n, alpha), "radial")
     rho = np.sqrt(s)
     # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
     log_w += s - alpha * np.log(s) - np.log(2.0 * rho)
     return tuple(QuadratureRule(r, np.exp(w), "radial") for r, w in zip(rho, log_w))
+
+
+def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
+                 what: str = "integrand") -> np.ndarray:
+    """``values`` at ``nodes``, of shape (..., *nodes.shape), as float or complex.
+
+    A value that is not finite raises EvaluationError naming the first such
+    node (its index along the last axis of ``nodes``) and the axis.
+    """
+    if values.dtype.kind not in "fc":
+        values = values.astype(complex)
+    bad = ~np.isfinite(values)      # a complex value is finite when both parts are
+    if np.any(bad):
+        flat = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
+        k, x = flat % nodes.shape[-1], float(nodes.flat[flat])
+        raise EvaluationError(f"{what} not finite at node {k} (x={x!r}) on {domain} axis",
+                              node_index=k, node_value=x)
+    return values
 
 
 def evaluate(rule: QuadratureRule, f) -> np.ndarray:
@@ -350,15 +439,7 @@ def evaluate(rule: QuadratureRule, f) -> np.ndarray:
         raise EvaluationError(
             f"integrand returned shape {values.shape} for {rule.nodes.size} nodes on "
             f"{rule.domain} axis; it must be vectorized over the nodes")
-    if values.dtype.kind not in "fc":
-        values = values.astype(complex)
-    bad = ~np.isfinite(values)      # a complex value is finite when both parts are
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise EvaluationError(
-            f"integrand not finite at node {k} (x={rule.nodes[k]!r}) on "
-            f"{rule.domain} axis", node_index=k, node_value=float(rule.nodes[k]))
-    return values
+    return check_finite(values, rule.nodes, rule.domain)
 
 
 def integrate(rule: QuadratureRule, f) -> complex:

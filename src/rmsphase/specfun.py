@@ -95,7 +95,7 @@ def assoc_legendre(degree: int, order: int, x):
     return _maybe_scalar(pmmp1, scalar)
 
 
-def gen_laguerre(degree: int, alpha: float, x):
+def gen_laguerre(degree, alpha, x):
     """Generalized Laguerre polynomial ``L_degree^alpha(x)`` for x >= 0.
 
     Three-term recurrence in the degree:
@@ -103,28 +103,32 @@ def gen_laguerre(degree: int, alpha: float, x):
 
     Parameters
     ----------
-    degree : int
-        Non-negative polynomial degree.
-    alpha : float
-        Upper index, must satisfy alpha > -1.
+    degree : int or ndarray of int
+        Non-negative polynomial degrees.
+    alpha : float or ndarray
+        Upper indices, all > -1.
     x : float or ndarray
         Evaluation points, all >= 0.
-    """
-    if degree < 0 or degree != int(degree):
-        raise DomainError(f"degree must be a non-negative integer, got {degree}")
-    if alpha <= -1.0:
-        raise DomainError(f"Laguerre upper index must exceed -1, got {alpha}")
-    degree = int(degree)
 
-    arr, scalar = _as_array(x)
+    ``degree``, ``alpha`` and ``x`` broadcast together, so a column of
+    (degree, alpha) pairs against an array of points runs every polynomial in
+    one recurrence, up to the largest degree.
+    """
+    deg = np.asarray(degree)
+    if np.any(deg < 0) or np.any(deg != np.round(deg)):
+        raise DomainError(f"degree must be a non-negative integer, got {degree}")
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= -1.0):
+        raise DomainError(f"Laguerre upper index must exceed -1, got {alpha}")
+
+    arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("Laguerre argument must be non-negative")
 
-    if degree == 0:
-        return _maybe_scalar(np.ones_like(arr), scalar)
-    lkm1 = np.ones_like(arr)
+    lkm1 = np.ones(np.broadcast_shapes(deg.shape, alpha.shape, arr.shape))
     lk = 1.0 + alpha - arr
-    for k in range(1, degree):
-        lkp1 = ((2 * k + 1 + alpha - arr) * lk - (k + alpha) * lkm1) / (k + 1)
-        lkm1, lk = lk, lkp1
-    return _maybe_scalar(lk, scalar)
+    values = np.where(deg == 0, lkm1, lk)
+    for k in range(1, int(deg.max())):
+        lkm1, lk = lk, ((2 * k + 1 + alpha - arr) * lk - (k + alpha) * lkm1) / (k + 1)
+        values = np.where(deg == k + 1, lk, values)
+    return _maybe_scalar(values, values.ndim == 0)

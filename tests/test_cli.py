@@ -127,6 +127,28 @@ class TestOracle:
         assert "nan" not in out and "inf" not in out
 
 
+class TestStructuralZeroSign:
+    """Every loop-connection phase of the catalogue is an exact zero, whose
+    sign roundoff in the rules flips from one node count to another."""
+
+    @staticmethod
+    def printed(capsys, j, nodes):
+        _, phase, _ = run_cli(capsys, "phase", "--state", str(j), "--method", "loop-connection",
+                              "--dimensionless", "--nodes", nodes)
+        _, oracle, _ = run_cli(capsys, "oracle", "--state", str(j), "--nodes", nodes)
+        value = [line for line in phase.splitlines() if line.startswith("gamma/r^2")]
+        # the oracle line goes on with the loop radius, which moves at roundoff
+        value += [line.split("[")[0].strip() for line in oracle.splitlines()
+                  if "loop-connection:" in line]
+        return value
+
+    def test_same_line_at_two_node_counts(self, capsys):
+        # before the sign was fixed, states 1, 8 and 16 printed 0 at one of these counts and -0 at the other
+        for j in LIVE:
+            assert (self.printed(capsys, j, "32") == self.printed(capsys, j, "128")
+                    == ["gamma/r^2 (dimensionless) = 0", "loop-connection: 0"]), j
+
+
 class TestValidate:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")

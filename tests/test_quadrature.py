@@ -12,7 +12,7 @@ from rmsphase import quadrature as quad
 from rmsphase.errors import EvaluationError, ParameterError
 from rmsphase.quadrature import (
     _gauss,
-    _laguerre_halley,
+    _laguerre_family,
     _laguerre_nodes0,
     chebyshev_u,
     periodic_trapezoid,
@@ -199,11 +199,11 @@ class TestRadialRule:
         args = (_laguerre_nodes0(n, alpha), 2.0 * k + 1.0 + alpha,
                 np.sqrt((k + 1.0) * (k + 1.0 + alpha)))
         log_mu0 = [math.lgamma(1.5), math.lgamma(1.0)]
-        nodes, log_w = _gauss(*args, log_mu0, *_laguerre_halley(n, alpha), "radial")
+        nodes, log_w = _gauss(*args, log_mu0, *_laguerre_family(n, alpha), "radial")
         for row in range(2):
             one = slice(row, row + 1)
             (alone_nodes,), (alone_log_w,) = _gauss(*(a[one] for a in args), log_mu0[one],
-                                                    *_laguerre_halley(n, alpha[one]), "radial")
+                                                    *_laguerre_family(n, alpha[one]), "radial")
             assert np.array_equal(nodes[row], alone_nodes)
             assert np.array_equal(log_w[row], alone_log_w)
 
@@ -249,7 +249,7 @@ def dense_legendre(n):
 
 
 class TestDenseReference:
-    """The Halley-refined rules against a dense Golub-Welsch solve of the same recurrence."""
+    """The recurrence-solved rules against a dense Golub-Welsch solve of the same recurrence."""
 
     @staticmethod
     def worst_gaps(counts):
@@ -278,16 +278,34 @@ class TestDenseReference:
         np.testing.assert_allclose(rule.weights, weights, rtol=weight_tol)
 
 
-@pytest.mark.parametrize("passes", [quad.HALLEY_PASSES - 1, 0])
+UNREFINED = {
+    # an order-1 Taylor solve, a plain Newton step from the initial nodes,
+    # leaves a Newton correction of 8e-4 (radial) and 2e-4 (Legendre) of a node gap
+    "newton": ("TAYLOR_ORDER", 1),
+    # no refinement leaves the initial nodes, a few % of a gap off
+    "none": ("_taylor_root", lambda x, step, ode: np.zeros_like(x)),
+}
+
+
+@pytest.mark.parametrize("fault", UNREFINED)
 @pytest.mark.parametrize("make", [lambda: radial_rule.__wrapped__(64),
                                   lambda: gauss_legendre.__wrapped__(64, -1.0, 1.0)],
                          ids=["radial", "legendre"])
-def test_unconverged_nodes_raise(monkeypatch, make, passes):
-    # one pass fewer leaves a Newton correction ~1e-4 of a node gap; none
-    # leaves the initial nodes, a few % of a gap off
-    monkeypatch.setattr(quad, "HALLEY_PASSES", passes)
-    with pytest.raises(EvaluationError, match=r"Halley passes on (radial|generic-finite) axis"):
+def test_unconverged_nodes_raise(monkeypatch, make, fault):
+    monkeypatch.setattr(quad, *UNREFINED[fault])
+    with pytest.raises(EvaluationError, match=r"Taylor solve on (radial|generic-finite) axis"):
         make()
+
+
+@pytest.mark.parametrize("make", [radial_rule.__wrapped__,
+                                  lambda n: gauss_legendre.__wrapped__(n, -1.0, 1.0)],
+                         ids=["radial", "legendre"])
+def test_taylor_solve_leaves_roundoff(monkeypatch, make):
+    # the Newton correction left after the Taylor solve is at most ~4e-12 of a
+    # node gap on either family; a bound 1e4 times below the check's still holds
+    monkeypatch.setattr(quad, "NEWTON_BOUND", 1e-10)
+    for n in [*range(2, 257), *range(257, 1024, 37), 1024]:
+        make(n)
 
 
 class TestRapidityRule:

@@ -152,19 +152,36 @@ def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
     calls = []
     gauss = quad._gauss
 
-    def counted(x, *args):
-        calls.append(x.shape)
-        return gauss(x, *args)
+    def counted(x, diag, off, log_mu0, identity, ode, domain):
+        calls.append((x.shape, diag.shape, off.shape, len(log_mu0), domain))
+        return gauss(x, diag, off, log_mu0, identity, ode, domain)
 
     quad.radial_rule.cache_clear()
     monkeypatch.setattr(quad, "_gauss", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
-    assert calls == [(2, 37)]
+    assert calls == [((2, 37), (2, 37), (2, 37), 2, "radial")]
+
+
+PER_STATE = {"polar": polar_profile, "rapidity": rapidity_profile, "radial": radial_profile}
+
+
+@pytest.mark.parametrize("nodes", [NodeCounts(37, 39, 41, 43), NodeCounts.uniform(1024)],
+                         ids=["uneven", "nodes1024"])
+def test_stacked_profiles_match_each_state_alone(nodes):
+    # every live state at once, on the stack of an axis's node arrays, against
+    # each state's own profile on each array
+    qns = [state_table()[i - 1].qn for i in live_indices()]
+    for axis in osc.AXES:
+        arrays = [rule.nodes for rule in axis.rules(getattr(nodes, axis.field))]
+        stacked = axis.profiles(qns)(np.stack(arrays))
+        for qn, rows in zip(qns, stacked):
+            for x, got in zip(arrays, rows):
+                np.testing.assert_allclose(got, PER_STATE[axis.field](qn)(x), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("nodes", [NodeCounts.uniform(1024), NodeCounts(37, 39, 41, 43)])
 def test_build_runs_no_dense_eigensolver(monkeypatch, nodes):
-    # the Gauss nodes come from Halley steps on the recurrence, at any count
+    # the Gauss nodes come from a Taylor solve on the recurrence, at any count
     def dense(*args, **kwargs):
         raise AssertionError("dense eigensolver called")
 
@@ -189,16 +206,28 @@ def test_build_asks_each_axis_for_one_pair(monkeypatch):
 
 def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
     # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
-    # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones;
-    # the polar (and rapidity) pair share one node array, the radial pair does not
-    calls = {}
+    # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones.
+    # Polar and rapidity take one Legendre call per profile on the one node
+    # array their pair shares (orders n and -n); radial runs one Laguerre
+    # recurrence for all four profiles on both of its node arrays at once
+    calls = []
+    for name in ("assoc_legendre", "gen_laguerre"):
+        def counted(degree, order, x, name=name, function=getattr(osc, name)):
+            axis = ("radial" if name == "gen_laguerre"
+                    else "polar" if order > 0 else "rapidity")
+            calls.append((axis, np.shape(degree), np.shape(x)))
+            return function(degree, order, x)
+        monkeypatch.setattr(osc, name, counted)
+    evaluated = []
     evaluate = quad.evaluate
 
-    def counted(rule, f):
-        calls[rule.domain] = calls.get(rule.domain, 0) + 1
+    def counted_evaluate(rule, f):
+        evaluated.append(rule.domain)
         return evaluate(rule, f)
 
-    monkeypatch.setattr(quad, "evaluate", counted)
+    monkeypatch.setattr(quad, "evaluate", counted_evaluate)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
-    # the three azimuthal calls are integrate's, one per distinct m_j - m_i
-    assert calls == {"polar": 3, "rapidity": 3, "radial": 8, "azimuthal": 3}
+    assert sorted(calls) == [*[("polar", (), (1, 39))] * 3, ("radial", (4, 1, 1), (2, 37)),
+                             *[("rapidity", (), (1, 43))] * 3]
+    # integrate's, one per distinct m_j - m_i
+    assert evaluated == ["azimuthal"] * 3
