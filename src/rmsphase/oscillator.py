@@ -8,16 +8,16 @@ Each integral is a product of four 1-d integrals, so ``overlap_tables``
 evaluates each distinct axis profile once per set of nodes and forms all
 pairs at once as weighted matrix products (F * w * g^p) @ F.T: one cached
 build of 10x10 tables per resolution, which every overlap below reads.
-``AXES`` says, for the polar, rapidity and radial axes, which quantum
-numbers a profile reads (so the ten states share 3, 3 and 4 profiles) and
-which of the axis's (even, odd) pair of rules a pair's parity selects.
-Each axis evaluates its distinct profiles in one stacked call
-(``polar_profiles``, ``rapidity_profiles``, ``radial_profiles``), which
-takes the shared factors once.  The polar (and the rapidity) pair stand
-on one node array; only the two radial rules have their own nodes, both
-from one stacked two-pass solve on the Laguerre recurrence, and their
-profiles are evaluated on the two arrays stacked, in one Laguerre
-recurrence.  The azimuthal integrals use the periodic trapezoid rule,
+Each entry of ``AXES`` holds its axis's static layout, computed at import:
+the distinct profiles (the ten states share 3 polar, 3 rapidity and 4
+radial ones), each state's row among them, and which pairs take the odd
+rule of the axis's (even, odd) pair.  Each axis evaluates its profiles in
+one call (``polar_profiles``, ``rapidity_profiles``, ``radial_profiles``):
+the shared factors once and one recurrence over a column of indices.  The
+polar (and the rapidity) pair stand on one node array; only the two
+radial rules have their own nodes, both from one stacked two-pass solve on
+the Laguerre recurrence, and their profiles are evaluated on the two
+arrays stacked.  The azimuthal integrals use the periodic trapezoid rule,
 exact for every m_j - m_i the catalogue has from 2 nodes on.  So every
 build from 9 polar, 5 rapidity, 6 radial and 2 azimuthal nodes on is
 exact, and the exactness self-check compares the whole build with the
@@ -326,18 +326,18 @@ def eigenvalue(qn: QuantumNumbers, constants: PhysicalConstants) -> float:
 def polar_profiles(qns):
     """theta factors (sin theta)^{-1/2} P_l^n(cos theta) of the states ``qns``.
 
-    f(theta) has shape (len(qns), *theta.shape); the trigonometric factors
-    are taken once for all of them.
+    f(theta) has shape (len(qns), *theta.shape): the trigonometric factors
+    are taken once, and one Legendre recurrence runs over the column of (l, n).
     """
-    pairs = [(qn.l, qn.n) for qn in qns]
+    l, n = np.array([(qn.l, qn.n) for qn in qns]).T
 
     def f(theta):
         theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
         if np.any(s <= 0.0):
             raise DomainError("polar profile is singular on the polar axis")
-        c = np.cos(theta)
-        return np.array([assoc_legendre(l, n, c) for l, n in pairs]) / np.sqrt(s)
+        column = (-1,) + (1,) * theta.ndim
+        return assoc_legendre(l.reshape(column), n.reshape(column), np.cos(theta)) / np.sqrt(s)
 
     return f
 
@@ -345,15 +345,16 @@ def polar_profiles(qns):
 def rapidity_profiles(qns):
     """beta factors (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta) of the states ``qns``.
 
-    f(beta) has shape (len(qns), *beta.shape); tanh and the envelope are
-    taken once for all of them.
+    f(beta) has shape (len(qns), *beta.shape): tanh and the envelope are
+    taken once, and one Legendre recurrence runs over the column of (m, -n).
     """
-    pairs = [(qn.m, qn.n) for qn in qns]
+    m, n = np.array([(qn.m, qn.n) for qn in qns]).T
 
     def f(beta):
         u = np.tanh(np.asarray(beta, dtype=float))
-        return ((1.0 - u) * (1.0 + u)) ** 0.25 * np.array([assoc_legendre(m, -n, u)
-                                                             for m, n in pairs])
+        column = (-1,) + (1,) * u.ndim
+        return ((1.0 - u) * (1.0 + u)) ** 0.25 * assoc_legendre(m.reshape(column),
+                                                                 -n.reshape(column), u)
 
     return f
 
@@ -451,69 +452,71 @@ class OverlapTables(NamedTuple):
 def _hermitian(table: np.ndarray) -> np.ndarray:
     """A matrix product need not round (i, j) and (j, i) alike; the overlap
     loop divides the anti-Hermitian part of the Gram matrix by r^2."""
-    return 0.5 * (table + table.conj().T)
+    return 0.5 * (table + table.conj().swapaxes(-1, -2))
+
+
+def _layout(reads: tuple[str, ...], parity_of: str):
+    """An axis's static layout: one live state per distinct profile (a profile
+    reads the quantum numbers ``reads``), each live state's row among them,
+    and the mask of the pairs whose ``parity_of`` numbers sum to odd."""
+    keys = [tuple(getattr(qn, name) for name in reads) for qn in _LIVE_QNS]
+    unique = list(dict.fromkeys(keys))
+    k = np.array([getattr(qn, parity_of) for qn in _LIVE_QNS])
+    return ([_LIVE_QNS[keys.index(key)] for key in unique],
+            np.array([unique.index(key) for key in keys]), (k[:, None] + k) % 2 == 1)
 
 
 class AxisSpec(NamedTuple):
     """One separable axis, and the one place where a pair's parity picks its rule.
 
-    ``profiles(qns)`` evaluates the profiles of several states in one call,
-    each row reading only the quantum numbers named in ``reads``, so states
-    that agree on those share one profile.  ``rules(n)`` returns the
-    (even, odd) pair of n-node rules, for pairs whose ``parity_of`` numbers
-    sum to even and to odd, which keeps every integral polynomial-exact.  It
-    looks the constructor up on ``quad`` at each call, so a wrapper put on
-    the module attribute sees every build.  ``weight(x, p)``
-    is the measure times the p-th power of the shared coupling factor on
-    this axis.  ``overlap_tables`` is the only reader, so a wrong rule here
-    shows in the tables themselves.
+    ``profiles(qns)`` evaluates the profiles of several states in one call.
+    ``layout`` is the axis's ``_layout``, computed once, at import.
+    ``rules(n)`` returns the (even, odd) pair of n-node rules, which keeps
+    every integral polynomial-exact.  It looks the constructor up on
+    ``quad`` at each call, so a wrapper put on the module attribute sees
+    every build.  ``weight(x, p)`` is the measure times the p-th power of
+    the shared coupling factor on this axis.  ``overlap_tables`` is the only
+    reader, so a wrong rule here shows in the tables themselves.
     """
 
     field: str
     profiles: Callable
-    reads: tuple[str, ...]
-    parity_of: str
+    layout: tuple[list[QuantumNumbers], np.ndarray, np.ndarray]
     weight: Callable
     rules: Callable
 
-    def rule_index(self, qns) -> np.ndarray:
-        """Pair matrix of indices into the pair ``rules`` returns (0 even, 1 odd)."""
-        k = np.array([getattr(qn, self.parity_of) for qn in qns])
-        return (k[:, None] + k) % 2
-
 
 AXES = (
-    AxisSpec("polar", polar_profiles, ("l", "n"), "n", lambda t, p: np.sin(t) ** (2 + 2 * p),
-             lambda n: quad.polar_rule(n)),
-    AxisSpec("rapidity", rapidity_profiles, ("m", "n"), "n", lambda b, p: np.cosh(b) ** (1 + 2 * p),
-             lambda n: quad.rapidity_rule(n)),
-    AxisSpec("radial", radial_profiles, ("n_a", "l"), "l", lambda r, p: r ** (3 + 2 * p),
-             lambda n: quad.radial_rule(n)),
+    AxisSpec("polar", polar_profiles, _layout(("l", "n"), "n"),
+             lambda t, p: np.sin(t) ** (2 + 2 * p), lambda n: quad.polar_rule(n)),
+    AxisSpec("rapidity", rapidity_profiles, _layout(("m", "n"), "n"),
+             lambda b, p: np.cosh(b) ** (1 + 2 * p), lambda n: quad.rapidity_rule(n)),
+    AxisSpec("radial", radial_profiles, _layout(("n_a", "l"), "l"),
+             lambda r, p: r ** (3 + 2 * p), lambda n: quad.radial_rule(n)),
 )
 
+# the distinct m_j - m_i of the live pairs, and each pair's index among them
+_M_DELTAS, _M_PAIRS = np.unique([j.m - i.m for i in _LIVE_QNS for j in _LIVE_QNS],
+                                return_inverse=True)
 
-def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> list[np.ndarray]:
-    """int f_i f_j weight(x, p) on one axis for p = 0 and 1, each pair on
-    the rule its parity selects.  The distinct profiles are evaluated in one
-    call on the pair's node arrays stacked: one array on the finite axes,
-    whose two rules share it, two on the radial axis.  Each row is then
-    copied to every state that has it."""
-    keys = [tuple(getattr(qn, name) for name in axis.reads) for qn in _LIVE_QNS]
-    unique = list(dict.fromkeys(keys))
-    states = [_LIVE_QNS[keys.index(key)] for key in unique]
-    rows = [unique.index(key) for key in keys]
+
+def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> np.ndarray:
+    """int f_i f_j weight(x, p) on one axis for p = 0 and 1, as a (2, 10, 10)
+    stack.  Only ``axis.profiles`` and ``axis.rules`` are called per build.
+    The distinct profiles are evaluated in one call on the pair's node arrays
+    stacked: one array on the finite axes, two on the radial axis.  One
+    batched product gives every (rule, power) table; each state then takes
+    its profile's row, and each pair the rule its parity selects."""
+    states, rows, odd = axis.layout
     rules = axis.rules(getattr(nodes, axis.field))
     x = np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
                  else [rule.nodes for rule in rules])
-    f = quad.check_finite(axis.profiles(states)(x), x, axis.field, "profile")[rows]
-    weights = [axis.weight(x, p) for p in (0, 1)]
-    tables = []
-    for k, rule in enumerate(rules):
-        row = k % len(x)            # the row of x that holds this rule's nodes
-        fx = f[:, row]
-        tables.append([(fx * rule.weights * g[row]) @ fx.T for g in weights])
-    pick = axis.rule_index(_LIVE_QNS)
-    return [_hermitian(np.choose(pick, pair)) for pair in zip(*tables)]
+    # (x row, profile, node), and (rule, power, node); a single x row broadcasts
+    f = quad.check_finite(axis.profiles(states)(x), x, axis.field, "profile").swapaxes(0, 1)
+    w = np.stack([rule.weights for rule in rules])[:, None] * np.stack(
+        [axis.weight(x, p) for p in (0, 1)], axis=1)
+    tables = ((f[:, None] * w[:, :, None]) @ f[:, None].swapaxes(-1, -2))[..., rows[:, None], rows]
+    return _hermitian(np.where(odd, tables[1], tables[0]))
 
 
 @lru_cache(maxsize=8)
@@ -523,20 +526,17 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     The polar, rapidity and radial integrals follow ``AXES``.  A profile
     that is not finite at a node raises EvaluationError naming the axis.
     """
-    polar, rapidity, radial = (_axis_overlaps(axis, nodes) for axis in AXES)
+    overlaps, couplings = np.prod([_axis_overlaps(axis, nodes) for axis in AXES], axis=0)
     phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
-    m = np.array([qn.m for qn in _LIVE_QNS])
-    deltas, inverse = np.unique((m - m[:, None]).ravel(), return_inverse=True)
-    integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in deltas]
-    azimuthal = np.array(integrals)[inverse].reshape(m.size, m.size)
-    axes = polar[0] * rapidity[0] * radial[0]
-    norm_sq = azimuthal.diagonal().real * axes.diagonal()
+    integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in _M_DELTAS]
+    azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)
+    norm_sq = azimuthal.diagonal().real * overlaps.diagonal()
     if np.any(norm_sq <= 0.0):
         raise NormalizationError(f"non-positive norm for {_LIVE_QNS[int(np.argmin(norm_sq))]}")
     norms = 1.0 / np.sqrt(norm_sq)
     pair = np.outer(norms, norms)
-    coupling = pair * polar[1] * rapidity[1] * radial[1]
-    tables = OverlapTables(norms, pair * azimuthal * axes, coupling, azimuthal * coupling)
+    coupling = pair * couplings
+    tables = OverlapTables(norms, pair * azimuthal * overlaps, coupling, azimuthal * coupling)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -76,6 +76,10 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 # order: half-integers, so every gap E_j - E_i is exact.
 _ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
 
+# Per column j: the rows and catalogue indices of the states outside j's subspace.
+_OUTSIDE = tuple((rows, [osc.live_indices()[row] for row in rows])
+                 for rows in (np.flatnonzero(_ENERGIES != energy) for energy in _ENERGIES))
+
 
 @lru_cache(maxsize=None)
 def _phi_table(channel: Channel) -> np.ndarray:
@@ -207,9 +211,7 @@ def correction_coefficients(j: int,
             f"state {j} vanishes identically; corrections undefined")
     scale = 1.0 / constants.coupling_scale
     col = osc._ROW[record.qn]
-    rows = np.flatnonzero(_ENERGIES != _ENERGIES[col])
-    live = osc.live_indices()
-    keys = [live[row] for row in rows]
-    a, b = (dict(zip(keys, (table[rows, col] * scale).tolist()))
-            for table in _coefficient_tables(nodes))
+    rows, keys = _OUTSIDE[col]
+    a, b = (dict(zip(keys, column))
+            for column in (_coefficient_tables(nodes)[:, rows, col] * scale).tolist())
     return CorrectionCoefficients(j, a, b)

@@ -11,8 +11,9 @@ polynomials.  Conventions are fixed once here so every caller agrees:
   vanishing, so it is a return value, not an error.
 * Laguerre polynomials use the stable three-term recurrence in the degree.
 
-All evaluation routines are stateless, accept scalars or numpy arrays for
-the evaluation argument, and are safe to call from multiple threads.
+Both functions broadcast their indices against the evaluation points, so a
+column of index pairs runs in one recurrence; both are stateless and safe to
+call from multiple threads.
 """
 
 from __future__ import annotations
@@ -26,73 +27,69 @@ from .errors import DomainError
 __all__ = ["assoc_legendre", "gen_laguerre"]
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _seed(degree: int, order: int) -> float:
+    """(-1)^m (2m-1)!!, m = |order|, times the reflection factor of a negative
+    order, rounded once: P_m^m / (1-x^2)^{m/2}, or 0 where m > degree."""
+    m = abs(order)
+    if m > degree:
+        return 0.0
+    double = math.prod(range(1, 2 * m, 2))
+    if order >= 0:
+        return (-1) ** m * double
+    return double * math.factorial(degree - m) / math.factorial(degree + m)
 
 
-def _maybe_scalar(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
-
-
-def assoc_legendre(degree: int, order: int, x):
+def assoc_legendre(degree, order, x):
     """Ferrers associated Legendre function ``P_degree^order(x)`` on [-1, 1].
 
     Condon-Shortley phase; upward recurrence in the degree from the
-    closed-form seeds ``P_m^m`` and ``P_{m+1}^m``.
+    closed-form seeds ``P_m^m`` and ``P_{m+1}^m``, m = |order|; the recurrence
+    is linear, so a negative order's reflection factor scales its seed.
 
     Parameters
     ----------
-    degree : int
-        Non-negative degree (the subscript).
-    order : int
-        Integer order (the superscript), may be negative.
+    degree : int or ndarray of int
+        Non-negative degrees (the subscript).
+    order : int or ndarray of int
+        Integer orders (the superscript), may be negative.
     x : float or ndarray
         Evaluation points in [-1, 1].
+
+    ``degree``, ``order`` and ``x`` broadcast together: a column of pairs
+    runs in one recurrence, up to the largest ``degree - |order|``.  A
+    positive order up to ``degree`` is at most 150, as (2 order - 1)!! must
+    fit a float.
 
     Returns
     -------
     float or ndarray
-        Function value; exactly 0 where ``|order| > degree``.
+        Function values; exactly 0 where ``|order| > degree``.
     """
-    if degree < 0 or degree != int(degree):
+    deg, order = np.broadcast_arrays(degree, order)
+    pairs = list(zip(deg.ravel().tolist(), order.ravel().tolist()))
+    if not all(l >= 0 and l % 1 == 0 for l, _ in pairs):
         raise DomainError(f"degree must be a non-negative integer, got {degree}")
-    if order != int(order):
+    if not all(k % 1 == 0 for _, k in pairs):
         raise DomainError(f"order must be an integer, got {order}")
-    degree, order = int(degree), int(order)
+    if any(150 < k <= l for l, k in pairs):
+        raise DomainError(f"an order above 150 overflows the seed (2 order - 1)!!, got {order}")
 
-    arr, scalar = _as_array(x)
-    if np.any(np.abs(arr) > 1.0):
+    arr = np.asarray(x, dtype=float)
+    y = (1.0 - arr) * (1.0 + arr)          # negative exactly where |x| > 1
+    if np.any(y < 0.0):
         raise DomainError("associated Legendre argument outside [-1, 1]")
 
-    if abs(order) > degree:
-        return _maybe_scalar(np.zeros_like(arr), scalar)
-
-    if order < 0:
-        n = -order
-        pref = (-1) ** n * math.factorial(degree - n) / math.factorial(degree + n)
-        return _maybe_scalar(pref * np.asarray(assoc_legendre(degree, n, arr)), scalar)
-
-    m = order
-    # seed P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.ones_like(arr)
-    if m > 0:
-        somx2 = np.sqrt((1.0 - arr) * (1.0 + arr))
-        fact = 1.0
-        for _ in range(m):
-            pmm = -pmm * fact * somx2
-            fact += 2.0
-    if degree == m:
-        return _maybe_scalar(pmm, scalar)
-
+    m = np.abs(order)
+    seed = np.reshape([_seed(int(l), int(k)) for l, k in pairs], deg.shape)
+    pmm = seed * y ** (0.5 * m)
     pmmp1 = arr * (2 * m + 1) * pmm
-    if degree == m + 1:
-        return _maybe_scalar(pmmp1, scalar)
-
-    for ell in range(m + 2, degree + 1):
-        pll = (arr * (2 * ell - 1) * pmmp1 - (ell + m - 1) * pmm) / (ell - m)
-        pmm, pmmp1 = pmmp1, pll
-    return _maybe_scalar(pmmp1, scalar)
+    # a row with m > degree has seed 0, so it stays +0 in pmm
+    values = np.where(deg <= m, pmm, pmmp1)
+    for k in range(2, max(int(d) - abs(int(o)) for d, o in pairs) + 1):
+        ell = m + k
+        pmm, pmmp1 = pmmp1, (arr * (2 * ell - 1) * pmmp1 - (ell + m - 1) * pmm) / k
+        values = np.where(deg == ell, pmmp1, values)
+    return float(values) if values.ndim == 0 else values
 
 
 def gen_laguerre(degree, alpha, x):
@@ -131,4 +128,4 @@ def gen_laguerre(degree, alpha, x):
     for k in range(1, int(deg.max())):
         lkm1, lk = lk, ((2 * k + 1 + alpha - arr) * lk - (k + alpha) * lkm1) / (k + 1)
         values = np.where(deg == k + 1, lk, values)
-    return _maybe_scalar(values, values.ndim == 0)
+    return float(values) if values.ndim == 0 else values

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,25 @@ class TestValidate:
         assert code == cli.EXIT_NONCONVERGENCE
         assert "[WARN]" in out
 
+    def test_measure_weight_without_cosh_fails(self, monkeypatch, capsys):
+        from rmsphase import oscillator as osc
+        monkeypatch.setattr(osc, "measure_weight",
+                            lambda p: p.rho ** 3 * math.sin(p.theta) ** 2)
+        code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
+        assert code == cli.EXIT_VALIDATION
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("[FAIL]")] == ["[FAIL] measure-jacobian"]
+
+    def test_cold_validate_does_not_import_numpy_random(self):
+        proc = run_python("""
+            import sys
+            from rmsphase import cli
+            code = cli.main(["validate"])
+            assert "numpy.random" not in sys.modules
+            sys.exit(code)
+        """)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
+
 
 class TestConfig:
     def test_config_file(self, capsys, tmp_path):
@@ -251,9 +271,17 @@ class TestHighNodeCounts:
         assert "9/9 checks passed" in out
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this rmsphase."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 def test_runs_on_numpy_alone():
     """scipy is a test-only dependency: block it and run a table."""
-    script = textwrap.dedent("""
+    proc = run_python("""
         import sys
         sys.modules["scipy"] = None    # every scipy import now raises ImportError
         from rmsphase import cli, oscillator
@@ -264,10 +292,6 @@ def test_runs_on_numpy_alone():
         assert not loaded, loaded
         sys.exit(code)
     """)
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
     assert proc.stdout == REFERENCE_CSV.read_bytes()
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rmsphase import assoc_legendre, gen_laguerre
+from rmsphase import NodeCounts, assoc_legendre, gen_laguerre, live_indices, state_table
+from rmsphase import quadrature as quad
 from rmsphase.errors import DomainError
 
 
@@ -81,11 +82,43 @@ class TestAssocLegendre:
         assert values.shape == x.shape
         assert values[3] == pytest.approx(assoc_legendre(3, 1, float(x[3])))
 
+    @pytest.mark.parametrize("nodes", [NodeCounts(37, 39, 41, 43), NodeCounts.uniform(1024)],
+                             ids=["uneven", "nodes1024"])
+    def test_column_matches_each_row_alone(self, nodes):
+        # every live polar (l, n) and rapidity (m, -n) pair, plus two rows
+        # with |order| > degree, in one call on the cos and tanh of the nodes.
+        # lpmv's error is ~eps of a row's scale, not of each value: it forms
+        # 1 - x^2 (2.4e-12 relative at the outer 1024 polar nodes) and returns
+        # 0 for P_3^2 at x = 6e-17, where the column keeps 15 x (1 - x^2)
+        qns = [state_table()[i - 1].qn for i in live_indices()]
+        pairs = sorted({(qn.l, qn.n) for qn in qns} | {(qn.m, -qn.n) for qn in qns}) + [
+            (2, 3), (2, -3)]
+        degree, order = np.array(pairs).T
+        for x in (np.cos(quad.polar_rule(nodes.polar)[0].nodes),
+                  np.tanh(quad.rapidity_rule(nodes.rapidity)[0].nodes)):
+            column = assoc_legendre(degree[:, None], order[:, None], x)
+            assert column.shape == (len(pairs), x.size)
+            for (l, m), row in zip(pairs, column):
+                np.testing.assert_allclose(row, assoc_legendre(l, m, x), rtol=1e-14, atol=0)
+            for (l, m), row in zip(pairs[:-2], column):
+                oracle = special.lpmv(m, l, x)
+                np.testing.assert_allclose(row, oracle, rtol=1e-14,
+                                           atol=1e-14 * np.max(np.abs(oracle)))
+            assert np.all(column[-2:] == 0.0)       # lpmv gives nan there
+        values = assoc_legendre(degree, order, 0.3)
+        assert values.shape == (len(pairs),)
+        assert values.tolist() == [assoc_legendre(l, m, 0.3) for l, m in pairs]
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             assoc_legendre(2, 1, 1.5)
         with pytest.raises(DomainError):
             assoc_legendre(-1, 0, 0.0)
+        with pytest.raises(DomainError, match="above 150"):
+            assoc_legendre(160, 151, 0.5)
+        # 299!! still fits a float, and a negative order's seed is below 1
+        assert 0.0 < abs(assoc_legendre(150, 150, 0.99)) < math.inf
+        assert math.isfinite(assoc_legendre(160, -151, 0.5))
 
 
 class TestGenLaguerre:

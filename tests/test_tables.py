@@ -207,14 +207,15 @@ def test_build_asks_each_axis_for_one_pair(monkeypatch):
 def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
     # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
     # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones.
-    # Polar and rapidity take one Legendre call per profile on the one node
-    # array their pair shares (orders n and -n); radial runs one Laguerre
-    # recurrence for all four profiles on both of its node arrays at once
+    # Each axis runs one recurrence over a column of its profiles' indices:
+    # polar and rapidity one Legendre call (orders n and -n) on the one node
+    # array their pair shares, radial one Laguerre call on both of its node
+    # arrays at once
     calls = []
     for name in ("assoc_legendre", "gen_laguerre"):
         def counted(degree, order, x, name=name, function=getattr(osc, name)):
             axis = ("radial" if name == "gen_laguerre"
-                    else "polar" if order > 0 else "rapidity")
+                    else "polar" if np.all(order > 0) else "rapidity")
             calls.append((axis, np.shape(degree), np.shape(x)))
             return function(degree, order, x)
         monkeypatch.setattr(osc, name, counted)
@@ -227,7 +228,7 @@ def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
 
     monkeypatch.setattr(quad, "evaluate", counted_evaluate)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
-    assert sorted(calls) == [*[("polar", (), (1, 39))] * 3, ("radial", (4, 1, 1), (2, 37)),
-                             *[("rapidity", (), (1, 43))] * 3]
+    assert sorted(calls) == [("polar", (3, 1, 1), (1, 39)), ("radial", (4, 1, 1), (2, 37)),
+                             ("rapidity", (3, 1, 1), (1, 43))]
     # integrate's, one per distinct m_j - m_i
     assert evaluated == ["azimuthal"] * 3
