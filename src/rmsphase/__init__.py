@@ -18,12 +18,9 @@ from .oscillator import (
     StateRecord,
     eigenvalue,
     embed,
-    eval_state,
-    eval_unnormalized,
     gram_matrix,
     live_indices,
     measure_weight,
-    normalization_constant,
     state_table,
 )
 from .perturbation import (
@@ -35,7 +32,6 @@ from .perturbation import (
 )
 from .quadrature import (
     QuadratureRule,
-    gauss_legendre,
     integrate,
     polar_rule,
     radial_rule,
@@ -49,11 +45,10 @@ __all__ = [
     "LoopParams", "PhaseResult", "berry_connection", "berry_phase_closed",
     "berry_phase_loop_connection", "berry_phase_loop_overlap", "oracle_comparison",
     "NodeCounts", "PhysicalConstants", "QuantumNumbers", "RmsPoint", "StateRecord",
-    "eigenvalue", "embed", "eval_state", "eval_unnormalized", "gram_matrix",
-    "live_indices", "measure_weight", "normalization_constant", "state_table",
+    "eigenvalue", "embed", "gram_matrix", "live_indices", "measure_weight", "state_table",
     "Channel", "CorrectionCoefficients",
     "correction_coefficients", "matrix_element", "phi_integral",
-    "QuadratureRule", "gauss_legendre", "integrate", "polar_rule",
+    "QuadratureRule", "integrate", "polar_rule",
     "radial_rule", "rapidity_rule",
     "assoc_legendre", "gen_laguerre",
 ]

@@ -296,6 +296,14 @@ def cmd_validate(config: RunConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key=value config file")
+    parser.add_argument("--nodes", type=int, default=None,
+                        help=f"quadrature nodes per axis, 16..{osc.MAX_NODES} (default 128)")
+    parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
+    parser.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_frequency(parser: argparse.ArgumentParser) -> None:
+    """Flags of the commands that report a phase; validate runs at fixed constants."""
     parser.add_argument("--omega", dest="omega_mhz", type=float, metavar="MHZ",
                         help="frequency in MHz (overrides per-state defaults)")
     parser.add_argument("--omega-convention", dest="omega_convention",
@@ -308,10 +316,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="report pure numbers, couplings in units of M*omega^2 "
                              "(--no-dimensionless overrides a config file)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help=f"quadrature nodes per axis, 16..{osc.MAX_NODES} (default 128)")
-    parser.add_argument("--format", choices=("csv", "json", "pretty"), default=None)
-    parser.add_argument("--out", default=None, help="write output to a file")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -322,9 +326,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="phase table for all normalizable states")
     _add_common(p_table)
+    _add_frequency(p_table)
 
     p_phase = sub.add_parser("phase", help="phase of a single state")
     _add_common(p_phase)
+    _add_frequency(p_phase)
     p_phase.add_argument("--state", type=int, required=True, metavar="J")
     p_phase.add_argument("--method", choices=("closed", "loop-connection", "loop-overlap"),
                          default="closed")
@@ -333,6 +339,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="compare closed form against loop oracles")
     _add_common(p_oracle)
+    _add_frequency(p_oracle)
     p_oracle.add_argument("--state", type=int, required=True, metavar="J")
     p_oracle.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     p_oracle.add_argument("--radius", type=float, default=None)

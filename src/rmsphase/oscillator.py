@@ -1,8 +1,9 @@
 """Oscillator eigenbasis on the reduced Minkowski space.
 
 Geometry of the spacelike coordinate patch (rho, theta, phi, beta), the
-16-state catalogue with exact eigenvalues, and numerically normalized
-eigenfunctions of the four-dimensional oscillator.
+16-state catalogue with exact eigenvalues, the axis profiles of the
+four-dimensional oscillator's product eigenfunctions, and the overlap
+tables of one resolution, whose ``norms`` row normalizes them.
 
 Each integral is a product of four 1-d integrals, so ``overlap_tables``
 evaluates each distinct axis profile once per set of nodes and forms all
@@ -56,9 +57,6 @@ __all__ = [
     "embed",
     "measure_weight",
     "eigenvalue",
-    "eval_unnormalized",
-    "normalization_constant",
-    "eval_state",
     "state_table",
     "live_indices",
     "AxisSpec",
@@ -139,14 +137,13 @@ class PhysicalConstants:
     @classmethod
     def from_frequency(cls, omega_mhz: float,
                        omega_convention: str = "angular",
-                       hbar_convention: str = "hbar",
-                       planck_value: float = DEFAULT_PLANCK,
-                       mass: float = DEFAULT_MASS) -> "PhysicalConstants":
-        """Build SI constants from a frequency quoted in MHz.
+                       hbar_convention: str = "hbar") -> "PhysicalConstants":
+        """Build SI constants for the electron mass ``DEFAULT_MASS`` from a
+        frequency quoted in MHz.
 
         omega_convention 'angular' reads the number as rad/s * 1e6,
         'cyclic' as cycles/s * 1e6 (multiplied by 2 pi).  hbar_convention
-        'hbar' takes planck_value as hbar directly, 'h' divides by 2 pi.
+        'hbar' takes ``DEFAULT_PLANCK`` as hbar directly, 'h' divides it by 2 pi.
         """
         if omega_convention not in ("angular", "cyclic"):
             raise ParameterError(f"unknown omega convention {omega_convention!r}")
@@ -155,10 +152,10 @@ class PhysicalConstants:
         omega = omega_mhz * 1e6
         if omega_convention == "cyclic":
             omega *= 2.0 * math.pi
-        hbar = planck_value
+        hbar = DEFAULT_PLANCK
         if hbar_convention == "h":
             hbar /= 2.0 * math.pi
-        return cls(hbar=hbar, mass=mass, omega=omega)
+        return cls(hbar=hbar, mass=DEFAULT_MASS, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -388,50 +385,6 @@ def radial_profiles(qns, scale: float = 1.0):
     return f
 
 
-def _single(profiles: Callable, qn: QuantumNumbers, *args) -> Callable:
-    """The profile of one state, from the stacked ``profiles`` of its axis."""
-    f = profiles([qn], *args)
-    return lambda x: f(x)[0]
-
-
-def polar_profile(qn: QuantumNumbers):
-    """theta factor: (sin theta)^{-1/2} P_l^n(cos theta)."""
-    return _single(polar_profiles, qn)
-
-
-def rapidity_profile(qn: QuantumNumbers):
-    """beta factor: (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta)."""
-    return _single(rapidity_profiles, qn)
-
-
-def radial_profile(qn: QuantumNumbers, scale: float = 1.0):
-    """rho factor: rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2;
-    exactly 0 wherever e^{-s/2} underflows."""
-    return _single(radial_profiles, qn, scale)
-
-
-def eval_unnormalized(qn: QuantumNumbers, p: RmsPoint,
-                      constants: PhysicalConstants) -> complex:
-    """Product-form eigenfunction without the normalization constant.
-
-    Returns exactly 0 for null states.  theta in {0, pi} is a domain
-    error: the (sin theta)^{-1/2} factor is singular there (quadrature
-    nodes never hit the poles and the measure tames every integral).
-    """
-    if qn.is_null:
-        return 0.0 + 0.0j
-    if p.theta in (0.0, math.pi) or math.sin(p.theta) <= 0.0:
-        raise DomainError("eigenfunctions are singular on the polar axis")
-    lam = constants.inverse_length2
-    azimuthal = complex(math.cos((qn.m + 0.5) * p.phi),
-                        math.sin((qn.m + 0.5) * p.phi))
-    value = (azimuthal
-             * float(rapidity_profile(qn)(p.beta))
-             * float(polar_profile(qn)(p.theta))
-             * float(radial_profile(qn, lam)(p.rho)))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # overlap tables: every dimensionless integral of one resolution
 
@@ -549,30 +502,6 @@ def live_entry(table: np.ndarray, i: int, j: int) -> complex:
     if ri is None or rj is None:
         return 0.0 + 0.0j
     return complex(table[ri, rj])
-
-
-def normalization_constant(qn: QuantumNumbers, constants: PhysicalConstants,
-                           nodes: NodeCounts = NodeCounts()) -> float:
-    """Positive N with ||N psi_unnorm||^2 = 1 against the invariant measure.
-
-    The dimensionless part is read from the overlap tables of ``nodes``;
-    the (M omega/hbar)^{3/4} length factor is attached analytically, so the
-    physical normalization is exact in the constants.
-    """
-    if qn.is_null:
-        raise NormalizationError(
-            f"state {qn} vanishes identically; normalization undefined")
-    if qn not in _ROW:
-        raise ParameterError(f"{qn} is not a catalogue state")
-    return float(overlap_tables(nodes).norms[_ROW[qn]]) * constants.inverse_length2 ** 0.75
-
-
-def eval_state(qn: QuantumNumbers, p: RmsPoint, constants: PhysicalConstants,
-               nodes: NodeCounts = NodeCounts()) -> complex:
-    """Normalized eigenfunction value; 0 for null states."""
-    if qn.is_null:
-        return 0.0 + 0.0j
-    return normalization_constant(qn, constants, nodes) * eval_unnormalized(qn, p, constants)
 
 
 def gram_matrix(nodes: NodeCounts = NodeCounts()) -> tuple[tuple[int, ...], np.ndarray]:

@@ -6,7 +6,6 @@ weights integrate plain ``dx`` there, so callers write
 measure factors) and never see the underlying change of variables:
 
 * ``periodic_trapezoid`` -- one period of a periodic integrand (azimuth).
-* ``gauss_legendre``     -- generic finite intervals.
 * ``polar_rule``         -- theta in [0, pi], mapped from c = cos(theta).
 * ``rapidity_rule``      -- beta on the real line, mapped from u = tanh(beta).
 * ``radial_rule``        -- rho on [0, inf), mapped from s = rho^2 with
@@ -24,14 +23,13 @@ sqrt(1-x^2) (Chebyshev-U), and the even rule is Fejer's second rule for
 weight 1, an interpolatory rule exact to degree n-1 (Trefethen, SIAM
 Rev. 50, 67, 2008), whose weights come from one FFT.  The radial pair is
 the alpha 1/2 and alpha 0 Laguerre rules, with their own nodes; only they
-(and ``gauss_legendre``) are Gauss rules without closed-form nodes.
-``_gauss`` takes them from closed-form asymptotic nodes in two passes of
-the three-term recurrence, both parities as one stack: one pass and a
-Taylor solve of the family's differential equation move every node to
-its root, and one more checks the nodes and gives the weights; no
-eigen-solve is run.  The periodic trapezoid rule is exact for e^{i d x}
-on [0, 2 pi) with |d| < n (Trefethen & Weideman, SIAM Rev. 56, 385,
-2014).
+are Gauss rules without closed-form nodes.  ``_laguerre`` takes them from
+closed-form asymptotic nodes in two passes of the three-term recurrence,
+both parities as one stack: one pass and a Taylor solve of the Laguerre
+equation move every node to its root, and one more checks the nodes and
+gives the weights; no eigen-solve is run.  The periodic trapezoid rule
+is exact for e^{i d x} on [0, 2 pi) with |d| < n (Trefethen & Weideman,
+SIAM Rev. 56, 385, 2014).
 
 Rules are immutable after construction, so every constructor but the
 trapezoid rule's is memoized and the same rule object may be shared freely
@@ -51,7 +49,6 @@ from .errors import EvaluationError, ParameterError
 __all__ = [
     "QuadratureRule",
     "periodic_trapezoid",
-    "gauss_legendre",
     "chebyshev_u",
     "polar_rule",
     "rapidity_rule",
@@ -86,13 +83,12 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-# Order of the local Taylor polynomial of P_n that moves each initial node to
-# its root; order 1 is a plain Newton step.
+# Order of the local Taylor polynomial of the Laguerre P_n that moves each
+# initial node to its root; order 1 is a plain Newton step.
 TAYLOR_ORDER = 8
 # Largest Newton correction accepted at the refined nodes, as a fraction of the
 # node's gap to its neighbour.  Up to 1024 nodes the Taylor solve leaves at most
-# 3.7e-12 on the radial rules and 4.5e-12 on Gauss-Legendre; a plain Newton
-# step leaves 1.8e-3 and 1.8e-4.
+# 3.7e-12 on the radial rules; a plain Newton step leaves 1.8e-3.
 NEWTON_BOUND = 1e-6
 
 
@@ -185,87 +181,8 @@ def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
     return shift
 
 
-def _gauss(x: np.ndarray, diag: np.ndarray, off: np.ndarray, log_mu0: list[float],
-           identity, ode, domain: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log-weights of stacked Gauss rules, refined from initial nodes ``x``.
-
-    Each row of ``diag`` and ``off`` (shape (r, n)) holds the three-term
-    recurrence b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1} of the
-    orthonormal polynomials of a weight of total mass mu0 = e^{log_mu0[row]},
-    and the same row of ``x`` the initial nodes of its rule; the nodes are
-    the zeros of p_n.  For the monic P = P_n, ``identity(x)`` gives (a, b)
-    with P' = a P + b P_{n-1}, and ``ode(x, k)`` gives (c1, c0) with
-    y^(k+2) = c1 y^(k+1) + c0 y^(k), the family's differential equation
-    differentiated k times.  Two passes of the recurrence run over the
-    whole stack (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013):
-
-    1. ``_monic_ratio`` at the initial nodes gives the Newton step P/P',
-       and ``_taylor_root`` moves every node to its root;
-    2. ``_orthonormal`` at the refined nodes gives the last Newton
-       correction, which is applied to the nodes, and the weight
-       mu0 / sum_{k<n} p_k^2, moved with the node to first order.  A
-       correction larger than ``NEWTON_BOUND`` of the node's gap to its
-       neighbour raises EvaluationError naming ``domain``.
-
-    The shorter weight mu0 / (b_n p_n' p_{n-1}) is not used: p_{n-1} at the
-    smallest Laguerre nodes is ~1/n of its neighbours, and the cancellation
-    costs up to 2.8e-12 at 256 nodes, where the sum keeps 8e-13.  Every
-    step acts node by node, so each row comes out as if solved alone.
-    """
-    off_prev = np.concatenate([np.zeros((x.shape[0], 1)), off[:, :-1]], axis=1)    # b_0 = 0
-    a, b = identity(x)
-    with np.errstate(divide="ignore"):      # P_n = 0 at an exact node: a zero step
-        step = 1.0 / (a + b / _monic_ratio(x, diag, off_prev))
-    x = x + _taylor_root(x, step, ode)
-    p_prev, p, total, log_scale = _orthonormal(x, diag, off, off_prev)
-    a, b = identity(x)
-    with np.errstate(divide="ignore"):      # p_n = 0 at an exact node: no correction
-        correction = 1.0 / (a + b / (off[:, -1:] * p / p_prev))
-    gap = np.diff(x)                    # to the next node; for the last node, to the one before
-    if not np.all(np.abs(correction) <= NEWTON_BOUND * np.append(gap, gap[:, -1:], axis=1)):
-        raise EvaluationError(f"Gauss nodes not converged by the order-{TAYLOR_ORDER} Taylor "
-                              f"solve on {domain} axis")
-    # at a root, K = sum_k p_k^2 = b_n p_n' p_{n-1} by Christoffel-Darboux, so
-    # K'/K = p_n''/p_n', the ODE's c1: the weight moves with the node to first order
-    log_w = np.asarray(log_mu0)[:, None] - np.log(total) + correction * ode(x, 0)[0]
-    return x - correction, log_w - 2.0 * log_scale
-
-
-def _legendre_family(n: int):
-    """``identity`` and ``ode`` of the monic Legendre polynomial of degree n for ``_gauss``."""
-    def identity(x):            # (1 - x^2) P' = -n x P + n^2/(2n - 1) P_{n-1}
-        inv = 1.0 / (1.0 - x * x)
-        return -n * x * inv, (n * n / (2.0 * n - 1.0)) * inv
-
-    def ode(x, k):              # (1 - x^2) y'' - 2x y' + n(n+1) y = 0, differentiated k times
-        inv = 1.0 / (1.0 - x * x)
-        return (2.0 * k + 2.0) * x * inv, (k * (k + 1.0) - n * (n + 1.0)) * inv
-
-    return identity, ode
-
-
 @lru_cache(maxsize=128)
-def gauss_legendre(n: int, a: float, b: float, domain: str = "generic-finite") -> QuadratureRule:
-    """Gauss-Legendre rule on [a, b], exact for polynomials of degree <= 2n-1.
-
-    Solved by ``_gauss`` from the initial nodes cos((4k - 1) pi/(4n + 2)),
-    within 4% of a node gap of the nodes, which one Taylor solve of the
-    Legendre equation moves to the roots.
-    """
-    if n < 2:
-        raise ParameterError(f"need at least 2 nodes, got {n}")
-    if not a < b:
-        raise ParameterError(f"empty interval [{a}, {b}]")
-    k = np.arange(1.0, n + 1.0)
-    x0 = np.cos((4.0 * k[::-1] - 1.0) * np.pi / (4.0 * n + 2.0))
-    (x,), (log_w,) = _gauss(x0[None], np.zeros((1, n)), (k / np.sqrt(4.0 * k * k - 1.0))[None],
-                            [math.log(2.0)], *_legendre_family(n), domain)
-    half = 0.5 * (b - a)
-    return QuadratureRule(a + half * (x + 1.0), half * np.exp(log_w), domain)
-
-
-@lru_cache(maxsize=128)
-def chebyshev_u(n: int, domain: str = "generic-finite") -> QuadratureRule:
+def chebyshev_u(n: int) -> QuadratureRule:
     """Chebyshev rule of the second kind on (-1, 1) in plain form.
 
     Closed-form nodes cos(k pi/(n+1)); the sqrt(1-x^2) weight is folded
@@ -276,7 +193,7 @@ def chebyshev_u(n: int, domain: str = "generic-finite") -> QuadratureRule:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     k = np.arange(n, 0, -1, dtype=float)
     theta = k * np.pi / (n + 1)
-    return QuadratureRule(np.cos(theta), (np.pi / (n + 1)) * np.sin(theta), domain)
+    return QuadratureRule(np.cos(theta), (np.pi / (n + 1)) * np.sin(theta))
 
 
 def periodic_trapezoid(n: int, a: float, b: float,
@@ -368,18 +285,61 @@ def _laguerre_nodes0(n: int, alpha: np.ndarray) -> np.ndarray:
     return np.where(k * k <= n, bessel, nu * np.cos(0.5 * t) ** 2)
 
 
-def _laguerre_family(n: int, alpha: np.ndarray):
-    """``identity`` and ``ode`` of the monic Laguerre polynomials of degree n for
-    ``_gauss``, alpha an (r, 1) column."""
-    def identity(s):            # s P' = n P + n (n + alpha) P_{n-1}
-        inv = 1.0 / s
-        return n * inv, (n * (n + alpha)) * inv
+def _laguerre(n: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log-weights of the n-node Gauss-Laguerre rules of weight
+    s^alpha e^{-s}, alpha an (r, 1) column, solved as one (r, n) stack.
 
-    def ode(s, k):              # s y'' + (alpha + 1 - s) y' + n y = 0, differentiated k times
+    Row r of the recurrence b_{k+1} p_{k+1} = (s - a_k) p_k - b_k p_{k-1}
+    of the orthonormal polynomials has a_k = 2k + 1 + alpha and
+    b_{k+1} = sqrt((k + 1)(k + 1 + alpha)), mass mu0 = Gamma(alpha + 1);
+    the nodes are the zeros of p_n.  For the monic P = P_n the derivative
+    identity s P' = n P + n (n + alpha) P_{n-1} gives the Newton step from
+    P/P_{n-1}, and the Laguerre equation s y'' + (alpha + 1 - s) y' + n y = 0,
+    differentiated k times, every higher derivative.  Two passes of the
+    recurrence run over the whole stack (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, A652, 2013):
+
+    1. ``_monic_ratio`` at the initial nodes of ``_laguerre_nodes0`` gives
+       the Newton step P/P', and ``_taylor_root`` moves every node to its root;
+    2. ``_orthonormal`` at the refined nodes gives the last Newton
+       correction, which is applied to the nodes, and the weight
+       mu0 / sum_{k<n} p_k^2, moved with the node to first order.  A
+       correction larger than ``NEWTON_BOUND`` of the node's gap to its
+       neighbour raises EvaluationError.
+
+    The shorter weight mu0 / (b_n p_n' p_{n-1}) is not used: p_{n-1} at the
+    smallest nodes is ~1/n of its neighbours, and the cancellation costs up
+    to 2.8e-12 at 256 nodes, where the sum keeps 8e-13.  Every step acts
+    node by node, so each row comes out as if solved alone.
+    """
+    k = np.arange(float(n))
+    diag, off = 2.0 * k + 1.0 + alpha, np.sqrt((k + 1.0) * (k + 1.0 + alpha))
+    off_prev = np.concatenate([np.zeros((alpha.shape[0], 1)), off[:, :-1]], axis=1)    # b_0 = 0
+
+    def newton(s, ratio):       # P/P' from P/P_{n-1}, by s P' = n P + n (n + alpha) P_{n-1}
+        inv = 1.0 / s
+        return 1.0 / (n * inv + (n * (n + alpha)) * inv / ratio)
+
+    def ode(s, k):              # (c1, c0) with y^(k+2) = c1 y^(k+1) + c0 y^(k)
         inv = 1.0 / s
         return 1.0 - (alpha + 1.0 + k) * inv, (k - n) * inv
 
-    return identity, ode
+    x = _laguerre_nodes0(n, alpha)
+    with np.errstate(divide="ignore"):      # P_n = 0 at an exact node: a zero step
+        step = newton(x, _monic_ratio(x, diag, off_prev))
+    x = x + _taylor_root(x, step, ode)
+    p_prev, p, total, log_scale = _orthonormal(x, diag, off, off_prev)
+    with np.errstate(divide="ignore"):      # p_n = 0 at an exact node: no correction
+        correction = newton(x, off[:, -1:] * p / p_prev)
+    gap = np.diff(x)                    # to the next node; for the last node, to the one before
+    if not np.all(np.abs(correction) <= NEWTON_BOUND * np.append(gap, gap[:, -1:], axis=1)):
+        raise EvaluationError(f"Gauss nodes not converged by the order-{TAYLOR_ORDER} Taylor "
+                              f"solve on radial axis")
+    # at a root, K = sum_k p_k^2 = b_n p_n' p_{n-1} by Christoffel-Darboux, so
+    # K'/K = p_n''/p_n', the ODE's c1: the weight moves with the node to first order
+    log_mu0 = np.array([[math.lgamma(a + 1.0)] for a in alpha[:, 0]])
+    log_w = log_mu0 - np.log(total) + correction * ode(x, 0)[0]
+    return x - correction, log_w - 2.0 * log_scale
 
 
 @lru_cache(maxsize=64)
@@ -391,7 +351,7 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     weight and the Jacobian are folded back so each rule integrates plain
     d(rho).  Exact for integrands of the form s^{alpha+k} e^{-s} *
     polynomial(s) * rho-Jacobian with integer k >= 0.  Both rules are one
-    (2, n) stack through ``_gauss``: the closed-form initial nodes of
+    (2, n) stack through ``_laguerre``: the closed-form initial nodes of
     ``_laguerre_nodes0`` go to the roots by one Taylor solve of the
     Laguerre equation, two recurrence passes in all, and the weights are
     folded in log space; no node is dropped.
@@ -399,10 +359,7 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     alpha = np.array([[0.5], [0.0]])
-    k = np.arange(float(n))
-    s, log_w = _gauss(_laguerre_nodes0(n, alpha), 2.0 * k + 1.0 + alpha,
-                      np.sqrt((k + 1.0) * (k + 1.0 + alpha)),
-                      [math.lgamma(1.5), math.lgamma(1.0)], *_laguerre_family(n, alpha), "radial")
+    s, log_w = _laguerre(n, alpha)
     rho = np.sqrt(s)
     # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
     log_w += s - alpha * np.log(s) - np.log(2.0 * rho)

@@ -426,6 +426,25 @@ class TestBadInput:
         assert code == cli.EXIT_OK
         assert out.startswith("state 1:")
 
+    @pytest.mark.parametrize("flags", [("--omega", "-5"), ("--omega-convention", "cyclic"),
+                                       ("--hbar-convention", "h"), ("--dimensionless",),
+                                       ("--no-dimensionless",)])
+    def test_frequency_flag_on_validate_is_usage_error(self, capsys, flags):
+        # validate runs at fixed constants; a frequency flag there is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", *flags, *FAST])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_frequency_in_config_file_stays_a_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_mhz = 240.4\nomega_convention = cyclic\n")
+        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_OK
+        assert out.endswith("9/9 checks passed\n")
+
     @pytest.mark.parametrize("command", [("table",), ("phase", "--state", "1"),
                                          ("oracle", "--state", "1")])
     def test_omega_zero_is_config_error(self, capsys, command):

@@ -1,9 +1,9 @@
 """Geometry, catalogue, and eigenbasis checks.
 
-Normalization constants are checked against the closed-form orthogonality
-integrals of the three axis families; the defining property is also
-verified end to end with scipy's adaptive quadrature, independent of the
-package rules.
+The ``norms`` row of the overlap tables is checked against the closed-form
+orthogonality integrals of the three axis families; the defining property
+is also verified end to end with scipy's adaptive quadrature, independent
+of the package rules.
 """
 
 import math
@@ -21,19 +21,17 @@ from rmsphase import (
     RmsPoint,
     eigenvalue,
     embed,
-    eval_state,
-    eval_unnormalized,
     gram_matrix,
     live_indices,
     measure_weight,
-    normalization_constant,
     state_table,
 )
-from rmsphase.errors import DomainError, NormalizationError, ParameterError
+from rmsphase.errors import DomainError, ParameterError
 from rmsphase.oscillator import (
-    polar_profile,
-    radial_profile,
-    rapidity_profile,
+    overlap_tables,
+    polar_profiles,
+    radial_profiles,
+    rapidity_profiles,
 )
 
 LIVE = (1, 2, 5, 6, 8, 9, 10, 13, 14, 16)
@@ -143,92 +141,69 @@ class TestConstants:
             PhysicalConstants(*args)
 
     def test_subnormal_hbar_rejected_before_evaluation(self):
-        # unchecked, this hbar makes eval_state return nan at this point
+        # a subnormal hbar has lost precision; the constructor refuses it before any evaluation
         with pytest.raises(ParameterError):
-            eval_state(QuantumNumbers(2, 2, 2, 2), RmsPoint(1e-10, 1.0, 0.3, 0.1),
-                       PhysicalConstants(1e-320, 9.109e-31, 1e9))
+            PhysicalConstants(1e-320, 9.109e-31, 1e9)
 
 
 class TestEvaluation:
-    def test_null_states_evaluate_to_zero(self, dimensionless):
-        p = RmsPoint(1.2, 1.0, 0.5, 0.3)
-        for qn in (QuantumNumbers(2, 2, 3, 2), QuantumNumbers(2, 3, 3, 2)):
-            assert eval_unnormalized(qn, p, dimensionless) == 0.0
+    def test_null_states_evaluate_to_zero(self):
+        # l < n kills the polar factor, m < n the rapidity factor
+        x = np.linspace(0.1, 3.0, 7)
+        assert np.all(polar_profiles([QuantumNumbers(2, 2, 3, 2)])(x) == 0.0)
+        assert np.all(rapidity_profiles([QuantumNumbers(2, 3, 3, 2)])(x) == 0.0)
 
-    def test_azimuthal_phase_ratio(self, dimensionless):
-        qn = QuantumNumbers(2, 2, 2, 3)
-        delta = 0.83
-        p0 = RmsPoint(1.1, 0.9, 0.4, -0.2)
-        p1 = RmsPoint(1.1, 0.9, 0.4 + delta, -0.2)
-        ratio = (eval_unnormalized(qn, p1, dimensionless)
-                 / eval_unnormalized(qn, p0, dimensionless))
-        assert ratio == pytest.approx(np.exp(1j * 3.5 * delta), abs=1e-12)
-
-    def test_rapidity_decay(self, dimensionless):
+    def test_rapidity_decay(self):
         beta_far = math.atanh(1.0 - 1e-6)
-        for i in LIVE:
-            qn = state_table()[i - 1].qn
-            far = abs(eval_unnormalized(qn, RmsPoint(1.0, 1.2, 0.1, beta_far), dimensionless))
-            near = abs(eval_unnormalized(qn, RmsPoint(1.0, 1.2, 0.1, 0.1), dimensionless))
-            assert far < 1e-6 * near
+        qns = [state_table()[i - 1].qn for i in LIVE]
+        far, near = np.abs(rapidity_profiles(qns)(np.array([beta_far, 0.1]))).T
+        assert np.all(far < 1e-6 * near)
 
-    def test_polar_axis_rejected(self, dimensionless):
+    def test_polar_axis_rejected(self):
         with pytest.raises(DomainError):
-            eval_unnormalized(QuantumNumbers(2, 2, 2, 2),
-                              RmsPoint(1.0, 0.0, 0.0, 0.0), dimensionless)
+            polar_profiles([QuantumNumbers(2, 2, 2, 2)])(0.0)
 
     @pytest.mark.parametrize("rho", [1e80, 1e200, math.inf])
-    def test_far_radial_tail_is_exactly_zero(self, dimensionless, rho):
+    def test_far_radial_tail_is_exactly_zero(self, rho):
         # e^{-rho^2/2} underflows long before L_{n_a}(rho^2) overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = eval_unnormalized(QuantumNumbers(2, 2, 2, 2),
-                                      RmsPoint(rho, 1.0, 0.3, 0.1), dimensionless)
+            value = radial_profiles([QuantumNumbers(2, 2, 2, 2)])(rho)[0]
         assert value == 0.0
 
 
 class TestNormalization:
-    def test_against_closed_form(self, dimensionless, nodes128):
-        for i in LIVE:
+    def test_against_closed_form(self, nodes128):
+        norms = overlap_tables(nodes128).norms
+        for row, i in enumerate(LIVE):
             qn = state_table()[i - 1].qn
-            got = normalization_constant(qn, dimensionless, nodes128)
-            assert got == pytest.approx(closed_form_norm(qn), rel=1e-12)
+            assert norms[row] == pytest.approx(closed_form_norm(qn), rel=1e-12)
 
     def test_defining_property_independent_quadrature(self):
-        # || N psi ||^2 = 1 with scipy adaptive quadrature, SI constants
-        c = PhysicalConstants.from_frequency(240.4)
+        # || N psi ||^2 = 1 with scipy adaptive quadrature, in units of sqrt(hbar/(M omega))
         qn = QuantumNumbers(2, 2, 2, 2)
-        n_const = normalization_constant(qn, c)
-        lam = c.inverse_length2
-        f_rho = radial_profile(qn, lam)
-        f_theta = polar_profile(qn)
-        f_beta = rapidity_profile(qn)
-        # Gaussian factor kills the integrand beyond ~6 length scales; the
-        # scale is ~1e-6 m so force a relative stopping rule (epsabs=0)
-        r_max = 40.0 / math.sqrt(lam)
-        i_rho = sci.quad(lambda r: f_rho(r) ** 2 * r ** 3, 0, r_max,
-                         points=[1.0 / math.sqrt(lam)], epsrel=1e-12, epsabs=0.0)[0]
-        i_theta = sci.quad(lambda t: f_theta(t) ** 2 * math.sin(t) ** 2, 0, math.pi)[0]
+        n_const = overlap_tables().norms[0]
+        f_rho, f_theta, f_beta = (profiles([qn]) for profiles in
+                                  (radial_profiles, polar_profiles, rapidity_profiles))
+        # the Gaussian factor kills the integrand beyond ~6 length scales;
+        # force a relative stopping rule (epsabs=0)
+        i_rho = sci.quad(lambda r: f_rho(r)[0] ** 2 * r ** 3, 0, 40.0,
+                         points=[1.0], epsrel=1e-12, epsabs=0.0)[0]
+        i_theta = sci.quad(lambda t: f_theta(t)[0] ** 2 * math.sin(t) ** 2, 0, math.pi)[0]
         # integrand decays like sech^3(beta); [-40, 40] is already dead
-        i_beta = sci.quad(lambda b: f_beta(b) ** 2 * math.cosh(b), -40.0, 40.0)[0]
+        i_beta = sci.quad(lambda b: f_beta(b)[0] ** 2 * math.cosh(b), -40.0, 40.0)[0]
         norm_sq = n_const ** 2 * 2.0 * math.pi * i_rho * i_theta * i_beta
         assert norm_sq == pytest.approx(1.0, rel=1e-9)
 
-    def test_phi_resolution_insensitive(self, dimensionless):
-        qn = QuantumNumbers(2, 3, 2, 2)
-        coarse = normalization_constant(qn, dimensionless, NodeCounts(64, 64, 8, 64))
-        fine = normalization_constant(qn, dimensionless, NodeCounts(64, 64, 128, 64))
+    def test_phi_resolution_insensitive(self):
+        coarse = overlap_tables(NodeCounts(64, 64, 8, 64)).norms
+        fine = overlap_tables(NodeCounts(64, 64, 128, 64)).norms
         assert coarse == pytest.approx(fine, rel=1e-14)
 
-    def test_doubling_stability(self, dimensionless, nodes64):
-        qn = QuantumNumbers(3, 3, 3, 3)
-        n1 = normalization_constant(qn, dimensionless, nodes64)
-        n2 = normalization_constant(qn, dimensionless, NodeCounts.uniform(128))
+    def test_doubling_stability(self, nodes64):
+        n1 = overlap_tables(nodes64).norms
+        n2 = overlap_tables(NodeCounts.uniform(128)).norms
         assert n1 == pytest.approx(n2, rel=1e-9)
-
-    def test_null_state_rejected(self, dimensionless, nodes64):
-        with pytest.raises(NormalizationError):
-            normalization_constant(QuantumNumbers(2, 2, 3, 3), dimensionless, nodes64)
 
 
 class TestOrthonormality:
@@ -244,10 +219,3 @@ class TestOrthonormality:
         assert abs(live_entry(gram, 1, 5)) < 1e-10   # theta orthogonality
         assert abs(live_entry(gram, 1, 2)) < 1e-12   # phi selection
         assert live_entry(gram, 3, 1) == 0.0          # null state
-
-    def test_normalized_eval_consistent(self, dimensionless, nodes64):
-        qn = QuantumNumbers(2, 2, 2, 2)
-        p = RmsPoint(0.9, 1.1, 0.7, -0.4)
-        expected = (normalization_constant(qn, dimensionless, nodes64)
-                    * eval_unnormalized(qn, p, dimensionless))
-        assert eval_state(qn, p, dimensionless, nodes64) == expected

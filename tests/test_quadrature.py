@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_genlaguerre
 
-from rmsphase import gauss_legendre, integrate, polar_rule, radial_rule, rapidity_rule
+from rmsphase import QuadratureRule, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase import quadrature as quad
 from rmsphase.errors import EvaluationError, ParameterError
 from rmsphase.quadrature import (
-    _gauss,
-    _laguerre_family,
-    _laguerre_nodes0,
+    _laguerre,
     chebyshev_u,
     periodic_trapezoid,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def gauss_legendre(n, a, b):
+    """Reference Gauss-Legendre rule on [a, b] for the generic tests, from numpy's leggauss."""
+    x, w = leggauss(n)
+    half = 0.5 * (b - a)
+    return QuadratureRule(a + half * (x + 1.0), half * w)
 
 
 def laguerre(n, alpha):
@@ -27,6 +33,8 @@ def laguerre(n, alpha):
 
 
 class TestGaussLegendre:
+    """The reference rule above, built through QuadratureRule and applied by integrate."""
+
     def test_two_point_rule(self):
         rule = gauss_legendre(2, -1.0, 1.0)
         assert rule.nodes == pytest.approx([-1 / SQRT3, 1 / SQRT3], rel=1e-15)
@@ -53,6 +61,7 @@ class TestGaussLegendre:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_parameter_errors(self):
+        # QuadratureRule rejects one node, and the repeated nodes of an empty interval
         with pytest.raises(ParameterError):
             gauss_legendre(1, 0.0, 1.0)
         with pytest.raises(ParameterError):
@@ -163,9 +172,9 @@ class TestRadialRule:
 
     def test_norm_integrand_doubling(self):
         # radial norm integrand of the (n_a=2, l=2) profile
-        from rmsphase.oscillator import QuantumNumbers, radial_profile
-        f = radial_profile(QuantumNumbers(2, 2, 2, 2))
-        coarse, fine = (integrate(radial_rule(n)[0], lambda r: f(r) ** 2 * r ** 3)
+        from rmsphase.oscillator import QuantumNumbers, radial_profiles
+        f = radial_profiles([QuantumNumbers(2, 2, 2, 2)])
+        coarse, fine = (integrate(radial_rule(n)[0], lambda r: f(r)[0] ** 2 * r ** 3)
                         for n in (128, 256))
         assert abs(fine - coarse) < 1e-10 * abs(fine)
 
@@ -194,16 +203,10 @@ class TestRadialRule:
     # 364 and 1024 nodes rescale the weight sums past 1e100; 2 and 37 do not
     @pytest.mark.parametrize("n", [2, 37, 364, 1024])
     def test_stacked_solve_matches_each_row_alone(self, n):
-        k = np.arange(float(n))
         alpha = np.array([[0.5], [0.0]])
-        args = (_laguerre_nodes0(n, alpha), 2.0 * k + 1.0 + alpha,
-                np.sqrt((k + 1.0) * (k + 1.0 + alpha)))
-        log_mu0 = [math.lgamma(1.5), math.lgamma(1.0)]
-        nodes, log_w = _gauss(*args, log_mu0, *_laguerre_family(n, alpha), "radial")
+        nodes, log_w = _laguerre(n, alpha)
         for row in range(2):
-            one = slice(row, row + 1)
-            (alone_nodes,), (alone_log_w,) = _gauss(*(a[one] for a in args), log_mu0[one],
-                                                    *_laguerre_family(n, alpha[one]), "radial")
+            (alone_nodes,), (alone_log_w,) = _laguerre(n, alpha[row:row + 1])
             assert np.array_equal(nodes[row], alone_nodes)
             assert np.array_equal(log_w[row], alone_log_w)
 
@@ -241,13 +244,6 @@ def dense_laguerre(n, alpha):
     return rho, np.exp(log_w + s - alpha * np.log(s) - np.log(2.0 * rho))
 
 
-def dense_legendre(n):
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x = eigvalsh_tridiagonal(np.zeros(n), off)
-    return x, np.exp(_christoffel_log_weights(x, np.zeros(n), off, math.log(2.0)))
-
-
 class TestDenseReference:
     """The recurrence-solved rules against a dense Golub-Welsch solve of the same recurrence."""
 
@@ -269,18 +265,10 @@ class TestDenseReference:
         worst_nodes, worst_weights = self.worst_gaps([*range(257, 1024, 37), 1024])
         assert worst_nodes < 3e-11 and worst_weights < 5e-11
 
-    @pytest.mark.parametrize("n, node_tol, weight_tol", [
-        (2, 2e-12, 3e-12), (12, 2e-12, 3e-12), (128, 2e-12, 3e-12), (1024, 3e-11, 5e-11)])
-    def test_gauss_legendre(self, n, node_tol, weight_tol):
-        nodes, weights = dense_legendre(n)
-        rule = gauss_legendre.__wrapped__(n, -1.0, 1.0)
-        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=node_tol)
-        np.testing.assert_allclose(rule.weights, weights, rtol=weight_tol)
-
 
 UNREFINED = {
     # an order-1 Taylor solve, a plain Newton step from the initial nodes,
-    # leaves a Newton correction of 8e-4 (radial) and 2e-4 (Legendre) of a node gap
+    # leaves a Newton correction of 8e-4 of a node gap
     "newton": ("TAYLOR_ORDER", 1),
     # no refinement leaves the initial nodes, a few % of a gap off
     "none": ("_taylor_root", lambda x, step, ode: np.zeros_like(x)),
@@ -288,21 +276,17 @@ UNREFINED = {
 
 
 @pytest.mark.parametrize("fault", UNREFINED)
-@pytest.mark.parametrize("make", [lambda: radial_rule.__wrapped__(64),
-                                  lambda: gauss_legendre.__wrapped__(64, -1.0, 1.0)],
-                         ids=["radial", "legendre"])
+@pytest.mark.parametrize("make", [lambda: radial_rule.__wrapped__(64)], ids=["radial"])
 def test_unconverged_nodes_raise(monkeypatch, make, fault):
     monkeypatch.setattr(quad, *UNREFINED[fault])
-    with pytest.raises(EvaluationError, match=r"Taylor solve on (radial|generic-finite) axis"):
+    with pytest.raises(EvaluationError, match=r"Taylor solve on radial axis"):
         make()
 
 
-@pytest.mark.parametrize("make", [radial_rule.__wrapped__,
-                                  lambda n: gauss_legendre.__wrapped__(n, -1.0, 1.0)],
-                         ids=["radial", "legendre"])
+@pytest.mark.parametrize("make", [radial_rule.__wrapped__], ids=["radial"])
 def test_taylor_solve_leaves_roundoff(monkeypatch, make):
     # the Newton correction left after the Taylor solve is at most ~4e-12 of a
-    # node gap on either family; a bound 1e4 times below the check's still holds
+    # node gap; a bound 1e4 times below the check's still holds
     monkeypatch.setattr(quad, "NEWTON_BOUND", 1e-10)
     for n in [*range(2, 257), *range(257, 1024, 37), 1024]:
         make(n)
@@ -323,12 +307,12 @@ class TestRapidityRule:
         assert got == pytest.approx(math.pi / 2.0, rel=1e-14)
 
     def test_coupling_integrand_doubling(self):
-        from rmsphase.oscillator import QuantumNumbers, rapidity_profile
-        f = rapidity_profile(QuantumNumbers(2, 2, 2, 2))
-        g = rapidity_profile(QuantumNumbers(2, 2, 2, 3))
+        from rmsphase.oscillator import QuantumNumbers, rapidity_profiles
+        f = rapidity_profiles([QuantumNumbers(2, 2, 2, 2), QuantumNumbers(2, 2, 2, 3)])
 
         def h(b):
-            return f(b) * g(b) * np.cosh(b) ** 3
+            f1, f2 = f(b)
+            return f1 * f2 * np.cosh(b) ** 3
 
         coarse, fine = (integrate(rapidity_rule(n)[0], h) for n in (128, 256))
         # the integral vanishes by parity, so measure the gap against its L1 mass
@@ -397,14 +381,14 @@ def test_rule_immutable():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gauss_legendre(128, -1.0, 1.0),
+    lambda: radial_rule(128)[1],
     lambda: chebyshev_u(128),
     lambda: polar_rule(128)[1],
     lambda: rapidity_rule(256)[0],
     lambda: radial_rule(256)[0],
     lambda: radial_rule(364)[0],
     lambda: radial_rule(1024)[1],
-    lambda: gauss_legendre(1024, -1.0, 1.0),
+    lambda: chebyshev_u(1024),
     lambda: polar_rule(2048)[0],
     lambda: rapidity_rule(2048)[0],
     lambda: periodic_trapezoid(2048, 0.0, 2.0 * math.pi),

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from rmsphase import Channel, NodeCounts, gram_matrix, live_indices, matrix_element
 from rmsphase import oscillator as osc
@@ -18,14 +19,14 @@ from rmsphase.errors import EvaluationError
 from rmsphase.oscillator import (
     live_entry,
     overlap_tables,
-    polar_profile,
-    radial_profile,
-    rapidity_profile,
+    polar_profiles,
+    radial_profiles,
+    rapidity_profiles,
     state_table,
 )
 from rmsphase.perturbation import phi_integral, shared_factor_element
 from rmsphase.quadrature import (
-    gauss_legendre,
+    QuadratureRule,
     integrate,
     polar_rule,
     radial_rule,
@@ -36,12 +37,17 @@ NULL = (3, 4, 7, 11, 12, 15)
 UNEVEN = NodeCounts(40, 72, 33, 96)
 
 
+def single(profiles, qn):
+    """The profile of one state, from its axis's stacked ``profiles``."""
+    return lambda x: profiles([qn])(x)[0]
+
+
 def axis_product(qi, qj, power, nodes):
     """theta, beta and rho integrals of f_i f_j (measure) (shared factor)^power."""
     n_parity, l_parity = (qi.n + qj.n) % 2, (qi.l + qj.l) % 2
-    fi, fj = polar_profile(qi), polar_profile(qj)
-    gi, gj = rapidity_profile(qi), rapidity_profile(qj)
-    hi, hj = radial_profile(qi), radial_profile(qj)
+    fi, fj = single(polar_profiles, qi), single(polar_profiles, qj)
+    gi, gj = single(rapidity_profiles, qi), single(rapidity_profiles, qj)
+    hi, hj = single(radial_profiles, qi), single(radial_profiles, qj)
     polar = integrate(polar_rule(nodes.polar)[n_parity],
                       lambda t: fi(t) * fj(t) * np.sin(t) ** (2 * power + 2)).real
     rapidity = integrate(rapidity_rule(nodes.rapidity)[n_parity],
@@ -52,7 +58,8 @@ def axis_product(qi, qj, power, nodes):
 
 
 def azimuthal(qi, qj, nodes):
-    rule = gauss_legendre(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    x, w = leggauss(nodes.azimuthal)
+    rule = QuadratureRule(math.pi * (x + 1.0), math.pi * w, "azimuthal")
     return integrate(rule, lambda phi: np.exp(1j * (qj.m - qi.m) * phi))
 
 
@@ -148,21 +155,18 @@ def test_minimal_exact_node_counts(field, count):
 
 
 def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
-    # one _gauss call refines both parities as one (2, n) stack of initial nodes
+    # one _laguerre call refines both parities as one (2, n) stack of initial nodes
     calls = []
-    gauss = quad._gauss
+    laguerre = quad._laguerre
 
-    def counted(x, diag, off, log_mu0, identity, ode, domain):
-        calls.append((x.shape, diag.shape, off.shape, len(log_mu0), domain))
-        return gauss(x, diag, off, log_mu0, identity, ode, domain)
+    def counted(n, alpha):
+        calls.append((n, alpha.tolist()))
+        return laguerre(n, alpha)
 
     quad.radial_rule.cache_clear()
-    monkeypatch.setattr(quad, "_gauss", counted)
+    monkeypatch.setattr(quad, "_laguerre", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
-    assert calls == [((2, 37), (2, 37), (2, 37), 2, "radial")]
-
-
-PER_STATE = {"polar": polar_profile, "rapidity": rapidity_profile, "radial": radial_profile}
+    assert calls == [(37, [[0.5], [0.0]])]
 
 
 @pytest.mark.parametrize("nodes", [NodeCounts(37, 39, 41, 43), NodeCounts.uniform(1024)],
@@ -176,7 +180,7 @@ def test_stacked_profiles_match_each_state_alone(nodes):
         stacked = axis.profiles(qns)(np.stack(arrays))
         for qn, rows in zip(qns, stacked):
             for x, got in zip(arrays, rows):
-                np.testing.assert_allclose(got, PER_STATE[axis.field](qn)(x), rtol=1e-14, atol=0)
+                np.testing.assert_allclose(got, single(axis.profiles, qn)(x), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("nodes", [NodeCounts.uniform(1024), NodeCounts(37, 39, 41, 43)])
