@@ -20,9 +20,10 @@ nonzero coefficient sets in the test suite.
 
 What is constant around a loop is computed once, not once per step: the
 connection reads the three coefficient sums that
-``CorrectionCoefficients`` stores at construction, and the overlap chain
-runs in the 3-dim span of e_j, a and b, on a metric reduced once per
-coefficient set and shared by both Richardson radii.
+``CorrectionCoefficients`` stores at construction and is evaluated once,
+on the arrays of all the loop's samples; the overlap chain runs in the
+3-dim span of e_j, a and b, on a metric reduced once per coefficient set
+and shared by both Richardson radii.
 """
 
 from __future__ import annotations
@@ -101,13 +102,16 @@ class PhaseResult:
 
 
 def berry_connection(coeffs: pert.CorrectionCoefficients,
-                     eps1: float, eps2: float) -> tuple[complex, complex]:
+                     eps1: float | np.ndarray, eps2: float | np.ndarray
+                     ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Components of <Psi | grad_{(eps1, eps2)} Psi> for the first-order state.
 
     (eps1 sum|a|^2 + eps2 sum a b*,  eps1 sum a* b + eps2 sum|b|^2);
     both vanish at the origin because the corrections are orthogonal to
     the unperturbed state.  The sums are the ones ``coeffs`` stored at
-    construction.
+    construction.  ``eps1`` and ``eps2`` are floats or equal-shaped float
+    arrays; arrays give complex arrays, element by element the values of
+    the scalar calls at the same points.
     """
     sum_aa, sum_bb, sum_ab, sum_ba = coeffs.connection_sums
     return (eps1 * sum_aa + eps2 * sum_ba, eps1 * sum_ab + eps2 * sum_bb)
@@ -176,19 +180,18 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     rule is exact once steps > 4; the imaginary residual of the complex
     result is a roundoff diagnostic.  An exact zero is returned as +0, so
     the printed sign of a structural zero does not follow roundoff.  The
-    coefficient sums are the ones ``coeffs`` stored at construction, so
-    each step does only the connection's scalar arithmetic, on Python
-    floats.
+    connection is evaluated once, on the arrays of every sample of the
+    circle, and its tangent-weighted integrand is summed by one
+    ``np.sum``; it holds O(steps) arrays while it runs.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
-    total = 0.0 + 0.0j
-    for alpha in _alphas(loop).tolist():
-        c, s = math.cos(alpha), math.sin(alpha)
-        a1, a2 = berry_connection(coeffs, r * c, r * s)
-        # dR/d(alpha) on the circle, signed by traversal direction
-        total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
+    alphas = _alphas(loop)
+    c, s = np.cos(alphas), np.sin(alphas)
+    a1, a2 = berry_connection(coeffs, r * c, r * s)
+    # dR/d(alpha) on the circle, signed by traversal direction
+    total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
     total *= 2.0 * math.pi / loop.steps
     value = 1j * total
     # + 0.0 makes an exact zero +0, whichever sign roundoff in the tables gave it

@@ -82,9 +82,6 @@ class RunConfig:
             raise ConfigError(f"unknown omega convention {self.omega_convention!r}")
         if self.hbar_convention not in ("hbar", "h"):
             raise ConfigError(f"unknown hbar convention {self.hbar_convention!r}")
-        if self.dimensionless and self.omega_mhz is not None:
-            raise ConfigError("omega_mhz (--omega) cannot be combined with "
-                              "dimensionless (--dimensionless)")
 
     def node_counts(self) -> osc.NodeCounts:
         return osc.NodeCounts.uniform(self.nodes)
@@ -117,6 +114,9 @@ def read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    except UnicodeDecodeError:
+        # raised by the file iterator, so it carries no line number
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text")
     return settings
 
 
@@ -133,7 +133,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    return RunConfig(**settings)
+    config = RunConfig(**settings)
+    # validate runs at fixed constants and reads neither key
+    if args.command != "validate" and config.dimensionless and config.omega_mhz is not None:
+        raise ConfigError("omega_mhz (--omega) cannot be combined with "
+                          "dimensionless (--dimensionless)")
+    return config
 
 
 def _fmt(x: float) -> str:

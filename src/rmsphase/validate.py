@@ -211,7 +211,7 @@ def run_checks(nodes: osc.NodeCounts = osc.NodeCounts()) -> list[CheckResult]:
     if low < MIN_VALIDATED_NODES:
         results.append(CheckResult(
             "resolution-floor", True,
-            f"node count {low} is below the validated floor "
-            f"{MIN_VALIDATED_NODES}; results may not be converged",
+            f"node count {low}: this suite is not validated below "
+            f"{MIN_VALIDATED_NODES} nodes/axis",
             warning=True))
     return results

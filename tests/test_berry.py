@@ -155,24 +155,48 @@ class TestSyntheticLoops:
 
 
 def reference_connection_loop(coeffs, loop):
-    """The connection loop with every sum rebuilt from the mappings at each step."""
+    """The connection loop with every sum rebuilt from the mappings.
+
+    Per-step terms are formed and summed as arrays, in the package's order,
+    so the result must equal the package's bit for bit.
+    """
     r = loop.radius
     alphas = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
     orientation = 1.0
     if loop.reverse:
         alphas, orientation = alphas[::-1], -1.0
-    total = 0.0 + 0.0j
-    for alpha in alphas:
-        c, s = math.cos(alpha), math.sin(alpha)
-        sum_aa = sum(abs(v) ** 2 for v in coeffs.a.values())
-        sum_bb = sum(abs(v) ** 2 for v in coeffs.b.values())
-        sum_ab = sum(np.conj(coeffs.a[i]) * coeffs.b[i] for i in coeffs.a)
-        sum_ba = complex(np.conj(sum_ab))
-        a1 = r * c * sum_aa + r * s * sum_ba
-        a2 = r * c * sum_ab + r * s * sum_bb
-        total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
+    sum_aa = sum(abs(v) ** 2 for v in coeffs.a.values())
+    sum_bb = sum(abs(v) ** 2 for v in coeffs.b.values())
+    sum_ab = sum(np.conj(coeffs.a[i]) * coeffs.b[i] for i in coeffs.a)
+    sum_ba = complex(np.conj(sum_ab))
+    c, s = np.cos(alphas), np.sin(alphas)
+    a1 = r * c * sum_aa + r * s * sum_ba
+    a2 = r * c * sum_ab + r * s * sum_bb
+    total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
     value = 1j * (total * (2.0 * math.pi / loop.steps))
     return value.real / r ** 2, abs(value.imag) / r ** 2, r
+
+
+def sequential_connection_loop(coeffs, loop):
+    """The connection loop one step at a time, on Python floats."""
+    r = loop.radius
+    orientation = -1.0 if loop.reverse else 1.0
+    total = 0.0 + 0.0j
+    for alpha in _alphas(loop).tolist():
+        c, s = math.cos(alpha), math.sin(alpha)
+        a1, a2 = berry_connection(coeffs, r * c, r * s)
+        total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
+    total *= 2.0 * math.pi / loop.steps
+    value = 1j * total
+    return value.real / r ** 2, abs(value.imag) / r ** 2, r
+
+
+def random_coefficients(rng):
+    members = rng.choice([2, 5, 6, 8, 9, 10, 13, 14, 16], size=rng.integers(1, 10),
+                         replace=False).tolist()
+    a, b = rng.normal(size=(2, len(members))) + 1j * rng.normal(size=(2, len(members)))
+    return CorrectionCoefficients(1, dict(zip(members, a.tolist())),
+                                  dict(zip(members, b.tolist())))
 
 
 class TestStoredSums:
@@ -202,6 +226,31 @@ class TestStoredSums:
         assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
             synthetic, loop)
 
+    def test_connection_loop_matches_the_sequential_loop(self, rng):
+        # the sums run in another order, so they agree to roundoff in steps terms
+        for _ in range(60):
+            coeffs = random_coefficients(rng)
+            loop = LoopParams(radius=float(10.0 ** rng.uniform(-4.0, 0.0)),
+                              steps=int(rng.integers(8, 4096)), reverse=bool(rng.integers(2)))
+            gamma, residual, r = connection_loop_integral(coeffs, loop)
+            gamma_seq, residual_seq, r_seq = sequential_connection_loop(coeffs, loop)
+            scale = coeffs.sum_abs2_a() + coeffs.sum_abs2_b()
+            assert r == r_seq == loop.radius
+            assert abs(gamma - gamma_seq) <= 1e-12 * max(abs(gamma_seq), scale), loop
+            assert max(residual, residual_seq) <= 1e-12 * scale, loop
+
+    @pytest.mark.parametrize("state", [None, 1, 16])
+    def test_connection_on_arrays_is_the_scalar_calls(self, synthetic, nodes64, state):
+        coeffs = synthetic if state is None else correction_coefficients(state, nodes=nodes64)
+        alphas = _alphas(LoopParams(steps=720))
+        eps1, eps2 = 1e-3 * np.cos(alphas), 1e-3 * np.sin(alphas)
+        components = berry_connection(coeffs, eps1, eps2)
+        calls = [berry_connection(coeffs, x, y) for x, y in zip(eps1.tolist(), eps2.tolist())]
+        for k, component in enumerate(components):
+            scalar = np.array([call[k] for call in calls], dtype=complex)
+            assert component.dtype == complex
+            assert component.tobytes() == scalar.tobytes()
+
 
 class TestPhysicalPhases:
     def test_all_live_states_zero(self, dimensionless, nodes64):
@@ -209,6 +258,15 @@ class TestPhysicalPhases:
             result = berry_phase_closed(j, dimensionless, nodes64)
             assert result.gamma_over_r2 == 0.0
             assert result.method == "closed"
+
+    @pytest.mark.parametrize("steps", [8, 720, 2048])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_connection_loop_zero_is_positive(self, nodes64, steps, reverse):
+        for j in live_indices():
+            coeffs = correction_coefficients(j, nodes=nodes64)
+            gamma, _, _ = connection_loop_integral(coeffs, LoopParams(steps=steps,
+                                                                      reverse=reverse))
+            assert gamma == 0.0 and math.copysign(1.0, gamma) == 1.0, j
 
     def test_null_states_zero_with_note(self, dimensionless, nodes64):
         for j in NULL_STATES:

@@ -160,7 +160,15 @@ class TestValidate:
     def test_low_resolution_warns_with_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--nodes", "16")
         assert code == cli.EXIT_NONCONVERGENCE
-        assert "[WARN]" in out
+        assert ("[WARN] resolution-floor: node count 16: this suite is not validated "
+                "below 32 nodes/axis\n") in out
+
+    @pytest.mark.parametrize("command", [("table",), ("phase", "--state", "1"),
+                                         ("oracle", "--state", "1")])
+    def test_low_resolution_outside_validate_exits_0(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command, "--nodes", "16")
+        assert code == cli.EXIT_OK
+        assert "WARN" not in out
 
     def test_measure_weight_without_cosh_fails(self, monkeypatch, capsys):
         from rmsphase import oscillator as osc
@@ -250,6 +258,14 @@ class TestConfig:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "table", "--config", "/nonexistent.cfg")
         assert code == cli.EXIT_CONFIG
+
+    def test_non_utf8_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"nodes = 32\n# \xff\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err == f"configuration error: cannot read config file {cfg}: not UTF-8 text\n"
 
     def test_argparse_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -491,6 +507,26 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert out == ""
         assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
+
+    @pytest.mark.parametrize("command", [("table",), ("oracle", "--state", "1")])
+    def test_omega_with_dimensionless_in_config_file_on_table_and_oracle(
+            self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_mhz = 240.4\ndimensionless = true\n")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert "omega_mhz (--omega)" in err and "dimensionless (--dimensionless)" in err
+
+    def test_omega_with_dimensionless_in_config_file_is_unread_by_validate(
+            self, capsys, tmp_path):
+        # validate runs at fixed constants, so the pair is a conflict it never meets
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_mhz = 240.4\ndimensionless = true\n")
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_OK
+        assert err == ""
+        assert out.endswith("9/9 checks passed\n")
 
     @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
     def test_bad_dimensionless_value_in_config_file(self, capsys, tmp_path, value):
