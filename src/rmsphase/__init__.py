@@ -16,11 +16,9 @@ from .oscillator import (
     QuantumNumbers,
     RmsPoint,
     StateRecord,
-    eigenvalue,
     embed,
     gram_matrix,
     live_indices,
-    measure_weight,
     state_table,
 )
 from .perturbation import (
@@ -45,7 +43,7 @@ __all__ = [
     "LoopParams", "PhaseResult", "berry_connection", "berry_phase_closed",
     "berry_phase_loop_connection", "berry_phase_loop_overlap", "oracle_comparison",
     "NodeCounts", "PhysicalConstants", "QuantumNumbers", "RmsPoint", "StateRecord",
-    "eigenvalue", "embed", "gram_matrix", "live_indices", "measure_weight", "state_table",
+    "embed", "gram_matrix", "live_indices", "state_table",
     "Channel", "CorrectionCoefficients",
     "correction_coefficients", "matrix_element", "phi_integral",
     "QuadratureRule", "integrate", "polar_rule",

@@ -24,17 +24,16 @@ build from 9 polar, 5 rapidity, 6 radial and 2 azimuthal nodes on is
 exact, and the exactness self-check compares the whole build with the
 cached 9-node build.
 
-Internally every integral is dimensionless: lengths are measured in
-sqrt(hbar/(M omega)), energies in hbar*omega.  ``PhysicalConstants``
-converts at the boundary, which keeps the SI conventions in one place and
-makes the computed pure numbers independent of the frequency.
+Every integral is dimensionless: lengths are measured in
+sqrt(hbar/(M omega)), energies in hbar*omega, so the computed pure numbers
+are independent of the frequency, and units enter only through
+``PhysicalConstants.coupling_scale``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,8 +54,6 @@ __all__ = [
     "DEFAULT_PLANCK",
     "DEFAULT_MASS",
     "embed",
-    "measure_weight",
-    "eigenvalue",
     "state_table",
     "live_indices",
     "AxisSpec",
@@ -78,7 +75,11 @@ MAX_NODES = 1024
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Scales of the problem: hbar [J s], mass [kg], omega [rad/s]."""
+    """Scales of the problem: hbar [J s], mass [kg], omega [rad/s].
+
+    Only ``coupling_scale`` is read, by the 1/(M omega^2)^2 prefactor of a
+    phase.
+    """
 
     hbar: float
     mass: float
@@ -97,29 +98,6 @@ class PhysicalConstants:
             raise ParameterError(
                 f"M omega^2 and 1/(M omega^2)^2 must be finite and positive; "
                 f"omega = {self.omega!r} rad/s and mass {self.mass!r} kg put them out of range")
-        # a scale below the normal floats is 0 or has lost precision
-        scales = (self.hbar, self.mass, self.omega, self.inverse_length2,
-                  self.inverse_length2 ** 0.75, self.length2_scale, self.energy_scale)
-        if not all(sys.float_info.min <= v < math.inf for v in scales):
-            raise ParameterError(
-                f"hbar, M, omega, M omega/hbar and its 3/4 power, hbar/(M omega) and "
-                f"hbar omega must be finite normal floats; hbar = {self.hbar!r} J s, "
-                f"mass {self.mass!r} kg and omega {self.omega!r} rad/s put one out of range")
-
-    @property
-    def inverse_length2(self) -> float:
-        """M omega / hbar, the 1/length^2 scale of the Gaussian factor."""
-        return self.mass * self.omega / self.hbar
-
-    @property
-    def length2_scale(self) -> float:
-        """hbar / (M omega), the length^2 scale."""
-        return self.hbar / (self.mass * self.omega)
-
-    @property
-    def energy_scale(self) -> float:
-        """hbar omega."""
-        return self.hbar * self.omega
 
     @property
     def coupling_scale(self) -> float:
@@ -211,7 +189,7 @@ class RmsPoint:
 
 @dataclass(frozen=True)
 class StateRecord:
-    """Catalogue row: index, quantum numbers and degenerate subspace.
+    """Catalogue row: index and quantum numbers.
 
     ``identically_zero`` marks the l < n states whose polar factor kills
     them; ``vanishing_rapidity`` marks the m < n states killed by the
@@ -221,7 +199,6 @@ class StateRecord:
 
     index: int
     qn: QuantumNumbers
-    subspace: int
 
     @property
     def energy_factor(self) -> Fraction:
@@ -263,7 +240,7 @@ class NodeCounts:
 
 
 _STATES = tuple(
-    StateRecord(index, QuantumNumbers(*qn), (index - 1) // 4 + 1)
+    StateRecord(index, QuantumNumbers(*qn))
     for index, qn in enumerate(itertools.product((2, 3), repeat=4), start=1))
 
 
@@ -305,16 +282,6 @@ def embed(p: RmsPoint) -> np.ndarray:
         p.rho * st * math.sin(p.phi) * ch,
         p.rho * ct,
     ])
-
-
-def measure_weight(p: RmsPoint) -> float:
-    """|Jacobian| of the embedding: rho^3 sin^2(theta) cosh(beta)."""
-    return p.rho ** 3 * math.sin(p.theta) ** 2 * math.cosh(p.beta)
-
-
-def eigenvalue(qn: QuantumNumbers, constants: PhysicalConstants) -> float:
-    """Oscillator eigenvalue hbar omega (l + 2 n_a + 3/2)."""
-    return constants.energy_scale * float(qn.reduced_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +395,11 @@ class AxisSpec(NamedTuple):
     every integral polynomial-exact.  It looks the constructor up on
     ``quad`` at each call, so a wrapper put on the module attribute sees
     every build.  ``weight(x, p)`` is the measure times the p-th power of
-    the shared coupling factor on this axis.  ``overlap_tables`` is the only
-    reader, so a wrong rule here shows in the tables themselves.
+    the shared coupling factor on this axis; the three weights at p = 0 are
+    the one statement of the measure rho^3 sin^2(theta) cosh(beta), which
+    ``validate`` compares with the Jacobian of ``embed``.  ``overlap_tables``
+    is the only other reader, so a wrong rule here shows in the tables
+    themselves.
     """
 
     field: str

@@ -9,9 +9,10 @@ m_bra != m_ket, which is the whole mechanism of interest.
 A coupling matrix is the closed-form phi integrals times the shared-factor
 table of ``oscillator.overlap_tables``, elementwise.  One masked division
 of both by the energy gaps E_j - E_i gives every state's coefficients, and
-``correction_coefficients(j)`` reads column j.  All are dimensionless (the
-hbar/(M omega) length^2 factor and the hbar omega energy denominators are
-attached symbolically), so one build per resolution serves any constants.
+``correction_coefficients(j)`` reads column j.  All are pure numbers:
+lengths^2 in hbar/(M omega), energies in hbar omega, couplings in M omega^2.
+So one build per resolution serves any constants, whose units enter only
+through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 # order: half-integers, so every gap E_j - E_i is exact.
 _ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
 
-# Per column j: the rows and catalogue indices of the states outside j's subspace.
+# Per column j: the rows and catalogue indices of the states outside j's energy level.
 _OUTSIDE = tuple((rows, [osc.live_indices()[row] for row in rows])
                  for rows in (np.flatnonzero(_ENERGIES != energy) for energy in _ENERGIES))
 
@@ -97,17 +98,10 @@ def _couplings(channel: Channel, nodes: osc.NodeCounts) -> np.ndarray:
 
 
 def matrix_element(i: int, j: int, channel: Channel,
-                   constants: osc.PhysicalConstants | None = None,
                    nodes: osc.NodeCounts = osc.NodeCounts()) -> complex:
-    """<psi_i | V | psi_j> per unit coupling; zero if either state is null.
-
-    Dimensionless when ``constants`` is None, otherwise multiplied by the
-    length^2 scale hbar/(M omega) so the value is in SI m^2.
-    """
-    value = osc.live_entry(_couplings(channel, nodes), i, j)
-    if constants is not None:
-        value *= constants.length2_scale
-    return value
+    """Dimensionless <psi_i | V | psi_j> per unit coupling (rho^2 in units
+    hbar/(M omega)); zero if either state is null."""
+    return osc.live_entry(_couplings(channel, nodes), i, j)
 
 
 def shared_factor_element(i: int, j: int,
@@ -126,9 +120,8 @@ class CorrectionCoefficients:
 
     ``a`` holds the cosine-channel coefficients, ``b`` the sine-channel
     ones, both keyed by catalogue index and restricted to normalizable
-    states outside the degenerate subspace of ``state_index``.  Values are
-    in the coupling units of the constants they were computed with (pure
-    numbers for dimensionless constants; SI values carry 1/(M omega^2)).
+    states outside the energy level of ``state_index``.  Values are pure
+    numbers, per coupling in units of M omega^2.
 
     Both mappings are read-only copies, so ``connection_sums`` -- the
     four numbers every loop step reads, sum|a|^2, sum|b|^2,
@@ -196,12 +189,11 @@ def _coefficient_tables(nodes: osc.NodeCounts) -> np.ndarray:
 
 
 def correction_coefficients(j: int,
-                            constants: osc.PhysicalConstants = osc.PhysicalConstants.dimensionless(),
                             nodes: osc.NodeCounts = osc.NodeCounts()) -> CorrectionCoefficients:
     """First-order coefficients a_i = <psi_i|V_cos|psi_j> / (K_j - K_i).
 
     Column j of ``_coefficient_tables``: sums run over normalizable
-    catalogue states outside the degenerate subspace of j (the energy
+    catalogue states outside the energy level of j (the energy
     denominators are exact multiples of hbar omega); entries for null
     intermediate states are absent, which is the same as zero.
     """
@@ -209,9 +201,8 @@ def correction_coefficients(j: int,
     if record.is_null:
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
-    scale = 1.0 / constants.coupling_scale
     col = osc._ROW[record.qn]
     rows, keys = _OUTSIDE[col]
     a, b = (dict(zip(keys, column))
-            for column in (_coefficient_tables(nodes)[:, rows, col] * scale).tolist())
+            for column in _coefficient_tables(nodes)[:, rows, col].tolist())
     return CorrectionCoefficients(j, a, b)

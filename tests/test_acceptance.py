@@ -26,12 +26,11 @@ from rmsphase import (
     gram_matrix,
     live_indices,
     matrix_element,
-    measure_weight,
     oracle_comparison,
     state_table,
 )
 from rmsphase.berry import _alphas, _loop_vectors, closed_form_phase, overlap_product_phase
-from rmsphase.oscillator import RmsPoint
+from rmsphase.oscillator import AXES, RmsPoint
 from rmsphase.perturbation import shared_factor_element
 from rmsphase.validate import EQUAL_PHASE_PAIRS, ROW_FREQUENCIES_MHZ, within
 
@@ -65,9 +64,9 @@ def test_criterion_01_orthonormality():
 
 
 def test_criterion_02_eigenvalue_table():
-    expected = {1: Fraction(15, 2), 2: Fraction(17, 2),
-                3: Fraction(19, 2), 4: Fraction(21, 2)}
-    ok = all(r.energy_factor == expected[r.subspace] for r in state_table())
+    # four degenerate levels, each four consecutive rows of the (n_a, l, n, m) order
+    levels = (Fraction(15, 2), Fraction(17, 2), Fraction(19, 2), Fraction(21, 2))
+    ok = [r.energy_factor for r in state_table()] == [e for e in levels for _ in range(4)]
     values = sorted({float(r.energy_factor) for r in state_table()})
     report(2, ok, f"eigenvalues/hbar*omega exactly {values} (rational arithmetic)")
 
@@ -88,10 +87,11 @@ def test_criterion_03_measure_correctness():
             up[k] += h
             dn[k] -= h
             jac[:, k] = (embed(RmsPoint(*up)) - embed(RmsPoint(*dn))) / (2 * h)
-        worst = max(worst, abs(abs(np.linalg.det(jac)) - measure_weight(p))
-                    / measure_weight(p))
+        coordinate = {"radial": p.rho, "polar": p.theta, "rapidity": p.beta}
+        measure = math.prod(float(axis.weight(coordinate[axis.field], 0)) for axis in AXES)
+        worst = max(worst, abs(abs(np.linalg.det(jac)) - measure) / measure)
     report(3, worst < 1e-8,
-           f"analytic measure vs finite-difference Jacobian: worst relative "
+           f"measure of the AXES weights vs finite-difference Jacobian: worst relative "
            f"deviation {worst:.3e} over 100 random points")
 
 

@@ -1,16 +1,19 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
-import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmsphase import cli
 
@@ -170,14 +173,21 @@ class TestValidate:
         assert code == cli.EXIT_OK
         assert "WARN" not in out
 
-    def test_measure_weight_without_cosh_fails(self, monkeypatch, capsys):
+    # a wrong measure in one axis's weight; each keeps the coupling factor's power
+    @pytest.mark.parametrize("field, weight", [
+        ("rapidity", lambda b, p: np.cosh(b) ** (2 * p)),
+        ("rapidity", lambda b, p: np.cosh(b) ** (2 + 2 * p)),
+        ("polar", lambda t, p: np.sin(t) ** (4 + 2 * p)),
+        ("radial", lambda r, p: r ** (5 + 2 * p)),
+    ], ids=["rapidity-no-cosh", "rapidity-cosh-squared", "polar-sin-4", "radial-r-5"])
+    def test_wrong_axes_measure_fails(self, monkeypatch, capsys, fresh_tables, field, weight):
         from rmsphase import oscillator as osc
-        monkeypatch.setattr(osc, "measure_weight",
-                            lambda p: p.rho ** 3 * math.sin(p.theta) ** 2)
+        monkeypatch.setattr(osc, "AXES", tuple(axis._replace(weight=weight)
+                                               if axis.field == field else axis
+                                               for axis in osc.AXES))
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
-        assert [line.split(":")[0] for line in out.splitlines()
-                if line.startswith("[FAIL]")] == ["[FAIL] measure-jacobian"]
+        assert "[FAIL] measure-jacobian" in out
 
     def test_cold_validate_does_not_import_numpy_random(self):
         proc = run_python("""
@@ -592,3 +602,113 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("configuration error: cannot write output file")
         assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn argv and config files
+
+# Values for any flag or config key: non-finite, subnormal, huge, empty and
+# non-UTF-8 ones ("\udcff" is how Python passes the argv byte 0xff), and
+# paths, which the test resolves inside a directory of its own.
+ODD_VALUES = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "5e-324", "1e-310", "-0", "0", "-1", "1e400", "1e150",
+    "9" * 40, "1" * 5000, "", " ", "\xff", "\udcff", "out.txt", ".", "missing/out.txt"])
+
+
+def drawn(in_range, wide=st.nothing()):
+    """Half the time an in-range value, else a wide or an odd one."""
+    return st.one_of(st.sampled_from(in_range), st.one_of(wide, ODD_VALUES))
+
+
+# in-range node and step counts stay small, so every example is cheap
+FLAG_VALUES = {
+    "--nodes": drawn(["16", "17", "32"],
+                     st.integers().filter(lambda n: not 16 <= n <= 1024).map(str)),
+    "--steps": drawn(["8", "9", "64"],
+                     st.integers().filter(lambda n: not 8 <= n <= 2 ** 20).map(str)),
+    "--radius": drawn(["1e-3", "0.5"], st.floats().map(repr)),
+    "--omega": drawn(["89.6", "240.4"], st.floats().map(repr)),
+    "--omega-convention": drawn(["angular", "cyclic"]),
+    "--hbar-convention": drawn(["hbar", "h"]),
+    "--method": drawn(["closed", "loop-connection", "loop-overlap"]),
+    "--format": drawn(["csv", "json", "pretty"]),
+    "--out": drawn(["out.txt", ".", "missing/out.txt"]),
+    "--dimensionless": st.just(None),
+    "--no-dimensionless": st.just(None),
+}
+COMMON_FLAGS = ("--nodes", "--format", "--out")
+FREQUENCY_FLAGS = ("--omega", "--omega-convention", "--hbar-convention", "--dimensionless",
+                   "--no-dimensionless")
+LOOP_FLAGS = ("--steps", "--radius")
+COMMAND_FLAGS = {"table": COMMON_FLAGS + FREQUENCY_FLAGS,
+                 "phase": COMMON_FLAGS + FREQUENCY_FLAGS + LOOP_FLAGS + ("--method",),
+                 "oracle": COMMON_FLAGS + FREQUENCY_FLAGS + LOOP_FLAGS,
+                 "validate": COMMON_FLAGS}
+CONFIG_VALUES = {"omega_mhz": "--omega", "omega_convention": "--omega-convention",
+                 "hbar_convention": "--hbar-convention", "nodes": "--nodes",
+                 "steps": "--steps", "radius": "--radius", "format": "--format", "out": "--out"}
+config_line = st.one_of(
+    st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+        lambda key: FLAG_VALUES[CONFIG_VALUES[key]].map(lambda value: f"{key} = {value}")),
+    drawn(["true", "no"]).map(lambda value: f"dimensionless = {value}"),
+    st.sampled_from(["", "# comment", "no equals sign", "bogus = 1"]))
+config_bytes = st.one_of(
+    st.lists(config_line, max_size=4).map(
+        lambda lines: "\n".join(lines).encode("utf-8", "surrogateescape")),
+    st.binary(max_size=16))
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config file bytes or None); argv runs in a directory of its own."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command in ("phase", "oracle") and draw(st.integers(0, 7)):
+        argv += ["--state", draw(drawn([str(j) for j in range(1, 17)], st.integers().map(str)))]
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=4)):
+        value = draw(FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    config = draw(st.none() | config_bytes)
+    if config is not None:
+        argv += ["--config", "run.cfg"]
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(invocations())
+def test_any_input_keeps_the_exit_contract(contract_dir, invocation):
+    # exit 0-3; only argparse's usage error exits by SystemExit(2); exit 0 never
+    # reports nan; exit 2 is one "configuration error:" line on stderr
+    argv, config = invocation
+    for stale in contract_dir.rglob("*"):
+        if stale.is_file():
+            stale.unlink()
+    if config is not None:
+        (contract_dir / "run.cfg").write_bytes(config)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(contract_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == cli.EXIT_CONFIG, (argv, exc.code)
+        return
+    finally:
+        os.chdir(cwd)
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CONFIG,
+                    cli.EXIT_NONCONVERGENCE), (argv, code)
+    if code == cli.EXIT_OK:
+        written = [path.read_text(encoding="utf-8") for path in contract_dir.rglob("*")
+                   if path.is_file() and path.name != "run.cfg"]
+        for text in (out.getvalue(), *written):
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), (argv, config, text)
+    if code == cli.EXIT_CONFIG:
+        message = err.getvalue()
+        assert message.startswith("configuration error:"), (argv, config, message)
+        assert message.count("\n") == 1 and message.endswith("\n"), (argv, config, message)

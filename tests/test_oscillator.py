@@ -19,15 +19,14 @@ from rmsphase import (
     PhysicalConstants,
     QuantumNumbers,
     RmsPoint,
-    eigenvalue,
     embed,
     gram_matrix,
     live_indices,
-    measure_weight,
     state_table,
 )
 from rmsphase.errors import DomainError, ParameterError
 from rmsphase.oscillator import (
+    AXES,
     overlap_tables,
     polar_profiles,
     radial_profiles,
@@ -35,6 +34,12 @@ from rmsphase.oscillator import (
 )
 
 LIVE = (1, 2, 5, 6, 8, 9, 10, 13, 14, 16)
+
+
+def axes_measure(p: RmsPoint) -> float:
+    """Product of the ``AXES`` weights at power 0: the measure every build integrates."""
+    coordinate = {"radial": p.rho, "polar": p.theta, "rapidity": p.beta}
+    return math.prod(float(axis.weight(coordinate[axis.field], 0)) for axis in AXES)
 
 
 def closed_form_norm(qn: QuantumNumbers) -> float:
@@ -64,8 +69,8 @@ class TestGeometry:
             assert -t * t + x * x + y * y + z * z == pytest.approx(p.rho ** 2, abs=1e-12 * p.rho ** 2)
 
     def test_measure_trivials(self):
-        assert measure_weight(RmsPoint(1.0, math.pi / 2, 0.3, 0.0)) == pytest.approx(1.0, rel=1e-15)
-        assert measure_weight(RmsPoint(2.0, 1e-12, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-20)
+        assert axes_measure(RmsPoint(1.0, math.pi / 2, 0.3, 0.0)) == pytest.approx(1.0, rel=1e-15)
+        assert axes_measure(RmsPoint(2.0, 1e-12, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-20)
 
     def test_measure_matches_finite_difference_jacobian(self, rng):
         for _ in range(100):
@@ -80,7 +85,7 @@ class TestGeometry:
                 dn[k] -= h
                 jac[:, k] = (embed(RmsPoint(*up)) - embed(RmsPoint(*dn))) / (2 * h)
             fd = abs(np.linalg.det(jac))
-            assert fd == pytest.approx(measure_weight(p), rel=1e-8)
+            assert fd == pytest.approx(axes_measure(p), rel=1e-8)
 
     def test_point_validation(self):
         with pytest.raises(ParameterError):
@@ -91,16 +96,14 @@ class TestGeometry:
 
 class TestCatalogue:
     def test_eigenvalues_exact(self):
-        table = state_table()
-        blocks = {1: Fraction(15, 2), 2: Fraction(17, 2),
-                  3: Fraction(19, 2), 4: Fraction(21, 2)}
-        for record in table:
-            assert record.energy_factor == blocks[record.subspace]
+        # lexicographic (n_a, l, n, m) order puts each energy level in four consecutive rows
+        levels = [Fraction(15, 2), Fraction(17, 2), Fraction(19, 2), Fraction(21, 2)]
+        assert [r.energy_factor for r in state_table()] == [e for e in levels for _ in range(4)]
 
     def test_specific_rows(self):
         table = state_table()
         assert table[0].qn == QuantumNumbers(2, 2, 2, 2)
-        assert table[0].subspace == 1
+        assert table[0].energy_factor == Fraction(15, 2)
         assert table[7].qn == QuantumNumbers(2, 3, 3, 3)
         assert table[7].energy_factor == Fraction(17, 2)
         assert table[11].qn == QuantumNumbers(3, 2, 3, 3)
@@ -111,11 +114,6 @@ class TestCatalogue:
         assert [r.index for r in table if r.identically_zero] == [3, 4, 11, 12]
         assert [r.index for r in table if r.vanishing_rapidity] == [3, 7, 11, 15]
         assert live_indices() == LIVE
-
-    def test_eigenvalue_in_si(self):
-        c = PhysicalConstants.from_frequency(240.4)
-        assert eigenvalue(QuantumNumbers(2, 2, 2, 2), c) == pytest.approx(
-            7.5 * c.hbar * c.omega, rel=1e-15)
 
 
 class TestConstants:
@@ -129,21 +127,6 @@ class TestConstants:
         for args in slots:
             with pytest.raises(ParameterError, match="finite and positive"):
                 PhysicalConstants(*args)
-
-    @pytest.mark.parametrize("args", [
-        (1e-320, 9.109e-31, 1e9),   # subnormal hbar: M omega/hbar ~ 9e298
-        (1e-300, 1e5, 1e10),        # M omega/hbar overflows to inf
-        (1e300, 1e-15, 1e-15),      # M omega/hbar underflows to 0
-        (1e-300, 1.0, 1e-10),       # hbar omega is subnormal
-    ])
-    def test_length_and_energy_scales_out_of_range_rejected(self, args):
-        with pytest.raises(ParameterError, match="finite normal floats"):
-            PhysicalConstants(*args)
-
-    def test_subnormal_hbar_rejected_before_evaluation(self):
-        # a subnormal hbar has lost precision; the constructor refuses it before any evaluation
-        with pytest.raises(ParameterError):
-            PhysicalConstants(1e-320, 9.109e-31, 1e9)
 
 
 class TestEvaluation:

@@ -14,7 +14,6 @@ from numpy.polynomial.legendre import leggauss
 from rmsphase import (
     Channel,
     NodeCounts,
-    PhysicalConstants,
     correction_coefficients,
     live_indices,
     matrix_element,
@@ -102,12 +101,6 @@ class TestMatrixElements:
         got = matrix_element(8, 1, Channel.COSINE, nodes=nodes64)
         assert got == pytest.approx(-0.98994266427517 - 1.28597324332852j, rel=1e-10)
 
-    def test_si_scaling(self, nodes64):
-        c = PhysicalConstants.from_frequency(240.4)
-        bare = matrix_element(8, 1, Channel.COSINE, nodes=nodes64)
-        scaled = matrix_element(8, 1, Channel.COSINE, constants=c, nodes=nodes64)
-        assert scaled == pytest.approx(bare * c.length2_scale, rel=1e-15)
-
     def test_phi_selection_rule(self, nodes64):
         # |delta m| <= 1 in the catalogue, and the delta = +-1 elements
         # that survive are genuinely complex
@@ -177,13 +170,6 @@ class TestCorrectionCoefficients:
                 assert bi == pytest.approx(ai * ratio, rel=1e-12)
             else:
                 assert bi == pytest.approx(-ai, rel=1e-12)
-
-    def test_si_units(self, nodes64):
-        c = PhysicalConstants.from_frequency(240.4)
-        bare = correction_coefficients(1, nodes=nodes64)
-        scaled = correction_coefficients(1, c, nodes=nodes64)
-        factor = 1.0 / c.coupling_scale
-        assert scaled.a[8] == pytest.approx(bare.a[8] * factor, rel=1e-14)
 
     def test_null_state_rejected(self, nodes64):
         with pytest.raises(CorrectionError):
