@@ -18,12 +18,22 @@ this coupling pair the cross sums come out real, so all three routes
 agree on zero phases; the machinery is exercised against synthetic
 nonzero coefficient sets in the test suite.
 
-What is constant around a loop is computed once, not once per step: the
-connection reads the three coefficient sums that
-``CorrectionCoefficients`` stores at construction and is evaluated once,
-on the arrays of all the loop's samples; the overlap chain runs in the
-3-dim span of e_j, a and b, on a metric reduced once per coefficient set
-and shared by both Richardson radii.
+What is constant around a loop is computed once, not once per step:
+
+* the samples (cos alpha, sin alpha), with the one that closes the chain,
+  are built once per (steps, reverse) by ``_loop_samples`` and read by
+  both loop routes; one entry holds 16 MiB at ``MAX_STEPS``;
+* the connection reads the three coefficient sums that
+  ``CorrectionCoefficients`` stores at construction and is evaluated
+  once, on the arrays of all the loop's samples;
+* the overlap chain runs in the 3-dim span of e_j, a and b, on a metric
+  H reduced once per coefficient set.  Its samples are real, so every
+  overlap is formed from Re H and Im H in real arithmetic; the parts that
+  do not depend on the radius are 1-d arrays built once, and each radius
+  (r and r/2 for Richardson) is one row of a single array pass.
+
+The chain's roundoff is divided by r^2, so the overlap route refuses a
+radius with r * max|coefficient| below ``_OVERLAP_FLOOR``.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +66,13 @@ _PHASE_ORIENTATION = -1.0
 # r * max|coefficient| is kept at or below this in auto-radius mode so the
 # loop stays in the perturbative regime.
 _PERTURBATIVE_BUDGET = 1e-2
+
+# The overlap chain's roundoff is divided by r^2, so below this
+# r * max|coefficient| the overlap route refuses the loop.  Measured on the
+# live states at 16..1024 nodes and on synthetic sets under the same Gram
+# matrices, 8..16384 steps: its Richardson value leaves validate's
+# oracle-agreement tolerance at 1e-24 and uses 5% of it at 1e-22.
+_OVERLAP_FLOOR = 1e-18
 
 # Every loop route holds O(steps) samples in memory.
 MAX_STEPS = 2 ** 20
@@ -166,9 +184,41 @@ def _check_radius(r: float) -> None:
         raise ParameterError(f"loop radius {r!r} has no finite square or squares to zero")
 
 
+def _check_overlap_floor(coeffs: pert.CorrectionCoefficients,
+                         radii: tuple[float, ...]) -> None:
+    """Refuse radii below ``_OVERLAP_FLOOR`` / max|coefficient|.  A set
+    with no coefficient has an exact chain and no floor."""
+    top = coeffs.max_magnitude()
+    if top > 0.0 and min(radii) < _OVERLAP_FLOOR / top:
+        label = "loop radius" if len(radii) == 1 else "loop radii"
+        raise ParameterError(
+            f"{label} {', '.join(map(repr, radii))}: the overlap route needs every "
+            f"radius at or above {_OVERLAP_FLOOR / top:.3e} "
+            f"({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
+            f"roundoff, divided by r^2, swamps the phase")
+
+
 def _alphas(loop: LoopParams) -> np.ndarray:
     a = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
     return a[::-1] if loop.reverse else a
+
+
+@lru_cache(maxsize=4)
+def _loop_samples(steps: int, reverse: bool) -> np.ndarray:
+    """Read-only rows (cos alpha, sin alpha) of the loop's samples, in
+    traversal order, with the first sample repeated at the end to close the
+    chain; shape (2, steps + 1).  Both loop routes read it, so the routes of
+    one loop evaluate the trigonometric functions once.  One entry holds
+    2 * (steps + 1) floats: 16 MiB at ``MAX_STEPS``, and the last four
+    entries are kept.
+    """
+    alphas = _alphas(LoopParams(steps=steps, reverse=reverse))
+    samples = np.empty((2, steps + 1))
+    samples[0, :-1] = np.cos(alphas)
+    samples[1, :-1] = np.sin(alphas)
+    samples[:, -1] = samples[:, 0]
+    samples.setflags(write=False)
+    return samples
 
 
 def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
@@ -181,14 +231,13 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     result is a roundoff diagnostic.  An exact zero is returned as +0, so
     the printed sign of a structural zero does not follow roundoff.  The
     connection is evaluated once, on the arrays of every sample of the
-    circle, and its tangent-weighted integrand is summed by one
-    ``np.sum``; it holds O(steps) arrays while it runs.
+    circle (``_loop_samples``), and its tangent-weighted integrand is
+    summed by one ``np.sum``; it holds O(steps) arrays while it runs.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
-    alphas = _alphas(loop)
-    c, s = np.cos(alphas), np.sin(alphas)
+    c, s = _loop_samples(loop.steps, loop.reverse)[:, :-1]
     a1, a2 = berry_connection(coeffs, r * c, r * s)
     # dR/d(alpha) on the circle, signed by traversal direction
     total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
@@ -226,15 +275,11 @@ def _loop_basis(coeffs: pert.CorrectionCoefficients,
     return basis
 
 
-def _circle(alphas: np.ndarray) -> np.ndarray:
-    """Rows (1, cos alpha, sin alpha); scaled by (1, r, r) they are samples."""
-    return np.stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)], axis=1)
-
-
 def _loop_vectors(coeffs: pert.CorrectionCoefficients, indices: tuple[int, ...],
                   radius: float, alphas: np.ndarray) -> np.ndarray:
     """Coefficient vectors of Psi(alpha) in the normalizable-state basis."""
-    coords = _circle(alphas) * np.array([1.0, radius, radius])
+    coords = np.stack([np.ones_like(alphas), radius * np.cos(alphas),
+                       radius * np.sin(alphas)], axis=1)
     return coords @ _loop_basis(coeffs, indices).T
 
 
@@ -245,7 +290,9 @@ def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
     supplied Gram metric.  Per-sample phases telescope out of the closed
     product, so the result is exactly gauge invariant; the total loop
     phase must stay inside (-pi, pi], which the perturbative loop radius
-    guarantees by a wide margin.
+    guarantees by a wide margin.  This is the chain over the full basis;
+    ``_overlap_phases`` runs the same chain in the 3-dim span of the loop,
+    and the tests hold the two together.
     """
     # overlap <v_k|v_{k+1}> = conj(v_k) . G . v_{k+1}
     norms = np.sqrt(np.einsum("ki,ki->k", np.conj(vectors), vectors @ gram.T).real)
@@ -263,25 +310,46 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
                     loop: LoopParams, radii: tuple[float, ...]) -> list[float]:
     """Overlap-product phase per squared radius at each of ``radii``.
 
-    The chains run in the 3-dim span of ``_loop_basis``.  The reduced
-    metric H = B^dagger G B and the angles are computed once for all
-    radii; each radius scales H by (1, r, r) on both sides, so its samples
-    are the real rows of ``_circle``.  H is made exactly Hermitian first:
-    the phase is the anti-Hermitian part of O(r^2) overlaps, so a
-    roundoff asymmetry would be divided by r^2.
+    The chains run in the 3-dim span of ``_loop_basis``, on the reduced
+    metric H = B^dagger G B, made exactly Hermitian first: the phase is
+    the anti-Hermitian part of O(r^2) overlaps, so a roundoff asymmetry
+    would be divided by r^2.  The samples u_k = (1, r cos alpha_k,
+    r sin alpha_k) are real, so o_k = u_k^T H u_{k+1} is formed from
+    Re H and Im H in real arithmetic.  Re o_k, Im o_k and the squared
+    norms n_k^2 = u_k^T (Re H) u_k are polynomials in r whose O(r) and
+    O(r^2) coefficients are 1-d arrays built once; each radius is one row
+    of a (len(radii), steps) array.  The chain phase is -sum_k
+    atan2(Im o_k, Re o_k); the normalization is a positive factor of each
+    o_k, so only the weak-overlap bound reads it.
     """
     for r in radii:
         _check_radius(r)
+    _check_overlap_floor(coeffs, radii)
     indices, gram = gram_data
     basis = _loop_basis(coeffs, indices)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)
-    circle = _circle(_alphas(loop))
-    phases = []
-    for r in radii:
-        scale = np.array([1.0, r, r])
-        phases.append(overlap_product_phase(circle, metric * np.outer(scale, scale))
-                      / r ** 2)
-    return phases
+    p, q = metric.real, metric.imag
+    c, s = _loop_samples(loop.steps, loop.reverse)
+    c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
+    # coefficients of r and r^2 in Re o_k, Im o_k (P symmetric, Q antisymmetric)
+    re1 = p[0, 1] * (c0 + c1) + p[0, 2] * (s0 + s1)
+    re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)
+    im1 = q[0, 1] * (c1 - c0) + q[0, 2] * (s1 - s0)
+    im2 = q[1, 2] * (c0 * s1 - s0 * c1)
+    # and in n_k^2, over every sample including the closing one
+    nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
+    nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
+    rows = np.array(radii)[:, None]
+    re = p[0, 0] + rows * (re1 + rows * re2)
+    im = rows * (im1 + rows * im2)
+    nn = p[0, 0] + rows * (nn1 + rows * nn2)
+    # |o_k| / (n_k n_{k+1}) < 0.5, squared
+    if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
+        raise StepResolutionError(
+            "adjacent loop samples barely overlap; increase the step count")
+    phases = -np.sum(np.arctan2(im, re), axis=1)
+    # + 0.0 makes an exact zero +0, as connection_loop_integral does
+    return [phase / r ** 2 + 0.0 for phase, r in zip(phases.tolist(), radii)]
 
 
 def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
@@ -297,9 +365,8 @@ def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
     """Overlap-product loop phase per squared radius for state j.
 
     Per-sample normalization makes the raw value differ from the closed
-    form at O(r^2); the loop runs at r and r/2, in one batch that shares
-    the reduced metric and the angles, and Richardson-extrapolates that
-    error away.
+    form at O(r^2); the loop runs at r and r/2, as two rows of one
+    ``_overlap_phases`` pass, and Richardson-extrapolates that error away.
     """
     if osc.get_state(j).is_null:
         return _null_result(j, "loop-overlap", constants)

@@ -26,8 +26,11 @@ from rmsphase import (
 )
 from rmsphase.berry import (
     MAX_STEPS,
+    _OVERLAP_FLOOR,
     _alphas,
+    _loop_samples,
     _loop_vectors,
+    _overlap_phases,
     closed_form_phase,
     connection_loop_integral,
     overlap_loop_phase,
@@ -150,8 +153,34 @@ class TestSyntheticLoops:
 
     def test_weak_overlap_raises(self, rng):
         vectors = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
-        with pytest.raises(StepResolutionError):
+        with pytest.raises(StepResolutionError, match="barely overlap"):
             overlap_product_phase(vectors, np.eye(6))
+
+    def test_weak_overlap_raises_on_the_reduced_route(self, nodes64):
+        # a and b are orthogonal under G with norms 1 and 1e-3: at r = 1e4 the
+        # sample at 45 degrees is nearly a and the one at 90 degrees nearly
+        # e_j + 10 b, whose normalized overlap is ~1e-3
+        coeffs = CorrectionCoefficients(1, {5: 1.0, 9: 0.0}, {5: 0.0, 9: 1e-3})
+        loop = LoopParams(radius=1e4, steps=8)
+        with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
+            overlap_loop_phase(coeffs, gram_matrix(nodes64), loop, 1e4)
+        # the same chain over the full basis refuses it too
+        indices, gram = gram_matrix(nodes64)
+        with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
+            overlap_product_phase(_loop_vectors(coeffs, indices, 1e4, _alphas(loop)), gram)
+
+    @pytest.mark.parametrize("steps", [8, 720, 1001, 2048])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_radius_batch_is_the_single_radius_calls(self, nodes64, rng, steps, reverse):
+        gram_data = gram_matrix(nodes64)
+        loop = LoopParams(steps=steps, reverse=reverse)
+        coeffs = [random_coefficients(rng) for _ in range(8)]
+        coeffs += [correction_coefficients(j, nodes=nodes64) for j in (1, 8, 16)]
+        for c in coeffs:
+            r = 1e-2 / c.max_magnitude()
+            batch = _overlap_phases(c, gram_data, loop, (r, 0.5 * r))
+            single = [overlap_loop_phase(c, gram_data, loop, x) for x in (r, 0.5 * r)]
+            assert np.array(batch).tobytes() == np.array(single).tobytes()
 
 
 def reference_connection_loop(coeffs, loop):
@@ -225,6 +254,17 @@ class TestStoredSums:
         loop = LoopParams(radius=1e-3, steps=steps, reverse=reverse)
         assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
             synthetic, loop)
+
+    @pytest.mark.parametrize("steps", [8, 1001])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_loop_samples_are_shared_and_closed(self, steps, reverse):
+        samples = _loop_samples(steps, reverse)
+        assert _loop_samples(steps, reverse) is samples
+        assert samples.shape == (2, steps + 1) and not samples.flags.writeable
+        alphas = _alphas(LoopParams(steps=steps, reverse=reverse))
+        assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes()
+        assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes()
+        assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
 
     def test_connection_loop_matches_the_sequential_loop(self, rng):
         # the sums run in another order, so they agree to roundoff in steps terms
@@ -335,6 +375,24 @@ class TestParams:
                 connection_loop_integral(coeffs, LoopParams(radius=radius))
             with pytest.raises(ParameterError, match="squares to zero"):
                 overlap_loop_phase(coeffs, gram_matrix(nodes64), LoopParams(), radius)
+
+    def test_radius_below_the_overlap_floor(self, nodes64):
+        coeffs = correction_coefficients(1, nodes=nodes64)
+        floor = _OVERLAP_FLOOR / coeffs.max_magnitude()
+        gram_data = gram_matrix(nodes64)
+        # far below the auto radius's Richardson half, r * max|coefficient| = 5e-3
+        assert _OVERLAP_FLOOR < 1e-12 * 5e-3
+        for radius in (1e-150, 0.99 * floor):
+            with pytest.raises(ParameterError, match=f"{radius!r}: the overlap route "
+                               f"needs every radius at or above {floor:.3e}"):
+                overlap_loop_phase(coeffs, gram_data, LoopParams(), radius)
+        # the Richardson half counts: r above the floor but r/2 below it
+        with pytest.raises(ParameterError, match=f"radii {1.5 * floor!r}, {0.75 * floor!r}"):
+            _overlap_phases(coeffs, gram_data, LoopParams(), (1.5 * floor, 0.75 * floor))
+        closed = closed_form_phase(coeffs)
+        assert abs(overlap_loop_phase(coeffs, gram_data, LoopParams(), floor) - closed) < 1e-7
+        # the connection route divides no chain's roundoff by r^2 and has no floor
+        assert connection_loop_integral(coeffs, LoopParams(radius=1e-150))[0] == 0.0
 
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)

@@ -43,7 +43,8 @@ def coefficient_sets(draw):
                                   {i: draw(coefficient) for i in members})
 
 
-loops = st.builds(LoopParams, steps=st.integers(8, 512))
+# both directions and the benchmark's step range, so every chain closes both ways
+loops = st.builds(LoopParams, steps=st.integers(8, 2048), reverse=st.booleans())
 
 
 def tolerance(coeffs, loop):
@@ -67,7 +68,9 @@ def reversed_loop(loop):
 @given(coefficient_sets(), loops)
 def test_connection_route_equals_closed_form(coeffs, loop):
     closed, connection, _ = routes(coeffs, loop)
-    assert connection == pytest.approx(closed, **tolerance(coeffs, loop))
+    # the closed form is the phase of the forward loop
+    expected = -closed if loop.reverse else closed
+    assert connection == pytest.approx(expected, **tolerance(coeffs, loop))
 
 
 @PROPERTY_SETTINGS

@@ -153,6 +153,22 @@ class TestStructuralZeroSign:
                     == ["gamma/r^2 (dimensionless) = 0", "loop-connection: 0"]), j
 
 
+class TestOverlapZeroSign:
+    """The overlap route returns an exact zero as +0, as the connection loop does."""
+
+    @pytest.mark.parametrize("steps", ["8", "720"])
+    def test_no_overlap_value_prints_minus_zero(self, capsys, steps):
+        # at 8 steps state 16's chain sums to an exact zero at both radii
+        for j in LIVE:
+            code, out, _ = run_cli(capsys, "oracle", "--state", str(j), "--steps", steps)
+            assert code == cli.EXIT_OK
+            lines = [line.split(":", 1)[1] for line in out.splitlines()
+                     if "loop-overlap:" in line or "raw values" in line]
+            values = [token for line in lines
+                      for token in line.split("(")[0].split("[")[0].replace(",", " ").split()]
+            assert len(values) == 3 and "-0" not in values, (j, values)
+
+
 class TestValidate:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
@@ -572,6 +588,15 @@ class TestBadInput:
             assert code == cli.EXIT_CONFIG
             assert out == ""
             assert "configuration error" in err and "no finite square" in err
+
+    @pytest.mark.parametrize("command", [("oracle",), ("phase", "--method", "loop-overlap")])
+    def test_radius_below_the_overlap_floor_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--state", "1", "--radius", "1e-150",
+                                 "--nodes", "16")
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error: loop radii 1e-150, 5e-151: "
+                              "the overlap route needs every radius at or above ")
 
     @pytest.mark.parametrize("command", ["phase", "oracle"])
     @pytest.mark.parametrize("steps", ["7", "1048577"])
