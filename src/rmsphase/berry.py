@@ -9,7 +9,7 @@ Three routes to the same quantity:
   eps2 = r sin(alpha);
 * ``berry_phase_loop_overlap``    -- gauge-invariant product of successive
   normalized-state overlaps around the same circle, Richardson-extrapolated
-  to small radius.
+  to small radius.  ``oracle_comparison`` runs all three on one coefficient set.
 
 The loop computations always run on the dimensionless coefficient tables
 (couplings in units of M omega^2), where every number is O(1); results are
@@ -135,38 +135,9 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
     return (eps1 * sum_aa + eps2 * sum_ba, eps1 * sum_ab + eps2 * sum_bb)
 
 
-def _result(j: int, gamma_tilde: float, method: str,
-            constants: osc.PhysicalConstants, metadata: dict) -> PhaseResult:
-    prefactor = 1.0 / constants.coupling_scale ** 2
-    return PhaseResult(
-        state_index=j,
-        gamma_over_r2=gamma_tilde * prefactor,
-        dimensionless_value=gamma_tilde,
-        si_prefactor=prefactor,
-        method=method,
-        constants=constants,
-        metadata=metadata,
-    )
-
-
-def _null_result(j: int, method: str, constants: osc.PhysicalConstants) -> PhaseResult:
-    return _result(j, 0.0, method, constants,
-                   {"note": "state vanishes identically; phase is zero by convention"})
-
-
 def closed_form_phase(coeffs: pert.CorrectionCoefficients) -> float:
     """-2 pi Im sum conj(a_i) b_i in the coefficient units supplied."""
     return _PHASE_ORIENTATION * 2.0 * math.pi * coeffs.sum_conj_a_b().imag
-
-
-def berry_phase_closed(j: int, constants: osc.PhysicalConstants,
-                       nodes: osc.NodeCounts = osc.NodeCounts()) -> PhaseResult:
-    """Closed-form phase per squared loop radius for state j."""
-    if osc.get_state(j).is_null:
-        return _null_result(j, "closed", constants)
-    coeffs = pert.correction_coefficients(j, nodes=nodes)
-    return _result(j, closed_form_phase(coeffs), "closed", constants,
-                   {"nodes": nodes})
 
 
 def _auto_radius(coeffs: pert.CorrectionCoefficients, loop: LoopParams) -> float:
@@ -247,40 +218,23 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     return value.real / r ** 2 + 0.0, abs(value.imag) / r ** 2, r
 
 
-def berry_phase_loop_connection(j: int, constants: osc.PhysicalConstants,
-                                loop: LoopParams = LoopParams(),
-                                nodes: osc.NodeCounts = osc.NodeCounts()) -> PhaseResult:
-    """Discretized connection-loop phase per squared radius for state j."""
-    if osc.get_state(j).is_null:
-        return _null_result(j, "loop-connection", constants)
-    coeffs = pert.correction_coefficients(j, nodes=nodes)
-    gamma, residual, r = connection_loop_integral(coeffs, loop)
-    return _result(j, gamma, "loop-connection", constants,
-                   {"steps": loop.steps, "radius": r,
-                    "imag_residual": residual, "nodes": nodes})
-
-
-def _loop_basis(coeffs: pert.CorrectionCoefficients,
-                indices: tuple[int, ...]) -> np.ndarray:
-    """Columns e_j, a, b in the normalizable-state basis.
+def _loop_basis(coeffs: pert.CorrectionCoefficients) -> np.ndarray:
+    """Columns e_j, a, b over the live states, ``osc.live_indices()``.
 
     The sample at radius r and angle alpha is this basis applied to
     (1, r cos alpha, r sin alpha), so every loop lies in their span.
     """
-    pos = {idx: k for k, idx in enumerate(indices)}
-    basis = np.zeros((len(indices), 3), dtype=complex)
-    basis[pos[coeffs.state_index], 0] = 1.0
-    for i, ai in coeffs.a.items():
-        basis[pos[i], 1:] = ai, coeffs.b[i]
-    return basis
+    own = np.eye(len(coeffs.a))[osc._ROW[coeffs.state_index]]
+    return np.stack([own, coeffs.a, coeffs.b], axis=1)
 
 
-def _loop_vectors(coeffs: pert.CorrectionCoefficients, indices: tuple[int, ...],
-                  radius: float, alphas: np.ndarray) -> np.ndarray:
-    """Coefficient vectors of Psi(alpha) in the normalizable-state basis."""
+def _loop_vectors(coeffs: pert.CorrectionCoefficients, radius: float,
+                  alphas: np.ndarray) -> np.ndarray:
+    """Coefficient vectors of Psi(alpha) over the live states, one row per
+    angle: the full-basis samples that ``overlap_product_phase`` chains."""
     coords = np.stack([np.ones_like(alphas), radius * np.cos(alphas),
                        radius * np.sin(alphas)], axis=1)
-    return coords @ _loop_basis(coeffs, indices).T
+    return coords @ _loop_basis(coeffs).T
 
 
 def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
@@ -326,7 +280,10 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
         _check_radius(r)
     _check_overlap_floor(coeffs, radii)
     indices, gram = gram_data
-    basis = _loop_basis(coeffs, indices)
+    if tuple(indices) != osc.live_indices():
+        raise ParameterError(f"gram_data must be over the live states {osc.live_indices()}, "
+                             f"as gram_matrix gives it; got indices {tuple(indices)}")
+    basis = _loop_basis(coeffs)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)
     p, q = metric.real, metric.imag
     c, s = _loop_samples(loop.steps, loop.reverse)
@@ -355,8 +312,50 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
 def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
                        loop: LoopParams, radius: float) -> float:
     """Overlap-product phase per squared radius at one fixed radius."""
-    (phase,) = _overlap_phases(coeffs, gram_data, loop, (radius,))
-    return phase
+    return _overlap_phases(coeffs, gram_data, loop, (radius,))[0]
+
+
+def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
+            nodes: osc.NodeCounts, methods: tuple[str, ...]) -> list[PhaseResult]:
+    """State j's phase by each of ``methods``, in order, all from one
+    ``pert.correction_coefficients`` call (looked up at call time)."""
+    null = osc.get_state(j).is_null
+    coeffs = None if null else pert.correction_coefficients(j, nodes=nodes)
+    prefactor = 1.0 / constants.coupling_scale ** 2
+    results = []
+    for method in methods:
+        if null:
+            gamma = 0.0
+            metadata = {"note": "state vanishes identically; phase is zero by convention"}
+        elif method == "closed":
+            gamma, metadata = closed_form_phase(coeffs), {"nodes": nodes}
+        elif method == "loop-connection":
+            gamma, residual, r = connection_loop_integral(coeffs, loop)
+            metadata = {"steps": loop.steps, "radius": r,
+                        "imag_residual": residual, "nodes": nodes}
+        else:
+            r = _auto_radius(coeffs, loop)
+            gamma_r, gamma_half = _overlap_phases(coeffs, osc.gram_matrix(nodes), loop,
+                                                  (r, 0.5 * r))
+            gamma = (4.0 * gamma_half - gamma_r) / 3.0
+            metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
+                        "raw_values": (gamma_r, gamma_half)}
+        results.append(PhaseResult(j, gamma * prefactor, gamma, prefactor, method,
+                                   constants, metadata))
+    return results
+
+
+def berry_phase_closed(j: int, constants: osc.PhysicalConstants,
+                       nodes: osc.NodeCounts = osc.NodeCounts()) -> PhaseResult:
+    """Closed-form phase per squared loop radius for state j."""
+    return _phases(j, constants, None, nodes, ("closed",))[0]
+
+
+def berry_phase_loop_connection(j: int, constants: osc.PhysicalConstants,
+                                loop: LoopParams = LoopParams(),
+                                nodes: osc.NodeCounts = osc.NodeCounts()) -> PhaseResult:
+    """Discretized connection-loop phase per squared radius for state j."""
+    return _phases(j, constants, loop, nodes, ("loop-connection",))[0]
 
 
 def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
@@ -368,16 +367,7 @@ def berry_phase_loop_overlap(j: int, constants: osc.PhysicalConstants,
     form at O(r^2); the loop runs at r and r/2, as two rows of one
     ``_overlap_phases`` pass, and Richardson-extrapolates that error away.
     """
-    if osc.get_state(j).is_null:
-        return _null_result(j, "loop-overlap", constants)
-    coeffs = pert.correction_coefficients(j, nodes=nodes)
-    r = _auto_radius(coeffs, loop)
-    gamma_r, gamma_half = _overlap_phases(coeffs, osc.gram_matrix(nodes), loop,
-                                          (r, 0.5 * r))
-    metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
-                "raw_values": (gamma_r, gamma_half)}
-    return _result(j, (4.0 * gamma_half - gamma_r) / 3.0, "loop-overlap",
-                   constants, metadata)
+    return _phases(j, constants, loop, nodes, ("loop-overlap",))[0]
 
 
 def oracle_comparison(j: int, constants: osc.PhysicalConstants,
@@ -385,13 +375,12 @@ def oracle_comparison(j: int, constants: osc.PhysicalConstants,
                       nodes: osc.NodeCounts = osc.NodeCounts()) -> dict:
     """Closed form and both loop oracles side by side, with pairwise gaps.
 
-    Differences are reported relative to max(|x|, |y|, 1e-9) in
-    dimensionless units; the floor keeps the comparison meaningful when
-    the phases vanish.
+    All three read one coefficient set.  Differences are reported relative
+    to max(|x|, |y|, 1e-9) in dimensionless units; the floor keeps the
+    comparison meaningful when the phases vanish.
     """
-    closed = berry_phase_closed(j, constants, nodes)
-    conn = berry_phase_loop_connection(j, constants, loop, nodes)
-    over = berry_phase_loop_overlap(j, constants, loop, nodes)
+    closed, conn, over = _phases(j, constants, loop, nodes,
+                                 ("closed", "loop-connection", "loop-overlap"))
 
     def gap(x: PhaseResult, y: PhaseResult) -> float:
         a, b = x.dimensionless_value, y.dimensionless_value

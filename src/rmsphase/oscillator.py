@@ -258,10 +258,11 @@ def get_state(index: int) -> StateRecord:
     return _STATES[index - 1]
 
 
-# The live (normalizable) states, and each one's row in the overlap tables.
+# The live (normalizable) states, and each one's row in the overlap tables
+# and the coefficient vectors, by catalogue index.
 _LIVE_INDICES = tuple(r.index for r in _STATES if not r.is_null)
 _LIVE_QNS = tuple(_STATES[i - 1].qn for i in _LIVE_INDICES)
-_ROW = {qn: row for row, qn in enumerate(_LIVE_QNS)}
+_ROW = {index: row for row, index in enumerate(_LIVE_INDICES)}
 
 
 def live_indices() -> tuple[int, ...]:
@@ -468,7 +469,7 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
 def live_entry(table: np.ndarray, i: int, j: int) -> complex:
     """Entry for catalogue states i, j of a table over the live states;
     exactly 0 when either state is null."""
-    ri, rj = _ROW.get(get_state(i).qn), _ROW.get(get_state(j).qn)
+    ri, rj = _ROW.get(get_state(i).index), _ROW.get(get_state(j).index)
     if ri is None or rj is None:
         return 0.0 + 0.0j
     return complex(table[ri, rj])

@@ -9,7 +9,8 @@ m_bra != m_ket, which is the whole mechanism of interest.
 A coupling matrix is the closed-form phi integrals times the shared-factor
 table of ``oscillator.overlap_tables``, elementwise.  One masked division
 of both by the energy gaps E_j - E_i gives every state's coefficients, and
-``correction_coefficients(j)`` reads column j.  All are pure numbers:
+``correction_coefficients(j)`` hands over column j as two vectors over the
+live states, with no copy.  All are pure numbers:
 lengths^2 in hbar/(M omega), energies in hbar omega, couplings in M omega^2.
 So one build per resolution serves any constants, whose units enter only
 through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -77,10 +76,6 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 # order: half-integers, so every gap E_j - E_i is exact.
 _ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
 
-# Per column j: the rows and catalogue indices of the states outside j's energy level.
-_OUTSIDE = tuple((rows, [osc.live_indices()[row] for row in rows])
-                 for rows in (np.flatnonzero(_ENERGIES != energy) for energy in _ENERGIES))
-
 
 @lru_cache(maxsize=None)
 def _phi_table(channel: Channel) -> np.ndarray:
@@ -114,38 +109,54 @@ def shared_factor_element(i: int, j: int,
     return osc.live_entry(osc.overlap_tables(nodes).shared, i, j)
 
 
+def _live_vector(j: int, values) -> np.ndarray:
+    """``values`` as a read-only complex vector over ``osc.live_indices()``: a
+    mapping from catalogue index, keyed by live states other than j, fills
+    its rows and leaves 0 in the others; a read-only vector passes as it is."""
+    if isinstance(values, np.ndarray):
+        if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
+            raise ParameterError("coefficient vectors must be read-only complex, one per live row")
+        return values
+    if j not in osc._ROW or any(i == j or i not in osc._ROW for i in values):
+        raise ParameterError(
+            f"coefficients of state {j} are keyed by the other live states "
+            f"{osc.live_indices()}, got {list(values)}")
+    vector = np.zeros(_ENERGIES.shape, dtype=complex)
+    vector[[osc._ROW[i] for i in values]] = list(values.values())
+    vector.setflags(write=False)
+    return vector
+
+
 @dataclass(frozen=True)
 class CorrectionCoefficients:
     """First-order expansion coefficients of a perturbed state.
 
     ``a`` holds the cosine-channel coefficients, ``b`` the sine-channel
-    ones, both keyed by catalogue index and restricted to normalizable
-    states outside the energy level of ``state_index``.  Values are pure
-    numbers, per coupling in units of M omega^2.
+    ones, as read-only complex vectors over ``osc.live_indices()``: entry
+    k is live state k's coefficient, so the state itself (and, in the
+    package's sets, its energy level) reads 0.  Values are pure numbers, per
+    coupling in units of M omega^2.  The constructor also takes mappings
+    from catalogue index, where a state left out reads 0 (``_live_vector``).
 
-    Both mappings are read-only copies, so ``connection_sums`` -- the
-    four numbers every loop step reads, sum|a|^2, sum|b|^2,
-    sum conj(a) b and its conjugate -- are computed once, at
-    construction, and cannot go stale.
+    ``connection_sums`` -- sum|a|^2, sum|b|^2, sum conj(a) b and its
+    conjugate, which every loop step reads -- are Python sums in row
+    order, taken once, at construction.
     """
 
     state_index: int
-    a: Mapping[int, complex] = field(compare=False)
-    b: Mapping[int, complex] = field(compare=False)
+    a: np.ndarray = field(compare=False)
+    b: np.ndarray = field(compare=False)
     connection_sums: tuple[float, float, complex, complex] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = MappingProxyType(dict(self.a)), MappingProxyType(dict(self.b))
-        sum_ab = complex(sum((a[i].conjugate() * b[i] for i in a), 0j))
+        a, b = (_live_vector(self.state_index, c) for c in (self.a, self.b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        a, b = a.tolist(), b.tolist()
+        sum_ab = sum((x.conjugate() * y for x, y in zip(a, b)), 0j)
         object.__setattr__(self, "connection_sums", (
-            sum(abs(v) ** 2 for v in a.values()),
-            sum(abs(v) ** 2 for v in b.values()),
-            sum_ab,
-            sum_ab.conjugate(),
-        ))
+            sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b), sum_ab, sum_ab.conjugate()))
 
     def sum_abs2_a(self) -> float:
         return self.connection_sums[0]
@@ -158,19 +169,19 @@ class CorrectionCoefficients:
         return self.connection_sums[2]
 
     def max_magnitude(self) -> float:
-        return max(map(abs, (*self.a.values(), *self.b.values())), default=0.0)
+        return max(map(abs, self.a.tolist() + self.b.tolist()))
 
     def with_basis_phases(self, phases: dict[int, float],
                           own_phase: float = 0.0) -> "CorrectionCoefficients":
         """Coefficients after redefining psi_k -> e^{i chi_k} psi_k.
 
-        a_i picks up e^{-i chi_i} e^{+i chi_j}; the cross sums that feed
-        the loop phase are invariant under this map.
+        ``phases`` maps catalogue index to chi (0 if absent); a_i picks up
+        e^{-i chi_i} e^{+i chi_j}, which leaves the loop's cross sums as they are.
         """
-        shift = cmath.exp(1j * own_phase)
-        a, b = ({i: v * cmath.exp(-1j * phases.get(i, 0.0)) * shift for i, v in c.items()}
-                for c in (self.a, self.b))
-        return CorrectionCoefficients(self.state_index, a, b)
+        chi = np.array([phases.get(i, 0.0) for i in osc.live_indices()])
+        rotated = np.stack([self.a, self.b]) * (np.exp(-1j * chi) * cmath.exp(1j * own_phase))
+        rotated.setflags(write=False)
+        return CorrectionCoefficients(self.state_index, *rotated)
 
 
 @lru_cache(maxsize=8)
@@ -192,17 +203,14 @@ def correction_coefficients(j: int,
                             nodes: osc.NodeCounts = osc.NodeCounts()) -> CorrectionCoefficients:
     """First-order coefficients a_i = <psi_i|V_cos|psi_j> / (K_j - K_i).
 
-    Column j of ``_coefficient_tables``: sums run over normalizable
-    catalogue states outside the energy level of j (the energy
-    denominators are exact multiples of hbar omega); entries for null
-    intermediate states are absent, which is the same as zero.
+    Column j of ``_coefficient_tables``, read-only and not copied: entry i
+    is live state i's coefficient, exactly 0 on the energy level of j (the
+    energy denominators are exact multiples of hbar omega); null states
+    have no entry, which is the same as zero.
     """
     record = osc.get_state(j)
     if record.is_null:
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
-    col = osc._ROW[record.qn]
-    rows, keys = _OUTSIDE[col]
-    a, b = (dict(zip(keys, column))
-            for column in _coefficient_tables(nodes)[:, rows, col].tolist())
+    a, b = _coefficient_tables(nodes)[:, :, osc._ROW[j]]
     return CorrectionCoefficients(j, a, b)

@@ -37,9 +37,13 @@ from rmsphase.berry import (
     overlap_product_phase,
 )
 from rmsphase.errors import ParameterError, StepResolutionError
+from rmsphase import perturbation as pert
 from rmsphase.perturbation import CorrectionCoefficients
 
 NULL_STATES = (3, 4, 7, 11, 12, 15)
+LIVE = live_indices()
+# the Euclidean metric over the live states
+IDENTITY = np.eye(len(LIVE))
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +72,11 @@ class TestConnection:
         # with the quadrature Gram as the metric
         coeffs = correction_coefficients(1, nodes=nodes64)
         indices, gram = gram_matrix(nodes64)
-        pos = {idx: k for k, idx in enumerate(indices)}
+        assert indices == LIVE
 
         def vector(e1, e2):
-            v = np.zeros(len(indices), dtype=complex)
-            v[pos[1]] = 1.0
-            for i, ai in coeffs.a.items():
-                v[pos[i]] = e1 * ai + e2 * coeffs.b[i]
+            v = e1 * coeffs.a + e2 * coeffs.b
+            v[LIVE.index(1)] = 1.0
             return v
 
         eps = (2e-3, -1e-3)
@@ -90,7 +92,7 @@ class TestConnection:
 class TestSyntheticLoops:
     def test_closed_form_value(self, synthetic):
         expected = -2 * math.pi * sum(
-            np.conj(synthetic.a[i]) * synthetic.b[i] for i in synthetic.a).imag
+            np.conj(ai) * bi for ai, bi in zip(synthetic.a, synthetic.b)).imag
         assert closed_form_phase(synthetic) == pytest.approx(expected, rel=1e-15)
         assert abs(expected) > 1.0
 
@@ -112,44 +114,38 @@ class TestSyntheticLoops:
         # discretization error ~ 1/steps^2 plus O(r^2); Richardson in r
         # removes the radius term, many steps the discretization term
         closed = closed_form_phase(synthetic)
-        gram = np.eye(3)
-        idx = (1, 5, 9)
         steps = 7200
         r = 1e-3
         lp = LoopParams(radius=r, steps=steps)
-        g_r = overlap_product_phase(_loop_vectors(synthetic, idx, r, _alphas(lp)), gram) / r ** 2
-        g_h = overlap_product_phase(_loop_vectors(synthetic, idx, r / 2, _alphas(lp)), gram) / (r / 2) ** 2
+        g_r = overlap_product_phase(_loop_vectors(synthetic, r, _alphas(lp)), IDENTITY) / r ** 2
+        g_h = overlap_product_phase(
+            _loop_vectors(synthetic, r / 2, _alphas(lp)), IDENTITY) / (r / 2) ** 2
         richardson = (4 * g_h - g_r) / 3
         assert richardson == pytest.approx(closed, rel=1e-6)
 
     def test_overlap_discretization_rate(self, synthetic):
         closed = closed_form_phase(synthetic)
-        gram = np.eye(3)
-        idx = (1, 5, 9)
         errs = []
         for steps in (720, 1440):
             lp = LoopParams(radius=1e-4, steps=steps)
-            vecs = _loop_vectors(synthetic, idx, 1e-4, _alphas(lp))
-            errs.append(abs(overlap_product_phase(vecs, gram) / 1e-8 - closed))
+            vecs = _loop_vectors(synthetic, 1e-4, _alphas(lp))
+            errs.append(abs(overlap_product_phase(vecs, IDENTITY) / 1e-8 - closed))
         assert errs[1] < errs[0] / 3.0      # ~1/steps^2
 
     def test_overlap_orientation_flip(self, synthetic):
-        gram = np.eye(3)
-        idx = (1, 5, 9)
         fwd = overlap_product_phase(
-            _loop_vectors(synthetic, idx, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720))), gram)
+            _loop_vectors(synthetic, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720))),
+            IDENTITY)
         back = overlap_product_phase(
-            _loop_vectors(synthetic, idx, 1e-3,
-                          _alphas(LoopParams(radius=1e-3, steps=720, reverse=True))), gram)
+            _loop_vectors(synthetic, 1e-3,
+                          _alphas(LoopParams(radius=1e-3, steps=720, reverse=True))), IDENTITY)
         assert back == pytest.approx(-fwd, rel=1e-12)
 
     def test_overlap_gauge_invariance(self, synthetic, rng):
-        gram = np.eye(3)
-        idx = (1, 5, 9)
-        vecs = _loop_vectors(synthetic, idx, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720)))
-        base = overlap_product_phase(vecs, gram)
+        vecs = _loop_vectors(synthetic, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720)))
+        base = overlap_product_phase(vecs, IDENTITY)
         phased = vecs * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(vecs.shape[0], 1)))
-        assert overlap_product_phase(phased, gram) == pytest.approx(base, abs=1e-12)
+        assert overlap_product_phase(phased, IDENTITY) == pytest.approx(base, abs=1e-12)
 
     def test_weak_overlap_raises(self, rng):
         vectors = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
@@ -165,9 +161,9 @@ class TestSyntheticLoops:
         with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
             overlap_loop_phase(coeffs, gram_matrix(nodes64), loop, 1e4)
         # the same chain over the full basis refuses it too
-        indices, gram = gram_matrix(nodes64)
+        gram = gram_matrix(nodes64)[1]
         with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
-            overlap_product_phase(_loop_vectors(coeffs, indices, 1e4, _alphas(loop)), gram)
+            overlap_product_phase(_loop_vectors(coeffs, 1e4, _alphas(loop)), gram)
 
     @pytest.mark.parametrize("steps", [8, 720, 1001, 2048])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -184,7 +180,7 @@ class TestSyntheticLoops:
 
 
 def reference_connection_loop(coeffs, loop):
-    """The connection loop with every sum rebuilt from the mappings.
+    """The connection loop with every sum rebuilt from the coefficient vectors.
 
     Per-step terms are formed and summed as arrays, in the package's order,
     so the result must equal the package's bit for bit.
@@ -194,9 +190,9 @@ def reference_connection_loop(coeffs, loop):
     orientation = 1.0
     if loop.reverse:
         alphas, orientation = alphas[::-1], -1.0
-    sum_aa = sum(abs(v) ** 2 for v in coeffs.a.values())
-    sum_bb = sum(abs(v) ** 2 for v in coeffs.b.values())
-    sum_ab = sum(np.conj(coeffs.a[i]) * coeffs.b[i] for i in coeffs.a)
+    sum_aa = sum(abs(v) ** 2 for v in coeffs.a)
+    sum_bb = sum(abs(v) ** 2 for v in coeffs.b)
+    sum_ab = sum(np.conj(ai) * bi for ai, bi in zip(coeffs.a, coeffs.b))
     sum_ba = complex(np.conj(sum_ab))
     c, s = np.cos(alphas), np.sin(alphas)
     a1 = r * c * sum_aa + r * s * sum_ba
@@ -233,20 +229,21 @@ class TestStoredSums:
         a, b = {5: 0.3 + 0.4j}, {5: 0.5 - 0.2j}
         coeffs = CorrectionCoefficients(1, a, b)
         a[5] = 7.0
-        assert coeffs.a[5] == 0.3 + 0.4j
+        assert coeffs.a[LIVE.index(5)] == 0.3 + 0.4j
         assert coeffs.sum_abs2_a() == pytest.approx(0.25, rel=1e-15)
-        with pytest.raises(TypeError):
-            coeffs.a[5] = 7.0
-        with pytest.raises(TypeError):
-            coeffs.b[9] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.a[LIVE.index(5)] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.b[LIVE.index(9)] = 7.0
 
     def test_basis_phases_build_new_sums(self, synthetic):
         rotated = synthetic.with_basis_phases({5: 0.7, 9: -1.1}, 0.3)
-        assert rotated.a[5] == pytest.approx(synthetic.a[5] * np.exp(-0.4j), rel=1e-15)
+        row = LIVE.index(5)
+        assert rotated.a[row] == pytest.approx(synthetic.a[row] * np.exp(-0.4j), rel=1e-15)
         assert rotated.sum_conj_a_b() == pytest.approx(synthetic.sum_conj_a_b(), rel=1e-14)
         assert rotated.sum_abs2_b() == pytest.approx(synthetic.sum_abs2_b(), rel=1e-14)
-        with pytest.raises(TypeError):
-            rotated.b[5] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            rotated.b[row] = 7.0
 
     @pytest.mark.parametrize("steps", [8, 720, 1001])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -323,6 +320,36 @@ class TestPhysicalPhases:
             assert abs(closed - conn) < 1e-9
             assert abs(closed - over) < 1e-7
 
+    @pytest.mark.parametrize("steps", [8, 720])
+    def test_oracle_entries_are_the_standalone_routes(self, dimensionless, nodes64, steps):
+        # the comparison builds one coefficient set for all three routes;
+        # each entry must still be the standalone route's result, bit for bit
+        def bits(result):
+            floats = (result.gamma_over_r2, result.dimensionless_value, result.si_prefactor)
+            return result.method, [x.hex() for x in floats], repr(result.metadata)
+
+        loop = LoopParams(steps=steps)
+        for j in LIVE:
+            report = oracle_comparison(j, dimensionless, loop, nodes64)
+            assert bits(report["closed"]) == bits(
+                berry_phase_closed(j, dimensionless, nodes64))
+            assert bits(report["loop_connection"]) == bits(
+                berry_phase_loop_connection(j, dimensionless, loop, nodes64))
+            assert bits(report["loop_overlap"]) == bits(
+                berry_phase_loop_overlap(j, dimensionless, loop, nodes64))
+
+    def test_oracle_builds_one_coefficient_set(self, dimensionless, nodes64, monkeypatch):
+        calls = []
+
+        def counted(j, nodes):
+            calls.append(j)
+            return correction_coefficients(j, nodes=nodes)
+
+        monkeypatch.setattr(pert, "correction_coefficients", counted)
+        for j in (1, 16):
+            oracle_comparison(j, dimensionless, LoopParams(steps=8), nodes64)
+        assert calls == [1, 16]
+
     def test_connection_reality_residual(self, dimensionless, nodes64):
         result = berry_phase_loop_connection(1, dimensionless, LoopParams(steps=720), nodes64)
         assert result.metadata["imag_residual"] < 1e-9
@@ -339,7 +366,7 @@ class TestPhysicalPhases:
 
     def test_basis_phase_invariance(self, dimensionless, nodes64, rng):
         coeffs = correction_coefficients(1, nodes=nodes64)
-        phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in coeffs.a}
+        phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in LIVE}
         rotated = coeffs.with_basis_phases(phases, float(rng.uniform(0, 2 * math.pi)))
         assert closed_form_phase(rotated) == pytest.approx(
             closed_form_phase(coeffs), abs=1e-10)
@@ -393,6 +420,12 @@ class TestParams:
         assert abs(overlap_loop_phase(coeffs, gram_data, LoopParams(), floor) - closed) < 1e-7
         # the connection route divides no chain's roundoff by r^2 and has no floor
         assert connection_loop_integral(coeffs, LoopParams(radius=1e-150))[0] == 0.0
+
+    def test_gram_data_off_the_live_states_rejected(self, synthetic, nodes64):
+        indices, gram = gram_matrix(nodes64)
+        for gram_data in (((1, 5, 9), np.eye(3)), (indices[::-1], gram), (indices[:-1], gram)):
+            with pytest.raises(ParameterError, match="over the live states"):
+                overlap_loop_phase(synthetic, gram_data, LoopParams(), 1e-3)
 
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)

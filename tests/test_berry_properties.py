@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmsphase import live_indices
 from rmsphase.berry import (
     LoopParams,
     _alphas,
@@ -27,8 +28,8 @@ from rmsphase.berry import (
 from rmsphase.perturbation import CorrectionCoefficients
 
 STATE = 1
-OTHERS = (2, 5, 6, 8, 9, 10, 13, 14, 16)
-INDICES = (STATE,) + OTHERS
+INDICES = live_indices()        # every gram_data runs over the live states
+OTHERS = tuple(i for i in INDICES if i != STATE)
 IDENTITY = (INDICES, np.eye(len(INDICES)))
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -102,6 +103,6 @@ def test_reduced_metric_matches_full_chain(coeffs, loop, seed):
     gram = 0.5 * (gram + gram.conj().T)
     r = _auto_radius(coeffs, loop)
     full = overlap_product_phase(
-        _loop_vectors(coeffs, INDICES, r, _alphas(loop)), gram) / r ** 2
+        _loop_vectors(coeffs, r, _alphas(loop)), gram) / r ** 2
     reduced = overlap_loop_phase(coeffs, (INDICES, gram), loop, r)
     assert reduced == pytest.approx(full, **tolerance(coeffs, loop))

@@ -20,11 +20,14 @@ from rmsphase import (
     phi_integral,
 )
 from rmsphase import state_table
-from rmsphase.errors import CorrectionError
-from rmsphase.perturbation import shared_factor_element
+from rmsphase.errors import CorrectionError, ParameterError
+from rmsphase.perturbation import CorrectionCoefficients, shared_factor_element
 from rmsphase.quadrature import QuadratureRule, integrate
 
 SQRT3 = math.sqrt(3.0)
+
+# row of each live state in a coefficient vector
+ROW = {i: k for k, i in enumerate(live_indices())}
 
 # independently computed correction coefficients for state 1
 FROZEN_J1 = {
@@ -130,10 +133,14 @@ class TestStructuralZero:
 class TestCorrectionCoefficients:
     def test_index_set_for_ground_state(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
-        assert sorted(coeffs.a) == [5, 6, 8, 9, 10, 13, 14, 16]
-        assert sorted(coeffs.b) == sorted(coeffs.a)
-        # never the degenerate partners, never the null states
-        assert not set(coeffs.a) & {1, 2, 3, 4, 7, 11, 12, 15}
+        # one read-only entry per live state, so never a null state
+        for vector in (coeffs.a, coeffs.b):
+            assert vector.shape == (len(live_indices()),) and vector.dtype == complex
+            assert not vector.flags.writeable
+        # state 1 and its degenerate partner 2 read exactly 0
+        for i in (1, 2):
+            assert coeffs.a[ROW[i]] == coeffs.b[ROW[i]] == 0.0
+        assert all(coeffs.a[ROW[i]] != 0.0 for i in (5, 8, 9, 16))
 
     @pytest.mark.parametrize("j", live_indices())
     def test_energy_denominators(self, nodes64, j):
@@ -141,28 +148,29 @@ class TestCorrectionCoefficients:
         # elements, over exactly the live states of another energy
         energy = {r.index: r.energy_factor for r in state_table()}
         coeffs = correction_coefficients(j, nodes=nodes64)
-        assert set(coeffs.a) == {i for i in live_indices() if energy[i] != energy[j]}
         if j == 1:
             assert [energy[1] - energy[i] for i in (5, 9, 16)] == [-1, -2, -3]
-        for i in coeffs.a:
+        for i, ai, bi in zip(live_indices(), coeffs.a, coeffs.b):
             d = float(energy[j] - energy[i])
-            for value, channel in ((coeffs.a[i], Channel.COSINE), (coeffs.b[i], Channel.SINE)):
+            if d == 0.0:
+                assert ai == bi == 0.0
+                continue
+            for value, channel in ((ai, Channel.COSINE), (bi, Channel.SINE)):
                 element = matrix_element(i, j, channel, nodes=nodes64)
                 assert value * d == pytest.approx(element, abs=1e-13)
 
     def test_frozen_values(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
         for i, (a_ref, b_ref) in FROZEN_J1.items():
-            assert coeffs.a[i] == pytest.approx(a_ref, abs=1e-10)
-            assert coeffs.b[i] == pytest.approx(b_ref, abs=1e-10)
+            assert coeffs.a[ROW[i]] == pytest.approx(a_ref, abs=1e-10)
+            assert coeffs.b[ROW[i]] == pytest.approx(b_ref, abs=1e-10)
 
     def test_cross_channel_structure(self, nodes64):
         # delta != 0 entries are exact negatives across channels; delta = 0
         # entries are real with the fixed ratio of the two phi integrals
         coeffs = correction_coefficients(1, nodes=nodes64)
         ratio = ((math.pi - 3 * SQRT3 / 16) / (math.pi + 3 * SQRT3 / 16))
-        for i in coeffs.a:
-            ai, bi = coeffs.a[i], coeffs.b[i]
+        for i, ai, bi in zip(live_indices(), coeffs.a, coeffs.b):
             if abs(ai) < 1e-14:
                 continue
             delta = 2 - state_table()[i - 1].qn.m
@@ -188,26 +196,43 @@ class TestCorrectionCoefficients:
         for j in live_indices():
             coeffs = correction_coefficients(j, nodes=nodes)
             a, b = coeffs.a, coeffs.b
-            sum_ab = complex(sum(np.conj(a[i]) * b[i] for i in a))
-            expected = (sum(abs(v) ** 2 for v in a.values()),
-                        sum(abs(v) ** 2 for v in b.values()), sum_ab, sum_ab.conjugate())
+            sum_ab = complex(sum(np.conj(x) * y for x, y in zip(a, b)))
+            expected = (sum(abs(v) ** 2 for v in a),
+                        sum(abs(v) ** 2 for v in b), sum_ab, sum_ab.conjugate())
             assert bits(coeffs.connection_sums) == bits(expected)
 
     def test_gauge_covariance(self, rng, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
-        phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in coeffs.a}
+        phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in live_indices()}
         own = float(rng.uniform(0, 2 * math.pi))
         rotated = coeffs.with_basis_phases(phases, own)
-        for i in coeffs.a:
-            expected = coeffs.a[i] * np.exp(1j * (own - phases[i]))
-            assert rotated.a[i] == pytest.approx(expected, abs=1e-14)
+        for i, ai, rotated_ai in zip(live_indices(), coeffs.a, rotated.a):
+            expected = ai * np.exp(1j * (own - phases[i]))
+            assert rotated_ai == pytest.approx(expected, abs=1e-14)
         assert rotated.sum_conj_a_b() == pytest.approx(coeffs.sum_conj_a_b(), abs=1e-12)
         assert rotated.sum_abs2_a() == pytest.approx(coeffs.sum_abs2_a(), rel=1e-12)
 
     def test_quadrature_doubling(self, nodes64):
         base = correction_coefficients(1, nodes=nodes64)
         fine = correction_coefficients(1, nodes=NodeCounts.uniform(128))
-        for i in base.a:
-            if abs(base.a[i]) > 1e-13:
-                assert base.a[i] == pytest.approx(fine.a[i], rel=1e-8)
+        for coarse_ai, fine_ai in zip(base.a, fine.a):
+            if abs(coarse_ai) > 1e-13:
+                assert coarse_ai == pytest.approx(fine_ai, rel=1e-8)
 
+    def test_mapping_entry_missing_from_the_other_channel_is_zero(self):
+        coeffs = CorrectionCoefficients(1, {5: 1.0}, {9: 1.0})
+        assert coeffs.a[ROW[5]] == 1.0 and coeffs.b[ROW[5]] == 0.0
+        assert coeffs.a[ROW[9]] == 0.0 and coeffs.b[ROW[9]] == 1.0
+        assert coeffs.sum_conj_a_b() == 0.0
+
+    @pytest.mark.parametrize("a, b", [({3: 1.0}, {3: 1.0}), ({5: 1.0}, {17: 1.0}),
+                                      ({1: 1.0}, {}), ({}, {5: 1.0, 1: 0.5})],
+                             ids=["null", "outside-catalogue", "own-in-a", "own-in-b"])
+    def test_mapping_key_off_the_other_live_states_rejected(self, a, b):
+        with pytest.raises(ParameterError, match="keyed by the other live states"):
+            CorrectionCoefficients(1, a, b)
+
+    def test_coefficient_vector_must_be_read_only(self):
+        vector = np.zeros(len(live_indices()), dtype=complex)
+        with pytest.raises(ParameterError, match="read-only complex"):
+            CorrectionCoefficients(1, vector, vector)
