@@ -92,6 +92,8 @@ class LoopParams:
     reverse: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ParameterError(f"loop steps must be an integer, got {self.steps!r}")
         if not 8 <= self.steps <= MAX_STEPS:
             raise ParameterError(
                 f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")
@@ -104,19 +106,21 @@ class LoopParams:
 class PhaseResult:
     """A loop phase per squared radius, with its provenance.
 
-    ``gamma_over_r2`` is in the units implied by ``constants``
-    (1/(energy/length^2)^2 for SI constants, a pure number for
-    dimensionless ones); ``dimensionless_value`` is always the pure
-    number and ``si_prefactor`` the 1/(M omega^2)^2 conversion factor.
+    ``dimensionless_value`` is the pure number and ``si_prefactor`` the
+    1/(M omega^2)^2 of the constants the phase was computed with, so
+    ``gamma_over_r2``, their product, is in 1/(energy/length^2)^2 for SI
+    constants and a pure number for dimensionless ones.
     """
 
     state_index: int
-    gamma_over_r2: float
     dimensionless_value: float
     si_prefactor: float
     method: str
-    constants: osc.PhysicalConstants
     metadata: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def gamma_over_r2(self) -> float:
+        return self.dimensionless_value * self.si_prefactor
 
 
 def berry_connection(coeffs: pert.CorrectionCoefficients,
@@ -126,18 +130,19 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
 
     (eps1 sum|a|^2 + eps2 sum a b*,  eps1 sum a* b + eps2 sum|b|^2);
     both vanish at the origin because the corrections are orthogonal to
-    the unperturbed state.  The sums are the ones ``coeffs`` stored at
-    construction.  ``eps1`` and ``eps2`` are floats or equal-shaped float
-    arrays; arrays give complex arrays, element by element the values of
-    the scalar calls at the same points.
+    the unperturbed state.  The three sums are the ones ``coeffs`` stored
+    at construction; sum a b* is the conjugate of sum a* b.  ``eps1`` and
+    ``eps2`` are floats or equal-shaped float arrays; arrays give complex
+    arrays, element by element the values of the scalar calls at the same
+    points.
     """
-    sum_aa, sum_bb, sum_ab, sum_ba = coeffs.connection_sums
-    return (eps1 * sum_aa + eps2 * sum_ba, eps1 * sum_ab + eps2 * sum_bb)
+    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
+    return (eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb)
 
 
 def closed_form_phase(coeffs: pert.CorrectionCoefficients) -> float:
     """-2 pi Im sum conj(a_i) b_i in the coefficient units supplied."""
-    return _PHASE_ORIENTATION * 2.0 * math.pi * coeffs.sum_conj_a_b().imag
+    return _PHASE_ORIENTATION * 2.0 * math.pi * coeffs.connection_sums[2].imag
 
 
 def _auto_radius(coeffs: pert.CorrectionCoefficients, loop: LoopParams) -> float:
@@ -340,8 +345,7 @@ def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
             gamma = (4.0 * gamma_half - gamma_r) / 3.0
             metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
                         "raw_values": (gamma_r, gamma_half)}
-        results.append(PhaseResult(j, gamma * prefactor, gamma, prefactor, method,
-                                   constants, metadata))
+        results.append(PhaseResult(j, gamma, prefactor, method, metadata))
     return results
 
 

@@ -35,8 +35,6 @@ CONFIG_ENV_VAR = "RMSPHASE_CONFIG"
 
 CSV_COLUMNS = ("j", "omega_hz", "gamma_over_r2", "method", "converged")
 
-STEPS_HELP = f"loop samples per circle, 8..{berry.MAX_STEPS} (default 720)"
-
 
 def _switch(value: str) -> bool:
     """A config-file boolean: 1/true/yes or 0/false/no, in any case."""
@@ -184,10 +182,7 @@ def _render_rows(rows: list[dict], config: RunConfig) -> str:
         return buf.getvalue()
     if config.format == "json":
         payload = {
-            "rows": [{k: row[k] for k in ("j", "omega_hz", "gamma_over_r2",
-                                          "method", "converged",
-                                          "dimensionless_value", "si_prefactor")}
-                     for row in rows],
+            "rows": rows,
             "config": {
                 "nodes": config.nodes,
                 "omega_convention": config.omega_convention,
@@ -217,17 +212,15 @@ def _emit(text: str, config: RunConfig) -> None:
 
 def cmd_table(config: RunConfig) -> int:
     rows = _table_rows(config)
-    if not all(row["converged"] for row in rows):
-        bad = [row["j"] for row in rows if not row["converged"]]
+    bad = [row["j"] for row in rows if not row["converged"]]
+    if bad:
         sys.stderr.write(f"non-converged states: {bad}\n")
-        _emit(_render_rows(rows, config), config)
-        return EXIT_NONCONVERGENCE
     _emit(_render_rows(rows, config), config)
-    return EXIT_OK
+    return EXIT_NONCONVERGENCE if bad else EXIT_OK
 
 
 def cmd_phase(config: RunConfig, j: int, method: str) -> int:
-    record = osc.get_state(j)
+    qn = osc.get_state(j)
     constants = config.constants_for(_omega_mhz(config, j))
     nodes = config.node_counts()
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
@@ -238,11 +231,11 @@ def cmd_phase(config: RunConfig, j: int, method: str) -> int:
     else:
         result = berry.berry_phase_loop_overlap(j, constants, loop, nodes)
     lines = [f"state {j}: quantum numbers (n_a, l, n, m) = "
-             f"({record.qn.n_a}, {record.qn.l}, {record.qn.n}, {record.qn.m})",
-             f"eigenvalue: {record.energy_factor} in units of hbar*omega",
+             f"({qn.n_a}, {qn.l}, {qn.n}, {qn.m})",
+             f"eigenvalue: {qn.reduced_energy} in units of hbar*omega",
              f"method: {result.method}"]
-    if record.is_null:
-        reason = "l < n" if record.identically_zero else "m < n"
+    if qn.is_null:
+        reason = "l < n" if qn.vanishing_polar else "m < n"
         lines.append(f"state vanishes identically ({reason}); phase is zero")
     if config.dimensionless:
         lines.append(f"gamma/r^2 (dimensionless) = {_fmt(result.dimensionless_value)}")
@@ -259,8 +252,7 @@ def cmd_phase(config: RunConfig, j: int, method: str) -> int:
 
 
 def cmd_oracle(config: RunConfig, j: int) -> int:
-    record = osc.get_state(j)
-    if record.is_null:
+    if osc.get_state(j).is_null:
         raise ConfigError(f"state {j} vanishes identically; no oracle comparison")
     constants = config.constants_for(_omega_mhz(config, j))
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
@@ -328,29 +320,23 @@ def make_parser() -> argparse.ArgumentParser:
         prog="rmsphase",
         description="Loop phases of the perturbed four-dimensional oscillator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="phase table for all normalizable states")
-    _add_common(p_table)
-    _add_frequency(p_table)
-
-    p_phase = sub.add_parser("phase", help="phase of a single state")
-    _add_common(p_phase)
-    _add_frequency(p_phase)
-    p_phase.add_argument("--state", type=int, required=True, metavar="J")
-    p_phase.add_argument("--method", choices=("closed", "loop-connection", "loop-overlap"),
-                         default="closed")
-    p_phase.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
-    p_phase.add_argument("--radius", type=float, default=None)
-
-    p_oracle = sub.add_parser("oracle", help="compare closed form against loop oracles")
-    _add_common(p_oracle)
-    _add_frequency(p_oracle)
-    p_oracle.add_argument("--state", type=int, required=True, metavar="J")
-    p_oracle.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
-    p_oracle.add_argument("--radius", type=float, default=None)
-
-    p_validate = sub.add_parser("validate", help="run the invariant self-checks")
-    _add_common(p_validate)
+    for command, text in (("table", "phase table for all normalizable states"),
+                          ("phase", "phase of a single state"),
+                          ("oracle", "compare closed form against loop oracles"),
+                          ("validate", "run the invariant self-checks")):
+        p = sub.add_parser(command, help=text)
+        _add_common(p)
+        if command != "validate":
+            _add_frequency(p)
+        if command in ("phase", "oracle"):
+            p.add_argument("--state", type=int, required=True, metavar="J")
+        if command == "phase":
+            p.add_argument("--method", choices=("closed", "loop-connection", "loop-overlap"),
+                           default="closed")
+        if command in ("phase", "oracle"):
+            p.add_argument("--steps", type=int, default=None,
+                           help=f"loop samples per circle, 8..{berry.MAX_STEPS} (default 720)")
+            p.add_argument("--radius", type=float, default=None)
     return parser
 
 

@@ -1,7 +1,8 @@
 """Oscillator eigenbasis on the reduced Minkowski space.
 
 Geometry of the spacelike coordinate patch (rho, theta, phi, beta), the
-16-state catalogue with exact eigenvalues, the axis profiles of the
+16-state catalogue with exact eigenvalues (a tuple of ``QuantumNumbers``;
+a state's catalogue index is its position + 1), the axis profiles of the
 four-dimensional oscillator's product eigenfunctions, and the overlap
 tables of one resolution, whose ``norms`` row normalizes them.
 
@@ -49,7 +50,6 @@ __all__ = [
     "PhysicalConstants",
     "QuantumNumbers",
     "RmsPoint",
-    "StateRecord",
     "NodeCounts",
     "DEFAULT_PLANCK",
     "DEFAULT_MASS",
@@ -188,40 +188,10 @@ class RmsPoint:
 
 
 @dataclass(frozen=True)
-class StateRecord:
-    """Catalogue row: index and quantum numbers.
-
-    ``identically_zero`` marks the l < n states whose polar factor kills
-    them; ``vanishing_rapidity`` marks the m < n states killed by the
-    rapidity factor.  Both classes evaluate to zero everywhere and have no
-    normalization; ``is_null`` is their union.
-    """
-
-    index: int
-    qn: QuantumNumbers
-
-    @property
-    def energy_factor(self) -> Fraction:
-        """Exact eigenvalue in units of hbar*omega."""
-        return self.qn.reduced_energy
-
-    @property
-    def identically_zero(self) -> bool:
-        return self.qn.vanishing_polar
-
-    @property
-    def vanishing_rapidity(self) -> bool:
-        return self.qn.vanishing_rapidity
-
-    @property
-    def is_null(self) -> bool:
-        return self.qn.is_null
-
-
-@dataclass(frozen=True)
 class NodeCounts:
-    """Quadrature nodes per axis, each in 2..``MAX_NODES``.  Every count from
-    the 9 of ``validate.EXACT_NODES`` on gives the same tables to roundoff."""
+    """Quadrature nodes per axis, each an integer in 2..``MAX_NODES``.  Every
+    count from the 9 of ``validate.EXACT_NODES`` on gives the same tables
+    to roundoff."""
 
     radial: int = 128
     polar: int = 128
@@ -230,29 +200,30 @@ class NodeCounts:
 
     def __post_init__(self):
         for name in ("radial", "polar", "azimuthal", "rapidity"):
-            if not 2 <= getattr(self, name) <= MAX_NODES:
-                raise ParameterError(f"{name} node count must be in 2..{MAX_NODES}, "
-                                     f"got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} node count must be an integer, got {value!r}")
+            if not 2 <= value <= MAX_NODES:
+                raise ParameterError(f"{name} node count must be in 2..{MAX_NODES}, got {value}")
 
     @classmethod
     def uniform(cls, n: int) -> "NodeCounts":
         return cls(n, n, n, n)
 
 
-_STATES = tuple(
-    StateRecord(index, QuantumNumbers(*qn))
-    for index, qn in enumerate(itertools.product((2, 3), repeat=4), start=1))
+_STATES = tuple(QuantumNumbers(*qn) for qn in itertools.product((2, 3), repeat=4))
 
 
-def state_table() -> tuple[StateRecord, ...]:
-    """The 16 catalogue states in lexicographic (n_a, l, n, m) order.
+def state_table() -> tuple[QuantumNumbers, ...]:
+    """The 16 catalogue states in lexicographic (n_a, l, n, m) order; a
+    state's catalogue index is its position + 1.
 
     Null states stay in the table so the index arithmetic is stable.
     """
     return _STATES
 
 
-def get_state(index: int) -> StateRecord:
+def get_state(index: int) -> QuantumNumbers:
     if not 1 <= index <= len(_STATES):
         raise ParameterError(f"state index must be in 1..{len(_STATES)}, got {index}")
     return _STATES[index - 1]
@@ -260,8 +231,8 @@ def get_state(index: int) -> StateRecord:
 
 # The live (normalizable) states, and each one's row in the overlap tables
 # and the coefficient vectors, by catalogue index.
-_LIVE_INDICES = tuple(r.index for r in _STATES if not r.is_null)
-_LIVE_QNS = tuple(_STATES[i - 1].qn for i in _LIVE_INDICES)
+_LIVE_INDICES = tuple(i for i, qn in enumerate(_STATES, start=1) if not qn.is_null)
+_LIVE_QNS = tuple(_STATES[i - 1] for i in _LIVE_INDICES)
 _ROW = {index: row for row, index in enumerate(_LIVE_INDICES)}
 
 
@@ -324,8 +295,8 @@ def rapidity_profiles(qns):
     return f
 
 
-def radial_profiles(qns, scale: float = 1.0):
-    """rho factors rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = scale rho^2,
+def radial_profiles(qns):
+    """rho factors rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = rho^2,
     of the states ``qns``.
 
     f(rho) has shape (len(qns), *rho.shape): s, e^{-s/2} and rho^{-1/2} are
@@ -342,7 +313,7 @@ def radial_profiles(qns, scale: float = 1.0):
         if np.any(rho <= 0.0):
             raise DomainError("radial profile is singular at rho = 0")
         with np.errstate(over="ignore"):
-            s = scale * rho * rho
+            s = rho * rho
         decay = np.exp(-0.5 * s)
         s = np.where(decay > 0.0, s, 0.0)
         column = (-1,) + (1,) * rho.ndim
@@ -469,7 +440,8 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
 def live_entry(table: np.ndarray, i: int, j: int) -> complex:
     """Entry for catalogue states i, j of a table over the live states;
     exactly 0 when either state is null."""
-    ri, rj = _ROW.get(get_state(i).index), _ROW.get(get_state(j).index)
+    get_state(i), get_state(j)      # range checks
+    ri, rj = _ROW.get(i), _ROW.get(j)
     if ri is None or rj is None:
         return 0.0 + 0.0j
     return complex(table[ri, rj])

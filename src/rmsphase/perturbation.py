@@ -6,12 +6,15 @@ the cosine channel and sin^2(2 phi/3) for the sine channel.  The
 non-integer angular coefficient makes the phi integrals complex for
 m_bra != m_ket, which is the whole mechanism of interest.
 
-A coupling matrix is the closed-form phi integrals times the shared-factor
-table of ``oscillator.overlap_tables``, elementwise.  One masked division
-of both by the energy gaps E_j - E_i gives every state's coefficients, and
-``correction_coefficients(j)`` hands over column j as two vectors over the
-live states, with no copy.  All are pure numbers:
-lengths^2 in hbar/(M omega), energies in hbar omega, couplings in M omega^2.
+The two coupling matrices are one stack, in ``Channel`` order: the
+closed-form phi integrals of both channels (a constant built at import,
+from one ``phi_integral`` call per distinct m_j - m_i) times the
+shared-factor table of ``oscillator.overlap_tables``, elementwise.  One
+masked division of the stack by the energy gaps E_j - E_i gives every
+state's coefficients, and ``correction_coefficients(j)`` hands over
+column j as two vectors over the live states, with no copy.  All are pure
+numbers: lengths^2 in hbar/(M omega), energies in hbar omega, couplings
+in M omega^2.
 So one build per resolution serves any constants, whose units enter only
 through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 """
@@ -77,26 +80,28 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 _ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
 
 
-@lru_cache(maxsize=None)
-def _phi_table(channel: Channel) -> np.ndarray:
-    """phi_integral between the live states, in overlap-table order."""
-    m = [qn.m for qn in osc._LIVE_QNS]
-    table = np.array([[phi_integral(mi, mj, channel) for mj in m] for mi in m])
-    table.setflags(write=False)
-    return table
+# phi_integral between the live states, in overlap-table order, for both
+# channels in ``Channel`` order: entry [c, i, j] is phi_integral(m_i, m_j, c),
+# which reads only m_j - m_i, so one call per distinct difference is spread
+# over the pairs.
+_PHI = np.array([[phi_integral(0, d, c) for d in osc._M_DELTAS]
+                 for c in Channel])[:, osc._M_PAIRS].reshape(len(Channel), len(_ENERGIES), -1)
+_PHI.setflags(write=False)
 
 
-def _couplings(channel: Channel, nodes: osc.NodeCounts) -> np.ndarray:
-    """Dimensionless <psi_i | V_channel | psi_j> over the live states
-    (rho^2 in units hbar/(M omega))."""
-    return _phi_table(channel) * osc.overlap_tables(nodes).coupling
+def _couplings(nodes: osc.NodeCounts) -> np.ndarray:
+    """Dimensionless <psi_i | V_c | psi_j> over the live states, both channels
+    stacked in ``Channel`` order (rho^2 in units hbar/(M omega))."""
+    return _PHI * osc.overlap_tables(nodes).coupling
 
 
 def matrix_element(i: int, j: int, channel: Channel,
                    nodes: osc.NodeCounts = osc.NodeCounts()) -> complex:
     """Dimensionless <psi_i | V | psi_j> per unit coupling (rho^2 in units
     hbar/(M omega)); zero if either state is null."""
-    return osc.live_entry(_couplings(channel, nodes), i, j)
+    if not isinstance(channel, Channel):
+        raise ParameterError(f"unknown channel {channel!r}")
+    return osc.live_entry(_couplings(nodes)[list(Channel).index(channel)], i, j)
 
 
 def shared_factor_element(i: int, j: int,
@@ -138,15 +143,15 @@ class CorrectionCoefficients:
     coupling in units of M omega^2.  The constructor also takes mappings
     from catalogue index, where a state left out reads 0 (``_live_vector``).
 
-    ``connection_sums`` -- sum|a|^2, sum|b|^2, sum conj(a) b and its
-    conjugate, which every loop step reads -- are Python sums in row
-    order, taken once, at construction.
+    ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
+    cross inner product <psi'|psi''> -- are what every loop route reads:
+    Python sums in row order, taken once, at construction.
     """
 
     state_index: int
     a: np.ndarray = field(compare=False)
     b: np.ndarray = field(compare=False)
-    connection_sums: tuple[float, float, complex, complex] = field(
+    connection_sums: tuple[float, float, complex] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,17 +161,7 @@ class CorrectionCoefficients:
         a, b = a.tolist(), b.tolist()
         sum_ab = sum((x.conjugate() * y for x, y in zip(a, b)), 0j)
         object.__setattr__(self, "connection_sums", (
-            sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b), sum_ab, sum_ab.conjugate()))
-
-    def sum_abs2_a(self) -> float:
-        return self.connection_sums[0]
-
-    def sum_abs2_b(self) -> float:
-        return self.connection_sums[1]
-
-    def sum_conj_a_b(self) -> complex:
-        """sum over i of conj(a_i) b_i, the cross inner product <psi'|psi''>."""
-        return self.connection_sums[2]
+            sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b), sum_ab))
 
     def max_magnitude(self) -> float:
         return max(map(abs, self.a.tolist() + self.b.tolist()))
@@ -193,7 +188,7 @@ def _coefficient_tables(nodes: osc.NodeCounts) -> np.ndarray:
     """
     gap = _ENERGIES - _ENERGIES[:, None]
     gap[gap == 0.0] = np.inf        # x / inf = 0: degenerate entries vanish
-    couplings = np.stack([_couplings(c, nodes) for c in Channel])
+    couplings = _couplings(nodes)
     tables = couplings.real / gap + 1j * (couplings.imag / gap)
     tables.setflags(write=False)
     return tables
@@ -208,8 +203,7 @@ def correction_coefficients(j: int,
     energy denominators are exact multiples of hbar omega); null states
     have no entry, which is the same as zero.
     """
-    record = osc.get_state(j)
-    if record.is_null:
+    if osc.get_state(j).is_null:
         raise CorrectionError(
             f"state {j} vanishes identically; corrections undefined")
     a, b = _coefficient_tables(nodes)[:, :, osc._ROW[j]]

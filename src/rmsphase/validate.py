@@ -89,14 +89,14 @@ def _check_measure() -> CheckResult:
 
 def _check_hermiticity(nodes: osc.NodeCounts) -> CheckResult:
     # null rows and columns are exact zeros, so the live block decides
-    worst = max(float(np.max(np.abs(m - m.conj().T)))
-                for m in (pert._couplings(channel, nodes) for channel in pert.Channel))
+    couplings = pert._couplings(nodes)
+    worst = float(np.max(np.abs(couplings - couplings.conj().swapaxes(-1, -2))))
     return CheckResult("hermiticity", worst < 1e-10,
                        f"max |M - M^dagger| = {worst:.3e} over both channels")
 
 
 def _check_sum_rule(nodes: osc.NodeCounts) -> CheckResult:
-    cos, sin = (pert._couplings(channel, nodes) for channel in pert.Channel)
+    cos, sin = pert._couplings(nodes)
     total = cos + sin
     direct = osc.overlap_tables(nodes).shared
     gap = np.abs(total - direct)
@@ -149,12 +149,12 @@ def _check_sign_mutation_detector() -> CheckResult:
 
 
 def _check_zero_classes(constants: osc.PhysicalConstants, nodes: osc.NodeCounts) -> CheckResult:
-    for record in osc.state_table():
-        if record.is_null:
-            result = berry.berry_phase_closed(record.index, constants, nodes)
+    for j, qn in enumerate(osc.state_table(), start=1):
+        if qn.is_null:
+            result = berry.berry_phase_closed(j, constants, nodes)
             if result.gamma_over_r2 != 0.0:
                 return CheckResult("zero-classes", False,
-                                   f"null state {record.index} has nonzero phase")
+                                   f"null state {j} has nonzero phase")
     live = set(osc.live_indices())
     expected = {1, 2, 5, 6, 8, 9, 10, 13, 14, 16}
     if live != expected:

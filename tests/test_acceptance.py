@@ -66,8 +66,8 @@ def test_criterion_01_orthonormality():
 def test_criterion_02_eigenvalue_table():
     # four degenerate levels, each four consecutive rows of the (n_a, l, n, m) order
     levels = (Fraction(15, 2), Fraction(17, 2), Fraction(19, 2), Fraction(21, 2))
-    ok = [r.energy_factor for r in state_table()] == [e for e in levels for _ in range(4)]
-    values = sorted({float(r.energy_factor) for r in state_table()})
+    ok = [qn.reduced_energy for qn in state_table()] == [e for e in levels for _ in range(4)]
+    values = sorted({float(qn.reduced_energy) for qn in state_table()})
     report(2, ok, f"eigenvalues/hbar*omega exactly {values} (rational arithmetic)")
 
 

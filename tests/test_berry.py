@@ -65,7 +65,7 @@ class TestConnection:
         coeffs = correction_coefficients(1, nodes=nodes64)
         comp1, _ = berry_connection(coeffs, 1.0, 0.0)
         assert comp1.imag == pytest.approx(0.0, abs=1e-15)
-        assert comp1.real == pytest.approx(coeffs.sum_abs2_a(), rel=1e-14)
+        assert comp1.real == pytest.approx(coeffs.connection_sums[0], rel=1e-14)
 
     def test_finite_difference_cross_check(self, nodes64):
         # <Psi | dPsi/d eps_k> via central differences in coefficient space
@@ -230,7 +230,7 @@ class TestStoredSums:
         coeffs = CorrectionCoefficients(1, a, b)
         a[5] = 7.0
         assert coeffs.a[LIVE.index(5)] == 0.3 + 0.4j
-        assert coeffs.sum_abs2_a() == pytest.approx(0.25, rel=1e-15)
+        assert coeffs.connection_sums[0] == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(ValueError, match="read-only"):
             coeffs.a[LIVE.index(5)] = 7.0
         with pytest.raises(ValueError, match="read-only"):
@@ -240,8 +240,10 @@ class TestStoredSums:
         rotated = synthetic.with_basis_phases({5: 0.7, 9: -1.1}, 0.3)
         row = LIVE.index(5)
         assert rotated.a[row] == pytest.approx(synthetic.a[row] * np.exp(-0.4j), rel=1e-15)
-        assert rotated.sum_conj_a_b() == pytest.approx(synthetic.sum_conj_a_b(), rel=1e-14)
-        assert rotated.sum_abs2_b() == pytest.approx(synthetic.sum_abs2_b(), rel=1e-14)
+        assert rotated.connection_sums[2] == pytest.approx(synthetic.connection_sums[2],
+                                                           rel=1e-14)
+        assert rotated.connection_sums[1] == pytest.approx(synthetic.connection_sums[1],
+                                                           rel=1e-14)
         with pytest.raises(ValueError, match="read-only"):
             rotated.b[row] = 7.0
 
@@ -271,7 +273,7 @@ class TestStoredSums:
                               steps=int(rng.integers(8, 4096)), reverse=bool(rng.integers(2)))
             gamma, residual, r = connection_loop_integral(coeffs, loop)
             gamma_seq, residual_seq, r_seq = sequential_connection_loop(coeffs, loop)
-            scale = coeffs.sum_abs2_a() + coeffs.sum_abs2_b()
+            scale = coeffs.connection_sums[0] + coeffs.connection_sums[1]
             assert r == r_seq == loop.radius
             assert abs(gamma - gamma_seq) <= 1e-12 * max(abs(gamma_seq), scale), loop
             assert max(residual, residual_seq) <= 1e-12 * scale, loop
@@ -386,6 +388,12 @@ class TestParams:
         for radius in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
                 LoopParams(radius=radius)
+
+    def test_non_integer_steps_is_parameter_error(self):
+        # a float once passed construction and failed later, in np.linspace
+        with pytest.raises(ParameterError, match="loop steps must be an integer, got 720.0"):
+            LoopParams(steps=720.0)
+        assert LoopParams(steps=np.int64(720)).steps == 720
 
     def test_radius_with_overflowing_square(self, nodes64):
         # auto radius 1e-2 / 1e-160 = 1e158, whose square overflows

@@ -351,13 +351,20 @@ class TestMutationHook:
 def fresh_tables(monkeypatch):
     """Empty the table caches around a test that patches what they are built from."""
     from rmsphase import oscillator, perturbation
-    caches = (oscillator.overlap_tables, perturbation._phi_table,
-              perturbation._coefficient_tables)
+    caches = (oscillator.overlap_tables, perturbation._coefficient_tables)
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+def patch_phi(monkeypatch, pert, fault):
+    """Rebuild the channel stack ``pert._PHI`` from ``fault``, a stand-in for
+    ``phi_integral`` called on every live pair."""
+    m = [qn.m for qn in pert.osc._LIVE_QNS]
+    monkeypatch.setattr(pert, "_PHI", np.array(
+        [[[fault(mi, mj, channel) for mj in m] for mi in m] for channel in pert.Channel]))
 
 
 def patch_rules(monkeypatch, osc, field, pick):
@@ -429,7 +436,7 @@ class TestTableFaults:
             value = straight(m_bra, m_ket, channel)
             return -value if channel is pert.Channel.SINE else value
 
-        monkeypatch.setattr(pert, "phi_integral", flipped)
+        patch_phi(monkeypatch, pert, flipped)
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] channel-sum-rule" in out
@@ -444,7 +451,7 @@ class TestTableFaults:
             value = straight(m_bra, m_ket, channel)
             return complex(value.real, abs(value.imag))
 
-        monkeypatch.setattr(pert, "phi_integral", skewed)
+        patch_phi(monkeypatch, pert, skewed)
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] hermiticity" in out

@@ -98,22 +98,37 @@ class TestCatalogue:
     def test_eigenvalues_exact(self):
         # lexicographic (n_a, l, n, m) order puts each energy level in four consecutive rows
         levels = [Fraction(15, 2), Fraction(17, 2), Fraction(19, 2), Fraction(21, 2)]
-        assert [r.energy_factor for r in state_table()] == [e for e in levels for _ in range(4)]
+        assert [qn.reduced_energy for qn in state_table()] == [e for e in levels for _ in range(4)]
 
     def test_specific_rows(self):
         table = state_table()
-        assert table[0].qn == QuantumNumbers(2, 2, 2, 2)
-        assert table[0].energy_factor == Fraction(15, 2)
-        assert table[7].qn == QuantumNumbers(2, 3, 3, 3)
-        assert table[7].energy_factor == Fraction(17, 2)
-        assert table[11].qn == QuantumNumbers(3, 2, 3, 3)
-        assert table[11].identically_zero
+        assert table[0] == QuantumNumbers(2, 2, 2, 2)
+        assert table[0].reduced_energy == Fraction(15, 2)
+        assert table[7] == QuantumNumbers(2, 3, 3, 3)
+        assert table[7].reduced_energy == Fraction(17, 2)
+        assert table[11] == QuantumNumbers(3, 2, 3, 3)
+        assert table[11].vanishing_polar
 
     def test_null_classification(self):
-        table = state_table()
-        assert [r.index for r in table if r.identically_zero] == [3, 4, 11, 12]
-        assert [r.index for r in table if r.vanishing_rapidity] == [3, 7, 11, 15]
+        catalogue = list(enumerate(state_table(), start=1))
+        assert [j for j, qn in catalogue if qn.vanishing_polar] == [3, 4, 11, 12]
+        assert [j for j, qn in catalogue if qn.vanishing_rapidity] == [3, 7, 11, 15]
         assert live_indices() == LIVE
+
+
+class TestNodeCounts:
+    # a float count once reached the rule constructors (the radial one
+    # failed to converge, the others raised numpy's TypeError) and a string
+    # failed its range comparison
+    @pytest.mark.parametrize("field, value", [("radial", 16.5), ("polar", 16.5),
+                                              ("azimuthal", 16.5), ("radial", "32")])
+    def test_non_integer_count_is_parameter_error(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} node count must be an integer"):
+            overlap_tables(NodeCounts(**{field: value}))
+
+    def test_numpy_integer_counts_build(self):
+        nodes = NodeCounts(np.int64(16), np.int64(32), np.int32(16), np.int64(24))
+        assert overlap_tables(nodes).gram.shape == (len(LIVE), len(LIVE))
 
 
 class TestConstants:
@@ -138,7 +153,7 @@ class TestEvaluation:
 
     def test_rapidity_decay(self):
         beta_far = math.atanh(1.0 - 1e-6)
-        qns = [state_table()[i - 1].qn for i in LIVE]
+        qns = [state_table()[i - 1] for i in LIVE]
         far, near = np.abs(rapidity_profiles(qns)(np.array([beta_far, 0.1]))).T
         assert np.all(far < 1e-6 * near)
 
@@ -159,7 +174,7 @@ class TestNormalization:
     def test_against_closed_form(self, nodes128):
         norms = overlap_tables(nodes128).norms
         for row, i in enumerate(LIVE):
-            qn = state_table()[i - 1].qn
+            qn = state_table()[i - 1]
             assert norms[row] == pytest.approx(closed_form_norm(qn), rel=1e-12)
 
     def test_defining_property_independent_quadrature(self):

@@ -19,7 +19,7 @@ from rmsphase import (
     matrix_element,
     phi_integral,
 )
-from rmsphase import state_table
+from rmsphase import perturbation as pert, state_table
 from rmsphase.errors import CorrectionError, ParameterError
 from rmsphase.perturbation import CorrectionCoefficients, shared_factor_element
 from rmsphase.quadrature import QuadratureRule, integrate
@@ -78,6 +78,25 @@ class TestPhiIntegral:
             integrate(rule, integrand), abs=1e-12)
 
 
+class TestChannelStack:
+    def test_stack_is_the_per_pair_phi_integrals(self):
+        # reference: one phi_integral call per live pair and channel, compared
+        # bit for bit, signed zeros included
+        m = [state_table()[i - 1].m for i in live_indices()]
+        reference = np.array([[[phi_integral(mi, mj, channel) for mj in m] for mi in m]
+                              for channel in Channel])
+        stack = pert._PHI
+        assert stack.shape == (len(Channel), len(m), len(m)) and stack.dtype == complex
+        assert not stack.flags.writeable
+        assert stack.real.tobytes() == reference.real.tobytes()
+        assert stack.imag.tobytes() == reference.imag.tobytes()
+
+    @pytest.mark.parametrize("channel", ["cos", 0, None])
+    def test_unknown_channel_is_parameter_error(self, nodes64, channel):
+        with pytest.raises(ParameterError, match="unknown channel"):
+            matrix_element(1, 5, channel, nodes=nodes64)
+
+
 class TestMatrixElements:
     def test_hermiticity(self, nodes64):
         for channel in Channel:
@@ -117,9 +136,8 @@ class TestStructuralZero:
         # diagonal phase change makes both coupling matrices real, so every
         # Berry phase of this coupling pair vanishes
         live = live_indices()
-        m = {r.index: r.qn.m for r in state_table()}
-        chi = np.array([np.angle(phi_integral(2, 3, Channel.COSINE)) if m[i] == 3
-                        else 0.0 for i in live])
+        phase = np.angle(phi_integral(2, 3, Channel.COSINE))
+        chi = np.array([phase if state_table()[i - 1].m == 3 else 0.0 for i in live])
         rotate = np.exp(1j * chi)
         for channel in Channel:
             mat = np.array([[matrix_element(i, j, channel, nodes=nodes64)
@@ -146,7 +164,7 @@ class TestCorrectionCoefficients:
     def test_energy_denominators(self, nodes64, j):
         # a_i (K_j - K_i) and b_i (K_j - K_i) must reproduce the bare matrix
         # elements, over exactly the live states of another energy
-        energy = {r.index: r.energy_factor for r in state_table()}
+        energy = {i: qn.reduced_energy for i, qn in enumerate(state_table(), start=1)}
         coeffs = correction_coefficients(j, nodes=nodes64)
         if j == 1:
             assert [energy[1] - energy[i] for i in (5, 9, 16)] == [-1, -2, -3]
@@ -173,7 +191,7 @@ class TestCorrectionCoefficients:
         for i, ai, bi in zip(live_indices(), coeffs.a, coeffs.b):
             if abs(ai) < 1e-14:
                 continue
-            delta = 2 - state_table()[i - 1].qn.m
+            delta = 2 - state_table()[i - 1].m
             if delta == 0:
                 assert bi == pytest.approx(ai * ratio, rel=1e-12)
             else:
@@ -196,9 +214,8 @@ class TestCorrectionCoefficients:
         for j in live_indices():
             coeffs = correction_coefficients(j, nodes=nodes)
             a, b = coeffs.a, coeffs.b
-            sum_ab = complex(sum(np.conj(x) * y for x, y in zip(a, b)))
-            expected = (sum(abs(v) ** 2 for v in a),
-                        sum(abs(v) ** 2 for v in b), sum_ab, sum_ab.conjugate())
+            expected = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
+                        sum(np.conj(x) * y for x, y in zip(a, b)))
             assert bits(coeffs.connection_sums) == bits(expected)
 
     def test_gauge_covariance(self, rng, nodes64):
@@ -209,8 +226,8 @@ class TestCorrectionCoefficients:
         for i, ai, rotated_ai in zip(live_indices(), coeffs.a, rotated.a):
             expected = ai * np.exp(1j * (own - phases[i]))
             assert rotated_ai == pytest.approx(expected, abs=1e-14)
-        assert rotated.sum_conj_a_b() == pytest.approx(coeffs.sum_conj_a_b(), abs=1e-12)
-        assert rotated.sum_abs2_a() == pytest.approx(coeffs.sum_abs2_a(), rel=1e-12)
+        assert rotated.connection_sums[2] == pytest.approx(coeffs.connection_sums[2], abs=1e-12)
+        assert rotated.connection_sums[0] == pytest.approx(coeffs.connection_sums[0], rel=1e-12)
 
     def test_quadrature_doubling(self, nodes64):
         base = correction_coefficients(1, nodes=nodes64)
@@ -223,7 +240,7 @@ class TestCorrectionCoefficients:
         coeffs = CorrectionCoefficients(1, {5: 1.0}, {9: 1.0})
         assert coeffs.a[ROW[5]] == 1.0 and coeffs.b[ROW[5]] == 0.0
         assert coeffs.a[ROW[9]] == 0.0 and coeffs.b[ROW[9]] == 1.0
-        assert coeffs.sum_conj_a_b() == 0.0
+        assert coeffs.connection_sums[2] == 0.0
 
     @pytest.mark.parametrize("a, b", [({3: 1.0}, {3: 1.0}), ({5: 1.0}, {17: 1.0}),
                                       ({1: 1.0}, {}), ({}, {5: 1.0, 1: 0.5})],

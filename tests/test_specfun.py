@@ -90,7 +90,7 @@ class TestAssocLegendre:
         # lpmv's error is ~eps of a row's scale, not of each value: it forms
         # 1 - x^2 (2.4e-12 relative at the outer 1024 polar nodes) and returns
         # 0 for P_3^2 at x = 6e-17, where the column keeps 15 x (1 - x^2)
-        qns = [state_table()[i - 1].qn for i in live_indices()]
+        qns = [state_table()[i - 1] for i in live_indices()]
         pairs = sorted({(qn.l, qn.n) for qn in qns} | {(qn.m, -qn.n) for qn in qns}) + [
             (2, 3), (2, -3)]
         degree, order = np.array(pairs).T

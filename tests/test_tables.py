@@ -65,7 +65,7 @@ def azimuthal(qi, qj, nodes):
 
 def reference(nodes):
     """Gram matrix, both channels and the shared factor, element by element."""
-    qns = [state_table()[i - 1].qn for i in live_indices()]
+    qns = [state_table()[i - 1] for i in live_indices()]
     norms = [1.0 / math.sqrt(azimuthal(q, q, nodes).real * axis_product(q, q, 0, nodes))
              for q in qns]
     size = len(qns)
@@ -174,7 +174,7 @@ def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
 def test_stacked_profiles_match_each_state_alone(nodes):
     # every live state at once, on the stack of an axis's node arrays, against
     # each state's own profile on each array
-    qns = [state_table()[i - 1].qn for i in live_indices()]
+    qns = [state_table()[i - 1] for i in live_indices()]
     for axis in osc.AXES:
         arrays = [rule.nodes for rule in axis.rules(getattr(nodes, axis.field))]
         stacked = axis.profiles(qns)(np.stack(arrays))
