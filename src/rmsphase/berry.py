@@ -30,7 +30,9 @@ What is constant around a loop is computed once, not once per step:
   H reduced once per coefficient set.  Its samples are real, so every
   overlap is formed from Re H and Im H in real arithmetic; the parts that
   do not depend on the radius are 1-d arrays built once, and each radius
-  (r and r/2 for Richardson) is one row of a single array pass.
+  (r and r/2 for Richardson) is one row of a single array pass.  This is
+  the package's one overlap chain; the test suite holds it to the same
+  chain over the full basis of live states (``tests/loop_reference.py``).
 
 The chain's roundoff is divided by r^2, so the overlap route refuses a
 radius with r * max|coefficient| below ``_OVERLAP_FLOOR``.
@@ -38,7 +40,6 @@ radius with r * max|coefficient| below ``_OVERLAP_FLOOR``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -174,11 +175,6 @@ def _check_overlap_floor(coeffs: pert.CorrectionCoefficients,
             f"roundoff, divided by r^2, swamps the phase")
 
 
-def _alphas(loop: LoopParams) -> np.ndarray:
-    a = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
-    return a[::-1] if loop.reverse else a
-
-
 @lru_cache(maxsize=4)
 def _loop_samples(steps: int, reverse: bool) -> np.ndarray:
     """Read-only rows (cos alpha, sin alpha) of the loop's samples, in
@@ -188,7 +184,9 @@ def _loop_samples(steps: int, reverse: bool) -> np.ndarray:
     2 * (steps + 1) floats: 16 MiB at ``MAX_STEPS``, and the last four
     entries are kept.
     """
-    alphas = _alphas(LoopParams(steps=steps, reverse=reverse))
+    alphas = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+    if reverse:
+        alphas = alphas[::-1]
     samples = np.empty((2, steps + 1))
     samples[0, :-1] = np.cos(alphas)
     samples[1, :-1] = np.sin(alphas)
@@ -231,38 +229,6 @@ def _loop_basis(coeffs: pert.CorrectionCoefficients) -> np.ndarray:
     """
     own = np.eye(len(coeffs.a))[osc._ROW[coeffs.state_index]]
     return np.stack([own, coeffs.a, coeffs.b], axis=1)
-
-
-def _loop_vectors(coeffs: pert.CorrectionCoefficients, radius: float,
-                  alphas: np.ndarray) -> np.ndarray:
-    """Coefficient vectors of Psi(alpha) over the live states, one row per
-    angle: the full-basis samples that ``overlap_product_phase`` chains."""
-    coords = np.stack([np.ones_like(alphas), radius * np.cos(alphas),
-                       radius * np.sin(alphas)], axis=1)
-    return coords @ _loop_basis(coeffs).T
-
-
-def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
-    """Accumulated phase of the closed chain of successive overlaps.
-
-    -Im log prod_k <v_k | v_{k+1}> with each sample normalized under the
-    supplied Gram metric.  Per-sample phases telescope out of the closed
-    product, so the result is exactly gauge invariant; the total loop
-    phase must stay inside (-pi, pi], which the perturbative loop radius
-    guarantees by a wide margin.  This is the chain over the full basis;
-    ``_overlap_phases`` runs the same chain in the 3-dim span of the loop,
-    and the tests hold the two together.
-    """
-    # overlap <v_k|v_{k+1}> = conj(v_k) . G . v_{k+1}
-    norms = np.sqrt(np.einsum("ki,ki->k", np.conj(vectors), vectors @ gram.T).real)
-    normalized = vectors / norms[:, None]
-    nxt = np.roll(normalized, -1, axis=0)
-    overlaps = np.einsum("ki,ki->k", np.conj(normalized), nxt @ gram.T)
-    if np.any(np.abs(overlaps) < 0.5):
-        raise StepResolutionError(
-            "adjacent loop samples barely overlap; increase the step count")
-    product = complex(np.prod(overlaps / np.abs(overlaps)))
-    return -float(cmath.phase(product))
 
 
 def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,

@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass
 
 from . import berry, oscillator as osc, validate as val
-from .errors import ConfigError, ParameterError, RmsPhaseError
+from .errors import (ConfigError, EvaluationError, ParameterError, RmsPhaseError,
+                     StepResolutionError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -87,8 +88,7 @@ class RunConfig:
     def constants_for(self, omega_mhz: float) -> osc.PhysicalConstants:
         if self.dimensionless:
             return osc.PhysicalConstants.dimensionless()
-        return osc.PhysicalConstants.from_frequency(
-            omega_mhz, self.omega_convention, self.hbar_convention)
+        return osc.PhysicalConstants.from_frequency(omega_mhz, self.omega_convention)
 
 
 def read_config_file(path: str) -> dict:
@@ -308,7 +308,8 @@ def _add_frequency(parser: argparse.ArgumentParser) -> None:
                         help="read --omega as rad/s (angular) or cycles/s (cyclic)")
     parser.add_argument("--hbar-convention", dest="hbar_convention",
                         choices=("hbar", "h"), default=None,
-                        help="treat the Planck default as hbar or as h")
+                        help="accepted and echoed in JSON output; hbar cancels "
+                             "from every phase, so it changes no number")
     parser.add_argument("--dimensionless", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="report pure numbers, couplings in units of M*omega^2 "
@@ -356,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
+    except (StepResolutionError, EvaluationError) as exc:
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NONCONVERGENCE
     except RmsPhaseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

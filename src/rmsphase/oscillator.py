@@ -51,7 +51,6 @@ __all__ = [
     "QuantumNumbers",
     "RmsPoint",
     "NodeCounts",
-    "DEFAULT_PLANCK",
     "DEFAULT_MASS",
     "embed",
     "state_table",
@@ -64,8 +63,7 @@ __all__ = [
     "gram_matrix",
 ]
 
-# default SI inputs: Planck-constant reading 6.626e-34 J s, electron mass
-DEFAULT_PLANCK = 6.626e-34
+# the SI mass of ``PhysicalConstants.from_frequency``: the electron's, in kg
 DEFAULT_MASS = 9.109e-31
 
 # The CLI's cap; a build solves both radial parities by two passes of the
@@ -75,19 +73,19 @@ MAX_NODES = 1024
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Scales of the problem: hbar [J s], mass [kg], omega [rad/s].
+    """Scales of the problem: mass [kg] and omega [rad/s].
 
     Only ``coupling_scale`` is read, by the 1/(M omega^2)^2 prefactor of a
-    phase.
+    phase.  hbar is not a field: a phase in units of M omega^2 is
+    (dimensionless value) / (M omega^2)^2, from which it cancels.
     """
 
-    hbar: float
     mass: float
     omega: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.hbar, self.mass, self.omega)):
-            raise ParameterError("hbar, mass and omega must all be finite and positive")
+        if not all(0 < v < math.inf for v in (self.mass, self.omega)):
+            raise ParameterError("mass and omega must both be finite and positive")
         # a float ** raises on overflow, and a division by an underflowed 0 raises
         try:
             coupling = self.coupling_scale
@@ -110,30 +108,23 @@ class PhysicalConstants:
 
     @classmethod
     def dimensionless(cls) -> "PhysicalConstants":
-        return cls(1.0, 1.0, 1.0)
+        return cls(1.0, 1.0)
 
     @classmethod
     def from_frequency(cls, omega_mhz: float,
-                       omega_convention: str = "angular",
-                       hbar_convention: str = "hbar") -> "PhysicalConstants":
+                       omega_convention: str = "angular") -> "PhysicalConstants":
         """Build SI constants for the electron mass ``DEFAULT_MASS`` from a
         frequency quoted in MHz.
 
         omega_convention 'angular' reads the number as rad/s * 1e6,
-        'cyclic' as cycles/s * 1e6 (multiplied by 2 pi).  hbar_convention
-        'hbar' takes ``DEFAULT_PLANCK`` as hbar directly, 'h' divides it by 2 pi.
+        'cyclic' as cycles/s * 1e6 (multiplied by 2 pi).
         """
         if omega_convention not in ("angular", "cyclic"):
             raise ParameterError(f"unknown omega convention {omega_convention!r}")
-        if hbar_convention not in ("hbar", "h"):
-            raise ParameterError(f"unknown hbar convention {hbar_convention!r}")
         omega = omega_mhz * 1e6
         if omega_convention == "cyclic":
             omega *= 2.0 * math.pi
-        hbar = DEFAULT_PLANCK
-        if hbar_convention == "h":
-            hbar /= 2.0 * math.pi
-        return cls(hbar=hbar, mass=DEFAULT_MASS, omega=omega)
+        return cls(mass=DEFAULT_MASS, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -224,6 +215,9 @@ def state_table() -> tuple[QuantumNumbers, ...]:
 
 
 def get_state(index: int) -> QuantumNumbers:
+    """The catalogue state of an integer ``index`` in 1..16; numpy integers pass."""
+    if not isinstance(index, (int, np.integer)):
+        raise ParameterError(f"state index must be an integer, got {index!r}")
     if not 1 <= index <= len(_STATES):
         raise ParameterError(f"state index must be in 1..{len(_STATES)}, got {index}")
     return _STATES[index - 1]

@@ -21,7 +21,6 @@ through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,7 +36,6 @@ __all__ = [
     "CorrectionCoefficients",
     "phi_integral",
     "matrix_element",
-    "shared_factor_element",
     "correction_coefficients",
 ]
 
@@ -104,16 +102,6 @@ def matrix_element(i: int, j: int, channel: Channel,
     return osc.live_entry(_couplings(nodes)[list(Channel).index(channel)], i, j)
 
 
-def shared_factor_element(i: int, j: int,
-                          nodes: osc.NodeCounts = osc.NodeCounts()) -> complex:
-    """Matrix element of the phi-independent factor rho^2 sin^2 theta cosh^2 beta.
-
-    Computed with the azimuthal integral done by quadrature instead of the
-    closed form; the two channels must sum to exactly this (cos^2 + sin^2 = 1).
-    """
-    return osc.live_entry(osc.overlap_tables(nodes).shared, i, j)
-
-
 def _live_vector(j: int, values) -> np.ndarray:
     """``values`` as a read-only complex vector over ``osc.live_indices()``: a
     mapping from catalogue index, keyed by live states other than j, fills
@@ -122,7 +110,7 @@ def _live_vector(j: int, values) -> np.ndarray:
         if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
             raise ParameterError("coefficient vectors must be read-only complex, one per live row")
         return values
-    if j not in osc._ROW or any(i == j or i not in osc._ROW for i in values):
+    if any(i == j or i not in osc._ROW for i in values):
         raise ParameterError(
             f"coefficients of state {j} are keyed by the other live states "
             f"{osc.live_indices()}, got {list(values)}")
@@ -141,7 +129,8 @@ class CorrectionCoefficients:
     k is live state k's coefficient, so the state itself (and, in the
     package's sets, its energy level) reads 0.  Values are pure numbers, per
     coupling in units of M omega^2.  The constructor also takes mappings
-    from catalogue index, where a state left out reads 0 (``_live_vector``).
+    from catalogue index, where a state left out reads 0 (``_live_vector``);
+    in either form ``state_index`` must be the integer index of a live state.
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
     cross inner product <psi'|psi''> -- are what every loop route reads:
@@ -155,7 +144,11 @@ class CorrectionCoefficients:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = (_live_vector(self.state_index, c) for c in (self.a, self.b))
+        j = self.state_index
+        if osc.get_state(j).is_null:        # get_state checks the type and the range
+            raise ParameterError(f"coefficients belong to one of the live states "
+                                 f"{osc.live_indices()}; state {j} vanishes identically")
+        a, b = (_live_vector(j, c) for c in (self.a, self.b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         a, b = a.tolist(), b.tolist()
@@ -165,18 +158,6 @@ class CorrectionCoefficients:
 
     def max_magnitude(self) -> float:
         return max(map(abs, self.a.tolist() + self.b.tolist()))
-
-    def with_basis_phases(self, phases: dict[int, float],
-                          own_phase: float = 0.0) -> "CorrectionCoefficients":
-        """Coefficients after redefining psi_k -> e^{i chi_k} psi_k.
-
-        ``phases`` maps catalogue index to chi (0 if absent); a_i picks up
-        e^{-i chi_i} e^{+i chi_j}, which leaves the loop's cross sums as they are.
-        """
-        chi = np.array([phases.get(i, 0.0) for i in osc.live_indices()])
-        rotated = np.stack([self.a, self.b]) * (np.exp(-1j * chi) * cmath.exp(1j * own_phase))
-        rotated.setflags(write=False)
-        return CorrectionCoefficients(self.state_index, *rotated)
 
 
 @lru_cache(maxsize=8)

@@ -1,0 +1,69 @@
+"""Full-basis references for the loop routes, read only by the tests.
+
+The package runs its overlap chain in the 3-dim span of e_j, a and b
+(``berry._overlap_phases``).  These helpers build the same loop over the
+full basis of live states, so the tests can hold the reduced chain to it,
+and rotate a coefficient set's basis phases for the gauge tests.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from rmsphase import live_indices
+from rmsphase.berry import _loop_basis
+from rmsphase.errors import StepResolutionError
+from rmsphase.perturbation import CorrectionCoefficients
+
+
+def loop_alphas(loop) -> np.ndarray:
+    """The loop's sample angles in traversal order, as ``berry._loop_samples``
+    takes them: ``loop.steps`` equal steps from 0, reversed if ``loop.reverse``."""
+    a = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
+    return a[::-1] if loop.reverse else a
+
+
+def loop_vectors(coeffs: CorrectionCoefficients, radius: float,
+                 alphas: np.ndarray) -> np.ndarray:
+    """Coefficient vectors of Psi(alpha) over the live states, one row per
+    angle: the full-basis samples that ``overlap_product_phase`` chains."""
+    coords = np.stack([np.ones_like(alphas), radius * np.cos(alphas),
+                       radius * np.sin(alphas)], axis=1)
+    return coords @ _loop_basis(coeffs).T
+
+
+def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
+    """Accumulated phase of the closed chain of successive overlaps.
+
+    -Im log prod_k <v_k | v_{k+1}> with each sample normalized under the
+    supplied Gram metric.  Per-sample phases telescope out of the closed
+    product, so the result is exactly gauge invariant; the total loop
+    phase must stay inside (-pi, pi], which the perturbative loop radius
+    guarantees by a wide margin.  This is the chain over the full basis;
+    ``berry._overlap_phases`` runs the same chain in the 3-dim span of the
+    loop, and the tests hold the two together.
+    """
+    # overlap <v_k|v_{k+1}> = conj(v_k) . G . v_{k+1}
+    norms = np.sqrt(np.einsum("ki,ki->k", np.conj(vectors), vectors @ gram.T).real)
+    normalized = vectors / norms[:, None]
+    nxt = np.roll(normalized, -1, axis=0)
+    overlaps = np.einsum("ki,ki->k", np.conj(normalized), nxt @ gram.T)
+    if np.any(np.abs(overlaps) < 0.5):
+        raise StepResolutionError(
+            "adjacent loop samples barely overlap; increase the step count")
+    product = complex(np.prod(overlaps / np.abs(overlaps)))
+    return -float(cmath.phase(product))
+
+
+def with_basis_phases(coeffs: CorrectionCoefficients, phases: dict[int, float],
+                      own_phase: float = 0.0) -> CorrectionCoefficients:
+    """Coefficients after redefining psi_k -> e^{i chi_k} psi_k.
+
+    ``phases`` maps catalogue index to chi (0 if absent); a_i picks up
+    e^{-i chi_i} e^{+i chi_j}, which leaves the loop's cross sums as they are.
+    """
+    chi = np.array([phases.get(i, 0.0) for i in live_indices()])
+    rotated = np.stack([coeffs.a, coeffs.b]) * (np.exp(-1j * chi) * cmath.exp(1j * own_phase))
+    rotated.setflags(write=False)
+    return CorrectionCoefficients(coeffs.state_index, *rotated)

@@ -29,10 +29,11 @@ from rmsphase import (
     oracle_comparison,
     state_table,
 )
-from rmsphase.berry import _alphas, _loop_vectors, closed_form_phase, overlap_product_phase
-from rmsphase.oscillator import AXES, RmsPoint
-from rmsphase.perturbation import shared_factor_element
+from rmsphase.berry import closed_form_phase
+from rmsphase.oscillator import AXES, RmsPoint, live_entry, overlap_tables
 from rmsphase.validate import EQUAL_PHASE_PAIRS, ROW_FREQUENCIES_MHZ, within
+
+from loop_reference import loop_alphas, loop_vectors, overlap_product_phase, with_basis_phases
 
 NODES = NodeCounts.uniform(128)
 LIVE = (1, 2, 5, 6, 8, 9, 10, 13, 14, 16)
@@ -102,7 +103,7 @@ def test_criterion_04_channel_sum_rule():
         for j in range(1, 17):
             total = (matrix_element(i, j, Channel.COSINE, nodes=NODES)
                      + matrix_element(i, j, Channel.SINE, nodes=NODES))
-            direct = shared_factor_element(i, j, NODES)
+            direct = live_entry(overlap_tables(NODES).shared, i, j)
             gap = abs(total - direct)
             worst = max(worst, gap)
             if gap > max(1e-10 * max(abs(total), abs(direct)), 1e-12):
@@ -167,23 +168,21 @@ def test_criterion_07_pair_equalities():
 
 
 def test_criterion_08_reference_table_calibration():
-    """Sweep the four (omega x hbar) conventions against the reference
-    values; if none reproduces them, fall back to the documented golden
-    pins plus structure checks."""
+    """Sweep the two omega conventions against the reference values (hbar
+    cancels from every phase, so it has no convention to sweep); if neither
+    reproduces them, fall back to the documented golden pins plus
+    structure checks."""
     sweep = {}
     for omega_conv in ("angular", "cyclic"):
-        for hbar_conv in ("hbar", "h"):
-            c = PhysicalConstants.from_frequency(240.4, omega_conv, hbar_conv)
-            g1 = berry_phase_closed(1, c, NODES).gamma_over_r2
-            sweep[(omega_conv, hbar_conv)] = g1
+        c = PhysicalConstants.from_frequency(240.4, omega_conv)
+        sweep[omega_conv] = berry_phase_closed(1, c, NODES).gamma_over_r2
     matches = {k: v for k, v in sweep.items()
                if within(v, CALIBRATION_TARGET_J1, 0.05)}
     if matches:
         convention = next(iter(matches))
         ok = True
         for j, target in CALIBRATION_TABLE.items():
-            c = PhysicalConstants.from_frequency(
-                ROW_FREQUENCIES_MHZ[j], *convention)
+            c = PhysicalConstants.from_frequency(ROW_FREQUENCIES_MHZ[j], convention)
             gj = berry_phase_closed(j, c, NODES).gamma_over_r2
             ok &= within(gj / matches[convention],
                          target / CALIBRATION_TARGET_J1, 0.05)
@@ -191,10 +190,9 @@ def test_criterion_08_reference_table_calibration():
                       f"table within 5%")
         return
     # downgrade path: no convention can reproduce the reference absolute
-    # normalization (gamma/r^2 = dimensionless/(M omega^2)^2 and hbar
-    # cancels, so the sweep collapses to two values, both far from 1.057);
-    # pin the dimensionless values as repository goldens and require the
-    # structural properties to hold
+    # normalization (gamma/r^2 = dimensionless/(M omega^2)^2, so the sweep
+    # gives two values, both far from 1.057); pin the dimensionless values
+    # as repository goldens and require the structural properties to hold
     golden = json.loads(GOLDEN_PATH.read_text())
     pinned = golden["gamma_over_r2_dimensionless"]
     constants = PhysicalConstants.dimensionless()
@@ -244,7 +242,7 @@ def test_criterion_10_gauge_robustness():
     for j in (1, 2, 16):
         coeffs = correction_coefficients(j, nodes=NODES)
         phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in LIVE if i != j}
-        rotated = coeffs.with_basis_phases(phases, float(rng.uniform(0, 2 * math.pi)))
+        rotated = with_basis_phases(coeffs, phases, float(rng.uniform(0, 2 * math.pi)))
         gap = abs(closed_form_phase(rotated) - closed_form_phase(coeffs))
         worst_basis = max(worst_basis, gap)
         ok &= gap <= 1e-10
@@ -252,7 +250,7 @@ def test_criterion_10_gauge_robustness():
     coeffs = correction_coefficients(1, nodes=NODES)
     gram = gram_matrix(NODES)[1]
     loop = LoopParams(radius=2e-3, steps=720)
-    vectors = _loop_vectors(coeffs, 2e-3, _alphas(loop))
+    vectors = loop_vectors(coeffs, 2e-3, loop_alphas(loop))
     base = overlap_product_phase(vectors, gram)
     phased = vectors * np.exp(1j * rng.uniform(0, 2 * math.pi,
                                                size=(vectors.shape[0], 1)))

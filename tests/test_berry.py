@@ -27,18 +27,17 @@ from rmsphase import (
 from rmsphase.berry import (
     MAX_STEPS,
     _OVERLAP_FLOOR,
-    _alphas,
     _loop_samples,
-    _loop_vectors,
     _overlap_phases,
     closed_form_phase,
     connection_loop_integral,
     overlap_loop_phase,
-    overlap_product_phase,
 )
 from rmsphase.errors import ParameterError, StepResolutionError
 from rmsphase import perturbation as pert
 from rmsphase.perturbation import CorrectionCoefficients
+
+from loop_reference import loop_alphas, loop_vectors, overlap_product_phase, with_basis_phases
 
 NULL_STATES = (3, 4, 7, 11, 12, 15)
 LIVE = live_indices()
@@ -117,9 +116,10 @@ class TestSyntheticLoops:
         steps = 7200
         r = 1e-3
         lp = LoopParams(radius=r, steps=steps)
-        g_r = overlap_product_phase(_loop_vectors(synthetic, r, _alphas(lp)), IDENTITY) / r ** 2
+        g_r = overlap_product_phase(
+            loop_vectors(synthetic, r, loop_alphas(lp)), IDENTITY) / r ** 2
         g_h = overlap_product_phase(
-            _loop_vectors(synthetic, r / 2, _alphas(lp)), IDENTITY) / (r / 2) ** 2
+            loop_vectors(synthetic, r / 2, loop_alphas(lp)), IDENTITY) / (r / 2) ** 2
         richardson = (4 * g_h - g_r) / 3
         assert richardson == pytest.approx(closed, rel=1e-6)
 
@@ -128,21 +128,21 @@ class TestSyntheticLoops:
         errs = []
         for steps in (720, 1440):
             lp = LoopParams(radius=1e-4, steps=steps)
-            vecs = _loop_vectors(synthetic, 1e-4, _alphas(lp))
+            vecs = loop_vectors(synthetic, 1e-4, loop_alphas(lp))
             errs.append(abs(overlap_product_phase(vecs, IDENTITY) / 1e-8 - closed))
         assert errs[1] < errs[0] / 3.0      # ~1/steps^2
 
     def test_overlap_orientation_flip(self, synthetic):
         fwd = overlap_product_phase(
-            _loop_vectors(synthetic, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720))),
+            loop_vectors(synthetic, 1e-3, loop_alphas(LoopParams(radius=1e-3, steps=720))),
             IDENTITY)
         back = overlap_product_phase(
-            _loop_vectors(synthetic, 1e-3,
-                          _alphas(LoopParams(radius=1e-3, steps=720, reverse=True))), IDENTITY)
+            loop_vectors(synthetic, 1e-3,
+                         loop_alphas(LoopParams(radius=1e-3, steps=720, reverse=True))), IDENTITY)
         assert back == pytest.approx(-fwd, rel=1e-12)
 
     def test_overlap_gauge_invariance(self, synthetic, rng):
-        vecs = _loop_vectors(synthetic, 1e-3, _alphas(LoopParams(radius=1e-3, steps=720)))
+        vecs = loop_vectors(synthetic, 1e-3, loop_alphas(LoopParams(radius=1e-3, steps=720)))
         base = overlap_product_phase(vecs, IDENTITY)
         phased = vecs * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(vecs.shape[0], 1)))
         assert overlap_product_phase(phased, IDENTITY) == pytest.approx(base, abs=1e-12)
@@ -163,7 +163,7 @@ class TestSyntheticLoops:
         # the same chain over the full basis refuses it too
         gram = gram_matrix(nodes64)[1]
         with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
-            overlap_product_phase(_loop_vectors(coeffs, 1e4, _alphas(loop)), gram)
+            overlap_product_phase(loop_vectors(coeffs, 1e4, loop_alphas(loop)), gram)
 
     @pytest.mark.parametrize("steps", [8, 720, 1001, 2048])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -207,7 +207,7 @@ def sequential_connection_loop(coeffs, loop):
     r = loop.radius
     orientation = -1.0 if loop.reverse else 1.0
     total = 0.0 + 0.0j
-    for alpha in _alphas(loop).tolist():
+    for alpha in loop_alphas(loop).tolist():
         c, s = math.cos(alpha), math.sin(alpha)
         a1, a2 = berry_connection(coeffs, r * c, r * s)
         total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
@@ -237,7 +237,7 @@ class TestStoredSums:
             coeffs.b[LIVE.index(9)] = 7.0
 
     def test_basis_phases_build_new_sums(self, synthetic):
-        rotated = synthetic.with_basis_phases({5: 0.7, 9: -1.1}, 0.3)
+        rotated = with_basis_phases(synthetic, {5: 0.7, 9: -1.1}, 0.3)
         row = LIVE.index(5)
         assert rotated.a[row] == pytest.approx(synthetic.a[row] * np.exp(-0.4j), rel=1e-15)
         assert rotated.connection_sums[2] == pytest.approx(synthetic.connection_sums[2],
@@ -260,7 +260,7 @@ class TestStoredSums:
         samples = _loop_samples(steps, reverse)
         assert _loop_samples(steps, reverse) is samples
         assert samples.shape == (2, steps + 1) and not samples.flags.writeable
-        alphas = _alphas(LoopParams(steps=steps, reverse=reverse))
+        alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
         assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes()
         assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes()
         assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
@@ -281,7 +281,7 @@ class TestStoredSums:
     @pytest.mark.parametrize("state", [None, 1, 16])
     def test_connection_on_arrays_is_the_scalar_calls(self, synthetic, nodes64, state):
         coeffs = synthetic if state is None else correction_coefficients(state, nodes=nodes64)
-        alphas = _alphas(LoopParams(steps=720))
+        alphas = loop_alphas(LoopParams(steps=720))
         eps1, eps2 = 1e-3 * np.cos(alphas), 1e-3 * np.sin(alphas)
         components = berry_connection(coeffs, eps1, eps2)
         calls = [berry_connection(coeffs, x, y) for x, y in zip(eps1.tolist(), eps2.tolist())]
@@ -369,7 +369,7 @@ class TestPhysicalPhases:
     def test_basis_phase_invariance(self, dimensionless, nodes64, rng):
         coeffs = correction_coefficients(1, nodes=nodes64)
         phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in LIVE}
-        rotated = coeffs.with_basis_phases(phases, float(rng.uniform(0, 2 * math.pi)))
+        rotated = with_basis_phases(coeffs, phases, float(rng.uniform(0, 2 * math.pi)))
         assert closed_form_phase(rotated) == pytest.approx(
             closed_form_phase(coeffs), abs=1e-10)
 

@@ -17,15 +17,14 @@ from hypothesis import given, settings, strategies as st
 from rmsphase import live_indices
 from rmsphase.berry import (
     LoopParams,
-    _alphas,
     _auto_radius,
-    _loop_vectors,
     closed_form_phase,
     connection_loop_integral,
     overlap_loop_phase,
-    overlap_product_phase,
 )
 from rmsphase.perturbation import CorrectionCoefficients
+
+from loop_reference import loop_alphas, loop_vectors, overlap_product_phase, with_basis_phases
 
 STATE = 1
 INDICES = live_indices()        # every gram_data runs over the live states
@@ -88,7 +87,7 @@ def test_reversal_negates_both_loop_routes(coeffs, loop):
        st.lists(st.floats(0.0, 2 * math.pi), min_size=len(OTHERS), max_size=len(OTHERS)),
        st.floats(0.0, 2 * math.pi))
 def test_basis_phases_leave_every_route_unchanged(coeffs, loop, chis, own):
-    rotated = coeffs.with_basis_phases(dict(zip(OTHERS, chis)), own)
+    rotated = with_basis_phases(coeffs, dict(zip(OTHERS, chis)), own)
     for before, after in zip(routes(coeffs, loop), routes(rotated, loop)):
         assert after == pytest.approx(before, **tolerance(coeffs, loop))
 
@@ -103,6 +102,6 @@ def test_reduced_metric_matches_full_chain(coeffs, loop, seed):
     gram = 0.5 * (gram + gram.conj().T)
     r = _auto_radius(coeffs, loop)
     full = overlap_product_phase(
-        _loop_vectors(coeffs, r, _alphas(loop)), gram) / r ** 2
+        loop_vectors(coeffs, r, loop_alphas(loop)), gram) / r ** 2
     reduced = overlap_loop_phase(coeffs, (INDICES, gram), loop, r)
     assert reduced == pytest.approx(full, **tolerance(coeffs, loop))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsphase import cli
+from rmsphase.errors import EvaluationError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table.csv"
 
@@ -76,6 +77,31 @@ class TestTable:
         assert all(r["si_prefactor"] == 1.0 for r in payload["rows"])
 
 
+class TestHbarConvention:
+    """--hbar-convention is parsed, checked and echoed; hbar cancels from every
+    phase, so it changes no number."""
+
+    @pytest.mark.parametrize("argv", [("table", "--format", "csv"), ("phase", "--state", "8")])
+    def test_h_gives_the_default_output(self, capsys, argv):
+        default = run_cli(capsys, *argv, *FAST)
+        assert default[0] == cli.EXIT_OK
+        assert run_cli(capsys, *argv, "--hbar-convention", "h", *FAST) == default
+
+    def test_json_echoes_it(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--format", "json", "--hbar-convention", "h",
+                               *FAST)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["config"]["hbar_convention"] == "h"
+
+    def test_unknown_value_in_config_file_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hbar_convention = planck\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg), *FAST)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err == "configuration error: unknown hbar convention 'planck'\n"
+
+
 class TestPhase:
     def test_live_state(self, capsys):
         code, out, _ = run_cli(capsys, "phase", "--state", "1", *FAST)
@@ -129,6 +155,26 @@ class TestOracle:
                                "--steps", "8", *FAST)
         assert code == cli.EXIT_OK
         assert "nan" not in out and "inf" not in out
+
+    def test_too_coarse_chain_is_a_numerical_error(self, capsys):
+        # a loop the steps cannot resolve is non-convergence (exit 3), not a failed validation
+        code, out, err = run_cli(capsys, "oracle", "--state", "9", "--steps", "8",
+                                 "--radius", "1e4", "--nodes", "16")
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert out == ""
+        assert err == ("numerical error: adjacent loop samples barely overlap; "
+                       "increase the step count\n")
+
+    def test_unconverged_rule_is_a_numerical_error(self, monkeypatch, capsys):
+        def unconverged(nodes):
+            raise EvaluationError("Gauss nodes not converged by the order-8 Taylor solve")
+
+        monkeypatch.setattr(cli.val, "exactness_gap", unconverged)
+        code, out, err = run_cli(capsys, "table", *FAST)
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert out == ""
+        assert err == ("numerical error: Gauss nodes not converged by the order-8 "
+                       "Taylor solve\n")
 
 
 class TestStructuralZeroSign:
@@ -715,7 +761,8 @@ def contract_dir(tmp_path_factory):
 @given(invocations())
 def test_any_input_keeps_the_exit_contract(contract_dir, invocation):
     # exit 0-3; only argparse's usage error exits by SystemExit(2); exit 0 never
-    # reports nan; exit 2 is one "configuration error:" line on stderr
+    # reports nan; exit 2 is one "configuration error:" line on stderr; a
+    # "numerical error:" line comes with exit 3 and an "error:" line with exit 1
     argv, config = invocation
     for stale in contract_dir.rglob("*"):
         if stale.is_file():
@@ -744,3 +791,7 @@ def test_any_input_keeps_the_exit_contract(contract_dir, invocation):
         message = err.getvalue()
         assert message.startswith("configuration error:"), (argv, config, message)
         assert message.count("\n") == 1 and message.endswith("\n"), (argv, config, message)
+    prefixes = {"numerical error:": cli.EXIT_NONCONVERGENCE, "error:": cli.EXIT_VALIDATION}
+    for prefix, expected in prefixes.items():
+        if err.getvalue().startswith(prefix):
+            assert code == expected, (argv, config, err.getvalue())

@@ -15,18 +15,23 @@ import pytest
 from scipy import integrate as sci
 
 from rmsphase import (
+    Channel,
     NodeCounts,
     PhysicalConstants,
     QuantumNumbers,
     RmsPoint,
+    berry_phase_closed,
+    correction_coefficients,
     embed,
     gram_matrix,
     live_indices,
+    matrix_element,
     state_table,
 )
 from rmsphase.errors import DomainError, ParameterError
 from rmsphase.oscillator import (
     AXES,
+    get_state,
     overlap_tables,
     polar_profiles,
     radial_profiles,
@@ -115,6 +120,19 @@ class TestCatalogue:
         assert [j for j, qn in catalogue if qn.vanishing_rapidity] == [3, 7, 11, 15]
         assert live_indices() == LIVE
 
+    # a float index in range once reached the catalogue tuple and raised a bare TypeError
+    @pytest.mark.parametrize("call", [
+        lambda: matrix_element(1.0, 5, Channel.COSINE),
+        lambda: correction_coefficients(1.0),
+        lambda: berry_phase_closed(5.0, PhysicalConstants.dimensionless()),
+    ], ids=["matrix_element", "correction_coefficients", "berry_phase_closed"])
+    def test_non_integer_state_index_is_parameter_error(self, call):
+        with pytest.raises(ParameterError, match="state index must be an integer, got [15]\\.0"):
+            call()
+
+    def test_numpy_integer_state_index_passes(self):
+        assert get_state(np.int64(8)) == state_table()[7]
+
 
 class TestNodeCounts:
     # a float count once reached the rule constructors (the radial one
@@ -134,12 +152,8 @@ class TestNodeCounts:
 class TestConstants:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e200])
     def test_non_finite_or_non_positive_rejected(self, bad):
-        # 1e-200 and 1e200 are a valid hbar; as mass or omega they put
-        # M omega^2 or 1/(M omega^2)^2 at 0 or inf
-        slots = [(1.0, bad, 1.0), (1.0, 1.0, bad)]
-        if not 0 < bad < math.inf:
-            slots.append((bad, 1.0, 1.0))
-        for args in slots:
+        # as mass or omega, 1e-200 and 1e200 put M omega^2 or 1/(M omega^2)^2 at 0 or inf
+        for args in [(bad, 1.0), (1.0, bad)]:
             with pytest.raises(ParameterError, match="finite and positive"):
                 PhysicalConstants(*args)
 

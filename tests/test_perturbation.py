@@ -21,8 +21,11 @@ from rmsphase import (
 )
 from rmsphase import perturbation as pert, state_table
 from rmsphase.errors import CorrectionError, ParameterError
-from rmsphase.perturbation import CorrectionCoefficients, shared_factor_element
+from rmsphase.oscillator import live_entry, overlap_tables
+from rmsphase.perturbation import CorrectionCoefficients
 from rmsphase.quadrature import QuadratureRule, integrate
+
+from loop_reference import with_basis_phases
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,7 +118,7 @@ class TestMatrixElements:
             for j in live_indices():
                 total = (matrix_element(i, j, Channel.COSINE, nodes=nodes64)
                          + matrix_element(i, j, Channel.SINE, nodes=nodes64))
-                direct = shared_factor_element(i, j, nodes64)
+                direct = live_entry(overlap_tables(nodes64).shared, i, j)
                 assert abs(total - direct) <= max(
                     1e-10 * max(abs(total), abs(direct)), 1e-12)
 
@@ -222,7 +225,7 @@ class TestCorrectionCoefficients:
         coeffs = correction_coefficients(1, nodes=nodes64)
         phases = {i: float(rng.uniform(0, 2 * math.pi)) for i in live_indices()}
         own = float(rng.uniform(0, 2 * math.pi))
-        rotated = coeffs.with_basis_phases(phases, own)
+        rotated = with_basis_phases(coeffs, phases, own)
         for i, ai, rotated_ai in zip(live_indices(), coeffs.a, rotated.a):
             expected = ai * np.exp(1j * (own - phases[i]))
             assert rotated_ai == pytest.approx(expected, abs=1e-14)
@@ -248,6 +251,21 @@ class TestCorrectionCoefficients:
     def test_mapping_key_off_the_other_live_states_rejected(self, a, b):
         with pytest.raises(ParameterError, match="keyed by the other live states"):
             CorrectionCoefficients(1, a, b)
+
+    # a read-only vector once took any state index, and the overlap route
+    # then raised a bare KeyError on it
+    @pytest.mark.parametrize("form", ["vector", "mapping"])
+    @pytest.mark.parametrize("state, message", [
+        (3, "state 3 vanishes identically"), (99, "state index must be in 1..16, got 99"),
+        (1.0, "state index must be an integer, got 1.0")], ids=["null", "outside", "float"])
+    def test_state_index_checked_for_both_forms(self, form, state, message):
+        if form == "vector":
+            values = np.zeros(len(live_indices()), dtype=complex)
+            values.setflags(write=False)
+        else:
+            values = {5: 1.0}
+        with pytest.raises(ParameterError, match=message):
+            CorrectionCoefficients(state, values, values)
 
     def test_coefficient_vector_must_be_read_only(self):
         vector = np.zeros(len(live_indices()), dtype=complex)

@@ -24,7 +24,7 @@ from rmsphase.oscillator import (
     rapidity_profiles,
     state_table,
 )
-from rmsphase.perturbation import phi_integral, shared_factor_element
+from rmsphase.perturbation import phi_integral
 from rmsphase.quadrature import (
     QuadratureRule,
     integrate,
@@ -88,7 +88,8 @@ def test_tables_match_per_element_quadrature(nodes):
     live = live_indices()
     got = {
         "gram": gram_matrix(nodes)[1],
-        "shared": np.array([[shared_factor_element(i, j, nodes) for j in live] for i in live]),
+        "shared": np.array([[live_entry(overlap_tables(nodes).shared, i, j) for j in live]
+                            for i in live]),
         **{channel: np.array([[matrix_element(i, j, channel, nodes=nodes) for j in live]
                               for i in live])
            for channel in Channel},
@@ -103,7 +104,7 @@ def test_null_rows_and_columns_exactly_zero(nodes64):
         for j in range(1, 17):
             for a, b in ((i, j), (j, i)):
                 assert live_entry(gram, a, b) == 0.0
-                assert shared_factor_element(a, b, nodes64) == 0.0
+                assert live_entry(overlap_tables(nodes64).shared, a, b) == 0.0
                 for channel in Channel:
                     assert matrix_element(a, b, channel, nodes=nodes64) == 0.0
 
