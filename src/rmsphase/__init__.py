@@ -14,7 +14,6 @@ from .oscillator import (
     NodeCounts,
     PhysicalConstants,
     QuantumNumbers,
-    RmsPoint,
     embed,
     gram_matrix,
     live_indices,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LoopParams", "PhaseResult", "berry_connection", "berry_phase_closed",
     "berry_phase_loop_connection", "berry_phase_loop_overlap", "oracle_comparison",
-    "NodeCounts", "PhysicalConstants", "QuantumNumbers", "RmsPoint",
+    "NodeCounts", "PhysicalConstants", "QuantumNumbers",
     "embed", "gram_matrix", "live_indices", "state_table",
     "Channel", "CorrectionCoefficients",
     "correction_coefficients", "matrix_element", "phi_integral",

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import perturbation as pert
-from .errors import ParameterError, StepResolutionError
+from .errors import EvaluationError, ParameterError
 
 __all__ = [
     "LoopParams",
@@ -273,7 +273,7 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     nn = p[0, 0] + rows * (nn1 + rows * nn2)
     # |o_k| / (n_k n_{k+1}) < 0.5, squared
     if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
-        raise StepResolutionError(
+        raise EvaluationError(
             "adjacent loop samples barely overlap; increase the step count")
     phases = -np.sum(np.arctan2(im, re), axis=1)
     # + 0.0 makes an exact zero +0, as connection_loop_integral does

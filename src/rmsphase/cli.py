@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from . import berry, oscillator as osc, validate as val
-from .errors import (ConfigError, EvaluationError, ParameterError, RmsPhaseError,
-                     StepResolutionError)
+from .errors import EvaluationError, ParameterError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,13 +73,13 @@ class RunConfig:
 
     def __post_init__(self):
         if not 16 <= self.nodes <= osc.MAX_NODES:
-            raise ConfigError(f"node count must be in 16..{osc.MAX_NODES}, got {self.nodes}")
+            raise ParameterError(f"node count must be in 16..{osc.MAX_NODES}, got {self.nodes}")
         if self.format not in ("csv", "json", "pretty"):
-            raise ConfigError(f"unknown output format {self.format!r}")
+            raise ParameterError(f"unknown output format {self.format!r}")
         if self.omega_convention not in ("angular", "cyclic"):
-            raise ConfigError(f"unknown omega convention {self.omega_convention!r}")
+            raise ParameterError(f"unknown omega convention {self.omega_convention!r}")
         if self.hbar_convention not in ("hbar", "h"):
-            raise ConfigError(f"unknown hbar convention {self.hbar_convention!r}")
+            raise ParameterError(f"unknown hbar convention {self.hbar_convention!r}")
 
     def node_counts(self) -> osc.NodeCounts:
         return osc.NodeCounts.uniform(self.nodes)
@@ -101,28 +100,28 @@ def read_config_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
+                    raise ParameterError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                    raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
                     settings[key] = _CONFIG_KEYS[key](value.strip())
                 except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+                    raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
+        raise ParameterError(f"cannot read config file {path}: {exc}")
     except UnicodeDecodeError:
         # raised by the file iterator, so it carries no line number
-        raise ConfigError(f"cannot read config file {path}: not UTF-8 text")
+        raise ParameterError(f"cannot read config file {path}: not UTF-8 text")
     return settings
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     # a config file's format is a default for table; a flag on another command is an error
     if args.command != "table" and args.format in ("csv", "json"):
-        raise ConfigError(f"--format {args.format}: only table reads --format; "
-                          f"{args.command} prints plain text")
+        raise ParameterError(f"--format {args.format}: only table reads --format; "
+                             f"{args.command} prints plain text")
     settings: dict = {}
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
@@ -134,8 +133,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**settings)
     # validate runs at fixed constants and reads neither key
     if args.command != "validate" and config.dimensionless and config.omega_mhz is not None:
-        raise ConfigError("omega_mhz (--omega) cannot be combined with "
-                          "dimensionless (--dimensionless)")
+        raise ParameterError("omega_mhz (--omega) cannot be combined with "
+                             "dimensionless (--dimensionless)")
     return config
 
 
@@ -205,7 +204,7 @@ def _emit(text: str, config: RunConfig) -> None:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file {config.out}: {exc}")
+            raise ParameterError(f"cannot write output file {config.out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -253,7 +252,7 @@ def cmd_phase(config: RunConfig, j: int, method: str) -> int:
 
 def cmd_oracle(config: RunConfig, j: int) -> int:
     if osc.get_state(j).is_null:
-        raise ConfigError(f"state {j} vanishes identically; no oracle comparison")
+        raise ParameterError(f"state {j} vanishes identically; no oracle comparison")
     constants = config.constants_for(_omega_mhz(config, j))
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
     report = berry.oracle_comparison(j, constants, loop, config.node_counts())
@@ -351,18 +350,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_phase(config, args.state, args.method)
         if args.command == "oracle":
             return cmd_oracle(config, args.state)
-        if args.command == "validate":
-            return cmd_validate(config)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParameterError) as exc:
+        return cmd_validate(config)
+    except ParameterError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except (StepResolutionError, EvaluationError) as exc:
+    except EvaluationError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NONCONVERGENCE
-    except RmsPhaseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -43,13 +43,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DomainError, NormalizationError, ParameterError
+from .errors import EvaluationError, ParameterError
 from .specfun import assoc_legendre, gen_laguerre
 
 __all__ = [
     "PhysicalConstants",
     "QuantumNumbers",
-    "RmsPoint",
     "NodeCounts",
     "DEFAULT_MASS",
     "embed",
@@ -138,7 +137,10 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name in ("n_a", "l", "n", "m"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ParameterError(f"{name} must be non-negative")
 
     @property
@@ -160,22 +162,6 @@ class QuantumNumbers:
     def reduced_energy(self) -> Fraction:
         """Eigenvalue in units of hbar*omega: l + 2 n_a + 3/2, exact."""
         return Fraction(self.l + 2 * self.n_a) + Fraction(3, 2)
-
-
-@dataclass(frozen=True)
-class RmsPoint:
-    """Point (rho, theta, phi, beta) of the spacelike coordinate patch."""
-
-    rho: float
-    theta: float
-    phi: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ParameterError(f"theta must lie in [0, pi], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -235,18 +221,23 @@ def live_indices() -> tuple[int, ...]:
     return _LIVE_INDICES
 
 
-def embed(p: RmsPoint) -> np.ndarray:
-    """Map (rho, theta, phi, beta) to the spacelike four-vector (t, x, y, z).
+def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
+    """Map the point (rho, theta, phi, beta) of the spacelike coordinate patch
+    to the four-vector (t, x, y, z); rho > 0 and theta in [0, pi].
 
     Satisfies -t^2 + x^2 + y^2 + z^2 = rho^2 identically.
     """
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    ch, sh = math.cosh(p.beta), math.sinh(p.beta)
+    if not rho > 0:
+        raise ParameterError(f"rho must be positive, got {rho}")
+    if not 0.0 <= theta <= math.pi:
+        raise ParameterError(f"theta must lie in [0, pi], got {theta}")
+    st, ct = math.sin(theta), math.cos(theta)
+    ch, sh = math.cosh(beta), math.sinh(beta)
     return np.array([
-        p.rho * st * sh,
-        p.rho * st * math.cos(p.phi) * ch,
-        p.rho * st * math.sin(p.phi) * ch,
-        p.rho * ct,
+        rho * st * sh,
+        rho * st * math.cos(phi) * ch,
+        rho * st * math.sin(phi) * ch,
+        rho * ct,
     ])
 
 
@@ -265,7 +256,7 @@ def polar_profiles(qns):
         theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
         if np.any(s <= 0.0):
-            raise DomainError("polar profile is singular on the polar axis")
+            raise ParameterError("polar profile is singular on the polar axis")
         column = (-1,) + (1,) * theta.ndim
         return assoc_legendre(l.reshape(column), n.reshape(column), np.cos(theta)) / np.sqrt(s)
 
@@ -305,7 +296,7 @@ def radial_profiles(qns):
     def f(rho):
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
-            raise DomainError("radial profile is singular at rho = 0")
+            raise ParameterError("radial profile is singular at rho = 0")
         with np.errstate(over="ignore"):
             s = rho * rho
         decay = np.exp(-0.5 * s)
@@ -421,7 +412,7 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)
     norm_sq = azimuthal.diagonal().real * overlaps.diagonal()
     if np.any(norm_sq <= 0.0):
-        raise NormalizationError(f"non-positive norm for {_LIVE_QNS[int(np.argmin(norm_sq))]}")
+        raise EvaluationError(f"non-positive norm for {_LIVE_QNS[int(np.argmin(norm_sq))]}")
     norms = 1.0 / np.sqrt(norm_sq)
     pair = np.outer(norms, norms)
     coupling = pair * couplings

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oscillator as osc
-from .errors import CorrectionError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "Channel",
@@ -61,7 +61,11 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 
     so the two channels always sum to 2 pi delta_{0}.
     """
-    if m_bra != int(m_bra) or m_ket != int(m_ket):
+    try:
+        integral = m_bra == int(m_bra) and m_ket == int(m_ket)
+    except (ValueError, OverflowError):  # int() of a nan or an infinity
+        integral = False
+    if not integral:
         raise ParameterError("azimuthal indices must be integers")
     delta = int(m_ket) - int(m_bra)
     oscillatory = (27j * delta - 12.0 * _SQRT3) / (36 * delta * delta - 64)
@@ -185,7 +189,7 @@ def correction_coefficients(j: int,
     have no entry, which is the same as zero.
     """
     if osc.get_state(j).is_null:
-        raise CorrectionError(
+        raise ParameterError(
             f"state {j} vanishes identically; corrections undefined")
     a, b = _coefficient_tables(nodes)[:, :, osc._ROW[j]]
     return CorrectionCoefficients(j, a, b)

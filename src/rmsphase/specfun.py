@@ -7,8 +7,9 @@ polynomials.  Conventions are fixed once here so every caller agrees:
   Condon-Shortley phase.
 * Negative orders are defined through the reflection
   ``P_l^{-n} = (-1)^n (l-n)!/(l+n)! P_l^n``, and any ``|order| > degree``
-  evaluates to exactly zero.  The basis construction relies on that
-  vanishing, so it is a return value, not an error.
+  evaluates to exactly zero, a return value, not an error: a null state's
+  profile is zero everywhere.  Builds evaluate only the live states, so
+  none of them reaches that zero.
 * Laguerre polynomials use the stable three-term recurrence in the degree.
 
 Both functions broadcast their indices against the evaluation points, so a
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ParameterError
 
 __all__ = ["assoc_legendre", "gen_laguerre"]
 
@@ -68,16 +69,16 @@ def assoc_legendre(degree, order, x):
     deg, order = np.broadcast_arrays(degree, order)
     pairs = list(zip(deg.ravel().tolist(), order.ravel().tolist()))
     if not all(l >= 0 and l % 1 == 0 for l, _ in pairs):
-        raise DomainError(f"degree must be a non-negative integer, got {degree}")
+        raise ParameterError(f"degree must be a non-negative integer, got {degree}")
     if not all(k % 1 == 0 for _, k in pairs):
-        raise DomainError(f"order must be an integer, got {order}")
+        raise ParameterError(f"order must be an integer, got {order}")
     if any(150 < k <= l for l, k in pairs):
-        raise DomainError(f"an order above 150 overflows the seed (2 order - 1)!!, got {order}")
+        raise ParameterError(f"an order above 150 overflows the seed (2 order - 1)!!, got {order}")
 
     arr = np.asarray(x, dtype=float)
     y = (1.0 - arr) * (1.0 + arr)          # negative exactly where |x| > 1
     if np.any(y < 0.0):
-        raise DomainError("associated Legendre argument outside [-1, 1]")
+        raise ParameterError("associated Legendre argument outside [-1, 1]")
 
     m = np.abs(order)
     seed = np.reshape([_seed(int(l), int(k)) for l, k in pairs], deg.shape)
@@ -113,14 +114,14 @@ def gen_laguerre(degree, alpha, x):
     """
     deg = np.asarray(degree)
     if np.any(deg < 0) or np.any(deg != np.round(deg)):
-        raise DomainError(f"degree must be a non-negative integer, got {degree}")
+        raise ParameterError(f"degree must be a non-negative integer, got {degree}")
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= -1.0):
-        raise DomainError(f"Laguerre upper index must exceed -1, got {alpha}")
+        raise ParameterError(f"Laguerre upper index must exceed -1, got {alpha}")
 
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
-        raise DomainError("Laguerre argument must be non-negative")
+        raise ParameterError("Laguerre argument must be non-negative")
 
     lkm1 = np.ones(np.broadcast_shapes(deg.shape, alpha.shape, arr.shape))
     lk = 1.0 + alpha - arr

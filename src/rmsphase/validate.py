@@ -78,7 +78,7 @@ def _check_measure() -> CheckResult:
             up, dn = list(coords), list(coords)
             up[k] += h
             dn[k] -= h
-            jac[:, k] = (osc.embed(osc.RmsPoint(*up)) - osc.embed(osc.RmsPoint(*dn))) / (2.0 * h)
+            jac[:, k] = (osc.embed(*up) - osc.embed(*dn)) / (2.0 * h)
         fd[i] = abs(np.linalg.det(jac))
     an = np.prod([axis.weight(_MEASURE_POINTS[:, _MEASURE_COLUMNS[axis.field]], 0)
                   for axis in osc.AXES], axis=0)

@@ -13,7 +13,7 @@ import numpy as np
 
 from rmsphase import live_indices
 from rmsphase.berry import _loop_basis
-from rmsphase.errors import StepResolutionError
+from rmsphase.errors import EvaluationError
 from rmsphase.perturbation import CorrectionCoefficients
 
 
@@ -50,7 +50,7 @@ def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
     nxt = np.roll(normalized, -1, axis=0)
     overlaps = np.einsum("ki,ki->k", np.conj(normalized), nxt @ gram.T)
     if np.any(np.abs(overlaps) < 0.5):
-        raise StepResolutionError(
+        raise EvaluationError(
             "adjacent loop samples barely overlap; increase the step count")
     product = complex(np.prod(overlaps / np.abs(overlaps)))
     return -float(cmath.phase(product))

@@ -30,7 +30,7 @@ from rmsphase import (
     state_table,
 )
 from rmsphase.berry import closed_form_phase
-from rmsphase.oscillator import AXES, RmsPoint, live_entry, overlap_tables
+from rmsphase.oscillator import AXES, live_entry, overlap_tables
 from rmsphase.validate import EQUAL_PHASE_PAIRS, ROW_FREQUENCIES_MHZ, within
 
 from loop_reference import loop_alphas, loop_vectors, overlap_product_phase, with_basis_phases
@@ -76,19 +76,19 @@ def test_criterion_03_measure_correctness():
     rng = np.random.default_rng(314159)
     worst = 0.0
     for _ in range(100):
-        p = RmsPoint(float(rng.uniform(0.3, 3.0)),
-                     float(rng.uniform(0.2, math.pi - 0.2)),
-                     float(rng.uniform(0.0, 2.0 * math.pi)),
-                     float(rng.uniform(-2.0, 2.0)))
+        coords = [float(rng.uniform(0.3, 3.0)),
+                  float(rng.uniform(0.2, math.pi - 0.2)),
+                  float(rng.uniform(0.0, 2.0 * math.pi)),
+                  float(rng.uniform(-2.0, 2.0))]
+        rho, theta, _, beta = coords
         h = 1e-5
         jac = np.empty((4, 4))
-        coords = [p.rho, p.theta, p.phi, p.beta]
         for k in range(4):
             up, dn = list(coords), list(coords)
             up[k] += h
             dn[k] -= h
-            jac[:, k] = (embed(RmsPoint(*up)) - embed(RmsPoint(*dn))) / (2 * h)
-        coordinate = {"radial": p.rho, "polar": p.theta, "rapidity": p.beta}
+            jac[:, k] = (embed(*up) - embed(*dn)) / (2 * h)
+        coordinate = {"radial": rho, "polar": theta, "rapidity": beta}
         measure = math.prod(float(axis.weight(coordinate[axis.field], 0)) for axis in AXES)
         worst = max(worst, abs(abs(np.linalg.det(jac)) - measure) / measure)
     report(3, worst < 1e-8,

@@ -33,7 +33,7 @@ from rmsphase.berry import (
     connection_loop_integral,
     overlap_loop_phase,
 )
-from rmsphase.errors import ParameterError, StepResolutionError
+from rmsphase.errors import EvaluationError, ParameterError
 from rmsphase import perturbation as pert
 from rmsphase.perturbation import CorrectionCoefficients
 
@@ -149,7 +149,7 @@ class TestSyntheticLoops:
 
     def test_weak_overlap_raises(self, rng):
         vectors = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
-        with pytest.raises(StepResolutionError, match="barely overlap"):
+        with pytest.raises(EvaluationError, match="barely overlap"):
             overlap_product_phase(vectors, np.eye(6))
 
     def test_weak_overlap_raises_on_the_reduced_route(self, nodes64):
@@ -158,11 +158,11 @@ class TestSyntheticLoops:
         # e_j + 10 b, whose normalized overlap is ~1e-3
         coeffs = CorrectionCoefficients(1, {5: 1.0, 9: 0.0}, {5: 0.0, 9: 1e-3})
         loop = LoopParams(radius=1e4, steps=8)
-        with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
+        with pytest.raises(EvaluationError, match="barely overlap; increase the step count"):
             overlap_loop_phase(coeffs, gram_matrix(nodes64), loop, 1e4)
         # the same chain over the full basis refuses it too
         gram = gram_matrix(nodes64)[1]
-        with pytest.raises(StepResolutionError, match="barely overlap; increase the step count"):
+        with pytest.raises(EvaluationError, match="barely overlap; increase the step count"):
             overlap_product_phase(loop_vectors(coeffs, 1e4, loop_alphas(loop)), gram)
 
     @pytest.mark.parametrize("steps", [8, 720, 1001, 2048])

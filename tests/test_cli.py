@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsphase import cli
-from rmsphase.errors import EvaluationError
+from rmsphase.errors import EvaluationError, ParameterError, RmsPhaseError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table.csv"
 
@@ -175,6 +175,22 @@ class TestOracle:
         assert out == ""
         assert err == ("numerical error: Gauss nodes not converged by the order-8 "
                        "Taylor solve\n")
+
+
+class TestErrorExits:
+    def test_one_class_per_error_exit(self):
+        assert RmsPhaseError.__subclasses__() == [ParameterError, EvaluationError]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ParameterError, cli.EXIT_CONFIG, "configuration error:"),
+        (EvaluationError, cli.EXIT_NONCONVERGENCE, "numerical error:")])
+    def test_each_class_maps_to_its_exit(self, monkeypatch, capsys, error, code, prefix):
+        def failing(config):
+            raise error("raised inside the command")
+
+        monkeypatch.setattr(cli, "cmd_validate", failing)
+        assert run_cli(capsys, "validate", *FAST) == (
+            code, "", f"{prefix} raised inside the command\n")
 
 
 class TestStructuralZeroSign:
@@ -762,7 +778,8 @@ def contract_dir(tmp_path_factory):
 def test_any_input_keeps_the_exit_contract(contract_dir, invocation):
     # exit 0-3; only argparse's usage error exits by SystemExit(2); exit 0 never
     # reports nan; exit 2 is one "configuration error:" line on stderr; a
-    # "numerical error:" line comes with exit 3 and an "error:" line with exit 1
+    # "numerical error:" line comes with exit 3; no package error prints a bare
+    # "error:" line, as exit 1 is left to a failed validation
     argv, config = invocation
     for stale in contract_dir.rglob("*"):
         if stale.is_file():
@@ -791,7 +808,6 @@ def test_any_input_keeps_the_exit_contract(contract_dir, invocation):
         message = err.getvalue()
         assert message.startswith("configuration error:"), (argv, config, message)
         assert message.count("\n") == 1 and message.endswith("\n"), (argv, config, message)
-    prefixes = {"numerical error:": cli.EXIT_NONCONVERGENCE, "error:": cli.EXIT_VALIDATION}
-    for prefix, expected in prefixes.items():
-        if err.getvalue().startswith(prefix):
-            assert code == expected, (argv, config, err.getvalue())
+    if err.getvalue().startswith("numerical error:"):
+        assert code == cli.EXIT_NONCONVERGENCE, (argv, config, err.getvalue())
+    assert not err.getvalue().startswith("error:"), (argv, config, err.getvalue())

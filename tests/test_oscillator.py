@@ -19,7 +19,6 @@ from rmsphase import (
     NodeCounts,
     PhysicalConstants,
     QuantumNumbers,
-    RmsPoint,
     berry_phase_closed,
     correction_coefficients,
     embed,
@@ -28,7 +27,7 @@ from rmsphase import (
     matrix_element,
     state_table,
 )
-from rmsphase.errors import DomainError, ParameterError
+from rmsphase.errors import ParameterError
 from rmsphase.oscillator import (
     AXES,
     get_state,
@@ -41,9 +40,9 @@ from rmsphase.oscillator import (
 LIVE = (1, 2, 5, 6, 8, 9, 10, 13, 14, 16)
 
 
-def axes_measure(p: RmsPoint) -> float:
+def axes_measure(rho: float, theta: float, phi: float, beta: float) -> float:
     """Product of the ``AXES`` weights at power 0: the measure every build integrates."""
-    coordinate = {"radial": p.rho, "polar": p.theta, "rapidity": p.beta}
+    coordinate = {"radial": rho, "polar": theta, "rapidity": beta}
     return math.prod(float(axis.weight(coordinate[axis.field], 0)) for axis in AXES)
 
 
@@ -62,41 +61,41 @@ def closed_form_norm(qn: QuantumNumbers) -> float:
 
 class TestGeometry:
     def test_axis_points(self):
-        assert embed(RmsPoint(1.0, math.pi / 2, 0.0, 0.0)) == pytest.approx([0, 1, 0, 0], abs=1e-15)
-        near_pole = embed(RmsPoint(2.0, 1e-9, 1.3, 0.7))
+        assert embed(1.0, math.pi / 2, 0.0, 0.0) == pytest.approx([0, 1, 0, 0], abs=1e-15)
+        near_pole = embed(2.0, 1e-9, 1.3, 0.7)
         assert near_pole == pytest.approx([0, 0, 0, 2], abs=1e-8)
 
     def test_invariant_interval(self, rng):
         for _ in range(1000):
-            p = RmsPoint(float(rng.uniform(0.1, 5)), float(rng.uniform(0.01, math.pi - 0.01)),
-                         float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-3, 3)))
-            t, x, y, z = embed(p)
-            assert -t * t + x * x + y * y + z * z == pytest.approx(p.rho ** 2, abs=1e-12 * p.rho ** 2)
+            coords = (float(rng.uniform(0.1, 5)), float(rng.uniform(0.01, math.pi - 0.01)),
+                      float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-3, 3)))
+            t, x, y, z = embed(*coords)
+            rho = coords[0]
+            assert -t * t + x * x + y * y + z * z == pytest.approx(rho ** 2, abs=1e-12 * rho ** 2)
 
     def test_measure_trivials(self):
-        assert axes_measure(RmsPoint(1.0, math.pi / 2, 0.3, 0.0)) == pytest.approx(1.0, rel=1e-15)
-        assert axes_measure(RmsPoint(2.0, 1e-12, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-20)
+        assert axes_measure(1.0, math.pi / 2, 0.3, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert axes_measure(2.0, 1e-12, 0.0, 1.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_measure_matches_finite_difference_jacobian(self, rng):
         for _ in range(100):
-            p = RmsPoint(float(rng.uniform(0.3, 3)), float(rng.uniform(0.2, math.pi - 0.2)),
-                         float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-2, 2)))
-            coords = [p.rho, p.theta, p.phi, p.beta]
+            coords = [float(rng.uniform(0.3, 3)), float(rng.uniform(0.2, math.pi - 0.2)),
+                      float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-2, 2))]
             h = 1e-5
             jac = np.empty((4, 4))
             for k in range(4):
                 up, dn = list(coords), list(coords)
                 up[k] += h
                 dn[k] -= h
-                jac[:, k] = (embed(RmsPoint(*up)) - embed(RmsPoint(*dn))) / (2 * h)
+                jac[:, k] = (embed(*up) - embed(*dn)) / (2 * h)
             fd = abs(np.linalg.det(jac))
-            assert fd == pytest.approx(axes_measure(p), rel=1e-8)
+            assert fd == pytest.approx(axes_measure(*coords), rel=1e-8)
 
     def test_point_validation(self):
         with pytest.raises(ParameterError):
-            RmsPoint(0.0, 1.0, 0.0, 0.0)
+            embed(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
-            RmsPoint(1.0, 4.0, 0.0, 0.0)
+            embed(1.0, 4.0, 0.0, 0.0)
 
 
 class TestCatalogue:
@@ -132,6 +131,18 @@ class TestCatalogue:
 
     def test_numpy_integer_state_index_passes(self):
         assert get_state(np.int64(8)) == state_table()[7]
+
+    # a half-integer once gave a half-integer reduced energy, and a nan passed the sign check
+    @pytest.mark.parametrize("field", ["n_a", "l", "n", "m"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2"])
+    def test_non_integer_quantum_number_is_parameter_error(self, field, value):
+        numbers = {"n_a": 2, "l": 2, "n": 2, "m": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be an integer, got "):
+            QuantumNumbers(**numbers)
+
+    def test_numpy_integer_quantum_numbers_pass(self):
+        qn = QuantumNumbers(np.int64(2), 3, np.int32(2), 2)
+        assert qn == state_table()[4] and qn.reduced_energy == Fraction(17, 2)
 
 
 class TestNodeCounts:
@@ -172,7 +183,7 @@ class TestEvaluation:
         assert np.all(far < 1e-6 * near)
 
     def test_polar_axis_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             polar_profiles([QuantumNumbers(2, 2, 2, 2)])(0.0)
 
     @pytest.mark.parametrize("rho", [1e80, 1e200, math.inf])

@@ -20,7 +20,7 @@ from rmsphase import (
     phi_integral,
 )
 from rmsphase import perturbation as pert, state_table
-from rmsphase.errors import CorrectionError, ParameterError
+from rmsphase.errors import ParameterError
 from rmsphase.oscillator import live_entry, overlap_tables
 from rmsphase.perturbation import CorrectionCoefficients
 from rmsphase.quadrature import QuadratureRule, integrate
@@ -79,6 +79,16 @@ class TestPhiIntegral:
 
         assert phi_integral(0, delta, channel) == pytest.approx(
             integrate(rule, integrand), abs=1e-12)
+
+    # int() of a nan raised a bare ValueError, and of an infinity a bare OverflowError
+    @pytest.mark.parametrize("m_bra, m_ket", [(math.nan, 2), (2, math.nan), (math.inf, 2),
+                                              (2, -math.inf), (2.5, 2)])
+    def test_non_integer_index_is_parameter_error(self, m_bra, m_ket):
+        with pytest.raises(ParameterError, match="azimuthal indices must be integers"):
+            phi_integral(m_bra, m_ket, Channel.COSINE)
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        assert phi_integral(2.0, np.int64(3), Channel.SINE) == phi_integral(2, 3, Channel.SINE)
 
 
 class TestChannelStack:
@@ -201,9 +211,9 @@ class TestCorrectionCoefficients:
                 assert bi == pytest.approx(-ai, rel=1e-12)
 
     def test_null_state_rejected(self, nodes64):
-        with pytest.raises(CorrectionError):
+        with pytest.raises(ParameterError):
             correction_coefficients(3, nodes=nodes64)
-        with pytest.raises(CorrectionError):
+        with pytest.raises(ParameterError):
             correction_coefficients(7, nodes=nodes64)
 
     @pytest.mark.parametrize("nodes", [NodeCounts.uniform(64), NodeCounts(40, 72, 33, 96)],
