@@ -48,7 +48,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import perturbation as pert
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, require_integer
 
 __all__ = [
     "LoopParams",
@@ -93,8 +93,7 @@ class LoopParams:
     reverse: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ParameterError(f"loop steps must be an integer, got {self.steps!r}")
+        require_integer(self.steps, "loop steps")
         if not 8 <= self.steps <= MAX_STEPS:
             raise ParameterError(
                 f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")

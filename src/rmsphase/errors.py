@@ -2,8 +2,11 @@
 
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
 ``EvaluationError`` to exit 3 (``numerical error:``).  No package error exits
-1; that code is left to a failed validation.
+1; that code is left to a failed validation.  ``require_integer`` is the one
+integer check behind every index and count the package takes.
 """
+
+import numpy as np
 
 
 class RmsPhaseError(Exception):
@@ -24,3 +27,13 @@ class EvaluationError(RmsPhaseError):
         super().__init__(message)
         self.node_index = node_index
         self.node_value = node_value
+
+
+def require_integer(value, what: str) -> None:
+    """Raise ParameterError unless ``value`` is an int or a numpy integer.
+
+    A bool is refused, although Python counts it as an int: ``True`` would
+    pass as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")

@@ -10,6 +10,8 @@ Each integral is a product of four 1-d integrals, so ``overlap_tables``
 evaluates each distinct axis profile once per set of nodes and forms all
 pairs at once as weighted matrix products (F * w * g^p) @ F.T: one cached
 build of 10x10 tables per resolution, which every overlap below reads.
+Each axis's own (2, 10, 10) table is cached too, by node count, so a new
+resolution does new work only on the axes whose count is new.
 Each entry of ``AXES`` holds its axis's static layout, computed at import:
 the distinct profiles (the ten states share 3 polar, 3 rapidity and 4
 radial ones), each state's row among them, and which pairs take the odd
@@ -43,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature as quad
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, require_integer
 from .specfun import assoc_legendre, gen_laguerre
 
 __all__ = [
@@ -138,8 +140,7 @@ class QuantumNumbers:
     def __post_init__(self):
         for name in ("n_a", "l", "n", "m"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            require_integer(value, name)
             if value < 0:
                 raise ParameterError(f"{name} must be non-negative")
 
@@ -178,8 +179,7 @@ class NodeCounts:
     def __post_init__(self):
         for name in ("radial", "polar", "azimuthal", "rapidity"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} node count must be an integer, got {value!r}")
+            require_integer(value, f"{name} node count")
             if not 2 <= value <= MAX_NODES:
                 raise ParameterError(f"{name} node count must be in 2..{MAX_NODES}, got {value}")
 
@@ -201,9 +201,9 @@ def state_table() -> tuple[QuantumNumbers, ...]:
 
 
 def get_state(index: int) -> QuantumNumbers:
-    """The catalogue state of an integer ``index`` in 1..16; numpy integers pass."""
-    if not isinstance(index, (int, np.integer)):
-        raise ParameterError(f"state index must be an integer, got {index!r}")
+    """The catalogue state of an integer ``index`` in 1..16; numpy integers
+    pass, a bool does not."""
+    require_integer(index, "state index")
     if not 1 <= index <= len(_STATES):
         raise ParameterError(f"state index must be in 1..{len(_STATES)}, got {index}")
     return _STATES[index - 1]
@@ -223,10 +223,14 @@ def live_indices() -> tuple[int, ...]:
 
 def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
     """Map the point (rho, theta, phi, beta) of the spacelike coordinate patch
-    to the four-vector (t, x, y, z); rho > 0 and theta in [0, pi].
+    to the four-vector (t, x, y, z); rho > 0, theta in [0, pi], and all
+    four finite.
 
     Satisfies -t^2 + x^2 + y^2 + z^2 = rho^2 identically.
     """
+    if not all(math.isfinite(v) for v in (rho, theta, phi, beta)):
+        raise ParameterError(
+            f"coordinates must be finite, got rho={rho}, theta={theta}, phi={phi}, beta={beta}")
     if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     if not 0.0 <= theta <= math.pi:
@@ -351,8 +355,11 @@ class AxisSpec(NamedTuple):
     ``rules(n)`` returns the (even, odd) pair of n-node rules, which keeps
     every integral polynomial-exact.  It looks the constructor up on
     ``quad`` at each call, so a wrapper put on the module attribute sees
-    every build.  ``weight(x, p)`` is the measure times the p-th power of
-    the shared coupling factor on this axis; the three weights at p = 0 are
+    every axis build.  The rule constructors are not cached; the axis's
+    tables are, by ``_axis_overlaps``, for its last ``AXIS_CACHE_COUNTS``
+    counts, so a patched ``AXES`` needs that cache cleared.
+    ``weight(x, p)`` is the measure times the p-th power of the shared
+    coupling factor on this axis; the three weights at p = 0 are
     the one statement of the measure rho^3 sin^2(theta) cosh(beta), which
     ``validate`` compares with the Jacobian of ``embed``.  ``overlap_tables``
     is the only other reader, so a wrong rule here shows in the tables
@@ -380,15 +387,28 @@ _M_DELTAS, _M_PAIRS = np.unique([j.m - i.m for i in _LIVE_QNS for j in _LIVE_QNS
                                 return_inverse=True)
 
 
-def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> np.ndarray:
-    """int f_i f_j weight(x, p) on one axis for p = 0 and 1, as a (2, 10, 10)
-    stack.  Only ``axis.profiles`` and ``axis.rules`` are called per build.
-    The distinct profiles are evaluated in one call on the pair's node arrays
-    stacked: one array on the finite axes, two on the radial axis.  One
-    batched product gives every (rule, power) table; each state then takes
-    its profile's row, and each pair the rule its parity selects."""
+# node counts per axis that the ``_axis_overlaps`` cache keeps
+AXIS_CACHE_COUNTS = 64
+
+
+@lru_cache(maxsize=AXIS_CACHE_COUNTS * len(AXES))
+def _axis_overlaps(field: str, n: int) -> np.ndarray:
+    """int f_i f_j weight(x, p) on the ``AXES`` axis ``field`` at ``n`` nodes,
+    for p = 0 and 1, as a read-only (2, 10, 10) stack.
+
+    The one cache below ``overlap_tables``, keyed by (field, n), with
+    ``AXIS_CACHE_COUNTS`` entries per axis, shared by the axes.  Each build
+    asks every axis for one count, so a count that an axis was asked for in
+    its last 64 builds is a hit, which calls neither the axis's rule
+    constructor nor its profiles.  A miss calls only ``axis.rules`` and
+    ``axis.profiles``.  The distinct profiles are evaluated in one call on
+    the pair's node arrays stacked: one array on the finite axes, two on
+    the radial axis.  One batched product gives every (rule, power) table;
+    each state then takes its profile's row, and each pair the rule its
+    parity selects."""
+    axis = next(axis for axis in AXES if axis.field == field)
     states, rows, odd = axis.layout
-    rules = axis.rules(getattr(nodes, axis.field))
+    rules = axis.rules(n)
     x = np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
                  else [rule.nodes for rule in rules])
     # (x row, profile, node), and (rule, power, node); a single x row broadcasts
@@ -396,17 +416,23 @@ def _axis_overlaps(axis: AxisSpec, nodes: NodeCounts) -> np.ndarray:
     w = np.stack([rule.weights for rule in rules])[:, None] * np.stack(
         [axis.weight(x, p) for p in (0, 1)], axis=1)
     tables = ((f[:, None] * w[:, :, None]) @ f[:, None].swapaxes(-1, -2))[..., rows[:, None], rows]
-    return _hermitian(np.where(odd, tables[1], tables[0]))
+    table = _hermitian(np.where(odd, tables[1], tables[0]))
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=8)
 def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     """Every dimensionless integral of the live states at one resolution.
 
-    The polar, rapidity and radial integrals follow ``AXES``.  A profile
-    that is not finite at a node raises EvaluationError naming the axis.
+    Cached for the last 8 resolutions.  The polar, rapidity and radial
+    integrals follow ``AXES`` and come from ``_axis_overlaps``, which
+    caches each axis's tables by count; only the azimuthal integrals and
+    the products are formed here on every miss.  A profile that is not
+    finite at a node raises EvaluationError naming the axis.
     """
-    overlaps, couplings = np.prod([_axis_overlaps(axis, nodes) for axis in AXES], axis=0)
+    overlaps, couplings = np.prod([_axis_overlaps(axis.field, getattr(nodes, axis.field))
+                                   for axis in AXES], axis=0)
     phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in _M_DELTAS]
     azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)

@@ -31,16 +31,15 @@ gives the weights; no eigen-solve is run.  The periodic trapezoid rule
 is exact for e^{i d x} on [0, 2 pi) with |d| < n (Trefethen & Weideman,
 SIAM Rev. 56, 385, 2014).
 
-Rules are immutable after construction, so every constructor but the
-trapezoid rule's is memoized and the same rule object may be shared freely
-across threads.
+Rules are immutable after construction, so a rule object may be shared
+freely across threads.  No constructor is cached: a build reuses an axis's
+tables, not its rules, and ``oscillator`` caches those per node count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -181,7 +180,6 @@ def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
     return shift
 
 
-@lru_cache(maxsize=128)
 def chebyshev_u(n: int) -> QuadratureRule:
     """Chebyshev rule of the second kind on (-1, 1) in plain form.
 
@@ -225,7 +223,6 @@ def _fejer2_weights(n: int) -> np.ndarray:
     return (4.0 / size) * np.sin(theta) * sums
 
 
-@lru_cache(maxsize=64)
 def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     """(even, odd) rules for integrals over theta in [0, pi], on one node array.
 
@@ -243,7 +240,6 @@ def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
                  for w in (_fejer2_weights(n), base.weights))
 
 
-@lru_cache(maxsize=64)
 def rapidity_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     """(even, odd) rules for integrals over beta on the real line, on one node array.
 
@@ -342,7 +338,6 @@ def _laguerre(n: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - correction, log_w - 2.0 * log_scale
 
 
-@lru_cache(maxsize=64)
 def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     """(even, odd) rules for integrals over rho on [0, inf), from one solve.
 

@@ -393,6 +393,8 @@ class TestParams:
         # a float once passed construction and failed later, in np.linspace
         with pytest.raises(ParameterError, match="loop steps must be an integer, got 720.0"):
             LoopParams(steps=720.0)
+        with pytest.raises(ParameterError, match="loop steps must be an integer, got True"):
+            LoopParams(steps=True)
         assert LoopParams(steps=np.int64(720)).steps == 720
 
     def test_radius_with_overflowing_square(self, nodes64):

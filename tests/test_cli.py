@@ -19,6 +19,7 @@ from rmsphase import cli
 from rmsphase.errors import EvaluationError, ParameterError, RmsPhaseError
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table.csv"
+REFERENCE_JSON = Path(__file__).resolve().parent / "data" / "table.json"
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,12 @@ class TestTable:
         _, out1, _ = run_cli(capsys, "table", "--format", "csv", *FAST)
         _, out2, _ = run_cli(capsys, "table", "--format", "csv", *FAST)
         assert out1 == out2
+
+    def test_json_matches_reference(self, capsys):
+        # the JSON echoes the node count, so the reference is at the default
+        code, out, _ = run_cli(capsys, "table", "--format", "json")
+        assert code == cli.EXIT_OK
+        assert out == REFERENCE_JSON.read_bytes().decode()
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--format", "json", *FAST)
@@ -407,18 +414,6 @@ class TestMutationHook:
         code, out, _ = run_cli(capsys, "validate", "--nodes", "48")
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] sign-mutation-detector" in out
-
-
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty the table caches around a test that patches what they are built from."""
-    from rmsphase import oscillator, perturbation
-    caches = (oscillator.overlap_tables, perturbation._coefficient_tables)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 def patch_phi(monkeypatch, pert, fault):

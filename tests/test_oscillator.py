@@ -96,6 +96,11 @@ class TestGeometry:
             embed(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             embed(1.0, 4.0, 0.0, 0.0)
+        # each once returned a vector holding nan
+        for point in [(1.0, 1.0, math.nan, 0.0), (1.0, 1.0, 0.0, math.inf),
+                      (math.inf, 1.0, 0.0, 0.0)]:
+            with pytest.raises(ParameterError, match="coordinates must be finite"):
+                embed(*point)
 
 
 class TestCatalogue:
@@ -119,14 +124,19 @@ class TestCatalogue:
         assert [j for j, qn in catalogue if qn.vanishing_rapidity] == [3, 7, 11, 15]
         assert live_indices() == LIVE
 
-    # a float index in range once reached the catalogue tuple and raised a bare TypeError
+    # a float index in range once reached the catalogue tuple and raised a
+    # bare TypeError; a bool once passed as the index 1
     @pytest.mark.parametrize("call", [
         lambda: matrix_element(1.0, 5, Channel.COSINE),
         lambda: correction_coefficients(1.0),
         lambda: berry_phase_closed(5.0, PhysicalConstants.dimensionless()),
-    ], ids=["matrix_element", "correction_coefficients", "berry_phase_closed"])
+        lambda: get_state(True),
+        lambda: correction_coefficients(True),
+    ], ids=["matrix_element", "correction_coefficients", "berry_phase_closed", "get_state-bool",
+            "correction_coefficients-bool"])
     def test_non_integer_state_index_is_parameter_error(self, call):
-        with pytest.raises(ParameterError, match="state index must be an integer, got [15]\\.0"):
+        with pytest.raises(ParameterError,
+                           match="state index must be an integer, got ([15]\\.0|True)$"):
             call()
 
     def test_numpy_integer_state_index_passes(self):
@@ -134,7 +144,7 @@ class TestCatalogue:
 
     # a half-integer once gave a half-integer reduced energy, and a nan passed the sign check
     @pytest.mark.parametrize("field", ["n_a", "l", "n", "m"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "2", True])
     def test_non_integer_quantum_number_is_parameter_error(self, field, value):
         numbers = {"n_a": 2, "l": 2, "n": 2, "m": 2, field: value}
         with pytest.raises(ParameterError, match=f"{field} must be an integer, got "):
@@ -148,9 +158,10 @@ class TestCatalogue:
 class TestNodeCounts:
     # a float count once reached the rule constructors (the radial one
     # failed to converge, the others raised numpy's TypeError) and a string
-    # failed its range comparison
+    # failed its range comparison; a bool was refused as the count 1
     @pytest.mark.parametrize("field, value", [("radial", 16.5), ("polar", 16.5),
-                                              ("azimuthal", 16.5), ("radial", "32")])
+                                              ("azimuthal", 16.5), ("radial", "32"),
+                                              ("rapidity", True)])
     def test_non_integer_count_is_parameter_error(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} node count must be an integer"):
             overlap_tables(NodeCounts(**{field: value}))

@@ -267,7 +267,9 @@ class TestCorrectionCoefficients:
     @pytest.mark.parametrize("form", ["vector", "mapping"])
     @pytest.mark.parametrize("state, message", [
         (3, "state 3 vanishes identically"), (99, "state index must be in 1..16, got 99"),
-        (1.0, "state index must be an integer, got 1.0")], ids=["null", "outside", "float"])
+        (1.0, "state index must be an integer, got 1.0"),
+        (True, "state index must be an integer, got True")],
+        ids=["null", "outside", "float", "bool"])
     def test_state_index_checked_for_both_forms(self, form, state, message):
         if form == "vector":
             values = np.zeros(len(live_indices()), dtype=complex)

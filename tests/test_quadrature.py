@@ -251,7 +251,7 @@ class TestDenseReference:
     def worst_gaps(counts):
         worst_nodes = worst_weights = 0.0
         for n in counts:
-            for rule, alpha in zip(radial_rule.__wrapped__(n), (0.5, 0.0)):
+            for rule, alpha in zip(radial_rule(n), (0.5, 0.0)):
                 nodes, weights = dense_laguerre(n, alpha)
                 worst_nodes = max(worst_nodes, np.max(np.abs(rule.nodes / nodes - 1.0)))
                 worst_weights = max(worst_weights, np.max(np.abs(rule.weights / weights - 1.0)))
@@ -276,14 +276,14 @@ UNREFINED = {
 
 
 @pytest.mark.parametrize("fault", UNREFINED)
-@pytest.mark.parametrize("make", [lambda: radial_rule.__wrapped__(64)], ids=["radial"])
+@pytest.mark.parametrize("make", [lambda: radial_rule(64)], ids=["radial"])
 def test_unconverged_nodes_raise(monkeypatch, make, fault):
     monkeypatch.setattr(quad, *UNREFINED[fault])
     with pytest.raises(EvaluationError, match=r"Taylor solve on radial axis"):
         make()
 
 
-@pytest.mark.parametrize("make", [radial_rule.__wrapped__], ids=["radial"])
+@pytest.mark.parametrize("make", [radial_rule], ids=["radial"])
 def test_taylor_solve_leaves_roundoff(monkeypatch, make):
     # the Newton correction left after the Taylor solve is at most ~4e-12 of a
     # node gap; a bound 1e4 times below the check's still holds
@@ -364,14 +364,6 @@ class TestIntegrate:
         with pytest.raises(EvaluationError) as err:
             integrate(rule, bad)
         assert err.value.node_index == 3
-
-
-@pytest.mark.parametrize("make", [polar_rule, rapidity_rule, radial_rule])
-def test_pair_constructor_is_cached(make):
-    pair = make(40)
-    assert isinstance(pair, tuple) and len(pair) == 2
-    assert make(40) is pair
-    assert make.cache_info().maxsize == 64
 
 
 def test_rule_immutable():

@@ -119,7 +119,7 @@ def test_tables_are_read_only_and_hermitian():
 
 @pytest.mark.parametrize("function, axis", [("assoc_legendre", "polar"),
                                             ("gen_laguerre", "radial")])
-def test_non_finite_profile_raises(monkeypatch, function, axis):
+def test_non_finite_profile_raises(monkeypatch, fresh_tables, function, axis):
     def nan_like(degree, order, x):
         return np.full_like(np.asarray(x, dtype=float), np.nan)
 
@@ -134,6 +134,57 @@ def test_second_build_is_a_cache_hit():
     assert overlap_tables(UNEVEN) is first
     assert overlap_tables.cache_info().hits == hits + 1
     assert overlap_tables.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("field", ["polar", "rapidity", "radial"])
+def test_shared_axis_count_reuses_its_table(monkeypatch, fresh_tables, field):
+    # a resolution that shares only `field`'s count with an earlier one
+    # builds that axis from neither its rules nor its profiles
+    calls = []
+
+    def counted(axis):
+        def rules(n):
+            calls.append((axis.field, "rules"))
+            return axis.rules(n)
+
+        def profiles(qns):
+            calls.append((axis.field, "profiles"))
+            return axis.profiles(qns)
+
+        return axis._replace(rules=rules, profiles=profiles)
+
+    monkeypatch.setattr(osc, "AXES", tuple(counted(axis) for axis in osc.AXES))
+    first = NodeCounts(37, 39, 41, 43)
+    second = dataclasses.replace(first, **{name: getattr(first, name) + 8 for name in
+                                           ("radial", "polar", "azimuthal", "rapidity")
+                                           if name != field})
+    overlap_tables(first)
+    calls.clear()
+    tables = overlap_tables(second)
+    assert sorted(calls) == sorted((axis.field, what) for axis in osc.AXES
+                                   if axis.field != field for what in ("rules", "profiles"))
+    osc._axis_overlaps.cache_clear()
+    fresh = overlap_tables.__wrapped__(second)
+    assert [table.tobytes() for table in tables] == [table.tobytes() for table in fresh]
+
+
+def test_axis_cache_keeps_64_counts_per_axis(fresh_tables):
+    # each build asks every axis for one count; the oldest of 64 counts
+    # stays, and one count more evicts the least recently used
+    assert osc.AXIS_CACHE_COUNTS == 64
+    counts = range(9, 9 + osc.AXIS_CACHE_COUNTS)
+    for n in counts:
+        overlap_tables.__wrapped__(NodeCounts.uniform(n))
+
+    def misses(n):
+        before = osc._axis_overlaps.cache_info().misses
+        overlap_tables.__wrapped__(NodeCounts.uniform(n))
+        return osc._axis_overlaps.cache_info().misses - before
+
+    assert misses(counts[0]) == 0
+    assert misses(counts[-1] + 1) == len(osc.AXES)
+    assert misses(counts[1]) == len(osc.AXES)
+    assert misses(counts[0]) == 0
 
 
 @pytest.mark.parametrize("field, count", [("polar", 9), ("rapidity", 5), ("radial", 6),
@@ -155,7 +206,7 @@ def test_minimal_exact_node_counts(field, count):
         assert gap(count - 1) > 1e-6
 
 
-def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
+def test_build_solves_both_radial_parities_in_one_pass(monkeypatch, fresh_tables):
     # one _laguerre call refines both parities as one (2, n) stack of initial nodes
     calls = []
     laguerre = quad._laguerre
@@ -164,7 +215,6 @@ def test_build_solves_both_radial_parities_in_one_pass(monkeypatch):
         calls.append((n, alpha.tolist()))
         return laguerre(n, alpha)
 
-    quad.radial_rule.cache_clear()
     monkeypatch.setattr(quad, "_laguerre", counted)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     assert calls == [(37, [[0.5], [0.0]])]
@@ -185,19 +235,18 @@ def test_stacked_profiles_match_each_state_alone(nodes):
 
 
 @pytest.mark.parametrize("nodes", [NodeCounts.uniform(1024), NodeCounts(37, 39, 41, 43)])
-def test_build_runs_no_dense_eigensolver(monkeypatch, nodes):
+def test_build_runs_no_dense_eigensolver(monkeypatch, fresh_tables, nodes):
     # the Gauss nodes come from a Taylor solve on the recurrence, at any count
     def dense(*args, **kwargs):
         raise AssertionError("dense eigensolver called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     monkeypatch.setattr(np.linalg, "eigh", dense)
-    quad.radial_rule.cache_clear()
     tables = osc.overlap_tables.__wrapped__(nodes)
     assert np.all(np.isfinite(tables.gram))
 
 
-def test_build_asks_each_axis_for_one_pair(monkeypatch):
+def test_build_asks_each_axis_for_one_pair(monkeypatch, fresh_tables):
     # AXES looks the constructors up on the module, so wrappers see the build
     calls = []
     for name in ("polar_rule", "rapidity_rule", "radial_rule"):
@@ -209,7 +258,7 @@ def test_build_asks_each_axis_for_one_pair(monkeypatch):
     assert sorted(calls) == [("polar_rule", 39), ("radial_rule", 37), ("rapidity_rule", 43)]
 
 
-def test_build_evaluates_each_profile_once_per_node_set(monkeypatch):
+def test_build_evaluates_each_profile_once_per_node_set(monkeypatch, fresh_tables):
     # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
     # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones.
     # Each axis runs one recurrence over a column of its profiles' indices:
