@@ -223,8 +223,9 @@ def live_indices() -> tuple[int, ...]:
 
 def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
     """Map the point (rho, theta, phi, beta) of the spacelike coordinate patch
-    to the four-vector (t, x, y, z); rho > 0, theta in [0, pi], and all
-    four finite.
+    to the four-vector (t, x, y, z); rho > 0, theta in [0, pi], all four
+    finite, and the four-vector finite too (|beta| past ~710, or a large
+    rho times cosh(beta), overflows).
 
     Satisfies -t^2 + x^2 + y^2 + z^2 = rho^2 identically.
     """
@@ -236,13 +237,20 @@ def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
     if not 0.0 <= theta <= math.pi:
         raise ParameterError(f"theta must lie in [0, pi], got {theta}")
     st, ct = math.sin(theta), math.cos(theta)
-    ch, sh = math.cosh(beta), math.sinh(beta)
-    return np.array([
+    try:
+        ch, sh = math.cosh(beta), math.sinh(beta)
+    except OverflowError:
+        ch = sh = math.inf          # the check below refuses the point
+    point = np.array([
         rho * st * sh,
         rho * st * math.cos(phi) * ch,
         rho * st * math.sin(phi) * ch,
         rho * ct,
     ])
+    if not np.isfinite(point).all():
+        raise ParameterError(f"the four-vector of rho={rho}, theta={theta}, phi={phi}, "
+                             f"beta={beta} overflows")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def polar_profiles(qns):
     def f(theta):
         theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
-        if np.any(s <= 0.0):
+        if (s <= 0.0).any():
             raise ParameterError("polar profile is singular on the polar axis")
         column = (-1,) + (1,) * theta.ndim
         return assoc_legendre(l.reshape(column), n.reshape(column), np.cos(theta)) / np.sqrt(s)
@@ -299,7 +307,7 @@ def radial_profiles(qns):
 
     def f(rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise ParameterError("radial profile is singular at rho = 0")
         with np.errstate(over="ignore"):
             s = rho * rho
@@ -431,13 +439,14 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     the products are formed here on every miss.  A profile that is not
     finite at a node raises EvaluationError naming the axis.
     """
-    overlaps, couplings = np.prod([_axis_overlaps(axis.field, getattr(nodes, axis.field))
-                                   for axis in AXES], axis=0)
+    polar, rapidity, radial = (_axis_overlaps(axis.field, getattr(nodes, axis.field))
+                               for axis in AXES)
+    overlaps, couplings = polar * rapidity * radial
     phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in _M_DELTAS]
     azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)
     norm_sq = azimuthal.diagonal().real * overlaps.diagonal()
-    if np.any(norm_sq <= 0.0):
+    if (norm_sq <= 0.0).any():
         raise EvaluationError(f"non-positive norm for {_LIVE_QNS[int(np.argmin(norm_sq))]}")
     norms = 1.0 / np.sqrt(norm_sq)
     pair = np.outer(norms, norms)

@@ -31,8 +31,9 @@ gives the weights; no eigen-solve is run.  The periodic trapezoid rule
 is exact for e^{i d x} on [0, 2 pi) with |d| < n (Trefethen & Weideman,
 SIAM Rev. 56, 385, 2014).
 
-Rules are immutable after construction, so a rule object may be shared
-freely across threads.  No constructor is cached: a build reuses an axis's
+Rules are immutable after construction, each holding read-only arrays
+that no caller can write, so a rule object may be shared freely across
+threads.  No constructor is cached: a build reuses an axis's
 tables, not its rules, and ``oscillator`` caches those per node count.
 """
 
@@ -57,27 +58,53 @@ __all__ = [
     "integrate",
 ]
 
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a contiguous float array that nothing can write: a
+    read-only float array is kept as it is, anything writeable is copied."""
+    array = np.ascontiguousarray(values, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place, so ``QuadratureRule`` keeps it uncopied."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable nodes/weights pair tagged with the axis it serves."""
+    """Immutable nodes/weights pair tagged with the axis it serves.
+
+    The nodes must be finite and strictly increasing, the weights positive
+    and finite, at least 2 of each; anything else raises ParameterError.
+    The rule holds read-only float arrays of its own: a writeable input is
+    copied, so no array the caller keeps (or a view of it) can change the
+    rule, and a read-only one is kept as it is.  The constructors here
+    freeze their arrays before passing them, so they copy nothing, and the
+    (even, odd) rules of ``polar_rule`` and ``rapidity_rule`` hold one and
+    the same node array.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: str = "generic-finite"
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        nodes, weights = _read_only(self.nodes), _read_only(self.weights)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
             raise ParameterError("nodes and weights must be matching 1-d arrays")
         if nodes.size < 2:
             raise ParameterError("a quadrature rule needs at least 2 nodes")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():     # false too at a nan, which has no order
             raise ParameterError("nodes must be strictly increasing")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        if not (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])):    # the only ones that can be inf
+            raise ParameterError("nodes must be finite")
+        if not ((weights > 0.0) & (weights < np.inf)).all():
             raise ParameterError("weights must be positive and finite")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -160,14 +187,16 @@ def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
     """Shift from ``x`` to the nearest root of P, from its Newton step P/P' at ``x``.
 
     P/P' and 1 are P and P' up to a common scale, and ``ode`` gives every
-    higher derivative from the two before it, so the Taylor polynomial of P
-    about x to ``TAYLOR_ORDER`` is known without another pass of the
-    recurrence (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007).
+    higher derivative from the two before it (``ode`` takes 1/x, formed
+    once here), so the Taylor polynomial of P about x to ``TAYLOR_ORDER``
+    is known without another pass of the recurrence (Glaser, Liu &
+    Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007).
     Its root is taken by three Newton steps from the Newton step of P itself.
     """
+    inv = 1.0 / x
     derivatives = [step, np.ones_like(x)]
     for k in range(TAYLOR_ORDER - 1):
-        c1, c0 = ode(x, k)
+        c1, c0 = ode(inv, k)
         derivatives.append(c1 * derivatives[-1] + c0 * derivatives[-2])
     coef = [d / math.factorial(k) for k, d in enumerate(derivatives)]
     shift = -step
@@ -180,6 +209,16 @@ def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
     return shift
 
 
+def _chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes cos(t_k) and weights of ``chebyshev_u(n)``, both read-only, and
+    sin(t_k), with t_k = k pi/(n+1) for k = n..1, so the nodes increase."""
+    if n < 2:
+        raise ParameterError(f"need at least 2 nodes, got {n}")
+    theta = np.arange(n, 0, -1) * np.pi / (n + 1)
+    sin_theta = np.sin(theta)
+    return _frozen(np.cos(theta)), _frozen((np.pi / (n + 1)) * sin_theta), sin_theta
+
+
 def chebyshev_u(n: int) -> QuadratureRule:
     """Chebyshev rule of the second kind on (-1, 1) in plain form.
 
@@ -187,11 +226,8 @@ def chebyshev_u(n: int) -> QuadratureRule:
     into the returned weights, so the rule integrates ``dx`` and is exact
     for integrands of the form sqrt(1-x^2) * polynomial(deg <= 2n-1).
     """
-    if n < 2:
-        raise ParameterError(f"need at least 2 nodes, got {n}")
-    k = np.arange(n, 0, -1, dtype=float)
-    theta = k * np.pi / (n + 1)
-    return QuadratureRule(np.cos(theta), (np.pi / (n + 1)) * np.sin(theta))
+    nodes, weights, _ = _chebyshev_u(n)
+    return QuadratureRule(nodes, weights)
 
 
 def periodic_trapezoid(n: int, a: float, b: float,
@@ -206,21 +242,22 @@ def periodic_trapezoid(n: int, a: float, b: float,
     if not a < b:
         raise ParameterError(f"empty interval [{a}, {b}]")
     h = (b - a) / n
-    return QuadratureRule(a + h * np.arange(n), np.full(n, h), domain)
+    return QuadratureRule(_frozen(a + h * np.arange(n)), _frozen(np.full(n, h)), domain)
 
 
-def _fejer2_weights(n: int) -> np.ndarray:
-    """Weights of Fejer's second rule on the nodes of ``chebyshev_u(n)``.
+def _fejer2_weights(sin_theta: np.ndarray) -> np.ndarray:
+    """Weights of Fejer's second rule on the n nodes of ``chebyshev_u(n)``,
+    from their ``sin_theta`` = sin(t_k), as ``_chebyshev_u`` returns it.
 
     w_k = 4 sin(t_k)/(n+1) * sum over odd j < n+1 of sin(j t_k)/j, with
     t_k = k pi/(n+1); the sums are a sine transform, taken from one rfft.
     """
+    n = sin_theta.size
     size = n + 1
     odd = np.zeros(2 * size)
     odd[1:size:2] = 1.0 / np.arange(1, size, 2)
     sums = -np.fft.rfft(odd).imag[n:0:-1]
-    theta = np.arange(n, 0, -1) * np.pi / size
-    return (4.0 / size) * np.sin(theta) * sums
+    return (4.0 / size) * sin_theta * sums
 
 
 def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
@@ -232,12 +269,11 @@ def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     <= n-1; the odd rule (Chebyshev-U) is for integrands that carry an odd
     net power of sin(theta) after the substitution.
     """
-    base = chebyshev_u(n)
-    c = base.nodes
-    theta = np.arccos(c)[::-1].copy()      # contiguous, so both rules keep this array
-    sin_theta = np.sqrt((1.0 - c) * (1.0 + c))[::-1]
-    return tuple(QuadratureRule(theta, w[::-1] / sin_theta, "polar")
-                 for w in (_fejer2_weights(n), base.weights))
+    c, odd, sines = _chebyshev_u(n)
+    theta = _frozen(np.arccos(c)[::-1].copy())     # contiguous, so both rules keep this array
+    sin_theta = np.sqrt((1.0 - c) * (1.0 + c))[::-1]    # of the rounded nodes c, for the Jacobian
+    return tuple(QuadratureRule(theta, _frozen(w[::-1] / sin_theta), "polar")
+                 for w in (_fejer2_weights(sines), odd))
 
 
 def rapidity_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
@@ -249,12 +285,11 @@ def rapidity_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     cosh^2(beta) is a polynomial in u of degree <= n-1; the odd rule
     (Chebyshev-U) when that product is sqrt(1-u^2) times a polynomial.
     """
-    base = chebyshev_u(n)
-    u = base.nodes
-    beta = np.arctanh(u)
+    u, odd, sines = _chebyshev_u(n)
+    beta = _frozen(np.arctanh(u))
     jacobian = (1.0 - u) * (1.0 + u)
-    return tuple(QuadratureRule(beta, w / jacobian, "rapidity")
-                 for w in (_fejer2_weights(n), base.weights))
+    return tuple(QuadratureRule(beta, _frozen(w / jacobian), "rapidity")
+                 for w in (_fejer2_weights(sines), odd))
 
 
 def _laguerre_nodes0(n: int, alpha: np.ndarray) -> np.ndarray:
@@ -316,8 +351,7 @@ def _laguerre(n: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inv = 1.0 / s
         return 1.0 / (n * inv + (n * (n + alpha)) * inv / ratio)
 
-    def ode(s, k):              # (c1, c0) with y^(k+2) = c1 y^(k+1) + c0 y^(k)
-        inv = 1.0 / s
+    def ode(inv, k):            # (c1, c0) with y^(k+2) = c1 y^(k+1) + c0 y^(k), at s = 1/inv
         return 1.0 - (alpha + 1.0 + k) * inv, (k - n) * inv
 
     x = _laguerre_nodes0(n, alpha)
@@ -328,13 +362,13 @@ def _laguerre(n: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):      # p_n = 0 at an exact node: no correction
         correction = newton(x, off[:, -1:] * p / p_prev)
     gap = np.diff(x)                    # to the next node; for the last node, to the one before
-    if not np.all(np.abs(correction) <= NEWTON_BOUND * np.append(gap, gap[:, -1:], axis=1)):
+    if not (np.abs(correction) <= NEWTON_BOUND * np.append(gap, gap[:, -1:], axis=1)).all():
         raise EvaluationError(f"Gauss nodes not converged by the order-{TAYLOR_ORDER} Taylor "
                               f"solve on radial axis")
     # at a root, K = sum_k p_k^2 = b_n p_n' p_{n-1} by Christoffel-Darboux, so
     # K'/K = p_n''/p_n', the ODE's c1: the weight moves with the node to first order
     log_mu0 = np.array([[math.lgamma(a + 1.0)] for a in alpha[:, 0]])
-    log_w = log_mu0 - np.log(total) + correction * ode(x, 0)[0]
+    log_w = log_mu0 - np.log(total) + correction * ode(1.0 / x, 0)[0]
     return x - correction, log_w - 2.0 * log_scale
 
 
@@ -355,10 +389,10 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     alpha = np.array([[0.5], [0.0]])
     s, log_w = _laguerre(n, alpha)
-    rho = np.sqrt(s)
+    rho = _frozen(np.sqrt(s))
     # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
     log_w += s - alpha * np.log(s) - np.log(2.0 * rho)
-    return tuple(QuadratureRule(r, np.exp(w), "radial") for r, w in zip(rho, log_w))
+    return tuple(QuadratureRule(r, _frozen(np.exp(w)), "radial") for r, w in zip(rho, log_w))
 
 
 def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
@@ -371,7 +405,7 @@ def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
     if values.dtype.kind not in "fc":
         values = values.astype(complex)
     bad = ~np.isfinite(values)      # a complex value is finite when both parts are
-    if np.any(bad):
+    if bad.any():
         flat = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
         k, x = flat % nodes.shape[-1], float(nodes.flat[flat])
         raise EvaluationError(f"{what} not finite at node {k} (x={x!r}) on {domain} axis",

@@ -77,7 +77,7 @@ def assoc_legendre(degree, order, x):
 
     arr = np.asarray(x, dtype=float)
     y = (1.0 - arr) * (1.0 + arr)          # negative exactly where |x| > 1
-    if np.any(y < 0.0):
+    if (y < 0.0).any():
         raise ParameterError("associated Legendre argument outside [-1, 1]")
 
     m = np.abs(order)
@@ -113,14 +113,14 @@ def gen_laguerre(degree, alpha, x):
     one recurrence, up to the largest degree.
     """
     deg = np.asarray(degree)
-    if np.any(deg < 0) or np.any(deg != np.round(deg)):
+    if (deg < 0).any() or (deg != np.round(deg)).any():
         raise ParameterError(f"degree must be a non-negative integer, got {degree}")
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= -1.0):
+    if (alpha <= -1.0).any():
         raise ParameterError(f"Laguerre upper index must exceed -1, got {alpha}")
 
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ParameterError("Laguerre argument must be non-negative")
 
     lkm1 = np.ones(np.broadcast_shapes(deg.shape, alpha.shape, arr.shape))

@@ -101,6 +101,10 @@ class TestGeometry:
                       (math.inf, 1.0, 0.0, 0.0)]:
             with pytest.raises(ParameterError, match="coordinates must be finite"):
                 embed(*point)
+        # a finite point whose four-vector is not: cosh overflows, or rho cosh(beta) does
+        for point in [(1.0, 1.0, 0.0, 1000.0), (1e300, 1.0, 0.0, 700.0)]:
+            with pytest.raises(ParameterError, match="overflows"):
+                embed(*point)
 
 
 class TestCatalogue:

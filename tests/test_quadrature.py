@@ -372,6 +372,32 @@ def test_rule_immutable():
         rule.nodes[0] = 99.0
 
 
+def test_rule_ignores_later_writes_to_its_inputs():
+    # a view taken before construction once wrote through to the rule's nodes
+    x, w = np.linspace(0.0, 1.0, 3), np.ones(3)
+    view = x[:]
+    rule = QuadratureRule(x, w)
+    view[1], w[1] = 5.0, 7.0
+    assert rule.nodes.tolist() == [0.0, 0.5, 1.0]
+    assert rule.weights.tolist() == [1.0, 1.0, 1.0]
+    assert x.flags.writeable and w.flags.writeable
+
+
+@pytest.mark.parametrize("nodes, weights, message", [
+    ([0.0, math.nan], [1.0, 1.0], "strictly increasing"),
+    ([math.nan, 0.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([-math.inf, 0.0, 1.0], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, 1.0], [1.0, math.nan], "positive and finite"),
+    ([0.0, 1.0], [math.inf, 1.0], "positive and finite"),
+    ([0.0, 1.0], [1.0, 0.0], "positive and finite"),
+], ids=["nan-last-node", "nan-first-node", "neg-inf-node", "inf-node",
+        "nan-weight", "inf-weight", "zero-weight"])
+def test_rule_rejects_bad_nodes_and_weights(nodes, weights, message):
+    with pytest.raises(ParameterError, match=message):
+        QuadratureRule(nodes, weights)
+
+
 @pytest.mark.parametrize("make", [
     lambda: radial_rule(128)[1],
     lambda: chebyshev_u(128),
