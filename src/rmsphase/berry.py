@@ -30,16 +30,24 @@ What is constant around a loop is computed once, not once per step:
   H reduced once per coefficient set.  Its samples are real, so every
   overlap is formed from Re H and Im H in real arithmetic; the parts that
   do not depend on the radius are 1-d arrays built once, and each radius
-  (r and r/2 for Richardson) is one row of a single array pass.  This is
-  the package's one overlap chain; the test suite holds it to the same
-  chain over the full basis of live states (``tests/loop_reference.py``).
+  (r and r/2 for Richardson) is one row of a single array pass.  The
+  sample norms are formed only when a scalar bound on H cannot rule out
+  the weak-overlap refusal; at the auto radius under the package's Gram
+  matrix it always does.  This
+  is the package's one overlap chain; the test suite holds it to the same
+  chain over the full basis of live states, and to the chain that forms
+  the norms on every call (``tests/loop_reference.py``).
 
 The chain's roundoff is divided by r^2, so the overlap route refuses a
-radius with r * max|coefficient| below ``_OVERLAP_FLOOR``.
+radius with r * max|coefficient| below ``_OVERLAP_FLOOR`` and, under a
+metric that couples e_j to a and b, below the floor ``_TELESCOPE_FLOOR``
+sets.  A radius at which either loop route's arithmetic overflows is
+refused as well, before any inf or nan reaches a result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -75,8 +83,25 @@ _PERTURBATIVE_BUDGET = 1e-2
 # oracle-agreement tolerance at 1e-24 and uses 5% of it at 1e-22.
 _OVERLAP_FLOOR = 1e-18
 
+# Under a metric H that couples e_j to a and b, the O(r) term of Im o_k,
+# Im H01 (c_{k+1} - c_k) + Im H02 (s_{k+1} - s_k), telescopes to zero around
+# the loop, but its roundoff does not: under random Hermitian metrics at
+# 8..65536 steps it left 2.6 eps (|Im H01| + |Im H02|) / (H00 r) in the phase
+# per r^2, whatever the step count.  So the overlap route also refuses radii
+# below this times (|Im H01| + |Im H02|) / (H00 max|coefficient|^2), where
+# that roundoff reaches 6e-10 max|coefficient|^2.  On the live states at
+# 16..1024 nodes the package's Gram matrix gives |Im H01| + |Im H02| below
+# 1.5e-16 H00 max|coefficient|, so there _OVERLAP_FLOOR binds.
+_TELESCOPE_FLOOR = 1e-6
+
 # Every loop route holds O(steps) samples in memory.
 MAX_STEPS = 2 ** 20
+
+# A loop pass whose intermediates are provably below _FINITE_BOUND runs as
+# is (_UNGUARDED); any other runs with numpy raising at the first overflow,
+# and the route refuses its radius.
+_FINITE_BOUND = 1e300
+_UNGUARDED = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -160,18 +185,40 @@ def _check_radius(r: float) -> None:
         raise ParameterError(f"loop radius {r!r} has no finite square or squares to zero")
 
 
-def _check_overlap_floor(coeffs: pert.CorrectionCoefficients,
-                         radii: tuple[float, ...]) -> None:
-    """Refuse radii below ``_OVERLAP_FLOOR`` / max|coefficient|.  A set
-    with no coefficient has an exact chain and no floor."""
-    top = coeffs.max_magnitude()
+def _radii_label(radii: tuple[float, ...]) -> str:
+    label = "loop radius" if len(radii) == 1 else "loop radii"
+    return f"{label} {', '.join(map(repr, radii))}"
+
+
+def _check_overlap_floor(top: float, radii: tuple[float, ...]) -> None:
+    """Refuse radii below ``_OVERLAP_FLOOR`` / max|coefficient|, where
+    ``top`` is max|coefficient|.  A set with no coefficient has an exact
+    chain and no floor."""
     if top > 0.0 and min(radii) < _OVERLAP_FLOOR / top:
-        label = "loop radius" if len(radii) == 1 else "loop radii"
         raise ParameterError(
-            f"{label} {', '.join(map(repr, radii))}: the overlap route needs every "
+            f"{_radii_label(radii)}: the overlap route needs every "
             f"radius at or above {_OVERLAP_FLOOR / top:.3e} "
             f"({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
             f"roundoff, divided by r^2, swamps the phase")
+
+
+def _check_telescope_floor(top: float, radii: tuple[float, ...],
+                           h00: float, telescope: float) -> None:
+    """Refuse radii below ``_TELESCOPE_FLOOR`` * ``telescope`` / (``h00``
+    ``top``^2), where ``top`` is max|coefficient|, ``telescope`` is
+    |Im H01| + |Im H02| of the reduced metric H and ``h00`` its H00, which
+    must be positive.  A set with no coefficient has no floor."""
+    if not h00 > 0.0:
+        raise ParameterError(f"gram_data gives the loop's state the squared norm "
+                             f"{h00!r}; a Gram matrix is positive")
+    # divided one factor at a time: top * top underflows to 0 below ~1e-162
+    floor = _TELESCOPE_FLOOR * telescope / h00 / top / top if top > 0.0 else 0.0
+    if min(radii) < floor:
+        raise ParameterError(
+            f"{_radii_label(radii)}: under this metric the overlap route needs every "
+            f"radius at or above {floor:.3e} ({_TELESCOPE_FLOOR:.0e} (|Im H01| + "
+            f"|Im H02|) / (H00 max|coefficient|^2)); below it the roundoff of the "
+            f"chain's telescoping O(r) term, divided by r^2, swamps the phase")
 
 
 @lru_cache(maxsize=4)
@@ -206,14 +253,26 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     connection is evaluated once, on the arrays of every sample of the
     circle (``_loop_samples``), and its tangent-weighted integrand is
     summed by one ``np.sum``; it holds O(steps) arrays while it runs.
+    No intermediate exceeds steps max(r^2, 1) (sum|a|^2 + sum|b|^2 +
+    2 |sum a* b|); past ``_FINITE_BOUND`` the pass runs with numpy raising
+    at the first overflow, which refuses the radius as a ``ParameterError``.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
     c, s = _loop_samples(loop.steps, loop.reverse)[:, :-1]
-    a1, a2 = berry_connection(coeffs, r * c, r * s)
-    # dR/d(alpha) on the circle, signed by traversal direction
-    total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
+    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
+    bound = loop.steps * max(r * r, 1.0) * (sum_aa + sum_bb + 2.0 * abs(sum_ab))
+    try:
+        with _UNGUARDED if bound < _FINITE_BOUND else np.errstate(over="raise"):
+            a1, a2 = berry_connection(coeffs, r * c, r * s)
+            # dR/d(alpha) on the circle, signed by traversal direction
+            total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
+    except FloatingPointError:
+        raise ParameterError(
+            f"loop radius {r!r}: the connection loop overflows at r * max|coefficient| = "
+            f"{r * coeffs.max_magnitude():.3e}, where the auto radius keeps "
+            f"{_PERTURBATIVE_BUDGET:.0e}") from None
     total *= 2.0 * math.pi / loop.steps
     value = 1j * total
     # + 0.0 makes an exact zero +0, whichever sign roundoff in the tables gave it
@@ -239,23 +298,39 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     the anti-Hermitian part of O(r^2) overlaps, so a roundoff asymmetry
     would be divided by r^2.  The samples u_k = (1, r cos alpha_k,
     r sin alpha_k) are real, so o_k = u_k^T H u_{k+1} is formed from
-    Re H and Im H in real arithmetic.  Re o_k, Im o_k and the squared
-    norms n_k^2 = u_k^T (Re H) u_k are polynomials in r whose O(r) and
-    O(r^2) coefficients are 1-d arrays built once; each radius is one row
-    of a (len(radii), steps) array.  The chain phase is -sum_k
-    atan2(Im o_k, Re o_k); the normalization is a positive factor of each
-    o_k, so only the weak-overlap bound reads it.
+    Re H and Im H in real arithmetic.  Re o_k and Im o_k are polynomials
+    in r whose O(r) and O(r^2) coefficients are 1-d arrays built once;
+    each radius is one row of a (len(radii), steps) array.  The chain
+    phase is -sum_k atan2(Im o_k, Re o_k); the normalization is a positive
+    factor of each o_k, so only the weak-overlap refusal reads it.
+
+    That refusal is screened on P = Re H first.  With |cos|, |sin| <= 1
+    and every radius at most top, Re o_k >= low = P00 - S and
+    n_k^2 = u_k^T P u_k <= high = P00 + S, where S = top (2 (|P01| + |P02|)
+    + top (|P11| + |P22| + 2 |P12|)).  If low > 0 and low^2 exceeds
+    high^2 / 4 by far more than the arrays' roundoff, no overlap can fall
+    below half its norms, and the norms are never formed.  Otherwise the
+    norms and the per-sample comparison run, with numpy raising at the
+    first overflow, which refuses the radii as a ``ParameterError``.
     """
     for r in radii:
         _check_radius(r)
-    _check_overlap_floor(coeffs, radii)
+    magnitude = coeffs.max_magnitude()
+    _check_overlap_floor(magnitude, radii)
     indices, gram = gram_data
     if tuple(indices) != osc.live_indices():
         raise ParameterError(f"gram_data must be over the live states {osc.live_indices()}, "
                              f"as gram_matrix gives it; got indices {tuple(indices)}")
     basis = _loop_basis(coeffs)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
+    _check_telescope_floor(magnitude, radii, h00.real, abs(h01.imag) + abs(h02.imag))
     p, q = metric.real, metric.imag
+    top = max(radii)
+    spread = top * (2.0 * (abs(h01.real) + abs(h02.real))
+                    + top * (abs(h11.real) + abs(h22.real) + 2.0 * abs(h12.real)))
+    low, high = h00.real - spread, h00.real + spread
+    screened = low > 0.0 and low * low > 0.25 * high * high * (1.0 + 1e-9)
     c, s = _loop_samples(loop.steps, loop.reverse)
     c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
     # coefficients of r and r^2 in Re o_k, Im o_k (P symmetric, Q antisymmetric)
@@ -263,17 +338,26 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)
     im1 = q[0, 1] * (c1 - c0) + q[0, 2] * (s1 - s0)
     im2 = q[1, 2] * (c0 * s1 - s0 * c1)
-    # and in n_k^2, over every sample including the closing one
-    nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
-    nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
     rows = np.array(radii)[:, None]
-    re = p[0, 0] + rows * (re1 + rows * re2)
-    im = rows * (im1 + rows * im2)
-    nn = p[0, 0] + rows * (nn1 + rows * nn2)
-    # |o_k| / (n_k n_{k+1}) < 0.5, squared
-    if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
-        raise EvaluationError(
-            "adjacent loop samples barely overlap; increase the step count")
+    try:
+        # a screened pass stays below 2 H00 and squares nothing
+        with _UNGUARDED if screened else np.errstate(over="raise"):
+            re = p[0, 0] + rows * (re1 + rows * re2)
+            im = rows * (im1 + rows * im2)
+            if not screened:
+                # n_k^2 over every sample including the closing one
+                nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
+                nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
+                nn = p[0, 0] + rows * (nn1 + rows * nn2)
+                # |o_k| / (n_k n_{k+1}) < 0.5, squared
+                if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
+                    raise EvaluationError(
+                        "adjacent loop samples barely overlap; increase the step count")
+    except FloatingPointError:
+        raise ParameterError(
+            f"{_radii_label(radii)}: the overlap chain overflows at r * max|coefficient| = "
+            f"{top * magnitude:.3e}, where the auto radius keeps "
+            f"{_PERTURBATIVE_BUDGET:.0e}") from None
     phases = -np.sum(np.arctan2(im, re), axis=1)
     # + 0.0 makes an exact zero +0, as connection_loop_integral does
     return [phase / r ** 2 + 0.0 for phase, r in zip(phases.tolist(), radii)]

@@ -1,9 +1,10 @@
-"""Full-basis references for the loop routes, read only by the tests.
+"""References for the loop routes, read only by the tests.
 
 The package runs its overlap chain in the 3-dim span of e_j, a and b
 (``berry._overlap_phases``).  These helpers build the same loop over the
 full basis of live states, so the tests can hold the reduced chain to it,
-and rotate a coefficient set's basis phases for the gauge tests.
+keep the reduced chain with its norms formed on every call, and rotate a
+coefficient set's basis phases for the gauge tests.
 """
 
 import cmath
@@ -12,8 +13,9 @@ import math
 import numpy as np
 
 from rmsphase import live_indices
-from rmsphase.berry import _loop_basis
+from rmsphase.berry import _loop_basis, _loop_samples
 from rmsphase.errors import EvaluationError
+from rmsphase.oscillator import _hermitian
 from rmsphase.perturbation import CorrectionCoefficients
 
 
@@ -54,6 +56,37 @@ def overlap_product_phase(vectors: np.ndarray, gram: np.ndarray) -> float:
             "adjacent loop samples barely overlap; increase the step count")
     product = complex(np.prod(overlaps / np.abs(overlaps)))
     return -float(cmath.phase(product))
+
+
+def normed_overlap_phases(coeffs: CorrectionCoefficients, gram: np.ndarray,
+                          loop, radii: tuple[float, ...]) -> list[float]:
+    """The reduced chain's phase per r^2 at each of ``radii``, with the
+    weak-overlap refusal always run on the norms n_k^2 = u_k^T (Re H) u_k.
+
+    This is ``berry._overlap_phases``'s array pass before the package
+    screened that refusal on the reduced metric; the tests hold the
+    screened pass to it bit for bit, values and refusals alike.
+    """
+    basis = _loop_basis(coeffs)
+    metric = _hermitian(basis.conj().T @ gram @ basis)
+    p, q = metric.real, metric.imag
+    c, s = _loop_samples(loop.steps, loop.reverse)
+    c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
+    re1 = p[0, 1] * (c0 + c1) + p[0, 2] * (s0 + s1)
+    re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)
+    im1 = q[0, 1] * (c1 - c0) + q[0, 2] * (s1 - s0)
+    im2 = q[1, 2] * (c0 * s1 - s0 * c1)
+    nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
+    nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
+    rows = np.array(radii)[:, None]
+    re = p[0, 0] + rows * (re1 + rows * re2)
+    im = rows * (im1 + rows * im2)
+    nn = p[0, 0] + rows * (nn1 + rows * nn2)
+    if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
+        raise EvaluationError(
+            "adjacent loop samples barely overlap; increase the step count")
+    phases = -np.sum(np.arctan2(im, re), axis=1)
+    return [phase / r ** 2 + 0.0 for phase, r in zip(phases.tolist(), radii)]
 
 
 def with_basis_phases(coeffs: CorrectionCoefficients, phases: dict[int, float],

@@ -405,6 +405,24 @@ class TestParams:
         with pytest.raises(ParameterError, match="no finite square"):
             overlap_loop_phase(tiny, gram_matrix(nodes64), LoopParams(), 1e158)
 
+    @pytest.mark.parametrize("steps", [8, 720, 65536])
+    def test_connection_refuses_exactly_the_radii_that_overflow(self, nodes64, steps):
+        # across the connection loop's overflow, each radius either runs with
+        # no overflow (a RuntimeWarning would fail the test) or is refused
+        coeffs = correction_coefficients(8, nodes=nodes64)
+        outcomes = set()
+        for scale in np.geomspace(1e150, 1e154, 41):
+            loop = LoopParams(radius=float(scale) / coeffs.max_magnitude(), steps=steps)
+            try:
+                value, residual, _ = connection_loop_integral(coeffs, loop)
+            except ParameterError as exc:
+                assert "the connection loop overflows" in str(exc)
+                outcomes.add("refused")
+            else:
+                assert math.isfinite(value) and math.isfinite(residual)
+                outcomes.add("ran")
+        assert outcomes == {"ran", "refused"}
+
     def test_radius_with_underflowing_square(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
         for radius in (1e-170, 1e-200):

@@ -653,6 +653,32 @@ class TestBadInput:
             assert out == ""
             assert "configuration error" in err and "no finite square" in err
 
+    @pytest.mark.parametrize("argv, label", [
+        (("phase", "--state", "8", "--radius", "1e153", "--method", "loop-connection",
+          "--dimensionless"), "loop radius 1e+153: the connection loop overflows"),
+        (("phase", "--state", "1", "--radius", "1e100", "--method", "loop-overlap",
+          "--dimensionless"), "loop radii 1e+100, 5e+99: the overlap chain overflows"),
+        (("oracle", "--state", "1", "--radius", "1e150"),
+         "loop radii 1e+150, 5e+149: the overlap chain overflows"),
+        (("phase", "--state", "8", "--radius", "1e78", "--method", "loop-overlap"),
+         "loop radii 1e+78, 5e+77: the overlap chain overflows"),
+    ])
+    def test_radius_that_overflows_a_loop_route_is_config_error(self, capsys, argv, label):
+        # these printed nan or a meaningless ~1e-216 with exit 0, or under
+        # -W error::RuntimeWarning ended in a traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"configuration error: {label} at r * max|coefficient| = ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["loop-connection", "loop-overlap"])
+    def test_largest_radius_short_of_overflow_still_runs(self, capsys, method):
+        code, out, err = run_cli(capsys, "phase", "--state", "8", "--radius", "1e76",
+                                 "--method", method)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "radius: 1e+76" in out and "nan" not in out
+
     @pytest.mark.parametrize("command", [("oracle",), ("phase", "--method", "loop-overlap")])
     def test_radius_below_the_overlap_floor_is_config_error(self, capsys, command):
         code, out, err = run_cli(capsys, *command, "--state", "1", "--radius", "1e-150",
@@ -715,7 +741,7 @@ FLAG_VALUES = {
                      st.integers().filter(lambda n: not 16 <= n <= 1024).map(str)),
     "--steps": drawn(["8", "9", "64"],
                      st.integers().filter(lambda n: not 8 <= n <= 2 ** 20).map(str)),
-    "--radius": drawn(["1e-3", "0.5"], st.floats().map(repr)),
+    "--radius": drawn(["1e-3", "0.5", "1e100", "1e153"], st.floats().map(repr)),
     "--omega": drawn(["89.6", "240.4"], st.floats().map(repr)),
     "--omega-convention": drawn(["angular", "cyclic"]),
     "--hbar-convention": drawn(["hbar", "h"]),
