@@ -33,21 +33,20 @@ What is constant around a loop is computed once, not once per step:
   (r and r/2 for Richardson) is one row of a single array pass.  The
   sample norms are formed only when a scalar bound on H cannot rule out
   the weak-overlap refusal; at the auto radius under the package's Gram
-  matrix it always does.  This
-  is the package's one overlap chain; the test suite holds it to the same
-  chain over the full basis of live states, and to the chain that forms
-  the norms on every call (``tests/loop_reference.py``).
+  matrix it always does.  This is the package's one overlap chain; the
+  test suite holds it to the same chain over the full basis of live
+  states, and to the chain that forms the norms on every call
+  (``tests/loop_reference.py``).
 
 The chain's roundoff is divided by r^2, so the overlap route refuses a
 radius with r * max|coefficient| below ``_OVERLAP_FLOOR`` and, under a
 metric that couples e_j to a and b, below the floor ``_TELESCOPE_FLOOR``
-sets.  A radius at which either loop route's arithmetic overflows is
-refused as well, before any inf or nan reaches a result.
+sets.  Both loop routes run their array pass with numpy raising at the
+first overflow, and refuse a radius at which it overflows.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -96,12 +95,6 @@ _TELESCOPE_FLOOR = 1e-6
 
 # Every loop route holds O(steps) samples in memory.
 MAX_STEPS = 2 ** 20
-
-# A loop pass whose intermediates are provably below _FINITE_BOUND runs as
-# is (_UNGUARDED); any other runs with numpy raising at the first overflow,
-# and the route refuses its radius.
-_FINITE_BOUND = 1e300
-_UNGUARDED = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -190,35 +183,34 @@ def _radii_label(radii: tuple[float, ...]) -> str:
     return f"{label} {', '.join(map(repr, radii))}"
 
 
-def _check_overlap_floor(top: float, radii: tuple[float, ...]) -> None:
-    """Refuse radii below ``_OVERLAP_FLOOR`` / max|coefficient|, where
-    ``top`` is max|coefficient|.  A set with no coefficient has an exact
-    chain and no floor."""
-    if top > 0.0 and min(radii) < _OVERLAP_FLOOR / top:
-        raise ParameterError(
-            f"{_radii_label(radii)}: the overlap route needs every "
-            f"radius at or above {_OVERLAP_FLOOR / top:.3e} "
-            f"({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
-            f"roundoff, divided by r^2, swamps the phase")
-
-
-def _check_telescope_floor(top: float, radii: tuple[float, ...],
-                           h00: float, telescope: float) -> None:
-    """Refuse radii below ``_TELESCOPE_FLOOR`` * ``telescope`` / (``h00``
-    ``top``^2), where ``top`` is max|coefficient|, ``telescope`` is
-    |Im H01| + |Im H02| of the reduced metric H and ``h00`` its H00, which
-    must be positive.  A set with no coefficient has no floor."""
+def _check_overlap_floor(top: float, radii: tuple[float, ...],
+                         h00: float, telescope: float) -> None:
+    """Refuse radii below the larger of the overlap route's two floors,
+    ``_OVERLAP_FLOOR`` / ``top`` and ``_TELESCOPE_FLOOR`` ``telescope`` /
+    (``h00`` ``top``^2), naming the one that binds.  ``top`` is
+    max|coefficient|; ``h00`` is H00 of the reduced metric H, which must be
+    positive, and ``telescope`` is |Im H01| + |Im H02|.  A set with no
+    coefficient has an exact chain and no floor."""
     if not h00 > 0.0:
         raise ParameterError(f"gram_data gives the loop's state the squared norm "
                              f"{h00!r}; a Gram matrix is positive")
+    if top == 0.0:
+        return
     # divided one factor at a time: top * top underflows to 0 below ~1e-162
-    floor = _TELESCOPE_FLOOR * telescope / h00 / top / top if top > 0.0 else 0.0
-    if min(radii) < floor:
-        raise ParameterError(
-            f"{_radii_label(radii)}: under this metric the overlap route needs every "
-            f"radius at or above {floor:.3e} ({_TELESCOPE_FLOOR:.0e} (|Im H01| + "
-            f"|Im H02|) / (H00 max|coefficient|^2)); below it the roundoff of the "
-            f"chain's telescoping O(r) term, divided by r^2, swamps the phase")
+    metric_floor = _TELESCOPE_FLOOR * telescope / h00 / top / top
+    floor = max(_OVERLAP_FLOOR / top, metric_floor)
+    if min(radii) >= floor:
+        return
+    if floor == metric_floor:
+        reason = (f"under this metric the overlap route needs every radius at or above "
+                  f"{floor:.3e} ({_TELESCOPE_FLOOR:.0e} (|Im H01| + |Im H02|) / "
+                  f"(H00 max|coefficient|^2)); below it the roundoff of the chain's "
+                  f"telescoping O(r) term, divided by r^2, swamps the phase")
+    else:
+        reason = (f"the overlap route needs every radius at or above {floor:.3e} "
+                  f"({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
+                  f"roundoff, divided by r^2, swamps the phase")
+    raise ParameterError(f"{_radii_label(radii)}: {reason}")
 
 
 @lru_cache(maxsize=4)
@@ -253,18 +245,15 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     connection is evaluated once, on the arrays of every sample of the
     circle (``_loop_samples``), and its tangent-weighted integrand is
     summed by one ``np.sum``; it holds O(steps) arrays while it runs.
-    No intermediate exceeds steps max(r^2, 1) (sum|a|^2 + sum|b|^2 +
-    2 |sum a* b|); past ``_FINITE_BOUND`` the pass runs with numpy raising
-    at the first overflow, which refuses the radius as a ``ParameterError``.
+    The pass runs with numpy raising at the first overflow, which refuses
+    the radius as a ``ParameterError``.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
     c, s = _loop_samples(loop.steps, loop.reverse)[:, :-1]
-    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
-    bound = loop.steps * max(r * r, 1.0) * (sum_aa + sum_bb + 2.0 * abs(sum_ab))
     try:
-        with _UNGUARDED if bound < _FINITE_BOUND else np.errstate(over="raise"):
+        with np.errstate(over="raise"):
             a1, a2 = berry_connection(coeffs, r * c, r * s)
             # dR/d(alpha) on the circle, signed by traversal direction
             total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
@@ -310,13 +299,12 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     + top (|P11| + |P22| + 2 |P12|)).  If low > 0 and low^2 exceeds
     high^2 / 4 by far more than the arrays' roundoff, no overlap can fall
     below half its norms, and the norms are never formed.  Otherwise the
-    norms and the per-sample comparison run, with numpy raising at the
-    first overflow, which refuses the radii as a ``ParameterError``.
+    norms and the per-sample comparison run.  The pass runs with numpy
+    raising at the first overflow, which refuses the radii as a
+    ``ParameterError``.
     """
     for r in radii:
         _check_radius(r)
-    magnitude = coeffs.max_magnitude()
-    _check_overlap_floor(magnitude, radii)
     indices, gram = gram_data
     if tuple(indices) != osc.live_indices():
         raise ParameterError(f"gram_data must be over the live states {osc.live_indices()}, "
@@ -324,7 +312,8 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     basis = _loop_basis(coeffs)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
-    _check_telescope_floor(magnitude, radii, h00.real, abs(h01.imag) + abs(h02.imag))
+    magnitude = coeffs.max_magnitude()
+    _check_overlap_floor(magnitude, radii, h00.real, abs(h01.imag) + abs(h02.imag))
     p, q = metric.real, metric.imag
     top = max(radii)
     spread = top * (2.0 * (abs(h01.real) + abs(h02.real))
@@ -340,8 +329,7 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     im2 = q[1, 2] * (c0 * s1 - s0 * c1)
     rows = np.array(radii)[:, None]
     try:
-        # a screened pass stays below 2 H00 and squares nothing
-        with _UNGUARDED if screened else np.errstate(over="raise"):
+        with np.errstate(over="raise"):
             re = p[0, 0] + rows * (re1 + rows * re2)
             im = rows * (im1 + rows * im2)
             if not screened:

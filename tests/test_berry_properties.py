@@ -201,3 +201,15 @@ def test_non_positive_metric_is_refused():
     gram[INDICES.index(STATE), INDICES.index(STATE)] = 0.0
     with pytest.raises(ParameterError, match="the squared norm 0.0; a Gram matrix is positive"):
         overlap_loop_phase(coeffs, (INDICES, gram), LoopParams(), 1e-2)
+
+
+def test_indefinite_metric_that_overflows_the_chain_is_refused():
+    # Re H passes the weak-overlap screen, but Im H12 is not bounded by
+    # sqrt(H11 H22) under an indefinite metric, so Im o_k overflows
+    coeffs = CorrectionCoefficients(STATE, {5: 1.0}, {9: 1.0})
+    a, b = INDICES.index(5), INDICES.index(9)
+    gram = np.eye(len(INDICES), dtype=complex)
+    gram[a, a] = gram[b, b] = 1e-300
+    gram[a, b], gram[b, a] = 0.8e308j, -0.8e308j
+    with pytest.raises(ParameterError, match="the overlap chain overflows"):
+        overlap_loop_phase(coeffs, (INDICES, gram), LoopParams(steps=8), 100.0)
