@@ -26,14 +26,6 @@ from .perturbation import (
     matrix_element,
     phi_integral,
 )
-from .quadrature import (
-    QuadratureRule,
-    integrate,
-    polar_rule,
-    radial_rule,
-    rapidity_rule,
-)
-from .specfun import assoc_legendre, gen_laguerre
 
 __version__ = "0.1.0"
 
@@ -44,7 +36,4 @@ __all__ = [
     "embed", "gram_matrix", "live_indices", "state_table",
     "Channel", "CorrectionCoefficients",
     "correction_coefficients", "matrix_element", "phi_integral",
-    "QuadratureRule", "integrate", "polar_rule",
-    "radial_rule", "rapidity_rule",
-    "assoc_legendre", "gen_laguerre",
 ]

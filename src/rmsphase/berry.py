@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -103,7 +104,8 @@ class LoopParams:
 
     ``radius`` is in the coupling units of the constants the loop runs
     with (the oracles run dimensionless, units of M omega^2); None picks
-    r = 1e-2 / max|coefficient|.  ``reverse`` traverses the loop backwards.
+    r = 1e-2 / max|coefficient|.  ``reverse``, a bool, traverses the loop
+    backwards.
     """
 
     radius: float | None = None
@@ -115,7 +117,14 @@ class LoopParams:
         if not 8 <= self.steps <= MAX_STEPS:
             raise ParameterError(
                 f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")
-        if self.radius is not None and not 0.0 < self.radius < math.inf:
+        if not isinstance(self.reverse, bool):     # a truthy string would reverse the loop
+            raise ParameterError(f"loop reverse must be a bool, got {self.reverse!r}")
+        if self.radius is None:
+            return
+        # True is a Real, and would run at radius 1.0; np.bool_ and str are not
+        if isinstance(self.radius, bool) or not isinstance(self.radius, Real):
+            raise ParameterError(f"loop radius must be a number, got {self.radius!r}")
+        if not 0.0 < self.radius < math.inf:
             raise ParameterError(
                 f"loop radius must be finite and positive, got {self.radius}")
 

@@ -21,6 +21,7 @@ through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,16 +60,23 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
         Phi_cos(delta) = pi delta_{0} + (27 i delta - 12 sqrt3)/(36 delta^2 - 64)
         Phi_sin(delta) = pi delta_{0} - (27 i delta - 12 sqrt3)/(36 delta^2 - 64)
 
-    so the two channels always sum to 2 pi delta_{0}.
+    so the two channels always sum to 2 pi delta_{0}.  Integral floats and
+    numpy integers pass as indices; a bool, as ``errors.require_integer``
+    has it, does not, nor does an index or a delta^2 too large for a float.
     """
     try:
-        integral = m_bra == int(m_bra) and m_ket == int(m_ket)
+        integral = (not isinstance(m_bra, (bool, np.bool_)) and m_bra == int(m_bra)
+                    and not isinstance(m_ket, (bool, np.bool_)) and m_ket == int(m_ket))
     except (ValueError, OverflowError):  # int() of a nan or an infinity
         integral = False
     if not integral:
         raise ParameterError("azimuthal indices must be integers")
     delta = int(m_ket) - int(m_bra)
-    oscillatory = (27j * delta - 12.0 * _SQRT3) / (36 * delta * delta - 64)
+    try:    # each index, and 36 delta^2 - 64, as a float
+        float(m_bra) + float(m_ket)
+        oscillatory = (27j * delta - 12.0 * _SQRT3) / (36 * delta * delta - 64)
+    except OverflowError:   # the index, of hundreds of digits, is not named
+        raise ParameterError("azimuthal indices too large for a float") from None
     base = math.pi if delta == 0 else 0.0
     if channel is Channel.COSINE:
         return base + oscillatory
@@ -138,7 +146,9 @@ class CorrectionCoefficients:
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
     cross inner product <psi'|psi''> -- are what every loop route reads:
-    Python sums in row order, taken once, at construction.
+    Python sums in row order, taken once, at construction.  A set whose
+    sums are not finite (a nan or infinite entry, or one whose square
+    overflows) raises ParameterError.
     """
 
     state_index: int
@@ -156,9 +166,16 @@ class CorrectionCoefficients:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         a, b = a.tolist(), b.tolist()
-        sum_ab = sum((x.conjugate() * y for x, y in zip(a, b)), 0j)
-        object.__setattr__(self, "connection_sums", (
-            sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b), sum_ab))
+        try:
+            sums = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
+                    sum((x.conjugate() * y for x, y in zip(a, b)), 0j))
+            finite = all(map(cmath.isfinite, sums))     # false too at a nan entry
+        except OverflowError:   # abs(v) ** 2 past the largest float
+            finite = False
+        if not finite:
+            raise ParameterError(f"coefficients of state {j} must be finite, with finite "
+                                 f"sums of |a|^2, |b|^2 and conj(a) b")
+        object.__setattr__(self, "connection_sums", sums)
 
     def max_magnitude(self) -> float:
         return max(map(abs, self.a.tolist() + self.b.tolist()))

@@ -49,12 +49,10 @@ from .errors import EvaluationError, ParameterError
 __all__ = [
     "QuadratureRule",
     "periodic_trapezoid",
-    "chebyshev_u",
     "polar_rule",
     "rapidity_rule",
     "radial_rule",
     "check_finite",
-    "evaluate",
     "integrate",
 ]
 
@@ -210,24 +208,14 @@ def _taylor_root(x: np.ndarray, step: np.ndarray, ode) -> np.ndarray:
 
 
 def _chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes cos(t_k) and weights of ``chebyshev_u(n)``, both read-only, and
-    sin(t_k), with t_k = k pi/(n+1) for k = n..1, so the nodes increase."""
+    """Read-only nodes cos(t_k) and weights of the n-node Chebyshev-U rule for
+    plain dx, exact on sqrt(1-x^2) * polynomial(deg <= 2n-1), and sin(t_k),
+    with t_k = k pi/(n+1) for k = n..1, so the nodes increase."""
     if n < 2:
         raise ParameterError(f"need at least 2 nodes, got {n}")
     theta = np.arange(n, 0, -1) * np.pi / (n + 1)
     sin_theta = np.sin(theta)
     return _frozen(np.cos(theta)), _frozen((np.pi / (n + 1)) * sin_theta), sin_theta
-
-
-def chebyshev_u(n: int) -> QuadratureRule:
-    """Chebyshev rule of the second kind on (-1, 1) in plain form.
-
-    Closed-form nodes cos(k pi/(n+1)); the sqrt(1-x^2) weight is folded
-    into the returned weights, so the rule integrates ``dx`` and is exact
-    for integrands of the form sqrt(1-x^2) * polynomial(deg <= 2n-1).
-    """
-    nodes, weights, _ = _chebyshev_u(n)
-    return QuadratureRule(nodes, weights)
 
 
 def periodic_trapezoid(n: int, a: float, b: float,
@@ -246,7 +234,7 @@ def periodic_trapezoid(n: int, a: float, b: float,
 
 
 def _fejer2_weights(sin_theta: np.ndarray) -> np.ndarray:
-    """Weights of Fejer's second rule on the n nodes of ``chebyshev_u(n)``,
+    """Weights of Fejer's second rule on the n nodes of ``_chebyshev_u(n)``,
     from their ``sin_theta`` = sin(t_k), as ``_chebyshev_u`` returns it.
 
     w_k = 4 sin(t_k)/(n+1) * sum over odd j < n+1 of sin(j t_k)/j, with
@@ -413,8 +401,8 @@ def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
     return values
 
 
-def evaluate(rule: QuadratureRule, f) -> np.ndarray:
-    """Values of ``f`` at the rule's nodes.
+def integrate(rule: QuadratureRule, f) -> complex:
+    """Apply the rule: sum_k w_k f(x_k).
 
     ``f`` is called once, on the ndarray of nodes.  A result that does not
     have the nodes' shape, or is not finite, raises EvaluationError naming
@@ -425,10 +413,4 @@ def evaluate(rule: QuadratureRule, f) -> np.ndarray:
         raise EvaluationError(
             f"integrand returned shape {values.shape} for {rule.nodes.size} nodes on "
             f"{rule.domain} axis; it must be vectorized over the nodes")
-    return check_finite(values, rule.nodes, rule.domain)
-
-
-def integrate(rule: QuadratureRule, f) -> complex:
-    """Apply the rule: sum_k w_k f(x_k), with ``f`` evaluated by ``evaluate``."""
-    return complex(np.dot(rule.weights, evaluate(rule, f)))
-
+    return complex(np.dot(rule.weights, check_finite(values, rule.nodes, rule.domain)))

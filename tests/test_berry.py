@@ -14,6 +14,7 @@ import pytest
 
 from rmsphase import (
     LoopParams,
+    NodeCounts,
     PhysicalConstants,
     berry_connection,
     berry_phase_closed,
@@ -379,6 +380,24 @@ class TestPhysicalPhases:
         assert result.metadata["radius"] * coeffs.max_magnitude() <= 1e-2 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_package_richardson_matches_closed_on_nonzero_sets(monkeypatch, dimensionless, seed):
+    # berry_phase_loop_overlap's own Richardson line, r and r/2 weighted 4/3
+    # and -1/3, on random sets over every other live state; at 2048 steps the
+    # inscribed polygon leaves ~1.6e-6, and weights 2 and -1 leave 3e-5 or more
+    rng = np.random.default_rng(seed)
+    others = [i for i in LIVE if i != 1]
+    a, b = rng.normal(size=(2, len(others))) + 1j * rng.normal(size=(2, len(others)))
+    coeffs = CorrectionCoefficients(1, dict(zip(others, a.tolist())),
+                                    dict(zip(others, b.tolist())))
+    monkeypatch.setattr(pert, "correction_coefficients", lambda j, nodes: coeffs)
+    result = berry_phase_loop_overlap(1, dimensionless, LoopParams(steps=2048),
+                                      NodeCounts.uniform(48))
+    closed = closed_form_phase(coeffs)
+    assert abs(closed) > 1.0
+    assert result.dimensionless_value == pytest.approx(closed, rel=5e-6)
+
+
 class TestParams:
     def test_loop_validation(self):
         for steps in (4, MAX_STEPS + 1):
@@ -396,6 +415,20 @@ class TestParams:
         with pytest.raises(ParameterError, match="loop steps must be an integer, got True"):
             LoopParams(steps=True)
         assert LoopParams(steps=np.int64(720)).steps == 720
+
+    def test_reverse_must_be_a_bool(self):
+        # a truthy string once reversed the loop, flipping a nonzero phase
+        for reverse in ("no", 1, None, np.True_):
+            with pytest.raises(ParameterError, match="loop reverse must be a bool"):
+                LoopParams(reverse=reverse)
+        assert LoopParams(reverse=True).reverse is True
+
+    def test_bool_or_string_radius_is_parameter_error(self):
+        # True once ran as radius 1.0, and a string raised a bare TypeError
+        for radius in (True, False, np.True_, "1e-3"):
+            with pytest.raises(ParameterError, match="loop radius must be a number"):
+                LoopParams(radius=radius)
+        assert LoopParams(radius=1).radius == 1
 
     def test_radius_with_overflowing_square(self, nodes64):
         # auto radius 1e-2 / 1e-160 = 1e158, whose square overflows

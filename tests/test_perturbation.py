@@ -90,6 +90,23 @@ class TestPhiIntegral:
     def test_integral_floats_and_numpy_integers_pass(self):
         assert phi_integral(2.0, np.int64(3), Channel.SINE) == phi_integral(2, 3, Channel.SINE)
 
+    # True once passed as 1, and 10**400 raised a bare OverflowError
+    @pytest.mark.parametrize("m_bra, m_ket, message", [
+        (True, 0, "must be integers"), (0, np.True_, "must be integers"),
+        (10 ** 400, 0, "too large for a float"), (0, -10 ** 400, "too large for a float"),
+        (10 ** 400, 10 ** 400, "too large for a float"),
+        (10 ** 200, 0, "too large for a float"), (0, 1e200, "too large for a float")],
+        ids=["bool", "numpy-bool", "huge-bra", "huge-ket", "huge-equal",
+             "huge-delta", "huge-float-delta"])
+    def test_bool_or_huge_index_is_parameter_error(self, m_bra, m_ket, message):
+        with pytest.raises(ParameterError, match=message):
+            phi_integral(m_bra, m_ket, Channel.COSINE)
+
+    def test_large_integral_index_still_runs(self):
+        # delta^2 fits a float: the oscillatory part is ~3/(4 delta) i
+        value = phi_integral(0, 10 ** 150, Channel.COSINE)
+        assert value.imag == pytest.approx(0.75e-150, rel=1e-12)
+
 
 class TestChannelStack:
     def test_stack_is_the_per_pair_phi_integrals(self):
@@ -278,6 +295,15 @@ class TestCorrectionCoefficients:
             values = {5: 1.0}
         with pytest.raises(ParameterError, match=message):
             CorrectionCoefficients(state, values, values)
+
+    # a nan entry once passed, and a huge one raised a bare OverflowError from abs(v) ** 2
+    @pytest.mark.parametrize("a, b", [({5: math.nan}, {5: 1.0}), ({5: 1.0}, {9: math.inf}),
+                                      ({5: complex(0.0, math.nan)}, {}),
+                                      ({5: 1e300}, {5: 1e300j}), ({5: 1e200, 9: 1e200}, {})],
+                             ids=["nan", "inf", "nan-imag", "square-overflows", "sum-overflows"])
+    def test_non_finite_coefficients_rejected(self, a, b):
+        with pytest.raises(ParameterError, match="must be finite"):
+            CorrectionCoefficients(1, a, b)
 
     def test_coefficient_vector_must_be_read_only(self):
         vector = np.zeros(len(live_indices()), dtype=complex)

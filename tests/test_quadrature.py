@@ -8,13 +8,16 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import roots_genlaguerre
 
-from rmsphase import QuadratureRule, integrate, polar_rule, radial_rule, rapidity_rule
 from rmsphase import quadrature as quad
 from rmsphase.errors import EvaluationError, ParameterError
 from rmsphase.quadrature import (
+    QuadratureRule,
     _laguerre,
-    chebyshev_u,
+    integrate,
     periodic_trapezoid,
+    polar_rule,
+    radial_rule,
+    rapidity_rule,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -75,9 +78,12 @@ class TestGaussLegendre:
 
 
 class TestChebyshevU:
+    """The odd rule of the polar and rapidity pairs: Chebyshev-U, Gauss for sqrt(1-x^2)."""
+
     def test_exact_on_sqrt_weight(self):
-        rule = chebyshev_u(16)
-        got = integrate(rule, lambda x: np.sqrt(1 - x * x) * x ** 4).real
+        # int sin^2 cos^4 d(theta) over [0, pi] is int sqrt(1-c^2) c^4 dc over (-1, 1)
+        rule = polar_rule(16)[1]
+        got = integrate(rule, lambda t: np.sin(t) ** 2 * np.cos(t) ** 4).real
         assert got == pytest.approx(math.pi / 16.0, rel=1e-14)
 
 
@@ -400,13 +406,13 @@ def test_rule_rejects_bad_nodes_and_weights(nodes, weights, message):
 
 @pytest.mark.parametrize("make", [
     lambda: radial_rule(128)[1],
-    lambda: chebyshev_u(128),
+    lambda: polar_rule(64)[1],
     lambda: polar_rule(128)[1],
     lambda: rapidity_rule(256)[0],
     lambda: radial_rule(256)[0],
     lambda: radial_rule(364)[0],
     lambda: radial_rule(1024)[1],
-    lambda: chebyshev_u(1024),
+    lambda: polar_rule(1024)[1],
     lambda: polar_rule(2048)[0],
     lambda: rapidity_rule(2048)[0],
     lambda: periodic_trapezoid(2048, 0.0, 2.0 * math.pi),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rmsphase import NodeCounts, assoc_legendre, gen_laguerre, live_indices, state_table
+from rmsphase import NodeCounts, live_indices, state_table
 from rmsphase import quadrature as quad
 from rmsphase.errors import ParameterError
+from rmsphase.specfun import assoc_legendre, gen_laguerre
 
 
 def laguerre_series(degree: int, alpha2: int, x: Fraction) -> Fraction:

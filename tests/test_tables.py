@@ -273,16 +273,16 @@ def test_build_evaluates_each_profile_once_per_node_set(monkeypatch, fresh_table
             calls.append((axis, np.shape(degree), np.shape(x)))
             return function(degree, order, x)
         monkeypatch.setattr(osc, name, counted)
-    evaluated = []
-    evaluate = quad.evaluate
+    integrated = []
+    wrapped = quad.integrate
 
-    def counted_evaluate(rule, f):
-        evaluated.append(rule.domain)
-        return evaluate(rule, f)
+    def counted_integrate(rule, f):
+        integrated.append(rule.domain)
+        return wrapped(rule, f)
 
-    monkeypatch.setattr(quad, "evaluate", counted_evaluate)
+    monkeypatch.setattr(quad, "integrate", counted_integrate)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     assert sorted(calls) == [("polar", (3, 1, 1), (1, 39)), ("radial", (4, 1, 1), (2, 37)),
                              ("rapidity", (3, 1, 1), (1, 43))]
-    # integrate's, one per distinct m_j - m_i
-    assert evaluated == ["azimuthal"] * 3
+    # one azimuthal integral per distinct m_j - m_i
+    assert integrated == ["azimuthal"] * 3
