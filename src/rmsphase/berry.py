@@ -48,15 +48,15 @@ first overflow, and refuse a radius at which it overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
 from . import oscillator as osc
 from . import perturbation as pert
-from .errors import EvaluationError, ParameterError, require_integer
+from .errors import EvaluationError, ParameterError, require_integer, require_real
 
 __all__ = [
     "LoopParams",
@@ -121,29 +121,27 @@ class LoopParams:
             raise ParameterError(f"loop reverse must be a bool, got {self.reverse!r}")
         if self.radius is None:
             return
-        # True is a Real, and would run at radius 1.0; np.bool_ and str are not
-        if isinstance(self.radius, bool) or not isinstance(self.radius, Real):
-            raise ParameterError(f"loop radius must be a number, got {self.radius!r}")
+        require_real(self.radius, "loop radius")
         if not 0.0 < self.radius < math.inf:
             raise ParameterError(
                 f"loop radius must be finite and positive, got {self.radius}")
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     """A loop phase per squared radius, with its provenance.
 
     ``dimensionless_value`` is the pure number and ``si_prefactor`` the
     1/(M omega^2)^2 of the constants the phase was computed with, so
     ``gamma_over_r2``, their product, is in 1/(energy/length^2)^2 for SI
-    constants and a pure number for dimensionless ones.
+    constants and a pure number for dimensionless ones.  A plain record:
+    it compares as a tuple, ``metadata`` included.
     """
 
     state_index: int
     dimensionless_value: float
     si_prefactor: float
     method: str
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict
 
     @property
     def gamma_over_r2(self) -> float:
@@ -161,7 +159,10 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
     at construction; sum a b* is the conjugate of sum a* b.  ``eps1`` and
     ``eps2`` are floats or equal-shaped float arrays; arrays give complex
     arrays, element by element the values of the scalar calls at the same
-    points.
+    points.  A pointwise evaluator, as numpy's own functions are: a nan or
+    infinite point gives a non-finite value and no error (nan in, nan
+    out).  The loop routes check their radius before they call it, so only
+    a direct caller can pass a non-finite point.
     """
     sum_aa, sum_bb, sum_ab = coeffs.connection_sums
     return (eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb)
@@ -369,8 +370,17 @@ def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
 def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
             nodes: osc.NodeCounts, methods: tuple[str, ...]) -> list[PhaseResult]:
     """State j's phase by each of ``methods``, in order, all from one
-    ``pert.correction_coefficients`` call (looked up at call time)."""
+    ``pert.correction_coefficients`` call (looked up at call time).
+    ``constants``, ``nodes`` and, for a loop method, ``loop`` of the wrong
+    type are refused as ParameterError."""
     null = osc.get_state(j).is_null
+    arguments = [("constants", constants, osc.PhysicalConstants),
+                 ("nodes", nodes, osc.NodeCounts)]
+    if methods != ("closed",):
+        arguments.append(("loop", loop, LoopParams))
+    for name, value, kind in arguments:
+        if not isinstance(value, kind):
+            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
     coeffs = None if null else pert.correction_coefficients(j, nodes=nodes)
     prefactor = 1.0 / constants.coupling_scale ** 2
     results = []

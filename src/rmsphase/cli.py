@@ -11,19 +11,20 @@ Defaults can come from a flat key=value config file (--config or the
 RMSPHASE_CONFIG environment variable); command-line flags win.  Exit
 codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical non-convergence.
+
+A command imports only what it runs: ``csv`` and ``json`` load where
+their format is rendered, and the ``validate`` suite loads in
+``cmd_validate``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import berry, oscillator as osc, validate as val
+from . import berry, oscillator as osc
 from .errors import EvaluationError, ParameterError
 
 EXIT_OK = 0
@@ -57,9 +58,8 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one invocation."""
+class RunConfig(NamedTuple):
+    """Resolved settings for one invocation; ``check`` refuses bad values."""
 
     omega_mhz: float | None = None
     omega_convention: str = "angular"
@@ -71,7 +71,7 @@ class RunConfig:
     format: str = "pretty"
     out: str | None = None
 
-    def __post_init__(self):
+    def check(self) -> None:
         if not 16 <= self.nodes <= osc.MAX_NODES:
             raise ParameterError(f"node count must be in 16..{osc.MAX_NODES}, got {self.nodes}")
         if self.format not in ("csv", "json", "pretty"):
@@ -131,6 +131,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             settings[key] = flag
     config = RunConfig(**settings)
+    config.check()
     # validate runs at fixed constants and reads neither key
     if args.command != "validate" and config.dimensionless and config.omega_mhz is not None:
         raise ParameterError("omega_mhz (--omega) cannot be combined with "
@@ -147,12 +148,12 @@ def _omega_mhz(config: RunConfig, j: int) -> float:
     # a given 0 must reach PhysicalConstants, which rejects it
     if config.omega_mhz is not None:
         return config.omega_mhz
-    return val.ROW_FREQUENCIES_MHZ.get(j, 240.4)
+    return osc.ROW_FREQUENCIES_MHZ.get(j, 240.4)
 
 
 def _table_rows(config: RunConfig) -> list[dict]:
     nodes = config.node_counts()
-    converged = val.exactness_gap(nodes) < val.EXACTNESS_BOUND
+    converged = osc.exactness_gap(nodes) < osc.EXACTNESS_BOUND
     rows = []
     for j in osc.live_indices():
         constants = config.constants_for(_omega_mhz(config, j))
@@ -171,6 +172,8 @@ def _table_rows(config: RunConfig) -> list[dict]:
 
 def _render_rows(rows: list[dict], config: RunConfig) -> str:
     if config.format == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -180,6 +183,7 @@ def _render_rows(rows: list[dict], config: RunConfig) -> str:
                              str(row["converged"]).lower()])
         return buf.getvalue()
     if config.format == "json":
+        import json
         payload = {
             "rows": rows,
             "config": {
@@ -231,7 +235,8 @@ def cmd_phase(config: RunConfig, j: int, method: str) -> int:
         result = berry.berry_phase_loop_overlap(j, constants, loop, nodes)
     lines = [f"state {j}: quantum numbers (n_a, l, n, m) = "
              f"({qn.n_a}, {qn.l}, {qn.n}, {qn.m})",
-             f"eigenvalue: {qn.reduced_energy} in units of hbar*omega",
+             # 2E is odd, so E prints as reduced_energy does, without a Fraction
+             f"eigenvalue: {qn.twice_energy}/2 in units of hbar*omega",
              f"method: {result.method}"]
     if qn.is_null:
         reason = "l < n" if qn.vanishing_polar else "m < n"
@@ -274,6 +279,7 @@ def cmd_oracle(config: RunConfig, j: int) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
+    from . import validate as val
     results = val.run_checks(config.node_counts())
     lines = []
     for check in results:

@@ -3,8 +3,11 @@
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
 ``EvaluationError`` to exit 3 (``numerical error:``).  No package error exits
 1; that code is left to a failed validation.  ``require_integer`` is the one
-integer check behind every index and count the package takes.
+integer check behind every index and count the package takes, and
+``require_real`` the one number check behind every real scale it takes.
 """
+
+from numbers import Real
 
 import numpy as np
 
@@ -37,3 +40,14 @@ def require_integer(value, what: str) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def require_real(value, what: str) -> None:
+    """Raise ParameterError unless ``value`` is a real number (an int, a float
+    or a numpy real).
+
+    A bool is refused, although Python counts it as a real: ``True`` would
+    pass as 1.0.  A string is refused here, before any arithmetic on it.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{what} must be a number, got {value!r}")

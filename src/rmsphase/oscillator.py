@@ -24,8 +24,13 @@ the Laguerre recurrence, and their profiles are evaluated on the two
 arrays stacked.  The azimuthal integrals use the periodic trapezoid rule,
 exact for every m_j - m_i the catalogue has from 2 nodes on.  So every
 build from 9 polar, 5 rapidity, 6 radial and 2 azimuthal nodes on is
-exact, and the exactness self-check compares the whole build with the
-cached 9-node build.
+exact.  This module also holds that certificate: ``exactness_gap``
+compares the whole build with the cached build at ``EXACT_NODES``, and a
+correct build stays within ``EXACTNESS_BOUND`` of it.  ``table`` reads it
+for its ``converged`` column and ``validate`` for its ``exactness`` check.
+The reference table's frequency of each catalogue row,
+``ROW_FREQUENCIES_MHZ``, sits next to ``DEFAULT_MASS``, the mass it is
+read with.
 
 Every integral is dimensionless: lengths are measured in
 sqrt(hbar/(M omega)), energies in hbar*omega, so the computed pure numbers
@@ -38,21 +43,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import quadrature as quad
-from .errors import EvaluationError, ParameterError, require_integer
+from .errors import EvaluationError, ParameterError, require_integer, require_real
 from .specfun import assoc_legendre, gen_laguerre
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PhysicalConstants",
     "QuantumNumbers",
     "NodeCounts",
     "DEFAULT_MASS",
+    "ROW_FREQUENCIES_MHZ",
     "embed",
     "state_table",
     "live_indices",
@@ -62,10 +70,19 @@ __all__ = [
     "overlap_tables",
     "live_entry",
     "gram_matrix",
+    "EXACT_NODES",
+    "EXACTNESS_BOUND",
+    "exactness_gap",
 ]
 
 # the SI mass of ``PhysicalConstants.from_frequency``: the electron's, in kg
 DEFAULT_MASS = 9.109e-31
+
+# Frequencies (MHz) attached to the catalogue rows in the reference table.
+ROW_FREQUENCIES_MHZ = {
+    1: 240.4, 2: 89.6, 5: 240.4, 6: 240.4, 8: 334.02,
+    9: 240.4, 10: 89.6, 13: 240.4, 14: 240.4, 16: 334.02,
+}
 
 # The CLI's cap; a build solves both radial parities by two passes of the
 # n-term Laguerre recurrence over 2n nodes, O(n^2) work in all.
@@ -74,7 +91,8 @@ MAX_NODES = 1024
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Scales of the problem: mass [kg] and omega [rad/s].
+    """Scales of the problem: mass [kg] and omega [rad/s], each a real number
+    that is not a bool.
 
     Only ``coupling_scale`` is read, by the 1/(M omega^2)^2 prefactor of a
     phase.  hbar is not a field: a phase in units of M omega^2 is
@@ -85,6 +103,8 @@ class PhysicalConstants:
     omega: float
 
     def __post_init__(self):
+        require_real(self.mass, "mass")
+        require_real(self.omega, "omega")
         if not all(0 < v < math.inf for v in (self.mass, self.omega)):
             raise ParameterError("mass and omega must both be finite and positive")
         # a float ** raises on overflow, and a division by an underflowed 0 raises
@@ -120,6 +140,7 @@ class PhysicalConstants:
         omega_convention 'angular' reads the number as rad/s * 1e6,
         'cyclic' as cycles/s * 1e6 (multiplied by 2 pi).
         """
+        require_real(omega_mhz, "frequency")
         if omega_convention not in ("angular", "cyclic"):
             raise ParameterError(f"unknown omega convention {omega_convention!r}")
         omega = omega_mhz * 1e6
@@ -160,16 +181,22 @@ class QuantumNumbers:
         return self.vanishing_polar or self.vanishing_rapidity
 
     @property
+    def twice_energy(self) -> int:
+        """Twice the eigenvalue in units of hbar*omega: 2 l + 4 n_a + 3."""
+        return 2 * self.l + 4 * self.n_a + 3
+
+    @property
     def reduced_energy(self) -> Fraction:
         """Eigenvalue in units of hbar*omega: l + 2 n_a + 3/2, exact."""
-        return Fraction(self.l + 2 * self.n_a) + Fraction(3, 2)
+        from fractions import Fraction      # only here: it loads decimal
+        return Fraction(self.twice_energy, 2)
 
 
 @dataclass(frozen=True)
 class NodeCounts:
     """Quadrature nodes per axis, each an integer in 2..``MAX_NODES``.  Every
-    count from the 9 of ``validate.EXACT_NODES`` on gives the same tables
-    to roundoff."""
+    count from the 9 of ``EXACT_NODES`` on gives the same tables to
+    roundoff, which ``exactness_gap`` measures."""
 
     radial: int = 128
     polar: int = 128
@@ -241,16 +268,12 @@ def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
         ch, sh = math.cosh(beta), math.sinh(beta)
     except OverflowError:
         ch = sh = math.inf          # the check below refuses the point
-    point = np.array([
-        rho * st * sh,
-        rho * st * math.cos(phi) * ch,
-        rho * st * math.sin(phi) * ch,
-        rho * ct,
-    ])
-    if not np.isfinite(point).all():
+    point = (rho * st * sh, rho * st * math.cos(phi) * ch, rho * st * math.sin(phi) * ch,
+             rho * ct)
+    if not all(map(math.isfinite, point)):
         raise ParameterError(f"the four-vector of rho={rho}, theta={theta}, phi={phi}, "
                              f"beta={beta} overflows")
-    return point
+    return np.array(point)
 
 
 # ---------------------------------------------------------------------------
@@ -472,3 +495,18 @@ def gram_matrix(nodes: NodeCounts = NodeCounts()) -> tuple[tuple[int, ...], np.n
     independent of the physical constants).  Returns (indices, matrix);
     the matrix is read-only."""
     return live_indices(), overlap_tables(nodes).gram
+
+
+# Every rule of a build is exact from 9 polar, 5 rapidity, 6 radial and 2
+# azimuthal nodes, so a correct build at any node count is within
+# EXACTNESS_BOUND (relative) of this one; a wrong rule is not exact at 9
+# nodes, so its build is not.
+EXACT_NODES = NodeCounts.uniform(9)
+EXACTNESS_BOUND = 1e-12
+
+
+def exactness_gap(nodes: NodeCounts) -> float:
+    """Worst gap of the four tables of the build from those of the exact
+    build, each relative to that table's largest entry."""
+    return float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in
+                         zip(overlap_tables(nodes), overlap_tables(EXACT_NODES))]))

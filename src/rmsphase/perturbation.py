@@ -21,7 +21,6 @@ through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -87,7 +86,7 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
 
 # Reduced energies l + 2 n_a + 3/2 of the live states, in overlap-table
 # order: half-integers, so every gap E_j - E_i is exact.
-_ENERGIES = np.array([float(qn.reduced_energy) for qn in osc._LIVE_QNS])
+_ENERGIES = 0.5 * np.array([qn.twice_energy for qn in osc._LIVE_QNS], dtype=float)
 
 
 # phi_integral between the live states, in overlap-table order, for both
@@ -169,7 +168,8 @@ class CorrectionCoefficients:
         try:
             sums = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
                     sum((x.conjugate() * y for x, y in zip(a, b)), 0j))
-            finite = all(map(cmath.isfinite, sums))     # false too at a nan entry
+            # false too at a nan entry
+            finite = all(map(math.isfinite, (*sums[:2], sums[2].real, sums[2].imag)))
         except OverflowError:   # abs(v) ** 2 past the largest float
             finite = False
         if not finite:

@@ -5,24 +5,25 @@ maps the outcome to its exit code.  Comparisons against quantities that
 vanish identically use |x - y| <= max(rtol * max|.|, atol) with small
 documented absolute floors, since a pure relative test is ill-posed at
 zero.
+
+The build certificate (``EXACT_NODES``, ``EXACTNESS_BOUND`` and
+``exactness_gap``) and the reference frequencies ``ROW_FREQUENCIES_MHZ``
+live in ``oscillator``, where the other commands read them, so
+``rmsphase validate`` is the one command that loads this module.  The
+three constants are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import berry, oscillator as osc, perturbation as pert
+from .oscillator import EXACT_NODES, EXACTNESS_BOUND, ROW_FREQUENCIES_MHZ
 
-__all__ = ["CheckResult", "exactness_gap", "run_checks", "within"]
-
-# Frequencies (MHz) attached to the catalogue rows in the reference table.
-ROW_FREQUENCIES_MHZ = {
-    1: 240.4, 2: 89.6, 5: 240.4, 6: 240.4, 8: 334.02,
-    9: 240.4, 10: 89.6, 13: 240.4, 14: 240.4, 16: 334.02,
-}
+__all__ = ["CheckResult", "run_checks", "within"]
 
 # Table-row pairs whose phases must coincide.
 EQUAL_PHASE_PAIRS = ((2, 10), (5, 13), (6, 14), (8, 16))
@@ -30,16 +31,8 @@ EQUAL_PHASE_PAIRS = ((2, 10), (5, 13), (6, 14), (8, 16))
 # Minimum per-axis resolution the suite is validated at.
 MIN_VALIDATED_NODES = 32
 
-# Every rule of a build is exact from 9 polar, 5 rapidity, 6 radial and 2
-# azimuthal nodes, so a correct build at any node count is within
-# EXACTNESS_BOUND (relative) of this one; a wrong rule is not exact at 9
-# nodes, so its build is not.
-EXACT_NODES = osc.NodeCounts.uniform(9)
-EXACTNESS_BOUND = 1e-12
 
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -71,15 +64,14 @@ def _check_measure() -> CheckResult:
     """|det J| of ``embed`` by central differences against the product of
     the ``osc.AXES`` weights at power 0, the measure every build integrates."""
     h = 1e-5
-    fd = np.empty(len(_MEASURE_POINTS))
+    jac = np.empty((len(_MEASURE_POINTS), 4, 4))
     for i, coords in enumerate(_MEASURE_POINTS.tolist()):
-        jac = np.empty((4, 4))
         for k in range(4):
             up, dn = list(coords), list(coords)
             up[k] += h
             dn[k] -= h
-            jac[:, k] = (osc.embed(*up) - osc.embed(*dn)) / (2.0 * h)
-        fd[i] = abs(np.linalg.det(jac))
+            jac[i, :, k] = (osc.embed(*up) - osc.embed(*dn)) / (2.0 * h)
+    fd = np.abs(np.linalg.det(jac))
     an = np.prod([axis.weight(_MEASURE_POINTS[:, _MEASURE_COLUMNS[axis.field]], 0)
                   for axis in osc.AXES], axis=0)
     worst = float(np.max(np.abs(fd - an) / an))
@@ -178,15 +170,8 @@ def _check_pair_equalities(constants_map, nodes: osc.NodeCounts) -> CheckResult:
                        f"4 pairs equal; worst relative gap {worst:.3e}")
 
 
-def exactness_gap(nodes: osc.NodeCounts) -> float:
-    """Worst gap of the four tables of the build from those of the exact
-    build, each relative to that table's largest entry."""
-    return float(np.max([np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in
-                         zip(osc.overlap_tables(nodes), osc.overlap_tables(EXACT_NODES))]))
-
-
 def _check_exactness(nodes: osc.NodeCounts) -> CheckResult:
-    gap = exactness_gap(nodes)
+    gap = osc.exactness_gap(nodes)
     return CheckResult("exactness", gap < EXACTNESS_BOUND,
                        f"4 tables, worst relative gap {gap:.3e} from the "
                        f"{EXACT_NODES.polar}-node exact build")

@@ -88,6 +88,14 @@ class TestConnection:
         assert np.conj(base) @ gram @ d1 == pytest.approx(expected[0], abs=1e-7)
         assert np.conj(base) @ gram @ d2 == pytest.approx(expected[1], abs=1e-7)
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf),
+                                       (np.array([0.5, math.nan]), np.array([0.1, 0.2]))])
+    def test_non_finite_point_gives_non_finite_value(self, synthetic, point):
+        # the docstring's pointwise contract: nan in, nan out, and no error
+        values = np.array(berry_connection(synthetic, *point))
+        finite = np.all(np.isfinite(point), axis=0)
+        assert np.array_equal(np.all(np.isfinite(values), axis=0), finite)
+
 
 class TestSyntheticLoops:
     def test_closed_form_value(self, synthetic):
@@ -487,6 +495,21 @@ class TestParams:
         for gram_data in (((1, 5, 9), np.eye(3)), (indices[::-1], gram), (indices[:-1], gram)):
             with pytest.raises(ParameterError, match="over the live states"):
                 overlap_loop_phase(synthetic, gram_data, LoopParams(), 1e-3)
+
+    # None once raised a bare AttributeError from inside the route
+    @pytest.mark.parametrize("call, name", [
+        (lambda c, n: berry_phase_closed(1, None), "constants"),
+        (lambda c, n: berry_phase_closed(1, c, None), "nodes"),
+        (lambda c, n: berry_phase_closed(3, c, 128), "nodes"),
+        (lambda c, n: berry_phase_loop_connection(1, c, None, n), "loop"),
+        (lambda c, n: berry_phase_loop_overlap(1, c, 720, n), "loop"),
+        (lambda c, n: oracle_comparison(1, c, None), "loop"),
+        (lambda c, n: oracle_comparison(1, 1.0, LoopParams(), n), "constants"),
+    ], ids=["closed-constants", "closed-nodes", "null-state-nodes", "connection-loop",
+            "overlap-loop", "oracle-loop", "oracle-constants"])
+    def test_wrong_argument_type_is_parameter_error(self, nodes64, call, name):
+        with pytest.raises(ParameterError, match=f"{name} must be a "):
+            call(PhysicalConstants.dimensionless(), nodes64)
 
     def test_result_carries_units(self, nodes64):
         c = PhysicalConstants.from_frequency(240.4)

@@ -176,7 +176,7 @@ class TestOracle:
         def unconverged(nodes):
             raise EvaluationError("Gauss nodes not converged by the order-8 Taylor solve")
 
-        monkeypatch.setattr(cli.val, "exactness_gap", unconverged)
+        monkeypatch.setattr(cli.osc, "exactness_gap", unconverged)
         code, out, err = run_cli(capsys, "table", *FAST)
         assert code == cli.EXIT_NONCONVERGENCE
         assert out == ""
@@ -388,6 +388,33 @@ def run_python(script: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+# modules that a cold command loads only when it runs them
+UNUSED_ON_COLD_PATH = ("rmsphase.validate", "csv", "json", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (None, ("fractions", "decimal")),
+    (["phase", "--state", "8"], UNUSED_ON_COLD_PATH),
+    (["phase", "--state", "3", "--method", "loop-overlap"], UNUSED_ON_COLD_PATH),
+    (["oracle", "--state", "1"], UNUSED_ON_COLD_PATH),
+    (["table", "--format", "csv"], ("rmsphase.validate", "json")),
+], ids=["import", "phase", "phase-null-state", "oracle", "table-csv"])
+def test_cold_command_loads_only_what_it_runs(argv, unused):
+    proc = run_python(f"""
+        import sys
+        if {argv!r} is None:
+            import rmsphase
+            code = 0
+        else:
+            from rmsphase import cli
+            code = cli.main({argv!r})
+        loaded = [name for name in {unused!r} if name in sys.modules]
+        assert not loaded, loaded
+        sys.exit(code)
+    """)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
 
 
 def test_runs_on_numpy_alone():

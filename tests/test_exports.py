@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rmsphase
+from rmsphase import oscillator, validate
 
 MODULES = ("rmsphase", *(f"rmsphase.{name}" for name in (
     "berry", "cli", "errors", "oscillator", "perturbation", "quadrature", "specfun", "validate")))
@@ -31,3 +32,9 @@ def test_exports_are_the_readme_python_api():
 def test_readme_example_runs():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_validate_reexports_the_oscillator_certificate():
+    # the build certificate and the reference frequencies live in oscillator
+    for name in ("ROW_FREQUENCIES_MHZ", "EXACT_NODES", "EXACTNESS_BOUND"):
+        assert getattr(validate, name) is getattr(oscillator, name), name

@@ -183,6 +183,22 @@ class TestConstants:
             with pytest.raises(ParameterError, match="finite and positive"):
                 PhysicalConstants(*args)
 
+    # True once built as 1.0, and a string raised a bare TypeError from the range test
+    @pytest.mark.parametrize("args, name", [((True, 1.0), "mass"), ((1.0, np.True_), "omega"),
+                                            (("1", 1.0), "mass")])
+    def test_bool_or_string_scale_is_parameter_error(self, args, name):
+        with pytest.raises(ParameterError, match=f"{name} must be a number, got"):
+            PhysicalConstants(*args)
+
+    def test_bool_frequency_is_parameter_error(self):
+        # True once gave omega 1e6 rad/s
+        with pytest.raises(ParameterError, match="frequency must be a number, got True"):
+            PhysicalConstants.from_frequency(True)
+
+    def test_numpy_and_integer_scales_build(self):
+        assert PhysicalConstants(np.float64(2.0), 3).coupling_scale == 18.0
+        assert PhysicalConstants.from_frequency(np.float64(1.0)).omega == 1e6
+
 
 class TestEvaluation:
     def test_null_states_evaluate_to_zero(self):
