@@ -56,7 +56,8 @@ import numpy as np
 
 from . import oscillator as osc
 from . import perturbation as pert
-from .errors import EvaluationError, ParameterError, require_integer, require_real
+from .errors import (EvaluationError, ParameterError, require_instance, require_integer,
+                     require_real)
 
 __all__ = [
     "LoopParams",
@@ -102,10 +103,10 @@ MAX_STEPS = 2 ** 20
 class LoopParams:
     """Circle in coupling space: radius and number of samples.
 
-    ``radius`` is in the coupling units of the constants the loop runs
-    with (the oracles run dimensionless, units of M omega^2); None picks
-    r = 1e-2 / max|coefficient|.  ``reverse``, a bool, traverses the loop
-    backwards.
+    ``radius``, a real number kept as a float, is in the coupling units of
+    the constants the loop runs with (the oracles run dimensionless, units
+    of M omega^2); None picks r = 1e-2 / max|coefficient|.  ``reverse``, a
+    bool, traverses the loop backwards.
     """
 
     radius: float | None = None
@@ -121,7 +122,7 @@ class LoopParams:
             raise ParameterError(f"loop reverse must be a bool, got {self.reverse!r}")
         if self.radius is None:
             return
-        require_real(self.radius, "loop radius")
+        object.__setattr__(self, "radius", require_real(self.radius, "loop radius"))
         if not 0.0 < self.radius < math.inf:
             raise ParameterError(
                 f"loop radius must be finite and positive, got {self.radius}")
@@ -148,6 +149,14 @@ class PhaseResult(NamedTuple):
         return self.dimensionless_value * self.si_prefactor
 
 
+def _point(value, name: str) -> float | np.ndarray:
+    """A coordinate of ``berry_connection``: a float64 array as it is, and a
+    real number as a float, so a numpy float32 cannot narrow the result."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return value
+    return require_real(value, name)
+
+
 def berry_connection(coeffs: pert.CorrectionCoefficients,
                      eps1: float | np.ndarray, eps2: float | np.ndarray
                      ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
@@ -157,13 +166,21 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
     both vanish at the origin because the corrections are orthogonal to
     the unperturbed state.  The three sums are the ones ``coeffs`` stored
     at construction; sum a b* is the conjugate of sum a* b.  ``eps1`` and
-    ``eps2`` are floats or equal-shaped float arrays; arrays give complex
-    arrays, element by element the values of the scalar calls at the same
-    points.  A pointwise evaluator, as numpy's own functions are: a nan or
-    infinite point gives a non-finite value and no error (nan in, nan
-    out).  The loop routes check their radius before they call it, so only
-    a direct caller can pass a non-finite point.
+    ``eps2`` are real numbers, taken as floats, or equal-shaped float64
+    arrays; arrays give complex arrays, element by element the values of
+    the scalar calls at the same points.  A pointwise evaluator, as
+    numpy's own functions are: a nan or infinite point gives a non-finite
+    value and no error (nan in, nan out).  The loop routes check their
+    radius before they call it, so only a direct caller can pass a
+    non-finite point.  A ``coeffs`` that is not a ``CorrectionCoefficients``,
+    a point of any other kind, or two points of different shapes are
+    refused as ParameterError.
     """
+    require_instance(coeffs, pert.CorrectionCoefficients, "coeffs")
+    eps1, eps2 = (_point(eps, name) for eps, name in ((eps1, "eps1"), (eps2, "eps2")))
+    if np.shape(eps1) != np.shape(eps2):
+        raise ParameterError(f"eps1 and eps2 must have one shape, got {np.shape(eps1)} "
+                             f"and {np.shape(eps2)}")
     sum_aa, sum_bb, sum_ab = coeffs.connection_sums
     return (eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb)
 
@@ -374,13 +391,10 @@ def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
     ``constants``, ``nodes`` and, for a loop method, ``loop`` of the wrong
     type are refused as ParameterError."""
     null = osc.get_state(j).is_null
-    arguments = [("constants", constants, osc.PhysicalConstants),
-                 ("nodes", nodes, osc.NodeCounts)]
+    require_instance(constants, osc.PhysicalConstants, "constants")
+    require_instance(nodes, osc.NodeCounts, "nodes")
     if methods != ("closed",):
-        arguments.append(("loop", loop, LoopParams))
-    for name, value, kind in arguments:
-        if not isinstance(value, kind):
-            raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+        require_instance(loop, LoopParams, "loop")
     coeffs = None if null else pert.correction_coefficients(j, nodes=nodes)
     prefactor = 1.0 / constants.coupling_scale ** 2
     results = []

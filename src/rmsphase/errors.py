@@ -3,8 +3,9 @@
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
 ``EvaluationError`` to exit 3 (``numerical error:``).  No package error exits
 1; that code is left to a failed validation.  ``require_integer`` is the one
-integer check behind every index and count the package takes, and
-``require_real`` the one number check behind every real scale it takes.
+integer check behind every index and count the package takes,
+``require_real`` the one number check (and float conversion) behind every
+real input, and ``require_instance`` the one type check behind every record.
 """
 
 from numbers import Real
@@ -42,12 +43,28 @@ def require_integer(value, what: str) -> None:
         raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
-def require_real(value, what: str) -> None:
-    """Raise ParameterError unless ``value`` is a real number (an int, a float
-    or a numpy real).
+def require_real(value, what: str) -> float:
+    """``value`` as a float; ParameterError unless it is a real number (an
+    int, a float or a numpy real) that a float can hold.
 
     A bool is refused, although Python counts it as a real: ``True`` would
-    pass as 1.0.  A string is refused here, before any arithmetic on it.
+    pass as 1.0.  A string is refused here, before any arithmetic on it,
+    and so is an int too large for a float.  Callers go on with the float:
+    numpy scalar arithmetic warns where float arithmetic gives inf or
+    raises, and a numpy int64 wraps around.
     """
+    if type(value) is float:        # the common case, without the slower check on Real
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ParameterError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:       # the int, of hundreds of digits, is not named
+        raise ParameterError(f"{what} is too large for a float") from None
+
+
+def require_instance(value, kind: type, what: str) -> None:
+    """Raise ParameterError unless ``value`` is a ``kind``, before any cache
+    hashes it or any attribute of it is read."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{what} must be a {kind.__name__}, got {value!r}")

@@ -49,7 +49,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import quadrature as quad
-from .errors import EvaluationError, ParameterError, require_integer, require_real
+from .errors import (EvaluationError, ParameterError, require_instance, require_integer,
+                     require_real)
 from .specfun import assoc_legendre, gen_laguerre
 
 if TYPE_CHECKING:
@@ -92,7 +93,7 @@ MAX_NODES = 1024
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Scales of the problem: mass [kg] and omega [rad/s], each a real number
-    that is not a bool.
+    that is not a bool, stored as a float.
 
     Only ``coupling_scale`` is read, by the 1/(M omega^2)^2 prefactor of a
     phase.  hbar is not a field: a phase in units of M omega^2 is
@@ -103,8 +104,8 @@ class PhysicalConstants:
     omega: float
 
     def __post_init__(self):
-        require_real(self.mass, "mass")
-        require_real(self.omega, "omega")
+        object.__setattr__(self, "mass", require_real(self.mass, "mass"))
+        object.__setattr__(self, "omega", require_real(self.omega, "omega"))
         if not all(0 < v < math.inf for v in (self.mass, self.omega)):
             raise ParameterError("mass and omega must both be finite and positive")
         # a float ** raises on overflow, and a division by an underflowed 0 raises
@@ -140,10 +141,9 @@ class PhysicalConstants:
         omega_convention 'angular' reads the number as rad/s * 1e6,
         'cyclic' as cycles/s * 1e6 (multiplied by 2 pi).
         """
-        require_real(omega_mhz, "frequency")
-        if omega_convention not in ("angular", "cyclic"):
+        omega = require_real(omega_mhz, "frequency") * 1e6
+        if not (isinstance(omega_convention, str) and omega_convention in ("angular", "cyclic")):
             raise ParameterError(f"unknown omega convention {omega_convention!r}")
-        omega = omega_mhz * 1e6
         if omega_convention == "cyclic":
             omega *= 2.0 * math.pi
         return cls(mass=DEFAULT_MASS, omega=omega)
@@ -251,11 +251,13 @@ def live_indices() -> tuple[int, ...]:
 def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
     """Map the point (rho, theta, phi, beta) of the spacelike coordinate patch
     to the four-vector (t, x, y, z); rho > 0, theta in [0, pi], all four
-    finite, and the four-vector finite too (|beta| past ~710, or a large
-    rho times cosh(beta), overflows).
+    finite real numbers, not bools, and the four-vector finite too (|beta|
+    past ~710, or a large rho times cosh(beta), overflows).
 
     Satisfies -t^2 + x^2 + y^2 + z^2 = rho^2 identically.
     """
+    rho, theta, phi, beta = map(require_real, (rho, theta, phi, beta),
+                                ("rho", "theta", "phi", "beta"))
     if not all(math.isfinite(v) for v in (rho, theta, phi, beta)):
         raise ParameterError(
             f"coordinates must be finite, got rho={rho}, theta={theta}, phi={phi}, beta={beta}")
@@ -284,14 +286,13 @@ def polar_profiles(qns):
 
     f(theta) has shape (len(qns), *theta.shape): the trigonometric factors
     are taken once, and one Legendre recurrence runs over the column of (l, n).
+    Every rule node lies inside (0, pi), away from the axis where it is singular.
     """
     l, n = np.array([(qn.l, qn.n) for qn in qns]).T
 
     def f(theta):
         theta = np.asarray(theta, dtype=float)
         s = np.sin(theta)
-        if (s <= 0.0).any():
-            raise ParameterError("polar profile is singular on the polar axis")
         column = (-1,) + (1,) * theta.ndim
         return assoc_legendre(l.reshape(column), n.reshape(column), np.cos(theta)) / np.sqrt(s)
 
@@ -323,15 +324,13 @@ def radial_profiles(qns):
     taken once, and one Laguerre recurrence runs over the column of
     (n_a, l + 1/2).  Exactly 0 wherever e^{-s/2} underflows: the polynomial
     is taken at s = 0 there, since far enough out it would overflow and
-    make 0 * inf.
+    make 0 * inf.  Every rule node has rho > 0, away from the singular origin.
     """
     n_a = np.array([qn.n_a for qn in qns])
     half_l = 0.5 * np.array([qn.l for qn in qns])
 
     def f(rho):
         rho = np.asarray(rho, dtype=float)
-        if (rho <= 0.0).any():
-            raise ParameterError("radial profile is singular at rho = 0")
         with np.errstate(over="ignore"):
             s = rho * rho
         decay = np.exp(-0.5 * s)
@@ -494,6 +493,7 @@ def gram_matrix(nodes: NodeCounts = NodeCounts()) -> tuple[tuple[int, ...], np.n
     """Gram matrix of the normalizable states (dimensionless, so it is
     independent of the physical constants).  Returns (indices, matrix);
     the matrix is read-only."""
+    require_instance(nodes, NodeCounts, "nodes")
     return live_indices(), overlap_tables(nodes).gram
 
 

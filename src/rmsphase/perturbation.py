@@ -22,14 +22,16 @@ through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from numbers import Number
 
 import numpy as np
 
 from . import oscillator as osc
-from .errors import ParameterError
+from .errors import ParameterError, require_instance
 
 __all__ = [
     "Channel",
@@ -66,7 +68,7 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
     try:
         integral = (not isinstance(m_bra, (bool, np.bool_)) and m_bra == int(m_bra)
                     and not isinstance(m_ket, (bool, np.bool_)) and m_ket == int(m_ket))
-    except (ValueError, OverflowError):  # int() of a nan or an infinity
+    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a nan or an infinity
         integral = False
     if not integral:
         raise ParameterError("azimuthal indices must be integers")
@@ -110,17 +112,23 @@ def matrix_element(i: int, j: int, channel: Channel,
     hbar/(M omega)); zero if either state is null."""
     if not isinstance(channel, Channel):
         raise ParameterError(f"unknown channel {channel!r}")
+    require_instance(nodes, osc.NodeCounts, "nodes")
     return osc.live_entry(_couplings(nodes)[list(Channel).index(channel)], i, j)
 
 
 def _live_vector(j: int, values) -> np.ndarray:
     """``values`` as a read-only complex vector over ``osc.live_indices()``: a
-    mapping from catalogue index, keyed by live states other than j, fills
-    its rows and leaves 0 in the others; a read-only vector passes as it is."""
+    mapping from catalogue index to number (not a bool), keyed by live
+    states other than j, fills its rows and leaves 0 in the others; a
+    read-only vector passes as it is."""
     if isinstance(values, np.ndarray):
         if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
             raise ParameterError("coefficient vectors must be read-only complex, one per live row")
         return values
+    if not (isinstance(values, Mapping) and all(
+            isinstance(v, Number) and not isinstance(v, bool) for v in values.values())):
+        raise ParameterError(f"coefficients of state {j} must be a read-only vector or a "
+                             f"mapping from state index to number, got {values!r}")
     if any(i == j or i not in osc._ROW for i in values):
         raise ParameterError(
             f"coefficients of state {j} are keyed by the other live states "
@@ -131,7 +139,7 @@ def _live_vector(j: int, values) -> np.ndarray:
     return vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionCoefficients:
     """First-order expansion coefficients of a perturbed state.
 
@@ -146,35 +154,37 @@ class CorrectionCoefficients:
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
     cross inner product <psi'|psi''> -- are what every loop route reads:
     Python sums in row order, taken once, at construction.  A set whose
-    sums are not finite (a nan or infinite entry, or one whose square
-    overflows) raises ParameterError.
+    sums are not finite (a nan or infinite entry, an int too large for a
+    float, or one whose square overflows) raises ParameterError.  Two sets
+    compare equal only when they are the same object.
     """
 
     state_index: int
-    a: np.ndarray = field(compare=False)
-    b: np.ndarray = field(compare=False)
-    connection_sums: tuple[float, float, complex] = field(
-        init=False, repr=False, compare=False)
+    a: np.ndarray
+    b: np.ndarray
+    connection_sums: tuple[float, float, complex] = field(init=False, repr=False)
 
     def __post_init__(self):
         j = self.state_index
         if osc.get_state(j).is_null:        # get_state checks the type and the range
             raise ParameterError(f"coefficients belong to one of the live states "
                                  f"{osc.live_indices()}; state {j} vanishes identically")
-        a, b = (_live_vector(j, c) for c in (self.a, self.b))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        a, b = a.tolist(), b.tolist()
+        # an int too large for a float overflows as it fills a vector, and
+        # abs(v) ** 2 past the largest float as it enters a sum
         try:
+            vectors = [_live_vector(j, c) for c in (self.a, self.b)]
+            a, b = (v.tolist() for v in vectors)
             sums = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
                     sum((x.conjugate() * y for x, y in zip(a, b)), 0j))
             # false too at a nan entry
             finite = all(map(math.isfinite, (*sums[:2], sums[2].real, sums[2].imag)))
-        except OverflowError:   # abs(v) ** 2 past the largest float
+        except OverflowError:
             finite = False
         if not finite:
             raise ParameterError(f"coefficients of state {j} must be finite, with finite "
                                  f"sums of |a|^2, |b|^2 and conj(a) b")
+        object.__setattr__(self, "a", vectors[0])
+        object.__setattr__(self, "b", vectors[1])
         object.__setattr__(self, "connection_sums", sums)
 
     def max_magnitude(self) -> float:
@@ -208,5 +218,6 @@ def correction_coefficients(j: int,
     if osc.get_state(j).is_null:
         raise ParameterError(
             f"state {j} vanishes identically; corrections undefined")
+    require_instance(nodes, osc.NodeCounts, "nodes")
     a, b = _coefficient_tables(nodes)[:, :, osc._ROW[j]]
     return CorrectionCoefficients(j, a, b)

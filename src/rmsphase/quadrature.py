@@ -31,20 +31,24 @@ gives the weights; no eigen-solve is run.  The periodic trapezoid rule
 is exact for e^{i d x} on [0, 2 pi) with |d| < n (Trefethen & Weideman,
 SIAM Rev. 56, 385, 2014).
 
-Rules are immutable after construction, each holding read-only arrays
-that no caller can write, so a rule object may be shared freely across
-threads.  No constructor is cached: a build reuses an axis's
-tables, not its rules, and ``oscillator`` caches those per node count.
+Every rule this module builds holds read-only arrays, with strictly
+increasing finite nodes and positive finite weights, so a rule object may
+be shared freely across threads.  A test pins that for every family
+(``test_all_families_positive_and_increasing``); no runtime check does,
+since the package is the only caller and passes node counts that
+``NodeCounts`` has checked.  No constructor is cached: a build reuses an
+axis's tables, not its rules, and ``oscillator`` caches those per node
+count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError
 
 __all__ = [
     "QuadratureRule",
@@ -57,54 +61,24 @@ __all__ = [
 ]
 
 
-def _read_only(values) -> np.ndarray:
-    """``values`` as a contiguous float array that nothing can write: a
-    read-only float array is kept as it is, anything writeable is copied."""
-    array = np.ascontiguousarray(values, dtype=float)
-    if array.flags.writeable:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only in place, so ``QuadratureRule`` keeps it uncopied."""
+    """``array``, made read-only in place, as every ``QuadratureRule`` array is."""
     array.setflags(write=False)
     return array
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Immutable nodes/weights pair tagged with the axis it serves.
+class QuadratureRule(NamedTuple):
+    """Nodes/weights pair tagged with the axis it serves.
 
-    The nodes must be finite and strictly increasing, the weights positive
-    and finite, at least 2 of each; anything else raises ParameterError.
-    The rule holds read-only float arrays of its own: a writeable input is
-    copied, so no array the caller keeps (or a view of it) can change the
-    rule, and a read-only one is kept as it is.  The constructors here
-    freeze their arrays before passing them, so they copy nothing, and the
-    (even, odd) rules of ``polar_rule`` and ``rapidity_rule`` hold one and
-    the same node array.
+    Every rule the constructors here build holds read-only float arrays
+    (``_frozen``), strictly increasing finite nodes and positive finite
+    weights; a test pins that, not a runtime check.  The (even, odd) rules
+    of ``polar_rule`` and ``rapidity_rule`` hold one and the same node array.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: str = "generic-finite"
-
-    def __post_init__(self):
-        nodes, weights = _read_only(self.nodes), _read_only(self.weights)
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
-            raise ParameterError("nodes and weights must be matching 1-d arrays")
-        if nodes.size < 2:
-            raise ParameterError("a quadrature rule needs at least 2 nodes")
-        if not (nodes[1:] > nodes[:-1]).all():     # false too at a nan, which has no order
-            raise ParameterError("nodes must be strictly increasing")
-        if not (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])):    # the only ones that can be inf
-            raise ParameterError("nodes must be finite")
-        if not ((weights > 0.0) & (weights < np.inf)).all():
-            raise ParameterError("weights must be positive and finite")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 # Order of the local Taylor polynomial of the Laguerre P_n that moves each
@@ -211,8 +185,6 @@ def _chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only nodes cos(t_k) and weights of the n-node Chebyshev-U rule for
     plain dx, exact on sqrt(1-x^2) * polynomial(deg <= 2n-1), and sin(t_k),
     with t_k = k pi/(n+1) for k = n..1, so the nodes increase."""
-    if n < 2:
-        raise ParameterError(f"need at least 2 nodes, got {n}")
     theta = np.arange(n, 0, -1) * np.pi / (n + 1)
     sin_theta = np.sin(theta)
     return _frozen(np.cos(theta)), _frozen((np.pi / (n + 1)) * sin_theta), sin_theta
@@ -225,10 +197,6 @@ def periodic_trapezoid(n: int, a: float, b: float,
     Nodes a + k h with h = (b - a)/n, every weight h.  Exact for
     e^{2 pi i d (x - a)/(b - a)} with integer |d| < n.
     """
-    if n < 2:
-        raise ParameterError(f"need at least 2 nodes, got {n}")
-    if not a < b:
-        raise ParameterError(f"empty interval [{a}, {b}]")
     h = (b - a) / n
     return QuadratureRule(_frozen(a + h * np.arange(n)), _frozen(np.full(n, h)), domain)
 
@@ -258,7 +226,7 @@ def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     net power of sin(theta) after the substitution.
     """
     c, odd, sines = _chebyshev_u(n)
-    theta = _frozen(np.arccos(c)[::-1].copy())     # contiguous, so both rules keep this array
+    theta = _frozen(np.arccos(c)[::-1].copy())     # contiguous, as every rule's nodes are
     sin_theta = np.sqrt((1.0 - c) * (1.0 + c))[::-1]    # of the rounded nodes c, for the Jacobian
     return tuple(QuadratureRule(theta, _frozen(w[::-1] / sin_theta), "polar")
                  for w in (_fejer2_weights(sines), odd))
@@ -373,8 +341,6 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     Laguerre equation, two recurrence passes in all, and the weights are
     folded in log space; no node is dropped.
     """
-    if n < 2:
-        raise ParameterError(f"need at least 2 nodes, got {n}")
     alpha = np.array([[0.5], [0.0]])
     s, log_w = _laguerre(n, alpha)
     rho = _frozen(np.sqrt(s))
@@ -385,13 +351,11 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
 
 def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
                  what: str = "integrand") -> np.ndarray:
-    """``values`` at ``nodes``, of shape (..., *nodes.shape), as float or complex.
+    """``values`` (float or complex) at ``nodes``, of shape (..., *nodes.shape).
 
     A value that is not finite raises EvaluationError naming the first such
     node (its index along the last axis of ``nodes``) and the axis.
     """
-    if values.dtype.kind not in "fc":
-        values = values.astype(complex)
     bad = ~np.isfinite(values)      # a complex value is finite when both parts are
     if bad.any():
         flat = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
@@ -402,15 +366,6 @@ def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
 
 
 def integrate(rule: QuadratureRule, f) -> complex:
-    """Apply the rule: sum_k w_k f(x_k).
-
-    ``f`` is called once, on the ndarray of nodes.  A result that does not
-    have the nodes' shape, or is not finite, raises EvaluationError naming
-    the axis.
-    """
-    values = np.asarray(f(rule.nodes))
-    if values.shape != rule.nodes.shape:
-        raise EvaluationError(
-            f"integrand returned shape {values.shape} for {rule.nodes.size} nodes on "
-            f"{rule.domain} axis; it must be vectorized over the nodes")
-    return complex(np.dot(rule.weights, check_finite(values, rule.nodes, rule.domain)))
+    """Apply the rule: sum_k w_k f(x_k), with ``f`` called once, on the
+    ndarray of nodes, and vectorized over them."""
+    return complex(np.dot(rule.weights, f(rule.nodes)))

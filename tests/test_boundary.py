@@ -1,0 +1,182 @@
+"""The Python API's contract, over every callable that ``rmsphase`` exports:
+a finite result, or an ``RmsPhaseError``, never a bare exception.
+
+Each exported callable is called with valid arguments, some of which are
+replaced by hostile values.  ``berry_connection`` is pointwise, as its
+docstring says: a nan or infinite point gives a non-finite value.  Two
+exports are classes that the package never calls with outside input:
+``PhaseResult``, the record it returns, and the enum ``Channel``, whose
+call is Python's lookup by value.  They are left out.
+"""
+
+import cmath
+import dataclasses
+import inspect
+import math
+from enum import Enum
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rmsphase
+from rmsphase import (
+    Channel,
+    CorrectionCoefficients,
+    LoopParams,
+    NodeCounts,
+    PhysicalConstants,
+    QuantumNumbers,
+    berry_connection,
+    berry_phase_loop_connection,
+    correction_coefficients,
+    embed,
+    gram_matrix,
+    matrix_element,
+    phi_integral,
+)
+from rmsphase.errors import ParameterError, RmsPhaseError
+
+NODES = NodeCounts.uniform(16)
+COEFFS = correction_coefficients(1, NODES)
+
+# one valid value per parameter name of the exported callables
+VALID = {
+    "j": 1, "i": 1, "constants": PhysicalConstants.dimensionless(),
+    "loop": LoopParams(steps=64), "nodes": NODES, "coeffs": COEFFS,
+    "eps1": 0.1, "eps2": -0.2, "m_bra": 0, "m_ket": 1, "channel": Channel.COSINE,
+    "rho": 1.0, "theta": 1.0, "phi": 0.5, "beta": -0.5,
+    "radius": None, "steps": 64, "reverse": False,
+    "mass": 1.0, "omega": 1.0, "omega_mhz": 240.4, "omega_convention": "cyclic",
+    "n_a": 2, "l": 3, "n": 2, "m": 3,
+    "radial": 16, "polar": 17, "azimuthal": 18, "rapidity": 19,
+    "state_index": 1, "a": {5: 0.1 + 0.2j}, "b": {9: -0.3},
+}
+
+RECORDS = {"nodes": NodeCounts, "loop": LoopParams, "constants": PhysicalConstants,
+           "coeffs": CorrectionCoefficients}
+WRONG_RECORDS = [NODES, LoopParams(), PhysicalConstants.dimensionless(), COEFFS]
+
+HOSTILE = st.sampled_from([
+    math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0, 0.0, -1, -2.5,
+    True, False, np.True_, np.int64(5), np.float64(0.5), np.float32(2.0),
+    10 ** 400, -10 ** 400, "x", "1", "", None, [1], (2, 3), {5: "x"}, {5: 10 ** 400},
+    {"5": 1.0}, np.zeros(3), Channel.COSINE,
+])
+
+TARGETS = {name: getattr(rmsphase, name) for name in rmsphase.__all__
+           if name not in ("PhaseResult", "Channel")}
+TARGETS["PhysicalConstants.from_frequency"] = PhysicalConstants.from_frequency
+
+
+def finite(value) -> bool:
+    """True when every number that ``value`` holds is finite; ints always are."""
+    if isinstance(value, (int, np.integer, str, Enum)) or value is None:
+        return True
+    if isinstance(value, (float, complex, np.number)):
+        return cmath.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        return all(map(finite, value.values()))
+    if isinstance(value, (tuple, list)):
+        return all(map(finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    raise AssertionError(f"no finiteness rule for {type(value).__name__}")
+
+
+def parameters(function) -> list[str]:
+    return list(inspect.signature(function).parameters)
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    arguments = {}
+    for parameter in parameters(TARGETS[name]):
+        pool = [HOSTILE, st.just(VALID[parameter])]
+        if parameter in RECORDS:
+            pool.append(st.sampled_from([r for r in WRONG_RECORDS
+                                         if not isinstance(r, RECORDS[parameter])]))
+        arguments[parameter] = draw(st.one_of(pool))
+    return name, arguments
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(calls())
+def test_every_export_gives_a_finite_value_or_a_package_error(call):
+    name, arguments = call
+    try:
+        result = TARGETS[name](**arguments)
+    except RmsPhaseError:
+        return
+    pointwise = name == "berry_connection" and not all(
+        finite(arguments[p]) for p in ("eps1", "eps2"))
+    assert pointwise or finite(result), (name, arguments, result)
+
+
+# id -> (call, message).  The first group raised a bare exception, or passed
+# a bool, before the boundary checked it; the second pins checks that no
+# other test reached.
+BAD_INPUT = {
+    "gram-string": (lambda: gram_matrix("x"), "nodes must be a NodeCounts"),
+    "gram-list": (lambda: gram_matrix([16]), "nodes must be a NodeCounts"),
+    "coefficients-string": (lambda: correction_coefficients(1, nodes="x"),
+                            "nodes must be a NodeCounts"),
+    "element-int": (lambda: matrix_element(1, 5, Channel.COSINE, nodes=3),
+                    "nodes must be a NodeCounts"),
+    "embed-string": (lambda: embed("1", 1.0, 0.0, 0.0), "rho must be a number"),
+    "embed-bool": (lambda: embed(True, 1.0, 0.0, 0.0), "rho must be a number"),
+    "embed-huge-int": (lambda: embed(1.0, 1.0, 0.0, 10 ** 400), "beta is too large for a float"),
+    "connection-string": (lambda: berry_connection(COEFFS, "a", 0.0), "eps1 must be a number"),
+    "connection-huge-int": (lambda: berry_connection(COEFFS, 0.0, 10 ** 400),
+                            "eps2 is too large for a float"),
+    "connection-none": (lambda: berry_connection(None, 1.0, 1.0),
+                        "coeffs must be a CorrectionCoefficients"),
+    "connection-float32-array": (lambda: berry_connection(COEFFS, np.ones(2, np.float32),
+                                                          np.ones(2)), "eps1 must be a"),
+    "connection-shapes": (lambda: berry_connection(COEFFS, np.ones(2), np.ones(3)),
+                          r"one shape, got \(2,\) and \(3,\)"),
+    "coefficient-string": (lambda: CorrectionCoefficients(1, {5: "x"}, {5: 1.0}),
+                           "mapping from state index"),
+    "coefficients-none": (lambda: CorrectionCoefficients(1, None, None),
+                          "mapping from state index"),
+    "coefficient-bool": (lambda: CorrectionCoefficients(1, {5: True}, {}),
+                         "mapping from state index"),
+    "coefficient-huge-int": (lambda: CorrectionCoefficients(1, {5: 10 ** 400}, {}),
+                             "must be finite"),
+    "frequency-huge-int": (lambda: PhysicalConstants.from_frequency(10 ** 400),
+                           "frequency is too large"),
+    "radius-huge-int": (lambda: LoopParams(radius=10 ** 400), "loop radius is too large"),
+    "phi-none": (lambda: phi_integral(None, 0, Channel.COSINE), "must be integers"),
+    "convention-array": (lambda: PhysicalConstants.from_frequency(1.0, np.zeros(2)),
+                         "unknown omega convention"),
+    # numpy scalars overflowed with a RuntimeWarning before these refusals
+    "embed-numpy-overflow": (lambda: embed(np.float64(4.0), 1.0, 0.0, 709.5),
+                             "four-vector .* overflows"),
+    "frequency-numpy-overflow": (lambda: PhysicalConstants.from_frequency(np.float64(1e300)),
+                                 "finite and positive"),
+    "radius-numpy-overflow": (lambda: berry_phase_loop_connection(
+        1, PhysicalConstants.dimensionless(), LoopParams(radius=np.float64(1e200)), NODES),
+        "has no finite square"),
+
+    "convention-string": (lambda: PhysicalConstants.from_frequency(1.0, "x"),
+                          "unknown omega convention 'x'"),
+    "negative-quantum-number": (lambda: QuantumNumbers(2, 2, 2, -1), "m must be non-negative"),
+    "channel-string": (lambda: phi_integral(0, 1, "cos"), "unknown channel 'cos'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_is_a_parameter_error(case):
+    call, message = BAD_INPUT[case]
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_numpy_float32_point_is_taken_as_a_float():
+    # a float32 point once narrowed the connection to complex64
+    value = berry_connection(COEFFS, np.float32(0.1), 0.0)
+    assert value == berry_connection(COEFFS, float(np.float32(0.1)), 0.0)
+    assert all(type(component) is complex for component in value)

@@ -274,6 +274,23 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
         assert "[FAIL] measure-jacobian" in out
 
+    def test_nonzero_null_phase_fails_zero_classes(self, monkeypatch, capsys):
+        from rmsphase import berry
+        closed = berry.berry_phase_closed
+        monkeypatch.setattr(berry, "berry_phase_closed",
+                            lambda *args: closed(*args)._replace(dimensionless_value=1.0))
+        code, out, _ = run_cli(capsys, "validate", *FAST)
+        assert code == cli.EXIT_VALIDATION
+        assert "[FAIL] zero-classes: null state 3 has nonzero phase\n" in out
+
+    def test_wrong_live_set_fails_zero_classes(self, monkeypatch):
+        from rmsphase import validate
+        monkeypatch.setattr(validate.osc, "live_indices", lambda: (1, 2, 5))
+        result = validate._check_zero_classes(validate.osc.PhysicalConstants.dimensionless(),
+                                              validate.osc.NodeCounts.uniform(32))
+        assert result == ("zero-classes", False, "normalizable set [1, 2, 5] != "
+                          "[1, 2, 5, 6, 8, 9, 10, 13, 14, 16]", False)
+
     def test_cold_validate_does_not_import_numpy_random(self):
         proc = run_python("""
             import sys
@@ -343,6 +360,18 @@ class TestConfig:
         cfg.write_text("wavelength = 7\n")
         code, _, err = run_cli(capsys, "table", "--config", str(cfg))
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("line, message", [
+        ("format = xml", "unknown output format 'xml'"),
+        ("omega_convention = bogus", "unknown omega convention 'bogus'"),
+        ("nodes 32", "{cfg}:1: expected key=value"),
+    ], ids=["format", "omega-convention", "no-equals"])
+    def test_bad_config_line_is_config_error(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "table", "--config", str(cfg))
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err == f"configuration error: {message.format(cfg=cfg)}\n"
 
     def test_low_node_count_rejected(self, capsys):
         for nodes in ("8", "1025"):
@@ -502,6 +531,21 @@ class TestTableFaults:
             patch_rules(monkeypatch, osc, *RULE_FAULTS["rapidity-even-for-odd"])
         result = val._check_exactness(osc.NodeCounts(16, 16, 16, 1024))
         assert result.passed is not faulty, result.detail
+
+    def test_non_positive_norm_is_a_numerical_error(self, monkeypatch, capsys, fresh_tables):
+        # azimuthal weights of the wrong sign give every squared norm the wrong sign
+        from rmsphase import quadrature as quad
+        trapezoid = quad.periodic_trapezoid
+
+        def flipped(*args):
+            rule = trapezoid(*args)
+            return rule._replace(weights=-rule.weights)
+
+        monkeypatch.setattr(quad, "periodic_trapezoid", flipped)
+        code, out, err = run_cli(capsys, "table", *FAST)
+        assert (code, out) == (cli.EXIT_NONCONVERGENCE, "")
+        assert err == ("numerical error: non-positive norm for "
+                       "QuantumNumbers(n_a=3, l=3, n=2, m=2)\n")
 
     def test_polar_fault_makes_table_non_converged(self, monkeypatch, capsys, fresh_tables):
         from rmsphase import oscillator as osc

@@ -199,6 +199,13 @@ class TestConstants:
         assert PhysicalConstants(np.float64(2.0), 3).coupling_scale == 18.0
         assert PhysicalConstants.from_frequency(np.float64(1.0)).omega == 1e6
 
+    def test_numpy_scales_are_float_arithmetic(self):
+        # an int64 omega once squared in wrapping int64 arithmetic, to 7.8e18
+        assert PhysicalConstants(1.0, np.int64(10 ** 10)).coupling_scale == 1e20
+        # and a numpy scale overflowed with a RuntimeWarning, not the refusal
+        with pytest.raises(ParameterError, match="finite and positive"):
+            PhysicalConstants(1e300, np.int64(5))
+
 
 class TestEvaluation:
     def test_null_states_evaluate_to_zero(self):
@@ -212,10 +219,6 @@ class TestEvaluation:
         qns = [state_table()[i - 1] for i in LIVE]
         far, near = np.abs(rapidity_profiles(qns)(np.array([beta_far, 0.1]))).T
         assert np.all(far < 1e-6 * near)
-
-    def test_polar_axis_rejected(self):
-        with pytest.raises(ParameterError):
-            polar_profiles([QuantumNumbers(2, 2, 2, 2)])(0.0)
 
     @pytest.mark.parametrize("rho", [1e80, 1e200, math.inf])
     def test_far_radial_tail_is_exactly_zero(self, rho):

@@ -305,6 +305,13 @@ class TestCorrectionCoefficients:
         with pytest.raises(ParameterError, match="must be finite"):
             CorrectionCoefficients(1, a, b)
 
+    def test_different_sets_compare_unequal(self):
+        # a and b once took no part in equality or hashing, so these two were equal
+        first = CorrectionCoefficients(1, {5: 1.0}, {5: 1.0})
+        second = CorrectionCoefficients(1, {5: 2.0}, {5: -3.0})
+        assert first == first and first != second
+        assert hash(first) != hash(second)
+
     def test_coefficient_vector_must_be_read_only(self):
         vector = np.zeros(len(live_indices()), dtype=complex)
         with pytest.raises(ParameterError, match="read-only complex"):

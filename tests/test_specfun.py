@@ -9,7 +9,6 @@ from scipy import special
 
 from rmsphase import NodeCounts, live_indices, state_table
 from rmsphase import quadrature as quad
-from rmsphase.errors import ParameterError
 from rmsphase.specfun import assoc_legendre, gen_laguerre
 
 
@@ -110,13 +109,7 @@ class TestAssocLegendre:
         assert values.shape == (len(pairs),)
         assert values.tolist() == [assoc_legendre(l, m, 0.3) for l, m in pairs]
 
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            assoc_legendre(2, 1, 1.5)
-        with pytest.raises(ParameterError):
-            assoc_legendre(-1, 0, 0.0)
-        with pytest.raises(ParameterError, match="above 150"):
-            assoc_legendre(160, 151, 0.5)
+    def test_order_150_seed_fits_a_float(self):
         # 299!! still fits a float, and a negative order's seed is below 1
         assert 0.0 < abs(assoc_legendre(150, 150, 0.99)) < math.inf
         assert math.isfinite(assoc_legendre(160, -151, 0.5))
@@ -141,14 +134,6 @@ class TestGenLaguerre:
             exact = float(laguerre_series(n, alpha2, xq))
             got = gen_laguerre(n, alpha2 / 2.0, float(xq))
             assert got == pytest.approx(exact, rel=1e-11, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            gen_laguerre(2, 2.5, -0.1)
-        with pytest.raises(ParameterError):
-            gen_laguerre(2, -1.0, 1.0)
-        with pytest.raises(ParameterError):
-            gen_laguerre(-2, 2.5, 1.0)
 
     def test_array_input(self):
         x = np.linspace(0.0, 5.0, 9)
