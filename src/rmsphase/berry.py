@@ -20,17 +20,20 @@ nonzero coefficient sets in the test suite.
 
 What is constant around a loop is computed once, not once per step:
 
-* the samples (cos alpha, sin alpha), with the one that closes the chain,
-  are built once per (steps, reverse) by ``_loop_samples`` and read by
-  both loop routes; one entry holds 16 MiB at ``MAX_STEPS``;
-* the connection reads the three coefficient sums that
-  ``CorrectionCoefficients`` stores at construction and is evaluated
-  once, on the arrays of all the loop's samples;
+* per loop, ``_loop_samples`` builds once per (steps, reverse) the
+  samples (cos alpha, sin alpha), with the one that closes the chain,
+  and the overlap chain's eight link terms, the products and sums of
+  adjacent samples that do not depend on the coefficient set; both loop
+  routes read the one entry, which holds 80 MiB at ``MAX_STEPS``;
+* per coefficient set, ``CorrectionCoefficients`` stores at construction
+  the three sums the connection reads and max|coefficient|, which sets
+  the auto radius; the connection is evaluated once, on the arrays of all
+  the loop's samples;
 * the overlap chain runs in the 3-dim span of e_j, a and b, on a metric
-  H reduced once per coefficient set.  Its samples are real, so every
-  overlap is formed from Re H and Im H in real arithmetic; the parts that
-  do not depend on the radius are 1-d arrays built once, and each radius
-  (r and r/2 for Richardson) is one row of a single array pass.  The
+  H reduced once per call.  Its samples are real, so every overlap is
+  formed from Re H and Im H in real arithmetic: the link terms weighted
+  by the entries of H give 1-d arrays built once, and each radius (r and
+  r/2 for Richardson) is one row of a single array pass.  The
   sample norms are formed only when a scalar bound on H cannot rule out
   the weak-overlap refusal; at the auto radius under the package's Gram
   matrix it always does.  This is the package's one overlap chain; the
@@ -95,7 +98,8 @@ _OVERLAP_FLOOR = 1e-18
 # 1.5e-16 H00 max|coefficient|, so there _OVERLAP_FLOOR binds.
 _TELESCOPE_FLOOR = 1e-6
 
-# Every loop route holds O(steps) samples in memory.
+# Every loop route holds O(steps) arrays in memory, and each cached loop
+# (``_loop_samples``) 10 floats per step: 80 MiB at this cap.
 MAX_STEPS = 2 ** 20
 
 
@@ -172,15 +176,22 @@ def berry_connection(coeffs: pert.CorrectionCoefficients,
     numpy's own functions are: a nan or infinite point gives a non-finite
     value and no error (nan in, nan out).  The loop routes check their
     radius before they call it, so only a direct caller can pass a
-    non-finite point.  A ``coeffs`` that is not a ``CorrectionCoefficients``,
-    a point of any other kind, or two points of different shapes are
-    refused as ParameterError.
+    non-finite point.  An array overflows to inf without a warning, as a
+    scalar does.  A ``coeffs`` that is not a ``CorrectionCoefficients``, a
+    point of any other kind, or two points of different shapes are refused
+    as ParameterError.
     """
     require_instance(coeffs, pert.CorrectionCoefficients, "coeffs")
     eps1, eps2 = (_point(eps, name) for eps, name in ((eps1, "eps1"), (eps2, "eps2")))
     if np.shape(eps1) != np.shape(eps2):
         raise ParameterError(f"eps1 and eps2 must have one shape, got {np.shape(eps1)} "
                              f"and {np.shape(eps2)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _connection(coeffs, eps1, eps2)
+
+
+def _connection(coeffs: pert.CorrectionCoefficients, eps1, eps2):
+    """``berry_connection``'s formula, on points the caller has checked."""
     sum_aa, sum_bb, sum_ab = coeffs.connection_sums
     return (eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb)
 
@@ -240,24 +251,44 @@ def _check_overlap_floor(top: float, radii: tuple[float, ...],
     raise ParameterError(f"{_radii_label(radii)}: {reason}")
 
 
-@lru_cache(maxsize=4)
-def _loop_samples(steps: int, reverse: bool) -> np.ndarray:
-    """Read-only rows (cos alpha, sin alpha) of the loop's samples, in
-    traversal order, with the first sample repeated at the end to close the
-    chain; shape (2, steps + 1).  Both loop routes read it, so the routes of
-    one loop evaluate the trigonometric functions once.  One entry holds
-    2 * (steps + 1) floats: 16 MiB at ``MAX_STEPS``, and the last four
-    entries are kept.
+@lru_cache(maxsize=2)
+def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The loop's samples and the overlap chain's link terms, read-only.
+
+    ``samples`` holds the rows (cos alpha, sin alpha) of the samples in
+    traversal order, with the first repeated at the end to close the
+    chain; shape (2, steps + 1).  The angles are k (2 pi / steps), the bits
+    ``np.linspace(0, 2 pi, steps, endpoint=False)`` gives.  ``links`` holds,
+    for each link from a sample (c0, s0) to the next (c1, s1), the rows
+    c0 + c1, s0 + s1, c0 c1, s0 s1, c0 s1 + s0 c1, c1 - c0, s1 - s0 and
+    c0 s1 - s0 c1; shape (8, steps).  Both loop routes read the samples and
+    ``_overlap_phases`` the links, so the routes of one loop evaluate the
+    trigonometric functions and the products once.  One entry holds
+    10 steps + 2 floats: 80 MiB at ``MAX_STEPS``, and the last two entries
+    are kept.
     """
-    alphas = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
+    alphas = np.arange(steps) * (2.0 * math.pi / steps)
     if reverse:
         alphas = alphas[::-1]
     samples = np.empty((2, steps + 1))
-    samples[0, :-1] = np.cos(alphas)
-    samples[1, :-1] = np.sin(alphas)
+    np.cos(alphas, out=samples[0, :-1])
+    np.sin(alphas, out=samples[1, :-1])
     samples[:, -1] = samples[:, 0]
+    c0, s0 = samples[:, :-1]
+    c1, s1 = samples[:, 1:]
+    links = np.empty((8, steps))
+    np.add(c0, c1, out=links[0])
+    np.add(s0, s1, out=links[1])
+    np.multiply(c0, c1, out=links[2])
+    np.multiply(s0, s1, out=links[3])
+    cs, sc = c0 * s1, s0 * c1
+    np.add(cs, sc, out=links[4])
+    np.subtract(c1, c0, out=links[5])
+    np.subtract(s1, s0, out=links[6])
+    np.subtract(cs, sc, out=links[7])
     samples.setflags(write=False)
-    return samples
+    links.setflags(write=False)
+    return samples, links
 
 
 def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
@@ -278,12 +309,18 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
-    c, s = _loop_samples(loop.steps, loop.reverse)[:, :-1]
+    c, s = _loop_samples(loop.steps, loop.reverse)[0][:, :-1]
     try:
         with np.errstate(over="raise"):
-            a1, a2 = berry_connection(coeffs, r * c, r * s)
-            # dR/d(alpha) on the circle, signed by traversal direction
-            total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
+            rc, rs = r * c, r * s
+            a1, a2 = _connection(coeffs, rc, rs)
+            # times dR/d(alpha) on the circle, signed by traversal direction,
+            # in place, so at MAX_STEPS this pass holds less than the overlap
+            # chain; a sign flips exactly, so rs * -o is -r * s * o
+            a1 *= rs * -orientation
+            a2 *= rc * orientation
+            a1 += a2
+            total = complex(np.sum(a1))
     except FloatingPointError:
         raise ParameterError(
             f"loop radius {r!r}: the connection loop overflows at r * max|coefficient| = "
@@ -301,8 +338,11 @@ def _loop_basis(coeffs: pert.CorrectionCoefficients) -> np.ndarray:
     The sample at radius r and angle alpha is this basis applied to
     (1, r cos alpha, r sin alpha), so every loop lies in their span.
     """
-    own = np.eye(len(coeffs.a))[osc._ROW[coeffs.state_index]]
-    return np.stack([own, coeffs.a, coeffs.b], axis=1)
+    basis = np.zeros((len(coeffs.a), 3), dtype=complex)
+    basis[osc._ROW[coeffs.state_index], 0] = 1.0
+    basis[:, 1] = coeffs.a
+    basis[:, 2] = coeffs.b
+    return basis
 
 
 def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
@@ -315,7 +355,8 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     would be divided by r^2.  The samples u_k = (1, r cos alpha_k,
     r sin alpha_k) are real, so o_k = u_k^T H u_{k+1} is formed from
     Re H and Im H in real arithmetic.  Re o_k and Im o_k are polynomials
-    in r whose O(r) and O(r^2) coefficients are 1-d arrays built once;
+    in r whose O(r) and O(r^2) coefficients are the loop's link terms
+    (``_loop_samples``) weighted by entries of H, 1-d arrays built once;
     each radius is one row of a (len(radii), steps) array.  The chain
     phase is -sum_k atan2(Im o_k, Re o_k); the normalization is a positive
     factor of each o_k, so only the weak-overlap refusal reads it.
@@ -339,28 +380,32 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     basis = _loop_basis(coeffs)
     metric = osc._hermitian(basis.conj().T @ gram @ basis)
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
+    # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
+    p00, p01, p02, p11, p12, p22 = (h.real for h in (h00, h01, h02, h11, h12, h22))
+    q01, q02, q12 = h01.imag, h02.imag, h12.imag
     magnitude = coeffs.max_magnitude()
-    _check_overlap_floor(magnitude, radii, h00.real, abs(h01.imag) + abs(h02.imag))
-    p, q = metric.real, metric.imag
+    _check_overlap_floor(magnitude, radii, p00, abs(q01) + abs(q02))
     top = max(radii)
-    spread = top * (2.0 * (abs(h01.real) + abs(h02.real))
-                    + top * (abs(h11.real) + abs(h22.real) + 2.0 * abs(h12.real)))
-    low, high = h00.real - spread, h00.real + spread
+    spread = top * (2.0 * (abs(p01) + abs(p02)) + top * (abs(p11) + abs(p22) + 2.0 * abs(p12)))
+    low, high = p00 - spread, p00 + spread
     screened = low > 0.0 and low * low > 0.25 * high * high * (1.0 + 1e-9)
-    c, s = _loop_samples(loop.steps, loop.reverse)
-    c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
-    # coefficients of r and r^2 in Re o_k, Im o_k (P symmetric, Q antisymmetric)
-    re1 = p[0, 1] * (c0 + c1) + p[0, 2] * (s0 + s1)
-    re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)
-    im1 = q[0, 1] * (c1 - c0) + q[0, 2] * (s1 - s0)
-    im2 = q[1, 2] * (c0 * s1 - s0 * c1)
+    samples, links = _loop_samples(loop.steps, loop.reverse)
+    c_sum, s_sum, cc, ss, cross_sum, c_diff, s_diff, cross_diff = links
+    # coefficients of r and r^2 in Re o_k, Im o_k
+    re1 = p01 * c_sum + p02 * s_sum
+    re2 = p11 * cc + p22 * ss + p12 * cross_sum
+    im1 = q01 * c_diff + q02 * s_diff
+    im2 = q12 * cross_diff
     rows = np.array(radii)[:, None]
     try:
         with np.errstate(over="raise"):
-            re = p[0, 0] + rows * (re1 + rows * re2)
+            re = p00 + rows * (re1 + rows * re2)
             im = rows * (im1 + rows * im2)
             if not screened:
-                # n_k^2 over every sample including the closing one
+                # n_k^2 over every sample including the closing one; numpy
+                # scalars, whose products raise at an overflow as arrays do
+                p = metric.real
+                c, s = samples
                 nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
                 nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
                 nn = p[0, 0] + rows * (nn1 + rows * nn2)

@@ -153,7 +153,8 @@ class CorrectionCoefficients:
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
     cross inner product <psi'|psi''> -- are what every loop route reads:
-    Python sums in row order, taken once, at construction.  A set whose
+    Python sums in row order, taken once, at construction, together with
+    ``max_magnitude()``, the largest |coefficient|.  A set whose
     sums are not finite (a nan or infinite entry, an int too large for a
     float, or one whose square overflows) raises ParameterError.  Two sets
     compare equal only when they are the same object.
@@ -163,6 +164,7 @@ class CorrectionCoefficients:
     a: np.ndarray
     b: np.ndarray
     connection_sums: tuple[float, float, complex] = field(init=False, repr=False)
+    _max_magnitude: float = field(init=False, repr=False)
 
     def __post_init__(self):
         j = self.state_index
@@ -174,7 +176,8 @@ class CorrectionCoefficients:
         try:
             vectors = [_live_vector(j, c) for c in (self.a, self.b)]
             a, b = (v.tolist() for v in vectors)
-            sums = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
+            abs_a, abs_b = ([abs(v) for v in vector] for vector in (a, b))
+            sums = (sum(m ** 2 for m in abs_a), sum(m ** 2 for m in abs_b),
                     sum((x.conjugate() * y for x, y in zip(a, b)), 0j))
             # false too at a nan entry
             finite = all(map(math.isfinite, (*sums[:2], sums[2].real, sums[2].imag)))
@@ -186,24 +189,28 @@ class CorrectionCoefficients:
         object.__setattr__(self, "a", vectors[0])
         object.__setattr__(self, "b", vectors[1])
         object.__setattr__(self, "connection_sums", sums)
+        object.__setattr__(self, "_max_magnitude", max(abs_a + abs_b))
 
     def max_magnitude(self) -> float:
-        return max(map(abs, self.a.tolist() + self.b.tolist()))
+        return self._max_magnitude
 
 
 @lru_cache(maxsize=8)
-def _coefficient_tables(nodes: osc.NodeCounts) -> np.ndarray:
+def _coefficient_tables(nodes: osc.NodeCounts
+                        ) -> tuple[np.ndarray, dict[int, CorrectionCoefficients]]:
     """Every live state's dimensionless coefficients, read-only: entry
-    [c, i, j] is <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j.
-    Real and imaginary parts are divided separately, as a complex by a
-    float is; numpy's complex division multiplies by a rounded reciprocal.
+    [c, i, j] is <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j;
+    with the records ``correction_coefficients`` builds from them, by state
+    index, each on first use.  Real and imaginary parts are divided
+    separately, as a complex by a float is; numpy's complex division
+    multiplies by a rounded reciprocal.
     """
     gap = _ENERGIES - _ENERGIES[:, None]
     gap[gap == 0.0] = np.inf        # x / inf = 0: degenerate entries vanish
     couplings = _couplings(nodes)
     tables = couplings.real / gap + 1j * (couplings.imag / gap)
     tables.setflags(write=False)
-    return tables
+    return tables, {}
 
 
 def correction_coefficients(j: int,
@@ -213,11 +220,16 @@ def correction_coefficients(j: int,
     Column j of ``_coefficient_tables``, read-only and not copied: entry i
     is live state i's coefficient, exactly 0 on the energy level of j (the
     energy denominators are exact multiples of hbar omega); null states
-    have no entry, which is the same as zero.
+    have no entry, which is the same as zero.  The record is built once per
+    cached table and then returned as it is; a numpy integer j is taken as
+    the int it equals.
     """
     if osc.get_state(j).is_null:
         raise ParameterError(
             f"state {j} vanishes identically; corrections undefined")
     require_instance(nodes, osc.NodeCounts, "nodes")
-    a, b = _coefficient_tables(nodes)[:, :, osc._ROW[j]]
-    return CorrectionCoefficients(j, a, b)
+    tables, records = _coefficient_tables(nodes)
+    if j not in records:
+        a, b = tables[:, :, osc._ROW[j]]
+        records[j] = CorrectionCoefficients(int(j), a, b)
+    return records[j]

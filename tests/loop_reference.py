@@ -64,13 +64,14 @@ def normed_overlap_phases(coeffs: CorrectionCoefficients, gram: np.ndarray,
     weak-overlap refusal always run on the norms n_k^2 = u_k^T (Re H) u_k.
 
     This is ``berry._overlap_phases``'s array pass before the package
-    screened that refusal on the reduced metric; the tests hold the
-    screened pass to it bit for bit, values and refusals alike.
+    screened that refusal on the reduced metric, with the link products
+    formed from the samples on every call; the tests hold the package's
+    pass to it bit for bit, values and refusals alike.
     """
     basis = _loop_basis(coeffs)
     metric = _hermitian(basis.conj().T @ gram @ basis)
     p, q = metric.real, metric.imag
-    c, s = _loop_samples(loop.steps, loop.reverse)
+    c, s = _loop_samples(loop.steps, loop.reverse)[0]
     c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
     re1 = p[0, 1] * (c0 + c1) + p[0, 2] * (s0 + s1)
     re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)

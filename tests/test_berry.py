@@ -263,16 +263,54 @@ class TestStoredSums:
         assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
             synthetic, loop)
 
-    @pytest.mark.parametrize("steps", [8, 1001])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_loop_samples_are_shared_and_closed(self, steps, reverse):
-        samples = _loop_samples(steps, reverse)
-        assert _loop_samples(steps, reverse) is samples
-        assert samples.shape == (2, steps + 1) and not samples.flags.writeable
-        alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
-        assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes()
-        assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes()
-        assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
+    def test_loop_samples_are_shared_and_closed(self, reverse):
+        # the package takes the angles as k (2 pi / steps), the reference as
+        # np.linspace: the same bits at every step count up to 4096 and at
+        # each power of two up to the cap
+        for steps in [*range(8, 4097), *(2 ** k for k in range(13, MAX_STEPS.bit_length()))]:
+            entry = _loop_samples(steps, reverse)
+            assert _loop_samples(steps, reverse) is entry
+            samples, links = entry
+            assert samples.shape == (2, steps + 1) and links.shape == (8, steps)
+            alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
+            assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes(), steps
+            assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes(), steps
+            assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
+        assert steps == MAX_STEPS
+        _loop_samples.cache_clear()     # the cap's entry holds 80 MiB
+
+    @pytest.mark.parametrize("steps", [8, 720, 1001])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_link_terms_are_the_products_of_the_samples(self, steps, reverse):
+        samples, links = _loop_samples(steps, reverse)
+        c0, s0 = samples[:, :-1].copy()
+        c1, s1 = samples[:, 1:].copy()
+        fresh = [c0 + c1, s0 + s1, c0 * c1, s0 * s1, c0 * s1 + s0 * c1,
+                 c1 - c0, s1 - s0, c0 * s1 - s0 * c1]
+        for k, term in enumerate(fresh):
+            assert links[k].tobytes() == term.tobytes(), k
+
+    def test_loop_entry_is_read_only(self):
+        samples, links = _loop_samples(64, False)
+        for array in (samples, links):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 7.0
+
+    @pytest.mark.parametrize("steps", [8, 720, 1001])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_overlap_chain_reads_a_cleared_and_a_warm_cache_alike(self, nodes64, synthetic,
+                                                                    steps, reverse):
+        gram_data = gram_matrix(nodes64)
+        loop = LoopParams(steps=steps, reverse=reverse)
+        for coeffs in (synthetic, correction_coefficients(8, nodes=nodes64)):
+            r = 1e-2 / coeffs.max_magnitude()
+            _loop_samples.cache_clear()
+            cold = _overlap_phases(coeffs, gram_data, loop, (r, 0.5 * r))
+            warm = _overlap_phases(coeffs, gram_data, loop, (r, 0.5 * r))
+            assert _loop_samples.cache_info().hits >= 1
+            assert np.array(cold).tobytes() == np.array(warm).tobytes()
 
     def test_connection_loop_matches_the_sequential_loop(self, rng):
         # the sums run in another order, so they agree to roundoff in steps terms
@@ -298,6 +336,16 @@ class TestStoredSums:
             scalar = np.array([call[k] for call in calls], dtype=complex)
             assert component.dtype == complex
             assert component.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("eps1", [1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("eps2", [1e308, math.inf, math.nan])
+    def test_non_finite_connection_on_arrays_is_the_scalar_call(self, nodes64, eps1, eps2):
+        # the array products once warned at an overflow, where the scalar
+        # ones give inf silently; tier-1 turns the warning into an error
+        coeffs = correction_coefficients(1, nodes=nodes64)
+        components = berry_connection(coeffs, np.array([eps1]), np.array([eps2]))
+        for component, scalar in zip(components, berry_connection(coeffs, eps1, eps2)):
+            assert component.tobytes() == np.array([scalar], dtype=complex).tobytes()
 
 
 class TestPhysicalPhases:

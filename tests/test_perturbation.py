@@ -19,7 +19,7 @@ from rmsphase import (
     matrix_element,
     phi_integral,
 )
-from rmsphase import perturbation as pert, state_table
+from rmsphase import LoopParams, berry, perturbation as pert, state_table
 from rmsphase.errors import ParameterError
 from rmsphase.oscillator import live_entry, overlap_tables
 from rmsphase.perturbation import CorrectionCoefficients
@@ -316,3 +316,40 @@ class TestCorrectionCoefficients:
         vector = np.zeros(len(live_indices()), dtype=complex)
         with pytest.raises(ParameterError, match="read-only complex"):
             CorrectionCoefficients(1, vector, vector)
+
+    def test_max_magnitude_is_the_largest_entry(self, nodes64):
+        # the largest entry in b, then in a
+        sets = [CorrectionCoefficients(1, {5: 0.3 + 0.4j, 9: -2.0}, {9: 2.5j, 16: -0.1}),
+                CorrectionCoefficients(1, {5: 0.3 + 0.4j, 9: -2.0}, {9: 1.5j, 16: -0.1}),
+                correction_coefficients(8, nodes=nodes64), CorrectionCoefficients(1, {}, {})]
+        for coeffs in sets:
+            assert coeffs.max_magnitude() == np.abs(np.concatenate([coeffs.a, coeffs.b])).max()
+        assert (sets[0].max_magnitude(), sets[1].max_magnitude()) == (2.5, 2.0)
+        # no coefficient: the auto radius stays the perturbative budget
+        assert sets[3].max_magnitude() == 0.0
+        assert berry._auto_radius(sets[3], LoopParams()) == berry._PERTURBATIVE_BUDGET
+
+
+NODES16 = NodeCounts.uniform(16)
+
+
+@pytest.fixture
+def warm_record():
+    """State 1's record at 16 nodes, built before ``fresh_tables`` runs."""
+    return correction_coefficients(1, nodes=NODES16)
+
+
+class TestRecords:
+    def test_record_is_built_once_per_table(self, fresh_tables):
+        for j in live_indices():
+            record = correction_coefficients(np.int64(j), nodes=NODES16)
+            assert type(record.state_index) is int
+            assert correction_coefficients(j, nodes=NODES16) is record
+
+    def test_cleared_tables_serve_no_stale_record(self, warm_record, fresh_tables, monkeypatch):
+        couplings = pert._couplings
+        monkeypatch.setattr(pert, "_couplings", lambda nodes: 2.0 * couplings(nodes))
+        patched = correction_coefficients(1, nodes=NODES16)
+        assert patched is not warm_record
+        assert np.array_equal(patched.a, 2.0 * warm_record.a)
+        assert np.array_equal(patched.b, 2.0 * warm_record.b)
