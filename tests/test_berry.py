@@ -263,15 +263,25 @@ class TestStoredSums:
         assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
             synthetic, loop)
 
+    @pytest.mark.parametrize("steps", [8, 1001])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_loop_samples_are_shared_and_closed(self, reverse):
+    def test_loop_samples_are_shared_and_closed(self, steps, reverse):
+        entry = _loop_samples(steps, reverse)
+        assert _loop_samples(steps, reverse) is entry
+        samples, links = entry
+        assert samples.shape == (2, steps + 1) and links.shape == (8, steps)
+        alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
+        assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes()
+        assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes()
+        assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_loop_angles_are_the_reference_bits_at_every_step_count(self, reverse):
         # the package takes the angles as k (2 pi / steps), the reference as
         # np.linspace: the same bits at every step count up to 4096 and at
         # each power of two up to the cap
         for steps in [*range(8, 4097), *(2 ** k for k in range(13, MAX_STEPS.bit_length()))]:
-            entry = _loop_samples(steps, reverse)
-            assert _loop_samples(steps, reverse) is entry
-            samples, links = entry
+            samples, links = _loop_samples(steps, reverse)
             assert samples.shape == (2, steps + 1) and links.shape == (8, steps)
             alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
             assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes(), steps
