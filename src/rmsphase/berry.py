@@ -30,16 +30,17 @@ What is constant around a loop is computed once, not once per step:
   the auto radius; the connection is evaluated once, on the arrays of all
   the loop's samples;
 * the overlap chain runs in the 3-dim span of e_j, a and b, on a metric
-  H reduced once per call.  Its samples are real, so every overlap is
-  formed from Re H and Im H in real arithmetic: the link terms weighted
-  by the entries of H give 1-d arrays built once, and each radius (r and
-  r/2 for Richardson) is one row of a single array pass.  The
-  sample norms are formed only when a scalar bound on H cannot rule out
-  the weak-overlap refusal; at the auto radius under the package's Gram
-  matrix it always does.  This is the package's one overlap chain; the
-  test suite holds it to the same chain over the full basis of live
-  states, and to the chain that forms the norms on every call
-  (``tests/loop_reference.py``).
+  H reduced once per coefficient set and Gram matrix G, whose entries
+  the set keeps in a one-slot memo keyed by G's content.  Its samples
+  are real, so every overlap is formed from Re H and Im H in real
+  arithmetic: the link terms weighted by the entries of H give 1-d
+  arrays built once, and each radius (r and r/2 for Richardson) is one
+  row of a single array pass, run in place.  The sample norms are
+  formed only when a scalar bound on H cannot rule out the weak-overlap
+  refusal; at the auto radius under the package's Gram matrix it always
+  does.  This is the package's one overlap chain; the test suite holds
+  it to the same chain over the full basis of live states, and to the
+  chain that forms the norms on every call (``tests/loop_reference.py``).
 
 The chain's roundoff is divided by r^2, so the overlap route refuses a
 radius with r * max|coefficient| below ``_OVERLAP_FLOOR`` and, under a
@@ -98,8 +99,9 @@ _OVERLAP_FLOOR = 1e-18
 # 1.5e-16 H00 max|coefficient|, so there _OVERLAP_FLOOR binds.
 _TELESCOPE_FLOOR = 1e-6
 
-# Every loop route holds O(steps) arrays in memory, and each cached loop
-# (``_loop_samples``) 10 floats per step: 80 MiB at this cap.
+# Each cached loop (``_loop_samples``) holds 10 floats per step, 80 MiB at
+# this cap; beyond it, a two-radius overlap pass holds 8 floats per step
+# and a connection pass 7.
 MAX_STEPS = 2 ** 20
 
 
@@ -274,17 +276,14 @@ def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     np.cos(alphas, out=samples[0, :-1])
     np.sin(alphas, out=samples[1, :-1])
     samples[:, -1] = samples[:, 0]
-    c0, s0 = samples[:, :-1]
-    c1, s1 = samples[:, 1:]
+    # the rows (c0, s0) and (c1, s1) of every link, paired
+    head, tail = samples[:, :-1], samples[:, 1:]
     links = np.empty((8, steps))
-    np.add(c0, c1, out=links[0])
-    np.add(s0, s1, out=links[1])
-    np.multiply(c0, c1, out=links[2])
-    np.multiply(s0, s1, out=links[3])
-    cs, sc = c0 * s1, s0 * c1
+    np.add(head, tail, out=links[0:2])
+    np.multiply(head, tail, out=links[2:4])
+    np.subtract(tail, head, out=links[5:7])
+    cs, sc = head * tail[::-1]
     np.add(cs, sc, out=links[4])
-    np.subtract(c1, c0, out=links[5])
-    np.subtract(s1, s0, out=links[6])
     np.subtract(cs, sc, out=links[7])
     samples.setflags(write=False)
     links.setflags(write=False)
@@ -302,7 +301,8 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     the printed sign of a structural zero does not follow roundoff.  The
     connection is evaluated once, on the arrays of every sample of the
     circle (``_loop_samples``), and its tangent-weighted integrand is
-    summed by one ``np.sum``; it holds O(steps) arrays while it runs.
+    summed by one ``np.add.reduce``; it holds 7 floats per step while it
+    runs.
     The pass runs with numpy raising at the first overflow, which refuses
     the radius as a ``ParameterError``.
     """
@@ -320,7 +320,7 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
             a1 *= rs * -orientation
             a2 *= rc * orientation
             a1 += a2
-            total = complex(np.sum(a1))
+            total = complex(np.add.reduce(a1))
     except FloatingPointError:
         raise ParameterError(
             f"loop radius {r!r}: the connection loop overflows at r * max|coefficient| = "
@@ -357,7 +357,9 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     Re H and Im H in real arithmetic.  Re o_k and Im o_k are polynomials
     in r whose O(r) and O(r^2) coefficients are the loop's link terms
     (``_loop_samples``) weighted by entries of H, 1-d arrays built once;
-    each radius is one row of a (len(radii), steps) array.  The chain
+    each radius is one row of a (len(radii), steps) array, built in
+    place, and atan2 overwrites the rows of Im o_k: beyond the cached
+    loop, a pass at two radii holds 8 floats per step.  The chain
     phase is -sum_k atan2(Im o_k, Re o_k); the normalization is a positive
     factor of each o_k, so only the weak-overlap refusal reads it.
 
@@ -369,20 +371,31 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     below half its norms, and the norms are never formed.  Otherwise the
     norms and the per-sample comparison run.  The pass runs with numpy
     raising at the first overflow, which refuses the radii as a
-    ``ParameterError``.
+    ``ParameterError``; so is a G that is not a numeric (n, n) array
+    over the n live states.
     """
     for r in radii:
         _check_radius(r)
     indices, gram = gram_data
-    if tuple(indices) != osc.live_indices():
-        raise ParameterError(f"gram_data must be over the live states {osc.live_indices()}, "
+    live = osc.live_indices()
+    if tuple(indices) != live:
+        raise ParameterError(f"gram_data must be over the live states {live}, "
                              f"as gram_matrix gives it; got indices {tuple(indices)}")
-    basis = _loop_basis(coeffs)
-    metric = osc._hermitian(basis.conj().T @ gram @ basis)
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
-    # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
-    p00, p01, p02, p11, p12, p22 = (h.real for h in (h00, h01, h02, h11, h12, h22))
-    q01, q02, q12 = h01.imag, h02.imag, h12.imag
+    shape = (len(live), len(live))
+    if not (isinstance(gram, np.ndarray) and gram.dtype.kind in "iufc" and gram.shape == shape):
+        got = f"{gram.dtype} {gram.shape}" if isinstance(gram, np.ndarray) else type(gram).__name__
+        raise ParameterError(f"gram_data's matrix must be a numeric {shape} array, got {got}")
+    # the memo's key is G's content: a caller's G may be changed in place
+    key, memo = (gram.dtype.str, gram.shape, gram.tobytes()), coeffs._metric_memo
+    if memo is None or memo[0] != key:
+        basis = _loop_basis(coeffs)
+        metric = osc._hermitian(basis.conj().T @ gram @ basis)
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
+        # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
+        memo = key, (*(h.real for h in (h00, h01, h02, h11, h12, h22)),
+                     h01.imag, h02.imag, h12.imag, metric.real)
+        object.__setattr__(coeffs, "_metric_memo", memo)
+    p00, p01, p02, p11, p12, p22, q01, q02, q12, p = memo[1]
     magnitude = coeffs.max_magnitude()
     _check_overlap_floor(magnitude, radii, p00, abs(q01) + abs(q02))
     top = max(radii)
@@ -399,12 +412,17 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     rows = np.array(radii)[:, None]
     try:
         with np.errstate(over="raise"):
-            re = p00 + rows * (re1 + rows * re2)
-            im = rows * (im1 + rows * im2)
+            # p00 + rows * (re1 + rows * re2) and im alike, rounded the same, in place
+            re = rows * re2
+            re += re1
+            re *= rows
+            re += p00
+            im = rows * im2
+            im += im1
+            im *= rows
             if not screened:
                 # n_k^2 over every sample including the closing one; numpy
                 # scalars, whose products raise at an overflow as arrays do
-                p = metric.real
                 c, s = samples
                 nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
                 nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
@@ -418,7 +436,7 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
             f"{_radii_label(radii)}: the overlap chain overflows at r * max|coefficient| = "
             f"{top * magnitude:.3e}, where the auto radius keeps "
             f"{_PERTURBATIVE_BUDGET:.0e}") from None
-    phases = -np.sum(np.arctan2(im, re), axis=1)
+    phases = -np.add.reduce(np.arctan2(im, re, out=im), axis=1)
     # + 0.0 makes an exact zero +0, as connection_loop_integral does
     return [phase / r ** 2 + 0.0 for phase, r in zip(phases.tolist(), radii)]
 

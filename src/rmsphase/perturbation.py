@@ -157,7 +157,9 @@ class CorrectionCoefficients:
     ``max_magnitude()``, the largest |coefficient|.  A set whose
     sums are not finite (a nan or infinite entry, an int too large for a
     float, or one whose square overflows) raises ParameterError.  Two sets
-    compare equal only when they are the same object.
+    compare equal only when they are the same object.  ``berry`` keeps the
+    overlap chain's reduced metric for the last Gram matrix in a one-slot
+    memo on the set.
     """
 
     state_index: int
@@ -165,6 +167,7 @@ class CorrectionCoefficients:
     b: np.ndarray
     connection_sums: tuple[float, float, complex] = field(init=False, repr=False)
     _max_magnitude: float = field(init=False, repr=False)
+    _metric_memo: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         j = self.state_index

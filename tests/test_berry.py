@@ -8,6 +8,7 @@ nonzero imaginary structure.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,27 @@ class TestStoredSums:
             assert _loop_samples.cache_info().hits >= 1
             assert np.array(cold).tobytes() == np.array(warm).tobytes()
 
+    def test_loop_passes_hold_at_most_eight_and_a_half_floats_per_step(self, synthetic,
+                                                                      nodes64):
+        # beyond the cached loop; the two-radius overlap pass held 10 floats
+        # per step before it ran in place, the connection pass 7.25
+        steps = 2 ** 16
+        loop = LoopParams(steps=steps)
+        gram_data = gram_matrix(nodes64)
+        radii = (1e-2 / synthetic.max_magnitude(), 0.5e-2 / synthetic.max_magnitude())
+        _overlap_phases(synthetic, gram_data, loop, radii)     # warm loop and metric
+        tracemalloc.start()
+        try:
+            _overlap_phases(synthetic, gram_data, loop, radii)
+            overlap_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            connection_loop_integral(synthetic, loop)
+            connection_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8.5 * steps * np.dtype(float).itemsize
+        assert overlap_peak <= bound and connection_peak <= bound, (overlap_peak, connection_peak)
+
     def test_connection_loop_matches_the_sequential_loop(self, rng):
         # the sums run in another order, so they agree to roundoff in steps terms
         for _ in range(60):
@@ -553,6 +575,17 @@ class TestParams:
         for gram_data in (((1, 5, 9), np.eye(3)), (indices[::-1], gram), (indices[:-1], gram)):
             with pytest.raises(ParameterError, match="over the live states"):
                 overlap_loop_phase(synthetic, gram_data, LoopParams(), 1e-3)
+
+    # each once escaped as a bare numpy error from the matrix product
+    @pytest.mark.parametrize("gram", [np.eye(3), np.ones((10, 9)), "abc"],
+                             ids=["3x3", "10x9", "string"])
+    def test_gram_matrix_not_a_numeric_square_over_the_live_states_rejected(self, synthetic,
+                                                                            gram):
+        expected = rf"matrix must be a numeric \({len(LIVE)}, {len(LIVE)}\) array"
+        with pytest.raises(ParameterError, match=expected):
+            overlap_loop_phase(synthetic, (LIVE, gram), LoopParams(), 1e-3)
+        with pytest.raises(ParameterError, match=expected):
+            _overlap_phases(synthetic, (LIVE, gram), LoopParams(), (1e-3, 0.5e-3))
 
     # None once raised a bare AttributeError from inside the route
     @pytest.mark.parametrize("call, name", [

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmsphase import NodeCounts, gram_matrix, live_indices
+from rmsphase import NodeCounts, berry, gram_matrix, live_indices
 from rmsphase.berry import (
     _OVERLAP_FLOOR,
     _TELESCOPE_FLOOR,
@@ -156,6 +156,66 @@ def test_screened_refusal_matches_the_normed_chain(coeffs, steps, reverse, scale
     radii = (r, 0.5 * r) if pair else (r,)
     assert (outcome(lambda: _overlap_phases(coeffs, (INDICES, gram), loop, radii))
             == outcome(lambda: normed_overlap_phases(coeffs, gram, loop, radii)))
+
+
+class CountedBasis:
+    """``berry._loop_basis`` with a count of its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.basis = 0, berry._loop_basis
+        monkeypatch.setattr(berry, "_loop_basis", self)
+
+    def __call__(self, coeffs):
+        self.calls += 1
+        return self.basis(coeffs)
+
+
+def fresh_set():
+    """A new set, so its memo starts empty."""
+    return CorrectionCoefficients(STATE, {5: 0.3 + 0.4j, 9: -0.1 + 0.2j, 13: 0.2j},
+                                  {5: 0.5 - 0.2j, 9: 0.15 + 0.05j, 13: -0.3})
+
+
+@pytest.mark.parametrize("steps", [8, 720])
+def test_reduced_metric_memo_follows_the_metric(monkeypatch, steps):
+    # one set under G1, G2, then G1 again: each call reduces its own metric
+    coeffs, loop = fresh_set(), LoopParams(steps=steps)
+    r = _auto_radius(coeffs, loop)
+    g1, g2 = random_gram(1), random_gram(2)
+    basis = CountedBasis(monkeypatch)
+    values = []
+    for calls, gram in enumerate((g1, g2, g1), start=1):
+        values.append(outcome(lambda: _overlap_phases(coeffs, (INDICES, gram), loop,
+                                                      (r, 0.5 * r))))
+        assert values[-1] == outcome(lambda: normed_overlap_phases(coeffs, gram, loop,
+                                                                   (r, 0.5 * r)))
+        assert basis.calls == calls
+    assert values[0] != values[1]
+
+
+def test_reduced_metric_memo_sees_a_metric_changed_in_place():
+    coeffs, loop = fresh_set(), LoopParams(steps=64)
+    r = _auto_radius(coeffs, loop)
+    gram = random_gram(3)
+    before = outcome(lambda: overlap_loop_phase(coeffs, (INDICES, gram), loop, r))
+    # a Hermitian change of the a-b coupling, which moves Im H12
+    a, b = INDICES.index(5), INDICES.index(9)
+    gram[a, b] += 0.2j
+    gram[b, a] -= 0.2j
+    after = outcome(lambda: overlap_loop_phase(coeffs, (INDICES, gram), loop, r))
+    assert after == outcome(lambda: normed_overlap_phases(coeffs, gram, loop, (r,)))
+    assert after != before
+
+
+def test_package_metric_is_reduced_once_per_set(monkeypatch):
+    nodes = NodeCounts.uniform(16)
+    coeffs = correction_coefficients(8, nodes=nodes)
+    loop = LoopParams(steps=64)
+    r = _auto_radius(coeffs, loop)
+    first = _overlap_phases(coeffs, gram_matrix(nodes), loop, (r, 0.5 * r))
+    basis = CountedBasis(monkeypatch)
+    assert _overlap_phases(coeffs, gram_matrix(nodes), loop, (r, 0.5 * r)) == first
+    assert basis.calls == 0
 
 
 def telescope_floor(coeffs, gram):
