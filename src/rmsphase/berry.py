@@ -31,7 +31,7 @@ What is constant around a loop is computed once, not once per step:
   the loop's samples;
 * the overlap chain runs in the 3-dim span of e_j, a and b, on a metric
   H reduced once per coefficient set and Gram matrix G, whose entries
-  the set keeps in a one-slot memo keyed by G's content.  Its samples
+  the set keeps in a one-slot memo with the G they came from.  Its samples
   are real, so every overlap is formed from Re H and Im H in real
   arithmetic: the link terms weighted by the entries of H give 1-d
   arrays built once, and each radius (r and r/2 for Richardson) is one
@@ -42,11 +42,14 @@ What is constant around a loop is computed once, not once per step:
   it to the same chain over the full basis of live states, and to the
   chain that forms the norms on every call (``tests/loop_reference.py``).
 
-The chain's roundoff is divided by r^2, so the overlap route refuses a
-radius with r * max|coefficient| below ``_OVERLAP_FLOOR`` and, under a
-metric that couples e_j to a and b, below the floor ``_TELESCOPE_FLOOR``
-sets.  Both loop routes run their array pass with numpy raising at the
-first overflow, and refuse a radius at which it overflows.
+The overlap chain trusts its package caller, as every internal does: G is
+the read-only matrix of ``osc.gram_matrix(nodes)`` and the set's own entry
+is zero, so H couples e_j to a and b only by roundoff.  The chain's
+roundoff is divided by r^2, so the overlap route refuses a radius with
+r * max|coefficient| below ``_OVERLAP_FLOOR``.  Both loop routes run their
+array pass with numpy raising at the first overflow, and refuse a radius
+at which it overflows.  ``_phases`` and the public wrappers check the
+inputs; the routes run on a coefficient set, in ``_route_values``.
 """
 
 from __future__ import annotations
@@ -87,17 +90,6 @@ _PERTURBATIVE_BUDGET = 1e-2
 # matrices, 8..16384 steps: its Richardson value leaves validate's
 # oracle-agreement tolerance at 1e-24 and uses 5% of it at 1e-22.
 _OVERLAP_FLOOR = 1e-18
-
-# Under a metric H that couples e_j to a and b, the O(r) term of Im o_k,
-# Im H01 (c_{k+1} - c_k) + Im H02 (s_{k+1} - s_k), telescopes to zero around
-# the loop, but its roundoff does not: under random Hermitian metrics at
-# 8..65536 steps it left 2.6 eps (|Im H01| + |Im H02|) / (H00 r) in the phase
-# per r^2, whatever the step count.  So the overlap route also refuses radii
-# below this times (|Im H01| + |Im H02|) / (H00 max|coefficient|^2), where
-# that roundoff reaches 6e-10 max|coefficient|^2.  On the live states at
-# 16..1024 nodes the package's Gram matrix gives |Im H01| + |Im H02| below
-# 1.5e-16 H00 max|coefficient|, so there _OVERLAP_FLOOR binds.
-_TELESCOPE_FLOOR = 1e-6
 
 # Each cached loop (``_loop_samples``) holds 10 floats per step, 80 MiB at
 # this cap; beyond it, a two-radius overlap pass holds 8 floats per step
@@ -223,36 +215,6 @@ def _radii_label(radii: tuple[float, ...]) -> str:
     return f"{label} {', '.join(map(repr, radii))}"
 
 
-def _check_overlap_floor(top: float, radii: tuple[float, ...],
-                         h00: float, telescope: float) -> None:
-    """Refuse radii below the larger of the overlap route's two floors,
-    ``_OVERLAP_FLOOR`` / ``top`` and ``_TELESCOPE_FLOOR`` ``telescope`` /
-    (``h00`` ``top``^2), naming the one that binds.  ``top`` is
-    max|coefficient|; ``h00`` is H00 of the reduced metric H, which must be
-    positive, and ``telescope`` is |Im H01| + |Im H02|.  A set with no
-    coefficient has an exact chain and no floor."""
-    if not h00 > 0.0:
-        raise ParameterError(f"gram_data gives the loop's state the squared norm "
-                             f"{h00!r}; a Gram matrix is positive")
-    if top == 0.0:
-        return
-    # divided one factor at a time: top * top underflows to 0 below ~1e-162
-    metric_floor = _TELESCOPE_FLOOR * telescope / h00 / top / top
-    floor = max(_OVERLAP_FLOOR / top, metric_floor)
-    if min(radii) >= floor:
-        return
-    if floor == metric_floor:
-        reason = (f"under this metric the overlap route needs every radius at or above "
-                  f"{floor:.3e} ({_TELESCOPE_FLOOR:.0e} (|Im H01| + |Im H02|) / "
-                  f"(H00 max|coefficient|^2)); below it the roundoff of the chain's "
-                  f"telescoping O(r) term, divided by r^2, swamps the phase")
-    else:
-        reason = (f"the overlap route needs every radius at or above {floor:.3e} "
-                  f"({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
-                  f"roundoff, divided by r^2, swamps the phase")
-    raise ParameterError(f"{_radii_label(radii)}: {reason}")
-
-
 @lru_cache(maxsize=2)
 def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     """The loop's samples and the overlap chain's link terms, read-only.
@@ -349,10 +311,13 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
                     loop: LoopParams, radii: tuple[float, ...]) -> list[float]:
     """Overlap-product phase per squared radius at each of ``radii``.
 
-    The chains run in the 3-dim span of ``_loop_basis``, on the reduced
-    metric H = B^dagger G B, made exactly Hermitian first: the phase is
-    the anti-Hermitian part of O(r^2) overlaps, so a roundoff asymmetry
-    would be divided by r^2.  The samples u_k = (1, r cos alpha_k,
+    Trusts its package caller: ``gram_data`` is ``osc.gram_matrix(nodes)``
+    and the own entry of ``coeffs`` is zero.  The chains run in the 3-dim
+    span of ``_loop_basis``, on the reduced metric H = B^dagger G B, made
+    exactly Hermitian first: the phase is the anti-Hermitian part of
+    O(r^2) overlaps, so a roundoff asymmetry would be divided by r^2.  The
+    set keeps the last read-only G, matched by identity, with the entries
+    of its H in a one-slot memo.  The samples u_k = (1, r cos alpha_k,
     r sin alpha_k) are real, so o_k = u_k^T H u_{k+1} is formed from
     Re H and Im H in real arithmetic.  Re o_k and Im o_k are polynomials
     in r whose O(r) and O(r^2) coefficients are the loop's link terms
@@ -369,35 +334,30 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     + top (|P11| + |P22| + 2 |P12|)).  If low > 0 and low^2 exceeds
     high^2 / 4 by far more than the arrays' roundoff, no overlap can fall
     below half its norms, and the norms are never formed.  Otherwise the
-    norms and the per-sample comparison run.  The pass runs with numpy
-    raising at the first overflow, which refuses the radii as a
-    ``ParameterError``; so is a G that is not a numeric (n, n) array
-    over the n live states.
+    norms and the per-sample comparison run.  Radii below ``_OVERLAP_FLOOR``
+    / max|coefficient|, or at which the pass overflows (it runs with numpy
+    raising at the first overflow), are refused as a ``ParameterError``.
     """
     for r in radii:
         _check_radius(r)
-    indices, gram = gram_data
-    live = osc.live_indices()
-    if tuple(indices) != live:
-        raise ParameterError(f"gram_data must be over the live states {live}, "
-                             f"as gram_matrix gives it; got indices {tuple(indices)}")
-    shape = (len(live), len(live))
-    if not (isinstance(gram, np.ndarray) and gram.dtype.kind in "iufc" and gram.shape == shape):
-        got = f"{gram.dtype} {gram.shape}" if isinstance(gram, np.ndarray) else type(gram).__name__
-        raise ParameterError(f"gram_data's matrix must be a numeric {shape} array, got {got}")
-    # the memo's key is G's content: a caller's G may be changed in place
-    key, memo = (gram.dtype.str, gram.shape, gram.tobytes()), coeffs._metric_memo
-    if memo is None or memo[0] != key:
+    magnitude = coeffs.max_magnitude()
+    # a set with no coefficient has an exact chain and no floor
+    floor = _OVERLAP_FLOOR / magnitude if magnitude else 0.0
+    if min(radii) < floor:
+        raise ParameterError(
+            f"{_radii_label(radii)}: the overlap route needs every radius at or above "
+            f"{floor:.3e} ({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
+            f"roundoff, divided by r^2, swamps the phase")
+    gram, memo = gram_data[1], coeffs._metric_memo
+    if memo is None or memo[0] is not gram:
         basis = _loop_basis(coeffs)
         metric = osc._hermitian(basis.conj().T @ gram @ basis)
         (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
         # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
-        memo = key, (*(h.real for h in (h00, h01, h02, h11, h12, h22)),
-                     h01.imag, h02.imag, h12.imag, metric.real)
+        memo = gram, (*(h.real for h in (h00, h01, h02, h11, h12, h22)),
+                      h01.imag, h02.imag, h12.imag, metric.real)
         object.__setattr__(coeffs, "_metric_memo", memo)
     p00, p01, p02, p11, p12, p22, q01, q02, q12, p = memo[1]
-    magnitude = coeffs.max_magnitude()
-    _check_overlap_floor(magnitude, radii, p00, abs(q01) + abs(q02))
     top = max(radii)
     spread = top * (2.0 * (abs(p01) + abs(p02)) + top * (abs(p11) + abs(p22) + 2.0 * abs(p12)))
     low, high = p00 - spread, p00 + spread
@@ -443,8 +403,32 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
 
 def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
                        loop: LoopParams, radius: float) -> float:
-    """Overlap-product phase per squared radius at one fixed radius."""
+    """Overlap-product phase per squared radius at one fixed radius; trusts its
+    caller: ``gram_data`` is ``osc.gram_matrix(nodes)``, the own entry of ``coeffs`` 0."""
     return _overlap_phases(coeffs, gram_data, loop, (radius,))[0]
+
+
+def _route_values(coeffs: pert.CorrectionCoefficients, nodes: osc.NodeCounts,
+                  loop: LoopParams | None, methods: tuple[str, ...]) -> list[tuple[float, dict]]:
+    """The routes' core: the phase per squared radius of ``coeffs`` by each
+    of ``methods``, in order, with its metadata.  Checks no argument, and
+    runs the overlap chain on ``osc.gram_matrix(nodes)``."""
+    values = []
+    for method in methods:
+        if method == "closed":
+            values.append((closed_form_phase(coeffs), {"nodes": nodes}))
+        elif method == "loop-connection":
+            gamma, residual, r = connection_loop_integral(coeffs, loop)
+            values.append((gamma, {"steps": loop.steps, "radius": r,
+                                   "imag_residual": residual, "nodes": nodes}))
+        else:
+            r = _auto_radius(coeffs, loop)
+            gamma_r, gamma_half = _overlap_phases(coeffs, osc.gram_matrix(nodes), loop,
+                                                  (r, 0.5 * r))
+            values.append(((4.0 * gamma_half - gamma_r) / 3.0,
+                           {"steps": loop.steps, "radius": r, "nodes": nodes,
+                            "raw_values": (gamma_r, gamma_half)}))
+    return values
 
 
 def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
@@ -458,28 +442,14 @@ def _phases(j: int, constants: osc.PhysicalConstants, loop: LoopParams | None,
     require_instance(nodes, osc.NodeCounts, "nodes")
     if methods != ("closed",):
         require_instance(loop, LoopParams, "loop")
-    coeffs = None if null else pert.correction_coefficients(j, nodes=nodes)
+    if null:
+        values = [(0.0, {"note": "state vanishes identically; phase is zero by convention"})
+                  for _ in methods]
+    else:
+        values = _route_values(pert.correction_coefficients(j, nodes=nodes), nodes, loop, methods)
     prefactor = 1.0 / constants.coupling_scale ** 2
-    results = []
-    for method in methods:
-        if null:
-            gamma = 0.0
-            metadata = {"note": "state vanishes identically; phase is zero by convention"}
-        elif method == "closed":
-            gamma, metadata = closed_form_phase(coeffs), {"nodes": nodes}
-        elif method == "loop-connection":
-            gamma, residual, r = connection_loop_integral(coeffs, loop)
-            metadata = {"steps": loop.steps, "radius": r,
-                        "imag_residual": residual, "nodes": nodes}
-        else:
-            r = _auto_radius(coeffs, loop)
-            gamma_r, gamma_half = _overlap_phases(coeffs, osc.gram_matrix(nodes), loop,
-                                                  (r, 0.5 * r))
-            gamma = (4.0 * gamma_half - gamma_r) / 3.0
-            metadata = {"steps": loop.steps, "radius": r, "nodes": nodes,
-                        "raw_values": (gamma_r, gamma_half)}
-        results.append(PhaseResult(j, gamma, prefactor, method, metadata))
-    return results
+    return [PhaseResult(j, gamma, prefactor, method, metadata)
+            for method, (gamma, metadata) in zip(methods, values)]
 
 
 def berry_phase_closed(j: int, constants: osc.PhysicalConstants,

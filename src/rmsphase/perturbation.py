@@ -157,9 +157,11 @@ class CorrectionCoefficients:
     ``max_magnitude()``, the largest |coefficient|.  A set whose
     sums are not finite (a nan or infinite entry, an int too large for a
     float, or one whose square overflows) raises ParameterError.  Two sets
-    compare equal only when they are the same object.  ``berry`` keeps the
-    overlap chain's reduced metric for the last Gram matrix in a one-slot
-    memo on the set.
+    compare equal only when they are the same object.  ``berry`` keeps a
+    one-slot memo on the set: the last Gram matrix the overlap chain ran
+    on, the read-only array of ``oscillator.gram_matrix``, with the entries
+    of the metric it reduced from it.  It matches a matrix by identity, so
+    a call with another array, such as another resolution's, reduces anew.
     """
 
     state_index: int

@@ -31,6 +31,7 @@ from rmsphase.berry import (
     _OVERLAP_FLOOR,
     _loop_samples,
     _overlap_phases,
+    _route_values,
     closed_form_phase,
     connection_loop_integral,
     overlap_loop_phase,
@@ -469,21 +470,21 @@ class TestPhysicalPhases:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_package_richardson_matches_closed_on_nonzero_sets(monkeypatch, dimensionless, seed):
-    # berry_phase_loop_overlap's own Richardson line, r and r/2 weighted 4/3
-    # and -1/3, on random sets over every other live state; at 2048 steps the
-    # inscribed polygon leaves ~1.6e-6, and weights 2 and -1 leave 3e-5 or more
+def test_package_richardson_matches_closed_on_nonzero_sets(seed):
+    # the routes' core, which berry_phase_loop_overlap runs: its Richardson
+    # line, r and r/2 weighted 4/3 and -1/3, on random sets over every other
+    # live state; at 2048 steps the inscribed polygon leaves ~1.6e-6, and
+    # weights 2 and -1 leave 3e-5 or more
     rng = np.random.default_rng(seed)
     others = [i for i in LIVE if i != 1]
     a, b = rng.normal(size=(2, len(others))) + 1j * rng.normal(size=(2, len(others)))
     coeffs = CorrectionCoefficients(1, dict(zip(others, a.tolist())),
                                     dict(zip(others, b.tolist())))
-    monkeypatch.setattr(pert, "correction_coefficients", lambda j, nodes: coeffs)
-    result = berry_phase_loop_overlap(1, dimensionless, LoopParams(steps=2048),
-                                      NodeCounts.uniform(48))
+    [(value, _)] = _route_values(coeffs, NodeCounts.uniform(48), LoopParams(steps=2048),
+                                 ("loop-overlap",))
     closed = closed_form_phase(coeffs)
     assert abs(closed) > 1.0
-    assert result.dimensionless_value == pytest.approx(closed, rel=5e-6)
+    assert value == pytest.approx(closed, rel=5e-6)
 
 
 class TestParams:
@@ -569,23 +570,6 @@ class TestParams:
         assert abs(overlap_loop_phase(coeffs, gram_data, LoopParams(), floor) - closed) < 1e-7
         # the connection route divides no chain's roundoff by r^2 and has no floor
         assert connection_loop_integral(coeffs, LoopParams(radius=1e-150))[0] == 0.0
-
-    def test_gram_data_off_the_live_states_rejected(self, synthetic, nodes64):
-        indices, gram = gram_matrix(nodes64)
-        for gram_data in (((1, 5, 9), np.eye(3)), (indices[::-1], gram), (indices[:-1], gram)):
-            with pytest.raises(ParameterError, match="over the live states"):
-                overlap_loop_phase(synthetic, gram_data, LoopParams(), 1e-3)
-
-    # each once escaped as a bare numpy error from the matrix product
-    @pytest.mark.parametrize("gram", [np.eye(3), np.ones((10, 9)), "abc"],
-                             ids=["3x3", "10x9", "string"])
-    def test_gram_matrix_not_a_numeric_square_over_the_live_states_rejected(self, synthetic,
-                                                                            gram):
-        expected = rf"matrix must be a numeric \({len(LIVE)}, {len(LIVE)}\) array"
-        with pytest.raises(ParameterError, match=expected):
-            overlap_loop_phase(synthetic, (LIVE, gram), LoopParams(), 1e-3)
-        with pytest.raises(ParameterError, match=expected):
-            _overlap_phases(synthetic, (LIVE, gram), LoopParams(), (1e-3, 0.5e-3))
 
     # None once raised a bare AttributeError from inside the route
     @pytest.mark.parametrize("call, name", [

@@ -29,6 +29,7 @@ from rmsphase import (
     QuantumNumbers,
     berry_connection,
     berry_phase_loop_connection,
+    berry_phase_loop_overlap,
     correction_coefficients,
     embed,
     gram_matrix,
@@ -180,3 +181,11 @@ def test_numpy_float32_point_is_taken_as_a_float():
     value = berry_connection(COEFFS, np.float32(0.1), 0.0)
     assert value == berry_connection(COEFFS, float(np.float32(0.1)), 0.0)
     assert all(type(component) is complex for component in value)
+
+
+def test_a_record_stays_finite_after_the_overlap_route_runs_on_it():
+    # the overlap chain's memo once kept the Gram matrix's bytes on the record,
+    # which failed the property test above whenever it drew this record after
+    # a loop-overlap call on it
+    berry_phase_loop_overlap(1, PhysicalConstants.dimensionless(), LoopParams(steps=64), NODES)
+    assert finite(correction_coefficients(1, NODES))
