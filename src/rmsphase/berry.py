@@ -29,32 +29,34 @@ What is constant around a loop is computed once, not once per step:
   the three sums the connection reads and max|coefficient|, which sets
   the auto radius; the connection is evaluated once, on the arrays of all
   the loop's samples;
-* the overlap chain runs in the 3-dim span of e_j, a and b, on a metric
-  H reduced once per coefficient set and Gram matrix G, whose entries
-  the set keeps in a one-slot memo with the G they came from.  Its samples
+* the overlap chain runs in the 3-dim span of e_j, a and b, on a metric H
+  reduced once per coefficient set and Gram matrix G; this module's
+  ``_reduced_metrics`` keeps it with G while the set lives.  Its samples
   are real, so every overlap is formed from Re H and Im H in real
-  arithmetic: the link terms weighted by the entries of H give 1-d
-  arrays built once, and each radius (r and r/2 for Richardson) is one
-  row of a single array pass, run in place.  The sample norms are
-  formed only when a scalar bound on H cannot rule out the weak-overlap
-  refusal; at the auto radius under the package's Gram matrix it always
-  does.  This is the package's one overlap chain; the test suite holds
-  it to the same chain over the full basis of live states, and to the
-  chain that forms the norms on every call (``tests/loop_reference.py``).
+  arithmetic: the link terms weighted by the entries of H give 1-d arrays
+  built once, and each radius (r and r/2 for Richardson) is one row of a
+  single array pass, run in place.  The sample norms are formed only when
+  a scalar bound on H cannot rule out the weak-overlap refusal; at the
+  auto radius under the package's Gram matrix it always does.  This is the
+  package's one overlap chain; the test suite holds it to the same chain
+  over the full basis of live states, and to the chain that forms the
+  norms on every call (``tests/loop_reference.py``).
 
 The overlap chain trusts its package caller, as every internal does: G is
-the read-only matrix of ``osc.gram_matrix(nodes)`` and the set's own entry
-is zero, so H couples e_j to a and b only by roundoff.  The chain's
-roundoff is divided by r^2, so the overlap route refuses a radius with
-r * max|coefficient| below ``_OVERLAP_FLOOR``.  Both loop routes run their
-array pass with numpy raising at the first overflow, and refuse a radius
-at which it overflows.  ``_phases`` and the public wrappers check the
-inputs; the routes run on a coefficient set, in ``_route_values``.
+the read-only matrix of ``osc.gram_matrix(nodes)``, and a set's own entry
+is zero (``CorrectionCoefficients`` checks it), so H couples e_j to a and
+b only by roundoff.  The chain's roundoff is divided by r^2, so the
+overlap route refuses a radius with r * max|coefficient| below
+``_OVERLAP_FLOOR``.  Both loop routes run their array pass with numpy
+raising at the first overflow, and refuse a radius at which it overflows.
+``_phases`` and the public wrappers check the inputs; ``_route_values``
+runs the routes on a coefficient set.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -95,6 +97,10 @@ _OVERLAP_FLOOR = 1e-18
 # this cap; beyond it, a two-radius overlap pass holds 8 floats per step
 # and a connection pass 7.
 MAX_STEPS = 2 ** 20
+
+# Per coefficient set (sets hash by identity), the last Gram matrix the overlap
+# chain ran it on and the entries of the metric it reduced; dies with the set.
+_reduced_metrics = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -312,21 +318,21 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     """Overlap-product phase per squared radius at each of ``radii``.
 
     Trusts its package caller: ``gram_data`` is ``osc.gram_matrix(nodes)``
-    and the own entry of ``coeffs`` is zero.  The chains run in the 3-dim
-    span of ``_loop_basis``, on the reduced metric H = B^dagger G B, made
-    exactly Hermitian first: the phase is the anti-Hermitian part of
-    O(r^2) overlaps, so a roundoff asymmetry would be divided by r^2.  The
-    set keeps the last read-only G, matched by identity, with the entries
-    of its H in a one-slot memo.  The samples u_k = (1, r cos alpha_k,
-    r sin alpha_k) are real, so o_k = u_k^T H u_{k+1} is formed from
-    Re H and Im H in real arithmetic.  Re o_k and Im o_k are polynomials
-    in r whose O(r) and O(r^2) coefficients are the loop's link terms
-    (``_loop_samples``) weighted by entries of H, 1-d arrays built once;
-    each radius is one row of a (len(radii), steps) array, built in
-    place, and atan2 overwrites the rows of Im o_k: beyond the cached
-    loop, a pass at two radii holds 8 floats per step.  The chain
-    phase is -sum_k atan2(Im o_k, Re o_k); the normalization is a positive
-    factor of each o_k, so only the weak-overlap refusal reads it.
+    (the own entry of ``coeffs`` is zero, as every set's is).  The chains
+    run in the 3-dim span of ``_loop_basis``, on the reduced metric
+    H = B^dagger G B, made exactly Hermitian first: the phase is the
+    anti-Hermitian part of O(r^2) overlaps, so a roundoff asymmetry would
+    be divided by r^2.  ``_reduced_metrics`` keeps H per set, matching G
+    by identity.  The samples u_k = (1, r cos alpha_k, r sin alpha_k) are
+    real, so o_k = u_k^T H u_{k+1} is formed from Re H and Im H in real
+    arithmetic.  Re o_k and Im o_k are polynomials in r whose O(r) and
+    O(r^2) coefficients are the loop's link terms (``_loop_samples``)
+    weighted by entries of H, 1-d arrays built once; each radius is one
+    row of a (len(radii), steps) array, built in place, and atan2
+    overwrites the rows of Im o_k: beyond the cached loop, a pass at two
+    radii holds 8 floats per step.  The chain phase is
+    -sum_k atan2(Im o_k, Re o_k); the normalization is a positive factor
+    of each o_k, so only the weak-overlap refusal reads it.
 
     That refusal is screened on P = Re H first.  With |cos|, |sin| <= 1
     and every radius at most top, Re o_k >= low = P00 - S and
@@ -348,15 +354,15 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
             f"{_radii_label(radii)}: the overlap route needs every radius at or above "
             f"{floor:.3e} ({_OVERLAP_FLOOR:.0e} / max|coefficient|); below it the chain's "
             f"roundoff, divided by r^2, swamps the phase")
-    gram, memo = gram_data[1], coeffs._metric_memo
+    gram, memo = gram_data[1], _reduced_metrics.get(coeffs)
     if memo is None or memo[0] is not gram:
         basis = _loop_basis(coeffs)
         metric = osc._hermitian(basis.conj().T @ gram @ basis)
         (h00, h01, h02), (_, h11, h12), (_, _, h22) = metric.tolist()
         # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
-        memo = gram, (*(h.real for h in (h00, h01, h02, h11, h12, h22)),
-                      h01.imag, h02.imag, h12.imag, metric.real)
-        object.__setattr__(coeffs, "_metric_memo", memo)
+        memo = _reduced_metrics[coeffs] = gram, (
+            *(h.real for h in (h00, h01, h02, h11, h12, h22)),
+            h01.imag, h02.imag, h12.imag, metric.real)
     p00, p01, p02, p11, p12, p22, q01, q02, q12, p = memo[1]
     top = max(radii)
     spread = top * (2.0 * (abs(p01) + abs(p02)) + top * (abs(p11) + abs(p22) + 2.0 * abs(p12)))
@@ -404,7 +410,7 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
 def overlap_loop_phase(coeffs: pert.CorrectionCoefficients, gram_data,
                        loop: LoopParams, radius: float) -> float:
     """Overlap-product phase per squared radius at one fixed radius; trusts its
-    caller: ``gram_data`` is ``osc.gram_matrix(nodes)``, the own entry of ``coeffs`` 0."""
+    caller to pass ``osc.gram_matrix(nodes)`` as ``gram_data``."""
     return _overlap_phases(coeffs, gram_data, loop, (radius,))[0]
 
 

@@ -464,7 +464,7 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     polar, rapidity, radial = (_axis_overlaps(axis.field, getattr(nodes, axis.field))
                                for axis in AXES)
     overlaps, couplings = polar * rapidity * radial
-    phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi, "azimuthal")
+    phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi)
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in _M_DELTAS]
     azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)
     norm_sq = azimuthal.diagonal().real * overlaps.diagonal()

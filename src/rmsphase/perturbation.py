@@ -120,10 +120,14 @@ def _live_vector(j: int, values) -> np.ndarray:
     """``values`` as a read-only complex vector over ``osc.live_indices()``: a
     mapping from catalogue index to number (not a bool), keyed by live
     states other than j, fills its rows and leaves 0 in the others; a
-    read-only vector passes as it is."""
+    read-only vector whose entry on j is 0 passes as it is."""
     if isinstance(values, np.ndarray):
         if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
             raise ParameterError("coefficient vectors must be read-only complex, one per live row")
+        own = complex(values[osc._ROW[j]])
+        if abs(own) > 0.0:      # a nan entry is left to the finiteness check
+            raise ParameterError(f"coefficients of state {j} must read 0 on state {j} "
+                                 f"itself, got {own!r}")
         return values
     if not (isinstance(values, Mapping) and all(
             isinstance(v, Number) and not isinstance(v, bool) for v in values.values())):
@@ -144,24 +148,22 @@ class CorrectionCoefficients:
     """First-order expansion coefficients of a perturbed state.
 
     ``a`` holds the cosine-channel coefficients, ``b`` the sine-channel
-    ones, as read-only complex vectors over ``osc.live_indices()``: entry
-    k is live state k's coefficient, so the state itself (and, in the
-    package's sets, its energy level) reads 0.  Values are pure numbers, per
-    coupling in units of M omega^2.  The constructor also takes mappings
-    from catalogue index, where a state left out reads 0 (``_live_vector``);
-    in either form ``state_index`` must be the integer index of a live state.
+    ones, as read-only complex vectors over ``osc.live_indices()``: entry k
+    is live state k's coefficient.  The correction is orthogonal to the
+    state, so its own entry reads 0 (in the package's sets, so does its
+    energy level).  Values are pure numbers, per coupling in units of
+    M omega^2.  The constructor also takes mappings from catalogue index,
+    where a state left out reads 0 (``_live_vector``).  A mapping keyed by
+    the state itself, or a vector nonzero on it, raises ParameterError; in
+    either form ``state_index`` must be the integer index of a live state.
 
-    ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the
-    cross inner product <psi'|psi''> -- are what every loop route reads:
-    Python sums in row order, taken once, at construction, together with
-    ``max_magnitude()``, the largest |coefficient|.  A set whose
-    sums are not finite (a nan or infinite entry, an int too large for a
-    float, or one whose square overflows) raises ParameterError.  Two sets
-    compare equal only when they are the same object.  ``berry`` keeps a
-    one-slot memo on the set: the last Gram matrix the overlap chain ran
-    on, the read-only array of ``oscillator.gram_matrix``, with the entries
-    of the metric it reduced from it.  It matches a matrix by identity, so
-    a call with another array, such as another resolution's, reduces anew.
+    ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the cross
+    inner product <psi'|psi''> -- are what every loop route reads: Python
+    sums in row order, taken once, at construction, together with
+    ``max_magnitude()``, the largest |coefficient|.  A set whose sums are
+    not finite (a nan or infinite entry, an int too large for a float, or
+    one whose square overflows) raises ParameterError.  Two sets compare
+    equal only when they are the same object.
     """
 
     state_index: int
@@ -169,7 +171,6 @@ class CorrectionCoefficients:
     b: np.ndarray
     connection_sums: tuple[float, float, complex] = field(init=False, repr=False)
     _max_magnitude: float = field(init=False, repr=False)
-    _metric_memo: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         j = self.state_index
@@ -201,40 +202,35 @@ class CorrectionCoefficients:
 
 
 @lru_cache(maxsize=8)
-def _coefficient_tables(nodes: osc.NodeCounts
-                        ) -> tuple[np.ndarray, dict[int, CorrectionCoefficients]]:
-    """Every live state's dimensionless coefficients, read-only: entry
-    [c, i, j] is <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j;
-    with the records ``correction_coefficients`` builds from them, by state
-    index, each on first use.  Real and imaginary parts are divided
-    separately, as a complex by a float is; numpy's complex division
-    multiplies by a rounded reciprocal.
+def _coefficient_tables(nodes: osc.NodeCounts) -> tuple[CorrectionCoefficients, ...]:
+    """Every live state's coefficient set, in live-row order, built with
+    the read-only table whose columns they are: entry [c, i, j] is
+    <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j.  Real and
+    imaginary parts are divided separately, as a complex by a float is;
+    numpy's complex division multiplies by a rounded reciprocal.
     """
     gap = _ENERGIES - _ENERGIES[:, None]
     gap[gap == 0.0] = np.inf        # x / inf = 0: degenerate entries vanish
     couplings = _couplings(nodes)
     tables = couplings.real / gap + 1j * (couplings.imag / gap)
     tables.setflags(write=False)
-    return tables, {}
+    return tuple(CorrectionCoefficients(j, *tables[:, :, row])
+                 for row, j in enumerate(osc.live_indices()))
 
 
 def correction_coefficients(j: int,
                             nodes: osc.NodeCounts = osc.NodeCounts()) -> CorrectionCoefficients:
     """First-order coefficients a_i = <psi_i|V_cos|psi_j> / (K_j - K_i).
 
-    Column j of ``_coefficient_tables``, read-only and not copied: entry i
-    is live state i's coefficient, exactly 0 on the energy level of j (the
-    energy denominators are exact multiples of hbar omega); null states
-    have no entry, which is the same as zero.  The record is built once per
-    cached table and then returned as it is; a numpy integer j is taken as
-    the int it equals.
+    Column j of ``_coefficient_tables``' table, read-only and not copied:
+    entry i is live state i's coefficient, exactly 0 on the energy level
+    of j (the energy denominators are exact multiples of hbar omega); null
+    states have no entry, which is the same as zero.  The ten records of a
+    resolution are built with its table, so this is a lookup, and a numpy
+    integer j gets the record whose ``state_index`` is a Python int.
     """
     if osc.get_state(j).is_null:
         raise ParameterError(
             f"state {j} vanishes identically; corrections undefined")
     require_instance(nodes, osc.NodeCounts, "nodes")
-    tables, records = _coefficient_tables(nodes)
-    if j not in records:
-        a, b = tables[:, :, osc._ROW[j]]
-        records[j] = CorrectionCoefficients(int(j), a, b)
-    return records[j]
+    return _coefficient_tables(nodes)[osc._ROW[j]]

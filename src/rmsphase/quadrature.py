@@ -68,7 +68,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class QuadratureRule(NamedTuple):
-    """Nodes/weights pair tagged with the axis it serves.
+    """Nodes/weights pair.
 
     Every rule the constructors here build holds read-only float arrays
     (``_frozen``), strictly increasing finite nodes and positive finite
@@ -78,7 +78,6 @@ class QuadratureRule(NamedTuple):
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str = "generic-finite"
 
 
 # Order of the local Taylor polynomial of the Laguerre P_n that moves each
@@ -190,15 +189,14 @@ def _chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(np.cos(theta)), _frozen((np.pi / (n + 1)) * sin_theta), sin_theta
 
 
-def periodic_trapezoid(n: int, a: float, b: float,
-                       domain: str = "generic-periodic") -> QuadratureRule:
+def periodic_trapezoid(n: int, a: float, b: float) -> QuadratureRule:
     """n-point trapezoid rule for one period [a, b) of a periodic integrand.
 
     Nodes a + k h with h = (b - a)/n, every weight h.  Exact for
     e^{2 pi i d (x - a)/(b - a)} with integer |d| < n.
     """
     h = (b - a) / n
-    return QuadratureRule(_frozen(a + h * np.arange(n)), _frozen(np.full(n, h)), domain)
+    return QuadratureRule(_frozen(a + h * np.arange(n)), _frozen(np.full(n, h)))
 
 
 def _fejer2_weights(sin_theta: np.ndarray) -> np.ndarray:
@@ -228,7 +226,7 @@ def polar_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     c, odd, sines = _chebyshev_u(n)
     theta = _frozen(np.arccos(c)[::-1].copy())     # contiguous, as every rule's nodes are
     sin_theta = np.sqrt((1.0 - c) * (1.0 + c))[::-1]    # of the rounded nodes c, for the Jacobian
-    return tuple(QuadratureRule(theta, _frozen(w[::-1] / sin_theta), "polar")
+    return tuple(QuadratureRule(theta, _frozen(w[::-1] / sin_theta))
                  for w in (_fejer2_weights(sines), odd))
 
 
@@ -244,7 +242,7 @@ def rapidity_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     u, odd, sines = _chebyshev_u(n)
     beta = _frozen(np.arctanh(u))
     jacobian = (1.0 - u) * (1.0 + u)
-    return tuple(QuadratureRule(beta, _frozen(w / jacobian), "rapidity")
+    return tuple(QuadratureRule(beta, _frozen(w / jacobian))
                  for w in (_fejer2_weights(sines), odd))
 
 
@@ -346,7 +344,7 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     rho = _frozen(np.sqrt(s))
     # plain-form weight: w * e^{s} * s^{-alpha} * ds/drho^{-1}
     log_w += s - alpha * np.log(s) - np.log(2.0 * rho)
-    return tuple(QuadratureRule(r, _frozen(np.exp(w)), "radial") for r, w in zip(rho, log_w))
+    return tuple(QuadratureRule(r, _frozen(np.exp(w))) for r, w in zip(rho, log_w))
 
 
 def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,

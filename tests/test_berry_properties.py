@@ -10,7 +10,9 @@ units.
 """
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -179,10 +181,26 @@ def test_reduced_metric_memo_follows_the_metric(monkeypatch, steps):
         assert value == outcome(lambda: normed_overlap_phases(coeffs, gram_data[1], loop,
                                                               (r, 0.5 * r)))
         assert basis.calls == calls
-        assert coeffs._metric_memo[0] is gram_data[1]
-        reduced.append(coeffs._metric_memo[1][:9])
+        assert berry._reduced_metrics[coeffs][0] is gram_data[1]
+        reduced.append(berry._reduced_metrics[coeffs][1][:9])
     # the two resolutions' metrics differ, and the memo took each one's
     assert reduced[0] != reduced[1] and reduced[0] == reduced[2]
+
+
+def test_reduced_metric_memo_dies_with_its_set(monkeypatch):
+    # the benchmark builds a new set every operation, and runs it at r/2, then r
+    gc.collect()
+    held = len(berry._reduced_metrics)
+    coeffs, loop = fresh_set(), LoopParams(steps=64)
+    r = _auto_radius(coeffs, loop)
+    basis = CountedBasis(monkeypatch)
+    for radius in (0.5 * r, r):
+        overlap_loop_phase(coeffs, GRAM_DATA[16], loop, radius)
+    assert basis.calls == 1 and len(berry._reduced_metrics) == held + 1
+    entry = weakref.ref(coeffs)
+    del coeffs
+    gc.collect()
+    assert entry() is None and len(berry._reduced_metrics) == held
 
 
 def test_package_metric_is_reduced_once_per_set(monkeypatch):

@@ -317,6 +317,29 @@ class TestCorrectionCoefficients:
         with pytest.raises(ParameterError, match="read-only complex"):
             CorrectionCoefficients(1, vector, vector)
 
+    # a vector's own entry once passed unchecked: with 1j in a and 0.3j in b on
+    # state 1, validate's synthetic set ran the overlap route at 48 nodes,
+    # r max|coefficient| = 1e-14, to 2.7e-2 (relative) off the closed form
+    @pytest.mark.parametrize("own, message", [
+        ((1j, 0.3j), r"must read 0 on state 1 itself, got 1j"),
+        ((0.0, 0.3j), r"must read 0 on state 1 itself, got 0.3j"),
+        ((math.nan, 0.0), "must be finite"), ((-0.0, 0.0), None)],
+        ids=["both", "b", "nan", "negative-zero"])
+    def test_coefficient_vector_own_entry(self, own, message):
+        vectors = []
+        for values, own_value in zip(({5: 0.3 + 0.4j, 9: -0.1 + 0.2j},
+                                      {5: 0.5 - 0.2j, 9: 0.15 + 0.05j}), own):
+            vector = np.zeros(len(live_indices()), dtype=complex)
+            vector[[ROW[i] for i in values]] = list(values.values())
+            vector[ROW[1]] = own_value
+            vector.setflags(write=False)
+            vectors.append(vector)
+        if message is None:
+            assert CorrectionCoefficients(1, *vectors).a is vectors[0]
+        else:
+            with pytest.raises(ParameterError, match=message):
+                CorrectionCoefficients(1, *vectors)
+
     def test_max_magnitude_is_the_largest_entry(self, nodes64):
         # the largest entry in b, then in a
         sets = [CorrectionCoefficients(1, {5: 0.3 + 0.4j, 9: -2.0}, {9: 2.5j, 16: -0.1}),
@@ -340,11 +363,24 @@ def warm_record():
 
 
 class TestRecords:
-    def test_record_is_built_once_per_table(self, fresh_tables):
+    def test_record_is_built_once_per_table(self, fresh_tables, monkeypatch):
+        # the first call builds the ten records of its resolution, with the table
+        built, post_init = [], CorrectionCoefficients.__post_init__
+
+        def counted(record):
+            built.append(record.state_index)
+            post_init(record)
+
+        monkeypatch.setattr(CorrectionCoefficients, "__post_init__", counted)
+        first = correction_coefficients(5, nodes=NODES16)
+        assert built == list(live_indices())
+        records = pert._coefficient_tables(NODES16)
+        assert records[ROW[5]] is first
         for j in live_indices():
             record = correction_coefficients(np.int64(j), nodes=NODES16)
-            assert type(record.state_index) is int
-            assert correction_coefficients(j, nodes=NODES16) is record
+            assert type(record.state_index) is int and record.state_index == j
+            assert correction_coefficients(j, nodes=NODES16) is record is records[ROW[j]]
+        assert built == list(live_indices())
 
     def test_cleared_tables_serve_no_stale_record(self, warm_record, fresh_tables, monkeypatch):
         couplings = pert._couplings

@@ -59,7 +59,7 @@ def axis_product(qi, qj, power, nodes):
 
 def azimuthal(qi, qj, nodes):
     x, w = leggauss(nodes.azimuthal)
-    rule = QuadratureRule(math.pi * (x + 1.0), math.pi * w, "azimuthal")
+    rule = QuadratureRule(math.pi * (x + 1.0), math.pi * w)
     return integrate(rule, lambda phi: np.exp(1j * (qj.m - qi.m) * phi))
 
 
@@ -277,12 +277,12 @@ def test_build_evaluates_each_profile_once_per_node_set(monkeypatch, fresh_table
     wrapped = quad.integrate
 
     def counted_integrate(rule, f):
-        integrated.append(rule.domain)
+        integrated.append(len(rule.nodes))
         return wrapped(rule, f)
 
     monkeypatch.setattr(quad, "integrate", counted_integrate)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
     assert sorted(calls) == [("polar", (3, 1, 1), (1, 39)), ("radial", (4, 1, 1), (2, 37)),
                              ("rapidity", (3, 1, 1), (1, 43))]
-    # one azimuthal integral per distinct m_j - m_i
-    assert integrated == ["azimuthal"] * 3
+    # one azimuthal integral per distinct m_j - m_i, on the 41 azimuthal nodes
+    assert integrated == [41] * 3
