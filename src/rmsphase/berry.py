@@ -24,7 +24,7 @@ What is constant around a loop is computed once, not once per step:
   samples (cos alpha, sin alpha), with the one that closes the chain,
   and the overlap chain's eight link terms, the products and sums of
   adjacent samples that do not depend on the coefficient set; both loop
-  routes read the one entry, which holds 80 MiB at ``MAX_STEPS``;
+  routes read the one entry (its memory: ``MAX_STEPS``);
 * per coefficient set, ``CorrectionCoefficients`` stores at construction
   the three sums the connection reads and max|coefficient|, which sets
   the auto radius; the connection is evaluated once, on the arrays of all
@@ -93,13 +93,14 @@ _PERTURBATIVE_BUDGET = 1e-2
 # oracle-agreement tolerance at 1e-24 and uses 5% of it at 1e-22.
 _OVERLAP_FLOOR = 1e-18
 
-# Each cached loop (``_loop_samples``) holds 10 floats per step, 80 MiB at
-# this cap; beyond it, a two-radius overlap pass holds 8 floats per step
-# and a connection pass 7.
+# The loop's memory, stated here once: each ``_loop_samples`` entry holds
+# 10 steps + 2 floats, 80 MiB at this cap, and two entries are kept;
+# beyond it, a two-radius overlap pass holds 8 floats per step and a
+# connection pass 7.
 MAX_STEPS = 2 ** 20
 
 # Per coefficient set (sets hash by identity), the last Gram matrix the overlap
-# chain ran it on and the entries of the metric it reduced; dies with the set.
+# chain ran it on and the nine floats it reads of the reduced metric; dies with the set.
 _reduced_metrics = weakref.WeakKeyDictionary()
 
 
@@ -233,9 +234,8 @@ def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     c0 + c1, s0 + s1, c0 c1, s0 s1, c0 s1 + s0 c1, c1 - c0, s1 - s0 and
     c0 s1 - s0 c1; shape (8, steps).  Both loop routes read the samples and
     ``_overlap_phases`` the links, so the routes of one loop evaluate the
-    trigonometric functions and the products once.  One entry holds
-    10 steps + 2 floats: 80 MiB at ``MAX_STEPS``, and the last two entries
-    are kept.
+    trigonometric functions and the products once (their memory:
+    ``MAX_STEPS``).
     """
     alphas = np.arange(steps) * (2.0 * math.pi / steps)
     if reverse:
@@ -269,8 +269,7 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     the printed sign of a structural zero does not follow roundoff.  The
     connection is evaluated once, on the arrays of every sample of the
     circle (``_loop_samples``), and its tangent-weighted integrand is
-    summed by one ``np.add.reduce``; it holds 7 floats per step while it
-    runs.
+    summed by one ``np.add.reduce``, in place (its memory: ``MAX_STEPS``).
     The pass runs with numpy raising at the first overflow, which refuses
     the radius as a ``ParameterError``.
     """
@@ -329,10 +328,9 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     O(r^2) coefficients are the loop's link terms (``_loop_samples``)
     weighted by entries of H, 1-d arrays built once; each radius is one
     row of a (len(radii), steps) array, built in place, and atan2
-    overwrites the rows of Im o_k: beyond the cached loop, a pass at two
-    radii holds 8 floats per step.  The chain phase is
-    -sum_k atan2(Im o_k, Re o_k); the normalization is a positive factor
-    of each o_k, so only the weak-overlap refusal reads it.
+    overwrites the rows of Im o_k (its memory: ``MAX_STEPS``).  The chain
+    phase is -sum_k atan2(Im o_k, Re o_k); the normalization is a positive
+    factor of each o_k, so only the weak-overlap refusal reads it.
 
     That refusal is screened on P = Re H first.  With |cos|, |sin| <= 1
     and every radius at most top, Re o_k >= low = P00 - S and
@@ -362,8 +360,8 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
         # the upper triangles of P = Re H and Q = Im H (P symmetric, Q antisymmetric)
         memo = _reduced_metrics[coeffs] = gram, (
             *(h.real for h in (h00, h01, h02, h11, h12, h22)),
-            h01.imag, h02.imag, h12.imag, metric.real)
-    p00, p01, p02, p11, p12, p22, q01, q02, q12, p = memo[1]
+            h01.imag, h02.imag, h12.imag)
+    p00, p01, p02, p11, p12, p22, q01, q02, q12 = memo[1]
     top = max(radii)
     spread = top * (2.0 * (abs(p01) + abs(p02)) + top * (abs(p11) + abs(p22) + 2.0 * abs(p12)))
     low, high = p00 - spread, p00 + spread
@@ -387,12 +385,12 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
             im += im1
             im *= rows
             if not screened:
-                # n_k^2 over every sample including the closing one; numpy
-                # scalars, whose products raise at an overflow as arrays do
+                # n_k^2 over every sample including the closing one; every
+                # product takes an array, so an overflow raises
                 c, s = samples
-                nn1 = 2.0 * (p[0, 1] * c + p[0, 2] * s)
-                nn2 = p[1, 1] * (c * c) + p[2, 2] * (s * s) + 2.0 * p[1, 2] * (c * s)
-                nn = p[0, 0] + rows * (nn1 + rows * nn2)
+                nn1 = 2.0 * (p01 * c + p02 * s)
+                nn2 = p11 * (c * c) + p22 * (s * s) + 2.0 * (p12 * (c * s))
+                nn = p00 + rows * (nn1 + rows * nn2)
                 # |o_k| / (n_k n_{k+1}) < 0.5, squared
                 if np.any(re * re + im * im < 0.25 * (nn[:, :-1] * nn[:, 1:])):
                     raise EvaluationError(

@@ -12,9 +12,9 @@ RMSPHASE_CONFIG environment variable); command-line flags win.  Exit
 codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical non-convergence.
 
-A command imports only what it runs: ``csv`` and ``json`` load where
-their format is rendered, and the ``validate`` suite loads in
-``cmd_validate``.
+A command imports only what it runs: ``json`` loads where its format is
+rendered, and the ``validate`` suite loads in ``cmd_validate``; CSV rows
+need no module.
 """
 
 from __future__ import annotations
@@ -172,16 +172,12 @@ def _table_rows(config: RunConfig) -> list[dict]:
 
 def _render_rows(rows: list[dict], config: RunConfig) -> str:
     if config.format == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        # no field can hold a comma, a quote or a newline, so none is quoted
+        lines = [",".join(CSV_COLUMNS)]
         for row in rows:
-            writer.writerow([row["j"], _fmt(row["omega_hz"]),
-                             _fmt(row["gamma_over_r2"]), row["method"],
-                             str(row["converged"]).lower()])
-        return buf.getvalue()
+            lines.append(f"{row['j']},{_fmt(row['omega_hz'])},{_fmt(row['gamma_over_r2'])},"
+                         f"{row['method']},{str(row['converged']).lower()}")
+        return "\n".join(lines) + "\n"
     if config.format == "json":
         import json
         payload = {

@@ -3,9 +3,12 @@
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
 ``EvaluationError`` to exit 3 (``numerical error:``).  No package error exits
 1; that code is left to a failed validation.  ``require_integer`` is the one
-integer check behind every index and count the package takes,
-``require_real`` the one number check (and float conversion) behind every
-real input, and ``require_instance`` the one type check behind every record.
+integer check behind every state index (the keys of a coefficient mapping
+too) and count the package takes; only ``perturbation.phi_integral``'s
+azimuthal indices, which are not states, also take integral floats.
+``require_real`` is the one number check (and float conversion) behind
+every real input, and ``require_instance`` the one type check behind every
+record.
 """
 
 from numbers import Real
@@ -25,12 +28,6 @@ class ParameterError(RmsPhaseError):
 class EvaluationError(RmsPhaseError):
     """A numerical step failed: a non-finite integrand at a quadrature node, a
     non-positive norm or a loop too coarse for its radius.  Exit 3."""
-
-    def __init__(self, message: str, node_index: int | None = None,
-                 node_value: float | None = None):
-        super().__init__(message)
-        self.node_index = node_index
-        self.node_value = node_value
 
 
 def require_integer(value, what: str) -> None:

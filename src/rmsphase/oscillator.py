@@ -442,7 +442,7 @@ def _axis_overlaps(field: str, n: int) -> np.ndarray:
     x = np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
                  else [rule.nodes for rule in rules])
     # (x row, profile, node), and (rule, power, node); a single x row broadcasts
-    f = quad.check_finite(axis.profiles(states)(x), x, axis.field, "profile").swapaxes(0, 1)
+    f = quad.check_finite(axis.profiles(states)(x), x, axis.field).swapaxes(0, 1)
     w = np.stack([rule.weights for rule in rules])[:, None] * np.stack(
         [axis.weight(x, p) for p in (0, 1)], axis=1)
     tables = ((f[:, None] * w[:, :, None]) @ f[:, None].swapaxes(-1, -2))[..., rows[:, None], rows]
@@ -464,7 +464,7 @@ def overlap_tables(nodes: NodeCounts = NodeCounts()) -> OverlapTables:
     polar, rapidity, radial = (_axis_overlaps(axis.field, getattr(nodes, axis.field))
                                for axis in AXES)
     overlaps, couplings = polar * rapidity * radial
-    phi = quad.periodic_trapezoid(nodes.azimuthal, 0.0, 2.0 * math.pi)
+    phi = quad.periodic_trapezoid(nodes.azimuthal)
     integrals = [quad.integrate(phi, lambda x, d=d: np.exp(1j * d * x)) for d in _M_DELTAS]
     azimuthal = np.array(integrals)[_M_PAIRS].reshape(len(_LIVE_QNS), -1)
     norm_sq = azimuthal.diagonal().real * overlaps.diagonal()

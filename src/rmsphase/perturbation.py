@@ -31,7 +31,7 @@ from numbers import Number
 import numpy as np
 
 from . import oscillator as osc
-from .errors import ParameterError, require_instance
+from .errors import ParameterError, require_instance, require_integer
 
 __all__ = [
     "Channel",
@@ -119,8 +119,9 @@ def matrix_element(i: int, j: int, channel: Channel,
 def _live_vector(j: int, values) -> np.ndarray:
     """``values`` as a read-only complex vector over ``osc.live_indices()``: a
     mapping from catalogue index to number (not a bool), keyed by live
-    states other than j, fills its rows and leaves 0 in the others; a
-    read-only vector whose entry on j is 0 passes as it is."""
+    states other than j, fills its rows and leaves 0 in the others; its
+    keys pass ``require_integer``, as every state index does.  A read-only
+    vector whose entry on j is 0 passes as it is."""
     if isinstance(values, np.ndarray):
         if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
             raise ParameterError("coefficient vectors must be read-only complex, one per live row")
@@ -133,6 +134,8 @@ def _live_vector(j: int, values) -> np.ndarray:
             isinstance(v, Number) and not isinstance(v, bool) for v in values.values())):
         raise ParameterError(f"coefficients of state {j} must be a read-only vector or a "
                              f"mapping from state index to number, got {values!r}")
+    for i in values:        # a bool or a float key would hash as the int it equals
+        require_integer(i, "coefficient key")
     if any(i == j or i not in osc._ROW for i in values):
         raise ParameterError(
             f"coefficients of state {j} are keyed by the other live states "

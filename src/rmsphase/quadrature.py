@@ -5,7 +5,7 @@ weights integrate plain ``dx`` there, so callers write
 ``integrate(rule, f)`` with the full integrand (including any decay or
 measure factors) and never see the underlying change of variables:
 
-* ``periodic_trapezoid`` -- one period of a periodic integrand (azimuth).
+* ``periodic_trapezoid`` -- the period [0, 2 pi) of the azimuth.
 * ``polar_rule``         -- theta in [0, pi], mapped from c = cos(theta).
 * ``rapidity_rule``      -- beta on the real line, mapped from u = tanh(beta).
 * ``radial_rule``        -- rho on [0, inf), mapped from s = rho^2 with
@@ -189,14 +189,14 @@ def _chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(np.cos(theta)), _frozen((np.pi / (n + 1)) * sin_theta), sin_theta
 
 
-def periodic_trapezoid(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point trapezoid rule for one period [a, b) of a periodic integrand.
+def periodic_trapezoid(n: int) -> QuadratureRule:
+    """n-point trapezoid rule for the period [0, 2 pi) of the azimuth.
 
-    Nodes a + k h with h = (b - a)/n, every weight h.  Exact for
-    e^{2 pi i d (x - a)/(b - a)} with integer |d| < n.
+    Nodes k h with h = 2 pi/n, every weight h.  Exact for e^{i d x} with
+    integer |d| < n.
     """
-    h = (b - a) / n
-    return QuadratureRule(_frozen(a + h * np.arange(n)), _frozen(np.full(n, h)))
+    h = 2.0 * math.pi / n
+    return QuadratureRule(_frozen(h * np.arange(n)), _frozen(np.full(n, h)))
 
 
 def _fejer2_weights(sin_theta: np.ndarray) -> np.ndarray:
@@ -347,19 +347,19 @@ def radial_rule(n: int) -> tuple[QuadratureRule, QuadratureRule]:
     return tuple(QuadratureRule(r, _frozen(np.exp(w))) for r, w in zip(rho, log_w))
 
 
-def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str,
-                 what: str = "integrand") -> np.ndarray:
-    """``values`` (float or complex) at ``nodes``, of shape (..., *nodes.shape).
+def check_finite(values: np.ndarray, nodes: np.ndarray, domain: str) -> np.ndarray:
+    """Profile ``values`` (float or complex) at ``nodes``, of shape
+    (..., *nodes.shape).
 
-    A value that is not finite raises EvaluationError naming the first such
-    node (its index along the last axis of ``nodes``) and the axis.
+    A value that is not finite raises EvaluationError whose message names
+    the first such node, by its index along the last axis of ``nodes`` and
+    its x, and the axis ``domain``.
     """
     bad = ~np.isfinite(values)      # a complex value is finite when both parts are
     if bad.any():
         flat = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
         k, x = flat % nodes.shape[-1], float(nodes.flat[flat])
-        raise EvaluationError(f"{what} not finite at node {k} (x={x!r}) on {domain} axis",
-                              node_index=k, node_value=x)
+        raise EvaluationError(f"profile not finite at node {k} (x={x!r}) on {domain} axis")
     return values
 
 

@@ -181,8 +181,11 @@ def test_reduced_metric_memo_follows_the_metric(monkeypatch, steps):
         assert value == outcome(lambda: normed_overlap_phases(coeffs, gram_data[1], loop,
                                                               (r, 0.5 * r)))
         assert basis.calls == calls
-        assert berry._reduced_metrics[coeffs][0] is gram_data[1]
-        reduced.append(berry._reduced_metrics[coeffs][1][:9])
+        gram, entries = berry._reduced_metrics[coeffs]
+        # the Gram matrix and the nine floats of the metric that the chain reads
+        assert gram is gram_data[1]
+        assert len(entries) == 9 and all(type(entry) is float for entry in entries)
+        reduced.append(entries)
     # the two resolutions' metrics differ, and the memo took each one's
     assert reduced[0] != reduced[1] and reduced[0] == reduced[2]
 

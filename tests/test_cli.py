@@ -428,7 +428,7 @@ UNUSED_ON_COLD_PATH = ("rmsphase.validate", "csv", "json", "fractions", "decimal
     (["phase", "--state", "8"], UNUSED_ON_COLD_PATH),
     (["phase", "--state", "3", "--method", "loop-overlap"], UNUSED_ON_COLD_PATH),
     (["oracle", "--state", "1"], UNUSED_ON_COLD_PATH),
-    (["table", "--format", "csv"], ("rmsphase.validate", "json")),
+    (["table", "--format", "csv"], ("rmsphase.validate", "csv", "json")),
 ], ids=["import", "phase", "phase-null-state", "oracle", "table-csv"])
 def test_cold_command_loads_only_what_it_runs(argv, unused):
     proc = run_python(f"""

@@ -6,6 +6,7 @@ own Legendre/Laguerre evaluations) before the package quadrature existed.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ class TestCorrectionCoefficients:
     def test_mapping_key_off_the_other_live_states_rejected(self, a, b):
         with pytest.raises(ParameterError, match="keyed by the other live states"):
             CorrectionCoefficients(1, a, b)
+
+    # a bool or a float key once hashed as the int it equals, so {True: 0.5j}
+    # built a set whose only entry was on state 1, and 5.0 was read as state 5
+    @pytest.mark.parametrize("key", [True, np.True_, 5.0, np.float64(5.0)],
+                             ids=["bool", "numpy-bool", "float", "numpy-float"])
+    @pytest.mark.parametrize("channel", ["a", "b"])
+    def test_mapping_key_must_be_an_integer(self, key, channel):
+        values = {"a": {5: 0.5j}, "b": {5: 0.3}}
+        values[channel] = {key: values[channel][5]}
+        with pytest.raises(ParameterError, match=rf"coefficient key must be an integer, "
+                                                 rf"got {re.escape(repr(key))}"):
+            CorrectionCoefficients(2, values["a"], values["b"])
+
+    def test_numpy_integer_mapping_key_is_a_state_index(self):
+        coeffs = CorrectionCoefficients(2, {np.int64(5): 0.5j}, {np.int32(1): 0.3})
+        assert coeffs.a[ROW[5]] == 0.5j and coeffs.b[ROW[1]] == 0.3
 
     # a read-only vector once took any state index, and the overlap route
     # then raised a bare KeyError on it

@@ -126,23 +126,16 @@ class TestFejerSecondRule:
 class TestPeriodicTrapezoid:
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_exact_for_fourier_modes_below_n(self, n):
-        rule = periodic_trapezoid(n, 0.0, 2.0 * math.pi)
+        rule = periodic_trapezoid(n)
         for d in range(1 - n, n):
             got = integrate(rule, lambda p: np.exp(1j * d * p))
             assert abs(got - (2.0 * math.pi if d == 0 else 0.0)) < 1e-13
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_mode_n_aliases_to_the_mean(self, n):
-        rule = periodic_trapezoid(n, 0.0, 2.0 * math.pi)
+        rule = periodic_trapezoid(n)
         got = integrate(rule, lambda p: np.exp(1j * n * p))
         assert got == pytest.approx(2.0 * math.pi, abs=1e-12)
-
-    def test_shifted_period(self):
-        rule = periodic_trapezoid(7, -1.0, 2.0)
-        assert rule.nodes[0] == -1.0 and rule.nodes[-1] < 2.0
-        # cos(2 pi x) is mode 3 of the period [-1, 2)
-        got = integrate(rule, lambda x: np.cos(2.0 * math.pi * x) + 1.0)
-        assert got.real == pytest.approx(3.0, rel=1e-14)
 
 
 class TestRadialRule:
@@ -342,14 +335,16 @@ class TestIntegrate:
         rule = gauss_legendre(8, 0.0, 1.0)
         with np.errstate(divide="ignore"):
             values = 1.0 / (rule.nodes - rule.nodes[3])
-        with pytest.raises(EvaluationError, match="on polar axis") as err:
+        with pytest.raises(EvaluationError) as err:
             check_finite(values, rule.nodes, "polar")
-        assert err.value.node_index == 3 and err.value.node_value == rule.nodes[3]
+        # the message is all the error carries
+        assert err.value.args == (
+            f"profile not finite at node 3 (x={float(rule.nodes[3])!r}) on polar axis",)
 
 
 def test_rule_immutable():
     # the rules the package builds hold read-only arrays
-    for rule in (polar_rule(8)[0], periodic_trapezoid(8, 0.0, 2.0 * math.pi)):
+    for rule in (polar_rule(8)[0], periodic_trapezoid(8)):
         for array in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 array[0] = 99.0
@@ -366,7 +361,7 @@ def test_rule_immutable():
     lambda: polar_rule(1024)[1],
     lambda: polar_rule(2048)[0],
     lambda: rapidity_rule(2048)[0],
-    lambda: periodic_trapezoid(2048, 0.0, 2.0 * math.pi),
+    lambda: periodic_trapezoid(2048),
 ])
 def test_all_families_positive_and_increasing(make):
     rule = make()
