@@ -5,9 +5,10 @@ is imported:
 
 * every command of ``tests/data/cli_transcript.json`` through ``cli.main``
   (``tests/cli_transcript.py``'s ``run``);
-* ``perfbench/run.py``'s ``OracleOps`` and ``SweepOps`` on seeded draws,
-  set up, drawn, run and checked as the benchmark does it; the benchmark
-  is imported and read, never changed.
+* ``perfbench/run.py``'s ``OracleOps`` (``ORACLE_OPS`` operations) and
+  ``SweepOps`` (``SWEEP_OPS``) on draws seeded with ``SEED``, set up, drawn,
+  run and checked as the benchmark does it; the benchmark is imported and
+  read, never changed.
 
 A statement ran when a line event reached one of its lines; a compound
 statement also ran when a statement of its body did.  Docstrings and
@@ -16,8 +17,7 @@ gives per module the statements that never ran, by line number with the
 first line of their source, and then the totals.  Run from the repository
 root:
 
-    PYTHONPATH=src python tests/line_trace.py [--seed 2026] [--oracle-ops 300]
-        [--sweep-ops 60] [--summary]
+    PYTHONPATH=src python tests/line_trace.py
 
 Pytest does not collect it.  Refusals, the CLI branches that only tests
 take, and public paths that only tests call are what it is expected to
@@ -26,7 +26,6 @@ list.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import importlib.util
 import os
@@ -37,6 +36,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rmsphase"
 PERFBENCH = ROOT / "perfbench"
+SEED = 2026
+ORACLE_OPS = 300
+SWEEP_OPS = 60
 
 
 def statements(path: Path) -> list[tuple[ast.stmt, range]]:
@@ -104,7 +106,7 @@ def load_benchmark():
     return module
 
 
-def run_workloads(args) -> dict:
+def run_workloads() -> dict:
     """The transcript's commands and the benchmark's operations; returns the
     count of commands and of operations run, and of checks that failed."""
     bench = load_benchmark()       # before numpy loads: it pins BLAS to one thread
@@ -116,30 +118,22 @@ def run_workloads(args) -> dict:
     failed = 0
     for argv in COMMANDS:
         run(argv)
-    rng = random.Random(args.seed)
-    for ops_class, count in ((bench.OracleOps, args.oracle_ops),
-                             (bench.SweepOps, args.sweep_ops)):
+    rng = random.Random(SEED)
+    for ops_class, count in ((bench.OracleOps, ORACLE_OPS), (bench.SweepOps, SWEEP_OPS)):
         ops = ops_class(rmsphase)
         ops.setup()
         for _ in range(count):
             op = ops.draw(rng)
             failed += ops.check(op, ops.run(op)) is not None
-    return {"commands": len(COMMANDS), "operations": args.oracle_ops + args.sweep_ops,
+    return {"commands": len(COMMANDS), "operations": ORACLE_OPS + SWEEP_OPS,
             "failed checks": failed}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--oracle-ops", type=int, default=300)
-    parser.add_argument("--sweep-ops", type=int, default=60)
-    parser.add_argument("--summary", action="store_true",
-                        help="print only each module's counts")
-    args = parser.parse_args(argv)
+def main() -> int:
     trace = LineTrace()
     sys.settrace(trace.global_trace)
     try:
-        counts = run_workloads(args)
+        counts = run_workloads()
     finally:
         sys.settrace(None)
     total = missed = 0
@@ -147,10 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         size, lines = never_run(path, trace.lines.get(str(path), set()))
         total, missed = total + size, missed + len(lines)
         print(f"{path.name}: {len(lines)} of {size} statements never run")
-        if not args.summary:
-            source = path.read_text(encoding="utf-8").splitlines()
-            for line in lines:
-                print(f"  {line:4d}  {source[line - 1].strip()}")
+        source = path.read_text(encoding="utf-8").splitlines()
+        for line in lines:
+            print(f"  {line:4d}  {source[line - 1].strip()}")
     print(f"total: {missed} of {total} statements never run; "
           + ", ".join(f"{value} {key}" for key, value in counts.items()))
     return 0

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmsphase import berry, cli, oscillator, perturbation
+from rmsphase import berry, cli
 
 from cli_transcript import COMMANDS, TRANSCRIPT, run
 
@@ -69,11 +69,9 @@ def test_every_command_replays_byte_for_byte(monkeypatch):
                                  f"replayed with numpy {np.__version__}", *lines])
 
 
-def test_replay_does_not_depend_on_order(monkeypatch):
+def test_replay_does_not_depend_on_order(monkeypatch, fresh_tables):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    for cache in (oscillator._axis_overlaps, oscillator.overlap_tables,
-                  perturbation._coefficient_tables, berry._loop_samples):
-        cache.cache_clear()
+    berry._loop_samples.cache_clear()
     lines = []
     for seed in SHUFFLE_SEEDS:
         entries = transcript_entries()
