@@ -17,6 +17,14 @@ numbers: lengths^2 in hbar/(M omega), energies in hbar omega, couplings
 in M omega^2.
 So one build per resolution serves any constants, whose units enter only
 through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
+
+The ten records of a resolution take their sums and largest |coefficient|
+from one array pass over the whole table (``_coefficient_tables``); a set
+built by a caller takes them from a Python fold over its entries
+(``CorrectionCoefficients``).  Both add each column's terms one at a time
+in row order, starting from +0, and form each term the same way, so they
+give the same bits.  Neither calls the interpreter's ``sum``, which from
+Python 3.12 compensates its float additions.
 """
 
 from __future__ import annotations
@@ -116,6 +124,11 @@ def matrix_element(i: int, j: int, channel: Channel,
     return osc.live_entry(_couplings(nodes)[list(Channel).index(channel)], i, j)
 
 
+# What a coefficient mapping holds in practice, passed before the slower
+# check against the ``Number`` ABC.
+_PLAIN_NUMBERS = (complex, float, int)
+
+
 def _live_vector(j: int, values) -> np.ndarray:
     """``values`` as a read-only complex vector over ``osc.live_indices()``: a
     mapping from catalogue index to number (not a bool), keyed by live
@@ -131,7 +144,8 @@ def _live_vector(j: int, values) -> np.ndarray:
                                  f"itself, got {own!r}")
         return values
     if not (isinstance(values, Mapping) and all(
-            isinstance(v, Number) and not isinstance(v, bool) for v in values.values())):
+            type(v) in _PLAIN_NUMBERS or (isinstance(v, Number) and not isinstance(v, bool))
+            for v in values.values())):
         raise ParameterError(f"coefficients of state {j} must be a read-only vector or a "
                              f"mapping from state index to number, got {values!r}")
     for i in values:        # a bool or a float key would hash as the int it equals
@@ -161,9 +175,12 @@ class CorrectionCoefficients:
     either form ``state_index`` must be the integer index of a live state.
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the cross
-    inner product <psi'|psi''> -- are what every loop route reads: Python
-    sums in row order, taken once, at construction, together with
-    ``max_magnitude()``, the largest |coefficient|.  A set whose sums are
+    inner product <psi'|psi''> -- are what every loop route reads, taken
+    once, at construction, together with ``max_magnitude()``, the largest
+    |coefficient|.  Each sum is a fold from +0 in row order of abs(v) ** 2
+    or x.conjugate() * y, in Python float and complex arithmetic.  The
+    package's own records are built without this constructor, with the
+    same bits (``_coefficient_tables``).  A set whose sums are
     not finite (a nan or infinite entry, an int too large for a float, or
     one whose square overflows) raises ParameterError.  Two sets compare
     equal only when they are the same object.
@@ -186,10 +203,14 @@ class CorrectionCoefficients:
             vectors = [_live_vector(j, c) for c in (self.a, self.b)]
             a, b = (v.tolist() for v in vectors)
             abs_a, abs_b = ([abs(v) for v in vector] for vector in (a, b))
-            sums = (sum(m ** 2 for m in abs_a), sum(m ** 2 for m in abs_b),
-                    sum((x.conjugate() * y for x, y in zip(a, b)), 0j))
+            sum_aa = sum_bb = 0.0
+            sum_ab = 0j
+            for x, y, m, n in zip(a, b, abs_a, abs_b):
+                sum_aa += m ** 2
+                sum_bb += n ** 2
+                sum_ab += x.conjugate() * y
             # false too at a nan entry
-            finite = all(map(math.isfinite, (*sums[:2], sums[2].real, sums[2].imag)))
+            finite = all(map(math.isfinite, (sum_aa, sum_bb, sum_ab.real, sum_ab.imag)))
         except OverflowError:
             finite = False
         if not finite:
@@ -197,7 +218,7 @@ class CorrectionCoefficients:
                                  f"sums of |a|^2, |b|^2 and conj(a) b")
         object.__setattr__(self, "a", vectors[0])
         object.__setattr__(self, "b", vectors[1])
-        object.__setattr__(self, "connection_sums", sums)
+        object.__setattr__(self, "connection_sums", (sum_aa, sum_bb, sum_ab))
         object.__setattr__(self, "_max_magnitude", max(abs_a + abs_b))
 
     def max_magnitude(self) -> float:
@@ -211,14 +232,38 @@ def _coefficient_tables(nodes: osc.NodeCounts) -> tuple[CorrectionCoefficients, 
     <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j.  Real and
     imaginary parts are divided separately, as a complex by a float is;
     numpy's complex division multiplies by a rounded reciprocal.
+
+    One array pass over the table gives every column's sums and largest
+    |coefficient|, bit for bit as ``CorrectionCoefficients``' fold gives
+    them.  Each step is the one Python takes, where numpy's own would round
+    differently: |v| is ``np.hypot`` of the parts (not ``np.abs``), its
+    square ``np.float_power(m, 2.0)`` (not m * m), and conj(x) y is formed
+    from the parts as Python's complex product forms it (not numpy's).
+    ``np.add.accumulate`` adds each column down its rows in order, and
+    + 0.0 turns a sum of -0.0 terms into the +0 a fold from +0 gives.  The
+    records skip the constructor's checks, which a package table passes:
+    its entries are finite, and 0 on each column's own state.
     """
     gap = _ENERGIES - _ENERGIES[:, None]
     gap[gap == 0.0] = np.inf        # x / inf = 0: degenerate entries vanish
     couplings = _couplings(nodes)
     tables = couplings.real / gap + 1j * (couplings.imag / gap)
     tables.setflags(write=False)
-    return tuple(CorrectionCoefficients(j, *tables[:, :, row])
-                 for row, j in enumerate(osc.live_indices()))
+    re, im = tables.real, tables.imag       # [channel, row, column]
+    magnitudes = np.hypot(re, im)
+    terms = np.stack([*np.float_power(magnitudes, 2.0),
+                      re[0] * re[1] + im[0] * im[1], re[0] * im[1] - im[0] * re[1]])
+    sums = (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).T.tolist()
+    tops = np.maximum(*magnitudes).max(axis=0).tolist()
+    records = []
+    for row, (j, (aa, bb, ab_re, ab_im), top) in enumerate(
+            zip(osc.live_indices(), sums, tops)):
+        record = object.__new__(CorrectionCoefficients)
+        vars(record).update(state_index=j, a=tables[0, :, row], b=tables[1, :, row],
+                            connection_sums=(aa, bb, complex(ab_re, ab_im)),
+                            _max_magnitude=top)
+        records.append(record)
+    return tuple(records)
 
 
 def correction_coefficients(j: int,

@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def run(argv: list[str]) -> dict:
 def main() -> None:
     # a config file named by the environment would change the defaults
     os.environ.pop(cli.CONFIG_ENV_VAR, None)
-    transcript = {"numpy": np.__version__, "commands": [run(argv) for argv in COMMANDS]}
+    transcript = {"numpy": np.__version__, "python": platform.python_version(),
+                  "commands": [run(argv) for argv in COMMANDS]}
     TRANSCRIPT.write_text(json.dumps(transcript, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(COMMANDS)} commands to {TRANSCRIPT}", file=sys.stderr)
 

@@ -28,6 +28,7 @@ file to draw the sets again and rewrite the transcript:
 """
 
 import json
+import platform
 import random
 import sys
 from pathlib import Path
@@ -145,7 +146,8 @@ def entries(sets: list[dict]) -> dict:
 def main() -> None:
     sets = draw_sets()
     values = entries(sets)
-    transcript = {"numpy": np.__version__, "sets": sets, "entries": values}
+    transcript = {"numpy": np.__version__, "python": platform.python_version(),
+                  "sets": sets, "entries": values}
     TRANSCRIPT.write_text(json.dumps(transcript, indent=1) + "\n", encoding="utf-8")
     refusals = sum(isinstance(v, str) for v in values.values())
     print(f"wrote {len(sets)} sets and {len(values)} entries, {refusals} of them "

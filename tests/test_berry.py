@@ -9,6 +9,8 @@ nonzero imaginary structure.
 
 import math
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -201,9 +203,11 @@ def reference_connection_loop(coeffs, loop):
     orientation = 1.0
     if loop.reverse:
         alphas, orientation = alphas[::-1], -1.0
-    sum_aa = sum(abs(v) ** 2 for v in coeffs.a)
-    sum_bb = sum(abs(v) ** 2 for v in coeffs.b)
-    sum_ab = sum(np.conj(ai) * bi for ai, bi in zip(coeffs.a, coeffs.b))
+    # left-to-right folds: from Python 3.12 the builtin sum no longer adds
+    # floats in row order
+    sum_aa = reduce(add, (abs(v) ** 2 for v in coeffs.a), 0.0)
+    sum_bb = reduce(add, (abs(v) ** 2 for v in coeffs.b), 0.0)
+    sum_ab = reduce(add, (np.conj(ai) * bi for ai, bi in zip(coeffs.a, coeffs.b)), 0j)
     sum_ba = complex(np.conj(sum_ab))
     c, s = np.cos(alphas), np.sin(alphas)
     a1 = r * c * sum_aa + r * s * sum_ba

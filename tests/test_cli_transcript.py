@@ -2,8 +2,9 @@
 
 The transcript is rewritten by ``tests/cli_transcript.py``; a change that
 moves output on purpose rewrites it and names each changed line.  Some
-lines print roundoff to 17 digits, so the failure message names the numpy
-version that wrote the transcript beside the one that replays it.
+lines print roundoff to 17 digits, so the failure message names the
+Python and numpy versions that wrote the transcript beside the ones that
+replay it.
 
 The bytes depend neither on the order of the commands nor on the process:
 every command replays in seeded shuffled orders from empty caches, and
@@ -14,6 +15,7 @@ process, so no state leaks between commands through a cache or a memo.
 import difflib
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -65,8 +67,10 @@ def test_every_command_replays_byte_for_byte(monkeypatch):
     transcript = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     lines = [line for expected in transcript["commands"]
              for line in differences(expected, run(expected["argv"]))]
-    assert not lines, "\n".join([f"written with numpy {transcript['numpy']}, "
-                                 f"replayed with numpy {np.__version__}", *lines])
+    assert not lines, "\n".join([
+        f"written with Python {transcript['python']} and numpy {transcript['numpy']}, "
+        f"replayed with Python {platform.python_version()} and numpy {np.__version__}",
+        *lines])
 
 
 def test_replay_does_not_depend_on_order(monkeypatch, fresh_tables):

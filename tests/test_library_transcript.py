@@ -2,11 +2,13 @@
 
 The transcript is rewritten by ``tests/library_transcript.py``; a change
 that moves a value on purpose rewrites it and names each changed entry.
-The values are roundoff-level bits, so the failure message names the numpy
-version that wrote the transcript beside the one that replays it.
+The values are roundoff-level bits, so the failure message names the
+Python and numpy versions that wrote the transcript beside the ones that
+replay it.
 """
 
 import json
+import platform
 
 import numpy as np
 
@@ -24,5 +26,7 @@ def test_every_entry_replays_bit_for_bit():
     assert list(got) == list(expected)
     lines = [f"{name}: {got[name]}, transcript {value}"
              for name, value in expected.items() if got[name] != value]
-    assert not lines, "\n".join([f"written with numpy {transcript['numpy']}, "
-                                 f"replayed with numpy {np.__version__}", *lines])
+    assert not lines, "\n".join([
+        f"written with Python {transcript['python']} and numpy {transcript['numpy']}, "
+        f"replayed with Python {platform.python_version()} and numpy {np.__version__}",
+        *lines])

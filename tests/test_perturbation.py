@@ -5,8 +5,11 @@ scipy.integrate.quad pipeline (adaptive quadrature on every axis, scipy's
 own Legendre/Laguerre evaluations) before the package quadrature existed.
 """
 
+import json
 import math
 import re
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from rmsphase.oscillator import live_entry, overlap_tables
 from rmsphase.perturbation import CorrectionCoefficients
 from rmsphase.quadrature import QuadratureRule, integrate
 
+from library_transcript import TRANSCRIPT, build
 from loop_reference import with_basis_phases
 
 SQRT3 = math.sqrt(3.0)
@@ -237,16 +241,18 @@ class TestCorrectionCoefficients:
     @pytest.mark.parametrize("nodes", [NodeCounts.uniform(64), NodeCounts(40, 72, 33, 96)],
                              ids=["nodes64", "uneven"])
     def test_connection_sums_bit_identical_to_numpy_scalar_sums(self, nodes):
-        # the sums are taken in Python complex arithmetic; they must match,
-        # bit for bit, the same sums over numpy scalars (np.conj per entry)
+        # the sums must match, bit for bit, the same sums over numpy scalars
+        # (np.conj per entry), each a left-to-right fold: from Python 3.12 the
+        # builtin sum no longer adds floats in row order
         def bits(values):
             return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
         for j in live_indices():
             coeffs = correction_coefficients(j, nodes=nodes)
             a, b = coeffs.a, coeffs.b
-            expected = (sum(abs(v) ** 2 for v in a), sum(abs(v) ** 2 for v in b),
-                        sum(np.conj(x) * y for x, y in zip(a, b)))
+            expected = (reduce(add, (abs(v) ** 2 for v in a), 0.0),
+                        reduce(add, (abs(v) ** 2 for v in b), 0.0),
+                        reduce(add, (np.conj(x) * y for x, y in zip(a, b)), 0j))
             assert bits(coeffs.connection_sums) == bits(expected)
 
     def test_gauge_covariance(self, rng, nodes64):
@@ -373,6 +379,29 @@ class TestCorrectionCoefficients:
 NODES16 = NodeCounts.uniform(16)
 
 
+def record_bits(coeffs: CorrectionCoefficients) -> list[str]:
+    """A set's connection sums and max|coefficient| as ``float.hex`` strings."""
+    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
+    return [v.hex() for v in (sum_aa, sum_bb, sum_ab.real, sum_ab.imag, coeffs.max_magnitude())]
+
+
+def compensated_sum(iterable, start=0):
+    """``sum`` as CPython takes it over floats from 3.12 and over complex
+    numbers from 3.14: each part Neumaier-compensated, with the compensation
+    added at the end when it is finite and not zero."""
+    items = [start, *iterable]
+    parts = []
+    for part in ("real", "imag"):
+        total = compensation = 0.0
+        for x in (float(getattr(v, part)) for v in items):
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        parts.append(total + compensation if compensation and math.isfinite(compensation)
+                     else total)
+    return complex(*parts) if any(isinstance(v, complex) for v in items) else parts[0]
+
+
 @pytest.fixture
 def warm_record():
     """State 1's record at 16 nodes, built before ``fresh_tables`` runs."""
@@ -381,23 +410,25 @@ def warm_record():
 
 class TestRecords:
     def test_record_is_built_once_per_table(self, fresh_tables, monkeypatch):
-        # the first call builds the ten records of its resolution, with the table
-        built, post_init = [], CorrectionCoefficients.__post_init__
+        # the first call builds its resolution's table, and the ten records with it
+        built, couplings = [], pert._couplings
 
-        def counted(record):
-            built.append(record.state_index)
-            post_init(record)
+        def counted(nodes):
+            built.append(nodes)
+            return couplings(nodes)
 
-        monkeypatch.setattr(CorrectionCoefficients, "__post_init__", counted)
+        monkeypatch.setattr(pert, "_couplings", counted)
         first = correction_coefficients(5, nodes=NODES16)
-        assert built == list(live_indices())
+        assert built == [NODES16]
         records = pert._coefficient_tables(NODES16)
+        assert all(isinstance(record, CorrectionCoefficients) for record in records)
+        assert [record.state_index for record in records] == list(live_indices())
         assert records[ROW[5]] is first
         for j in live_indices():
             record = correction_coefficients(np.int64(j), nodes=NODES16)
             assert type(record.state_index) is int and record.state_index == j
             assert correction_coefficients(j, nodes=NODES16) is record is records[ROW[j]]
-        assert built == list(live_indices())
+        assert built == [NODES16]
 
     def test_cleared_tables_serve_no_stale_record(self, warm_record, fresh_tables, monkeypatch):
         couplings = pert._couplings
@@ -406,3 +437,68 @@ class TestRecords:
         assert patched is not warm_record
         assert np.array_equal(patched.a, 2.0 * warm_record.a)
         assert np.array_equal(patched.b, 2.0 * warm_record.b)
+
+    @pytest.mark.parametrize("nodes", [NODES16, NodeCounts.uniform(48), NodeCounts.uniform(128),
+                                       NodeCounts(40, 72, 33, 96)],
+                             ids=["nodes16", "nodes48", "nodes128", "uneven"])
+    def test_table_records_match_the_constructor(self, nodes):
+        # the table's one array pass gives each record the bits the public
+        # constructor's fold gives the same vectors
+        for j in live_indices():
+            record = correction_coefficients(j, nodes=nodes)
+            assert record_bits(CorrectionCoefficients(j, record.a, record.b)) == record_bits(record)
+
+    def test_random_tables_match_the_constructor(self, fresh_tables, monkeypatch):
+        # seeded random tables reach the rare entries where a product in
+        # place of ** 2 rounds differently, which the package's tables miss
+        rng = np.random.default_rng(2026)
+        shape = (len(Channel), len(live_indices()), len(live_indices()))
+        for _ in range(200):
+            couplings = 10.0 ** rng.uniform(-3, 3, shape) * (rng.normal(size=shape)
+                                                             + 1j * rng.normal(size=shape))
+            monkeypatch.setattr(pert, "_couplings", lambda nodes: couplings)
+            pert._coefficient_tables.cache_clear()
+            for record in pert._coefficient_tables(NODES16):
+                rebuilt = CorrectionCoefficients(record.state_index, record.a, record.b)
+                assert record_bits(rebuilt) == record_bits(record)
+
+    def test_negative_zero_cross_terms_sum_to_positive_zero(self, fresh_tables, monkeypatch):
+        # a fold from +0 reads +0 where every term is -0.0, and so must the
+        # array pass: in the patched table every cross term's imaginary part
+        # is -0.0 (products of 1e-200 underflow to zeros with the product's
+        # sign), in the caller's vectors every real part
+        tiny = 1e-200
+        monkeypatch.setattr(pert, "_couplings", lambda nodes: np.stack(
+            [np.full((10, 10), complex(-tiny, -tiny)), np.full((10, 10), complex(-tiny, tiny))]))
+        vectors = [np.full(len(live_indices()), value) for value in (complex(-0.0, 0.0),
+                                                                     complex(0.0, -0.0))]
+        for vector in vectors:
+            vector.setflags(write=False)
+        cases = [(record, "imag") for record in pert._coefficient_tables(NODES16)]
+        cases.append((CorrectionCoefficients(1, *vectors), "real"))
+        for coeffs, part in cases:
+            terms = [getattr(x.conjugate() * y, part)
+                     for x, y in zip(coeffs.a.tolist(), coeffs.b.tolist())]
+            assert [t.hex() for t in terms] == ["-0x0.0p+0"] * len(terms)
+            assert getattr(coeffs.connection_sums[2], part).hex() == "0x0.0p+0"
+            rebuilt = CorrectionCoefficients(coeffs.state_index, coeffs.a, coeffs.b)
+            assert record_bits(rebuilt) == record_bits(coeffs)
+
+    def test_sums_do_not_depend_on_the_interpreters_sum(self, fresh_tables, monkeypatch):
+        # from Python 3.12 the builtin sum compensates its float additions; the
+        # sums of the library transcript's sets and of every record at 16, 48
+        # and 128 nodes keep their bits under such a sum
+        assert compensated_sum([0.1] * 10) == 1.0
+        sets = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))["sets"]
+
+        def all_bits():
+            pert._coefficient_tables.cache_clear()
+            records = [build(entry) for entry in sets] + [
+                correction_coefficients(j, nodes=NodeCounts.uniform(n))
+                for n in (16, 48, 128) for j in live_indices()]
+            return [record_bits(record) for record in records]
+
+        plain = all_bits()
+        assert len(plain) == 70
+        monkeypatch.setattr(pert, "sum", compensated_sum, raising=False)
+        assert all_bits() == plain
