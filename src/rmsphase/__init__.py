@@ -4,7 +4,6 @@ spacelike coordinate patch of relative Minkowski space."""
 from .berry import (
     LoopParams,
     PhaseResult,
-    berry_connection,
     berry_phase_closed,
     berry_phase_loop_connection,
     berry_phase_loop_overlap,
@@ -30,8 +29,8 @@ from .perturbation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LoopParams", "PhaseResult", "berry_connection", "berry_phase_closed",
-    "berry_phase_loop_connection", "berry_phase_loop_overlap", "oracle_comparison",
+    "LoopParams", "PhaseResult", "berry_phase_closed", "berry_phase_loop_connection",
+    "berry_phase_loop_overlap", "oracle_comparison",
     "NodeCounts", "PhysicalConstants", "QuantumNumbers",
     "embed", "gram_matrix", "live_indices", "state_table",
     "Channel", "CorrectionCoefficients",

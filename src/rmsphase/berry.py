@@ -28,10 +28,10 @@ What is constant around a loop is computed once, not once per step:
 * per coefficient set, the set holds the three sums the connection reads
   and max|coefficient|, which sets the auto radius.  The package's
   records get them from one array pass over their resolution's table
-  (``perturbation._coefficient_tables``), and a caller's set from a Python
-  fold at construction; both add each sum's terms in row order from +0,
-  to the same bits.  The connection is evaluated once, on the arrays of
-  all the loop's samples;
+  (``perturbation._coefficient_tables``), and a set a caller builds from
+  mappings from a Python fold at construction; both add each sum's terms
+  in row order from +0, to the same bits.  The connection is evaluated
+  once, on the arrays of all the loop's samples;
 * the overlap chain runs in the 3-dim span of e_j, a and b, on a metric H
   reduced once per coefficient set and Gram matrix G; this module's
   ``_reduced_metrics`` keeps it with G while the set lives.  Its samples
@@ -46,14 +46,14 @@ What is constant around a loop is computed once, not once per step:
   norms on every call (``tests/loop_reference.py``).
 
 The overlap chain trusts its package caller, as every internal does: G is
-the read-only matrix of ``osc.gram_matrix(nodes)``, and a set's own entry
-is zero (``CorrectionCoefficients`` checks it), so H couples e_j to a and
-b only by roundoff.  The chain's roundoff is divided by r^2, so the
-overlap route refuses a radius with r * max|coefficient| below
-``_OVERLAP_FLOOR``.  Both loop routes run their array pass with numpy
-raising at the first overflow, and refuse a radius at which it overflows.
-``_phases`` and the public wrappers check the inputs; ``_route_values``
-runs the routes on a coefficient set.
+the read-only matrix of ``osc.gram_matrix(nodes)``, and a set's own entry is
+zero (``CorrectionCoefficients`` refuses a mapping keyed by the state
+itself), so H couples e_j to a and b only by roundoff.  The chain's roundoff
+is divided by r^2, so the overlap route refuses a radius with
+r * max|coefficient| below ``_OVERLAP_FLOOR``.  Both loop routes run their
+array pass with numpy raising at the first overflow, and refuse a radius at
+which it overflows.  ``_phases`` and the public wrappers check the inputs;
+``_route_values`` runs the routes on a coefficient set.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .errors import (EvaluationError, ParameterError, require_instance, require_
 __all__ = [
     "LoopParams",
     "PhaseResult",
-    "berry_connection",
     "berry_phase_closed",
     "berry_phase_loop_connection",
     "berry_phase_loop_overlap",
@@ -157,49 +156,6 @@ class PhaseResult(NamedTuple):
         return self.dimensionless_value * self.si_prefactor
 
 
-def _point(value, name: str) -> float | np.ndarray:
-    """A coordinate of ``berry_connection``: a float64 array as it is, and a
-    real number as a float, so a numpy float32 cannot narrow the result."""
-    if isinstance(value, np.ndarray) and value.dtype == np.float64:
-        return value
-    return require_real(value, name)
-
-
-def berry_connection(coeffs: pert.CorrectionCoefficients,
-                     eps1: float | np.ndarray, eps2: float | np.ndarray
-                     ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
-    """Components of <Psi | grad_{(eps1, eps2)} Psi> for the first-order state.
-
-    (eps1 sum|a|^2 + eps2 sum a b*,  eps1 sum a* b + eps2 sum|b|^2);
-    both vanish at the origin because the corrections are orthogonal to
-    the unperturbed state.  The three sums are the ones ``coeffs`` stored
-    at construction; sum a b* is the conjugate of sum a* b.  ``eps1`` and
-    ``eps2`` are real numbers, taken as floats, or equal-shaped float64
-    arrays; arrays give complex arrays, element by element the values of
-    the scalar calls at the same points.  A pointwise evaluator, as
-    numpy's own functions are: a nan or infinite point gives a non-finite
-    value and no error (nan in, nan out).  The loop routes check their
-    radius before they call it, so only a direct caller can pass a
-    non-finite point.  An array overflows to inf without a warning, as a
-    scalar does.  A ``coeffs`` that is not a ``CorrectionCoefficients``, a
-    point of any other kind, or two points of different shapes are refused
-    as ParameterError.
-    """
-    require_instance(coeffs, pert.CorrectionCoefficients, "coeffs")
-    eps1, eps2 = (_point(eps, name) for eps, name in ((eps1, "eps1"), (eps2, "eps2")))
-    if np.shape(eps1) != np.shape(eps2):
-        raise ParameterError(f"eps1 and eps2 must have one shape, got {np.shape(eps1)} "
-                             f"and {np.shape(eps2)}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _connection(coeffs, eps1, eps2)
-
-
-def _connection(coeffs: pert.CorrectionCoefficients, eps1, eps2):
-    """``berry_connection``'s formula, on points the caller has checked."""
-    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
-    return (eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb)
-
-
 def closed_form_phase(coeffs: pert.CorrectionCoefficients) -> float:
     """-2 pi Im sum conj(a_i) b_i in the coefficient units supplied."""
     return _PHASE_ORIENTATION * 2.0 * math.pi * coeffs.connection_sums[2].imag
@@ -265,6 +221,12 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
                              loop: LoopParams) -> tuple[float, float, float]:
     """i * closed-loop integral of the connection, by periodic trapezoid.
 
+    The connection <Psi | grad_{(eps1, eps2)} Psi> of the first-order state
+    is (eps1 sum|a|^2 + eps2 sum a b*,  eps1 sum a* b + eps2 sum|b|^2), from
+    the three sums ``coeffs`` stored at construction (sum a b* is the
+    conjugate of sum a* b); it vanishes at the origin because the
+    corrections are orthogonal to the unperturbed state.
+
     Returns (gamma_per_r2, imag_residual, radius).  The integrand is a
     degree-2 trigonometric polynomial in alpha, so the periodic trapezoid
     rule is exact once steps > 4; the imaginary residual of the complex
@@ -280,10 +242,11 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     _check_radius(r)
     orientation = -1.0 if loop.reverse else 1.0
     c, s = _loop_samples(loop.steps, loop.reverse)[0][:, :-1]
+    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
     try:
         with np.errstate(over="raise"):
             rc, rs = r * c, r * s
-            a1, a2 = _connection(coeffs, rc, rs)
+            a1, a2 = rc * sum_aa + rs * sum_ab.conjugate(), rc * sum_ab + rs * sum_bb
             # times dR/d(alpha) on the circle, signed by traversal direction,
             # in place, so at MAX_STEPS this pass holds less than the overlap
             # chain; a sign flips exactly, so rs * -o is -r * s * o

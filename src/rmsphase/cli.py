@@ -91,10 +91,11 @@ class RunConfig(NamedTuple):
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file of UTF-8 text, with or without a byte-order mark;
+    blank lines and # comments ignored."""
     settings = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -1,14 +1,13 @@
 """Exception hierarchy shared across the package: one class per error exit code.
 
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
-``EvaluationError`` to exit 3 (``numerical error:``).  No package error exits
-1; that code is left to a failed validation.  ``require_integer`` is the one
-integer check behind every state index (the keys of a coefficient mapping
-too) and count the package takes; only ``perturbation.phi_integral``'s
-azimuthal indices, which are not states, also take integral floats.
-``require_real`` is the one number check (and float conversion) behind
-every real input, and ``require_instance`` the one type check behind every
-record.
+``EvaluationError`` to exit 3 (``numerical error:``).  No package error
+exits 1; that code is left to a failed validation.  ``require_integer`` is
+the one integer check behind every index (the keys of a coefficient mapping
+and ``perturbation.phi_integral``'s azimuthal indices too) and count the
+package takes.  ``require_real`` is the one number check (and float
+conversion) behind every real input, and ``require_instance`` the one type
+check behind every record.
 """
 
 from numbers import Real

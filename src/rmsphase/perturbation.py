@@ -19,12 +19,12 @@ So one build per resolution serves any constants, whose units enter only
 through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 
 The ten records of a resolution take their sums and largest |coefficient|
-from one array pass over the whole table (``_coefficient_tables``); a set
-built by a caller takes them from a Python fold over its entries
-(``CorrectionCoefficients``).  Both add each column's terms one at a time
-in row order, starting from +0, and form each term the same way, so they
-give the same bits.  Neither calls the interpreter's ``sum``, which from
-Python 3.12 compensates its float additions.
+from one array pass over the whole table (``_coefficient_tables``); a set a
+caller builds from mappings takes them from a Python fold over its entries
+(``CorrectionCoefficients``).  Both add each column's terms one at a time in
+row order, starting from +0, and form each term the same way, so they give
+the same bits.  Neither calls the interpreter's ``sum``, which from Python
+3.12 compensates its float additions.
 """
 
 from __future__ import annotations
@@ -69,17 +69,12 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
         Phi_cos(delta) = pi delta_{0} + (27 i delta - 12 sqrt3)/(36 delta^2 - 64)
         Phi_sin(delta) = pi delta_{0} - (27 i delta - 12 sqrt3)/(36 delta^2 - 64)
 
-    so the two channels always sum to 2 pi delta_{0}.  Integral floats and
-    numpy integers pass as indices; a bool, as ``errors.require_integer``
-    has it, does not, nor does an index or a delta^2 too large for a float.
+    so the two channels always sum to 2 pi delta_{0}.  Each index passes
+    ``errors.require_integer``, as every index does; an index or a delta^2
+    too large for a float is refused too.
     """
-    try:
-        integral = (not isinstance(m_bra, (bool, np.bool_)) and m_bra == int(m_bra)
-                    and not isinstance(m_ket, (bool, np.bool_)) and m_ket == int(m_ket))
-    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a nan or an infinity
-        integral = False
-    if not integral:
-        raise ParameterError("azimuthal indices must be integers")
+    require_integer(m_bra, "azimuthal index")
+    require_integer(m_ket, "azimuthal index")
     delta = int(m_ket) - int(m_bra)
     try:    # each index, and 36 delta^2 - 64, as a float
         float(m_bra) + float(m_ket)
@@ -130,24 +125,16 @@ _PLAIN_NUMBERS = (complex, float, int)
 
 
 def _live_vector(j: int, values) -> np.ndarray:
-    """``values`` as a read-only complex vector over ``osc.live_indices()``: a
-    mapping from catalogue index to number (not a bool), keyed by live
-    states other than j, fills its rows and leaves 0 in the others; its
-    keys pass ``require_integer``, as every state index does.  A read-only
-    vector whose entry on j is 0 passes as it is."""
-    if isinstance(values, np.ndarray):
-        if values.shape != _ENERGIES.shape or values.dtype != complex or values.flags.writeable:
-            raise ParameterError("coefficient vectors must be read-only complex, one per live row")
-        own = complex(values[osc._ROW[j]])
-        if abs(own) > 0.0:      # a nan entry is left to the finiteness check
-            raise ParameterError(f"coefficients of state {j} must read 0 on state {j} "
-                                 f"itself, got {own!r}")
-        return values
+    """``values``, a mapping from catalogue index to number (not a bool),
+    keyed by live states other than j, as a read-only complex vector over
+    ``osc.live_indices()``: its entries fill their rows, and the others,
+    j's own among them, read 0.  Its keys pass ``require_integer``, as
+    every state index does."""
     if not (isinstance(values, Mapping) and all(
             type(v) in _PLAIN_NUMBERS or (isinstance(v, Number) and not isinstance(v, bool))
             for v in values.values())):
-        raise ParameterError(f"coefficients of state {j} must be a read-only vector or a "
-                             f"mapping from state index to number, got {values!r}")
+        raise ParameterError(f"coefficients of state {j} must be a mapping from state index "
+                             f"to number, got {values!r}")
     for i in values:        # a bool or a float key would hash as the int it equals
         require_integer(i, "coefficient key")
     if any(i == j or i not in osc._ROW for i in values):
@@ -169,10 +156,11 @@ class CorrectionCoefficients:
     is live state k's coefficient.  The correction is orthogonal to the
     state, so its own entry reads 0 (in the package's sets, so does its
     energy level).  Values are pure numbers, per coupling in units of
-    M omega^2.  The constructor also takes mappings from catalogue index,
-    where a state left out reads 0 (``_live_vector``).  A mapping keyed by
-    the state itself, or a vector nonzero on it, raises ParameterError; in
-    either form ``state_index`` must be the integer index of a live state.
+    M omega^2.  The constructor takes ``a`` and ``b`` as mappings from
+    catalogue index, where a state left out reads 0 (``_live_vector``); a
+    mapping keyed by the state itself, or anything but a mapping, raises
+    ParameterError, and ``state_index`` must be the integer index of a
+    live state.
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the cross
     inner product <psi'|psi''> -- are what every loop route reads, taken

@@ -14,8 +14,9 @@ A statement ran when a line event reached one of its lines; a compound
 statement also ran when a statement of its body did.  Docstrings and
 ``from __future__`` imports make no code and are not counted.  The report
 gives per module the statements that never ran, by line number with the
-first line of their source, and then the totals.  Run from the repository
-root:
+first line of their source, and then the totals; it exits 1 when a
+benchmark operation fails its check, and 0 otherwise.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/line_trace.py
 
@@ -146,7 +147,7 @@ def main() -> int:
             print(f"  {line:4d}  {source[line - 1].strip()}")
     print(f"total: {missed} of {total} statements never run; "
           + ", ".join(f"{value} {key}" for key, value in counts.items()))
-    return 0
+    return 1 if counts["failed checks"] else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ The package runs its overlap chain in the 3-dim span of e_j, a and b
 (``berry._overlap_phases``).  These helpers build the same loop over the
 full basis of live states, so the tests can hold the reduced chain to it,
 keep the reduced chain with its norms formed on every call, and rotate a
-coefficient set's basis phases for the gauge tests.
+coefficient set's basis phases for the gauge tests.  ``as_mappings``
+turns a set's vectors back into the mappings its constructor takes.
 """
 
 import cmath
@@ -99,5 +100,11 @@ def with_basis_phases(coeffs: CorrectionCoefficients, phases: dict[int, float],
     """
     chi = np.array([phases.get(i, 0.0) for i in live_indices()])
     rotated = np.stack([coeffs.a, coeffs.b]) * (np.exp(-1j * chi) * cmath.exp(1j * own_phase))
-    rotated.setflags(write=False)
-    return CorrectionCoefficients(coeffs.state_index, *rotated)
+    return CorrectionCoefficients(coeffs.state_index, *as_mappings(coeffs.state_index, *rotated))
+
+
+def as_mappings(j: int, *vectors: np.ndarray) -> list[dict[int, complex]]:
+    """Each vector over the live states as the mapping ``CorrectionCoefficients``
+    takes for state j: every entry but j's own, keyed by its catalogue index."""
+    return [{i: v for i, v in zip(live_indices(), vector.tolist()) if i != j}
+            for vector in vectors]

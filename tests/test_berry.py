@@ -19,7 +19,6 @@ from rmsphase import (
     LoopParams,
     NodeCounts,
     PhysicalConstants,
-    berry_connection,
     berry_phase_closed,
     berry_phase_loop_connection,
     berry_phase_loop_overlap,
@@ -60,45 +59,50 @@ def synthetic():
     )
 
 
+def connection(coeffs, eps1, eps2):
+    """<Psi | grad Psi> at (eps1, eps2), from the set's three stored sums."""
+    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
+    return eps1 * sum_aa + eps2 * sum_ab.conjugate(), eps1 * sum_ab + eps2 * sum_bb
+
+
+def overlap_derivatives(coeffs, gram, eps):
+    """<Psi | dPsi/d eps_k>, k = 1, 2, at ``eps`` by central differences in
+    coefficient space, with ``gram`` as the metric."""
+    def vector(e1, e2):
+        v = e1 * coeffs.a + e2 * coeffs.b
+        v[LIVE.index(coeffs.state_index)] = 1.0
+        return v
+
+    h = 1e-6
+    base = vector(*eps)
+    d1 = (vector(eps[0] + h, eps[1]) - vector(eps[0] - h, eps[1])) / (2 * h)
+    d2 = (vector(eps[0], eps[1] + h) - vector(eps[0], eps[1] - h)) / (2 * h)
+    return np.conj(base) @ gram @ d1, np.conj(base) @ gram @ d2
+
+
 class TestConnection:
     def test_vanishes_at_origin(self, nodes64):
+        # the corrections are orthogonal to the unperturbed state
         coeffs = correction_coefficients(1, nodes=nodes64)
-        assert berry_connection(coeffs, 0.0, 0.0) == (0.0, 0.0)
+        for component in overlap_derivatives(coeffs, gram_matrix(nodes64)[1], (0.0, 0.0)):
+            assert component == pytest.approx(0.0, abs=1e-10)
 
     def test_first_component_is_sum_abs2(self, nodes64):
         coeffs = correction_coefficients(1, nodes=nodes64)
-        comp1, _ = berry_connection(coeffs, 1.0, 0.0)
-        assert comp1.imag == pytest.approx(0.0, abs=1e-15)
-        assert comp1.real == pytest.approx(coeffs.connection_sums[0], rel=1e-14)
+        comp1, _ = overlap_derivatives(coeffs, gram_matrix(nodes64)[1], (1e-3, 0.0))
+        assert comp1.imag == pytest.approx(0.0, abs=1e-10)
+        assert comp1.real == pytest.approx(1e-3 * coeffs.connection_sums[0], rel=1e-8)
 
     def test_finite_difference_cross_check(self, nodes64):
-        # <Psi | dPsi/d eps_k> via central differences in coefficient space
-        # with the quadrature Gram as the metric
+        # the overlaps of the perturbed state with the quadrature Gram as the
+        # metric, against the formula the connection loop evaluates
         coeffs = correction_coefficients(1, nodes=nodes64)
         indices, gram = gram_matrix(nodes64)
         assert indices == LIVE
-
-        def vector(e1, e2):
-            v = e1 * coeffs.a + e2 * coeffs.b
-            v[LIVE.index(1)] = 1.0
-            return v
-
         eps = (2e-3, -1e-3)
-        h = 1e-6
-        base = vector(*eps)
-        d1 = (vector(eps[0] + h, eps[1]) - vector(eps[0] - h, eps[1])) / (2 * h)
-        d2 = (vector(eps[0], eps[1] + h) - vector(eps[0], eps[1] - h)) / (2 * h)
-        expected = berry_connection(coeffs, *eps)
-        assert np.conj(base) @ gram @ d1 == pytest.approx(expected[0], abs=1e-7)
-        assert np.conj(base) @ gram @ d2 == pytest.approx(expected[1], abs=1e-7)
-
-    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf),
-                                       (np.array([0.5, math.nan]), np.array([0.1, 0.2]))])
-    def test_non_finite_point_gives_non_finite_value(self, synthetic, point):
-        # the docstring's pointwise contract: nan in, nan out, and no error
-        values = np.array(berry_connection(synthetic, *point))
-        finite = np.all(np.isfinite(point), axis=0)
-        assert np.array_equal(np.all(np.isfinite(values), axis=0), finite)
+        expected = connection(coeffs, *eps)
+        for derivative, component in zip(overlap_derivatives(coeffs, gram, eps), expected):
+            assert derivative == pytest.approx(component, abs=1e-7)
 
 
 class TestSyntheticLoops:
@@ -224,7 +228,7 @@ def sequential_connection_loop(coeffs, loop):
     total = 0.0 + 0.0j
     for alpha in loop_alphas(loop).tolist():
         c, s = math.cos(alpha), math.sin(alpha)
-        a1, a2 = berry_connection(coeffs, r * c, r * s)
+        a1, a2 = connection(coeffs, r * c, r * s)
         total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
     total *= 2.0 * math.pi / loop.steps
     value = 1j * total
@@ -361,28 +365,6 @@ class TestStoredSums:
             assert r == r_seq == loop.radius
             assert abs(gamma - gamma_seq) <= 1e-12 * max(abs(gamma_seq), scale), loop
             assert max(residual, residual_seq) <= 1e-12 * scale, loop
-
-    @pytest.mark.parametrize("state", [None, 1, 16])
-    def test_connection_on_arrays_is_the_scalar_calls(self, synthetic, nodes64, state):
-        coeffs = synthetic if state is None else correction_coefficients(state, nodes=nodes64)
-        alphas = loop_alphas(LoopParams(steps=720))
-        eps1, eps2 = 1e-3 * np.cos(alphas), 1e-3 * np.sin(alphas)
-        components = berry_connection(coeffs, eps1, eps2)
-        calls = [berry_connection(coeffs, x, y) for x, y in zip(eps1.tolist(), eps2.tolist())]
-        for k, component in enumerate(components):
-            scalar = np.array([call[k] for call in calls], dtype=complex)
-            assert component.dtype == complex
-            assert component.tobytes() == scalar.tobytes()
-
-    @pytest.mark.parametrize("eps1", [1e308, math.inf, math.nan])
-    @pytest.mark.parametrize("eps2", [1e308, math.inf, math.nan])
-    def test_non_finite_connection_on_arrays_is_the_scalar_call(self, nodes64, eps1, eps2):
-        # the array products once warned at an overflow, where the scalar
-        # ones give inf silently; tier-1 turns the warning into an error
-        coeffs = correction_coefficients(1, nodes=nodes64)
-        components = berry_connection(coeffs, np.array([eps1]), np.array([eps2]))
-        for component, scalar in zip(components, berry_connection(coeffs, eps1, eps2)):
-            assert component.tobytes() == np.array([scalar], dtype=complex).tobytes()
 
 
 class TestPhysicalPhases:

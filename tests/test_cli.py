@@ -391,6 +391,14 @@ class TestConfig:
         assert out == ""
         assert err == f"configuration error: cannot read config file {cfg}: not UTF-8 text\n"
 
+    def test_config_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # the mark was once read into the first key, "unknown key '\ufeffnodes'"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfnodes = 32\nformat = json\n")
+        code, out, _ = run_cli(capsys, "table", "--config", str(cfg))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["config"]["nodes"] == 32
+
     def test_argparse_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["phase"])          # --state is required
