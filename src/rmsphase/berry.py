@@ -26,12 +26,9 @@ What is constant around a loop is computed once, not once per step:
   adjacent samples that do not depend on the coefficient set; both loop
   routes read the one entry (its memory: ``MAX_STEPS``);
 * per coefficient set, the set holds the three sums the connection reads
-  and max|coefficient|, which sets the auto radius.  The package's
-  records get them from one array pass over their resolution's table
-  (``perturbation._coefficient_tables``), and a set a caller builds from
-  mappings from a Python fold at construction; both add each sum's terms
-  in row order from +0, to the same bits.  The connection is evaluated
-  once, on the arrays of all the loop's samples;
+  and max|coefficient|, which sets the auto radius, taken at construction
+  (``perturbation._fill_records``).  The connection is evaluated once, on
+  the arrays of all the loop's samples;
 * the overlap chain runs in the 3-dim span of e_j, a and b, on a metric H
   reduced once per coefficient set and Gram matrix G; this module's
   ``_reduced_metrics`` keeps it with G while the set lives.  Its samples

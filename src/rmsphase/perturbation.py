@@ -18,13 +18,9 @@ in M omega^2.
 So one build per resolution serves any constants, whose units enter only
 through the 1/(M omega^2)^2 prefactor of a phase (``berry``).
 
-The ten records of a resolution take their sums and largest |coefficient|
-from one array pass over the whole table (``_coefficient_tables``); a set a
-caller builds from mappings takes them from a Python fold over its entries
-(``CorrectionCoefficients``).  Both add each column's terms one at a time in
-row order, starting from +0, and form each term the same way, so they give
-the same bits.  Neither calls the interpreter's ``sum``, which from Python
-3.12 compensates its float additions.
+Every coefficient set, one of a resolution's ten records or one a caller
+builds from mappings, takes its sums and largest |coefficient| from one
+array pass over its columns (``_fill_records``).
 """
 
 from __future__ import annotations
@@ -124,12 +120,12 @@ def matrix_element(i: int, j: int, channel: Channel,
 _PLAIN_NUMBERS = (complex, float, int)
 
 
-def _live_vector(j: int, values) -> np.ndarray:
-    """``values``, a mapping from catalogue index to number (not a bool),
-    keyed by live states other than j, as a read-only complex vector over
-    ``osc.live_indices()``: its entries fill their rows, and the others,
-    j's own among them, read 0.  Its keys pass ``require_integer``, as
-    every state index does."""
+def _write_entries(j: int, values, column: np.ndarray) -> None:
+    """Write ``values``, a mapping from catalogue index to number (not a
+    bool), keyed by live states other than j, into ``column``, a zeroed
+    complex vector over ``osc.live_indices()``: each entry fills its row,
+    and the others, j's own among them, stay 0.  Its keys pass
+    ``require_integer``, as every state index does."""
     if not (isinstance(values, Mapping) and all(
             type(v) in _PLAIN_NUMBERS or (isinstance(v, Number) and not isinstance(v, bool))
             for v in values.values())):
@@ -141,10 +137,7 @@ def _live_vector(j: int, values) -> np.ndarray:
         raise ParameterError(
             f"coefficients of state {j} are keyed by the other live states "
             f"{osc.live_indices()}, got {list(values)}")
-    vector = np.zeros(_ENERGIES.shape, dtype=complex)
-    vector[[osc._ROW[i] for i in values]] = list(values.values())
-    vector.setflags(write=False)
-    return vector
+    column[[osc._ROW[i] for i in values]] = list(values.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +150,7 @@ class CorrectionCoefficients:
     state, so its own entry reads 0 (in the package's sets, so does its
     energy level).  Values are pure numbers, per coupling in units of
     M omega^2.  The constructor takes ``a`` and ``b`` as mappings from
-    catalogue index, where a state left out reads 0 (``_live_vector``); a
+    catalogue index, where a state left out reads 0 (``_write_entries``); a
     mapping keyed by the state itself, or anything but a mapping, raises
     ParameterError, and ``state_index`` must be the integer index of a
     live state.
@@ -165,13 +158,10 @@ class CorrectionCoefficients:
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the cross
     inner product <psi'|psi''> -- are what every loop route reads, taken
     once, at construction, together with ``max_magnitude()``, the largest
-    |coefficient|.  Each sum is a fold from +0 in row order of abs(v) ** 2
-    or x.conjugate() * y, in Python float and complex arithmetic.  The
-    package's own records are built without this constructor, with the
-    same bits (``_coefficient_tables``).  A set whose sums are
-    not finite (a nan or infinite entry, an int too large for a float, or
-    one whose square overflows) raises ParameterError.  Two sets compare
-    equal only when they are the same object.
+    |coefficient| (``_fill_records``).  A set whose sums are not finite (a
+    nan or infinite entry, an int too large for a float, or one whose
+    square overflows) raises ParameterError.  Two sets compare equal only
+    when they are the same object.
     """
 
     state_index: int
@@ -185,32 +175,57 @@ class CorrectionCoefficients:
         if osc.get_state(j).is_null:        # get_state checks the type and the range
             raise ParameterError(f"coefficients belong to one of the live states "
                                  f"{osc.live_indices()}; state {j} vanishes identically")
-        # an int too large for a float overflows as it fills a vector, and
-        # abs(v) ** 2 past the largest float as it enters a sum
-        try:
-            vectors = [_live_vector(j, c) for c in (self.a, self.b)]
-            a, b = (v.tolist() for v in vectors)
-            abs_a, abs_b = ([abs(v) for v in vector] for vector in (a, b))
-            sum_aa = sum_bb = 0.0
-            sum_ab = 0j
-            for x, y, m, n in zip(a, b, abs_a, abs_b):
-                sum_aa += m ** 2
-                sum_bb += n ** 2
-                sum_ab += x.conjugate() * y
-            # false too at a nan entry
-            finite = all(map(math.isfinite, (sum_aa, sum_bb, sum_ab.real, sum_ab.imag)))
+        table = np.zeros((len(Channel), len(_ENERGIES), 1), dtype=complex)
+        try:    # an int too large for a float overflows as it fills the table
+            for values, column in zip((self.a, self.b), table[..., 0]):
+                _write_entries(j, values, column)
         except OverflowError:
             finite = False
+        else:
+            table.setflags(write=False)
+            with np.errstate(over="ignore", invalid="ignore"):     # refused below
+                _fill_records(table, (self,))
+            sum_aa, sum_bb, sum_ab = self.connection_sums
+            # false too at a nan entry
+            finite = all(map(math.isfinite, (sum_aa, sum_bb, sum_ab.real, sum_ab.imag)))
         if not finite:
             raise ParameterError(f"coefficients of state {j} must be finite, with finite "
                                  f"sums of |a|^2, |b|^2 and conj(a) b")
-        object.__setattr__(self, "a", vectors[0])
-        object.__setattr__(self, "b", vectors[1])
-        object.__setattr__(self, "connection_sums", (sum_aa, sum_bb, sum_ab))
-        object.__setattr__(self, "_max_magnitude", max(abs_a + abs_b))
 
     def max_magnitude(self) -> float:
         return self._max_magnitude
+
+
+def _fill_records(tables: np.ndarray, records) -> None:
+    """Give each of ``records`` its column of ``tables``, a read-only
+    (2, 10, k) complex array of k coefficient sets in ``Channel`` order:
+    ``a`` and ``b`` as views of the column, ``connection_sums`` and
+    ``_max_magnitude``.
+
+    Each sum adds its column's terms one at a time in row order, from +0,
+    with each step the one Python's float and complex arithmetic takes
+    where numpy's own would round differently: |v| is ``np.hypot`` of the
+    parts (not ``np.abs``), its square ``np.float_power(m, 2.0)`` (not
+    m * m), and conj(x) y is formed from the parts as Python's complex
+    product forms it (not numpy's).  ``np.add.accumulate`` adds down the
+    rows in order, where ``np.add.reduce`` and, from Python 3.12, the
+    interpreter's ``sum`` would not, and + 0.0 turns a sum of -0.0 terms
+    into the +0 a fold from +0 gives.
+    """
+    re, im = tables.real, tables.imag       # [channel, row, column]
+    magnitudes = np.hypot(re, im)
+    terms = np.empty((4, *tables.shape[1:]))
+    np.float_power(magnitudes, 2.0, out=terms[:2])
+    np.multiply(re[0], re[1], out=terms[2])
+    terms[2] += im[0] * im[1]
+    np.multiply(re[0], im[1], out=terms[3])
+    terms[3] -= im[0] * re[1]
+    sums = (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).T.tolist()
+    tops = magnitudes.max(axis=(0, 1)).tolist()
+    for column, (record, (aa, bb, ab_re, ab_im), top) in enumerate(zip(records, sums, tops)):
+        vars(record).update(a=tables[0, :, column], b=tables[1, :, column],
+                            connection_sums=(aa, bb, complex(ab_re, ab_im)),
+                            _max_magnitude=top)
 
 
 @lru_cache(maxsize=8)
@@ -219,16 +234,7 @@ def _coefficient_tables(nodes: osc.NodeCounts) -> tuple[CorrectionCoefficients, 
     the read-only table whose columns they are: entry [c, i, j] is
     <psi_i|V_c|psi_j> / (E_j - E_i), and 0 where E_i = E_j.  Real and
     imaginary parts are divided separately, as a complex by a float is;
-    numpy's complex division multiplies by a rounded reciprocal.
-
-    One array pass over the table gives every column's sums and largest
-    |coefficient|, bit for bit as ``CorrectionCoefficients``' fold gives
-    them.  Each step is the one Python takes, where numpy's own would round
-    differently: |v| is ``np.hypot`` of the parts (not ``np.abs``), its
-    square ``np.float_power(m, 2.0)`` (not m * m), and conj(x) y is formed
-    from the parts as Python's complex product forms it (not numpy's).
-    ``np.add.accumulate`` adds each column down its rows in order, and
-    + 0.0 turns a sum of -0.0 terms into the +0 a fold from +0 gives.  The
+    numpy's complex division multiplies by a rounded reciprocal.  The
     records skip the constructor's checks, which a package table passes:
     its entries are finite, and 0 on each column's own state.
     """
@@ -237,21 +243,11 @@ def _coefficient_tables(nodes: osc.NodeCounts) -> tuple[CorrectionCoefficients, 
     couplings = _couplings(nodes)
     tables = couplings.real / gap + 1j * (couplings.imag / gap)
     tables.setflags(write=False)
-    re, im = tables.real, tables.imag       # [channel, row, column]
-    magnitudes = np.hypot(re, im)
-    terms = np.stack([*np.float_power(magnitudes, 2.0),
-                      re[0] * re[1] + im[0] * im[1], re[0] * im[1] - im[0] * re[1]])
-    sums = (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).T.tolist()
-    tops = np.maximum(*magnitudes).max(axis=0).tolist()
-    records = []
-    for row, (j, (aa, bb, ab_re, ab_im), top) in enumerate(
-            zip(osc.live_indices(), sums, tops)):
-        record = object.__new__(CorrectionCoefficients)
-        vars(record).update(state_index=j, a=tables[0, :, row], b=tables[1, :, row],
-                            connection_sums=(aa, bb, complex(ab_re, ab_im)),
-                            _max_magnitude=top)
-        records.append(record)
-    return tuple(records)
+    records = tuple(object.__new__(CorrectionCoefficients) for _ in _ENERGIES)
+    for record, j in zip(records, osc.live_indices()):
+        vars(record)["state_index"] = j
+    _fill_records(tables, records)
+    return records
 
 
 def correction_coefficients(j: int,

@@ -5,7 +5,8 @@ The package runs its overlap chain in the 3-dim span of e_j, a and b
 full basis of live states, so the tests can hold the reduced chain to it,
 keep the reduced chain with its norms formed on every call, and rotate a
 coefficient set's basis phases for the gauge tests.  ``as_mappings``
-turns a set's vectors back into the mappings its constructor takes.
+turns a set's vectors back into the mappings its constructor takes, and
+``folded_sums`` takes a set's sums as a Python fold over its entries.
 """
 
 import cmath
@@ -108,3 +109,20 @@ def as_mappings(j: int, *vectors: np.ndarray) -> list[dict[int, complex]]:
     takes for state j: every entry but j's own, keyed by its catalogue index."""
     return [{i: v for i, v in zip(live_indices(), vector.tolist()) if i != j}
             for vector in vectors]
+
+
+def folded_sums(a: np.ndarray, b: np.ndarray) -> tuple[tuple[float, float, complex], float]:
+    """The connection sums and max|coefficient| of the vectors ``a`` and
+    ``b``, each sum a fold from +0 in row order of abs(v) ** 2 or
+    x.conjugate() * y, in Python float and complex arithmetic: what the
+    package's one array pass (``perturbation._fill_records``) must give,
+    bit for bit."""
+    a, b = a.tolist(), b.tolist()
+    abs_a, abs_b = [abs(v) for v in a], [abs(v) for v in b]
+    sum_aa = sum_bb = 0.0
+    sum_ab = 0j
+    for x, y, m, n in zip(a, b, abs_a, abs_b):
+        sum_aa += m ** 2
+        sum_bb += n ** 2
+        sum_ab += x.conjugate() * y
+    return (sum_aa, sum_bb, sum_ab), max(abs_a + abs_b)

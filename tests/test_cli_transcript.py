@@ -4,7 +4,7 @@ The transcript is rewritten by ``tests/cli_transcript.py``; a change that
 moves output on purpose rewrites it and names each changed line.  Some
 lines print roundoff to 17 digits, so the failure message names the
 Python and numpy versions that wrote the transcript beside the ones that
-replay it.
+replay it, with the SIMD targets that numpy dispatches to.
 
 The bytes depend neither on the order of the commands nor on the process:
 every command replays in seeded shuffled orders from empty caches, and
@@ -15,13 +15,11 @@ process, so no state leaks between commands through a cache or a memo.
 import difflib
 import json
 import os
-import platform
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rmsphase import berry, cli
@@ -62,14 +60,14 @@ def test_transcript_holds_every_command():
     assert [entry["argv"] for entry in transcript["commands"]] == COMMANDS
 
 
-def test_every_command_replays_byte_for_byte(monkeypatch):
+def test_every_command_replays_byte_for_byte(monkeypatch, replayed_with):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     transcript = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     lines = [line for expected in transcript["commands"]
              for line in differences(expected, run(expected["argv"]))]
     assert not lines, "\n".join([
         f"written with Python {transcript['python']} and numpy {transcript['numpy']}, "
-        f"replayed with Python {platform.python_version()} and numpy {np.__version__}",
+        f"replayed with {replayed_with}",
         *lines])
 
 

@@ -4,13 +4,10 @@ The transcript is rewritten by ``tests/library_transcript.py``; a change
 that moves a value on purpose rewrites it and names each changed entry.
 The values are roundoff-level bits, so the failure message names the
 Python and numpy versions that wrote the transcript beside the ones that
-replay it.
+replay it, with the SIMD targets that numpy dispatches to.
 """
 
 import json
-import platform
-
-import numpy as np
 
 from library_transcript import TRANSCRIPT, draw_sets, entries
 
@@ -20,7 +17,7 @@ def test_transcript_holds_the_seeded_sets():
     assert transcript["sets"] == draw_sets()
 
 
-def test_every_entry_replays_bit_for_bit():
+def test_every_entry_replays_bit_for_bit(replayed_with):
     transcript = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     expected, got = transcript["entries"], entries(transcript["sets"])
     assert list(got) == list(expected)
@@ -28,5 +25,5 @@ def test_every_entry_replays_bit_for_bit():
              for name, value in expected.items() if got[name] != value]
     assert not lines, "\n".join([
         f"written with Python {transcript['python']} and numpy {transcript['numpy']}, "
-        f"replayed with Python {platform.python_version()} and numpy {np.__version__}",
+        f"replayed with {replayed_with}",
         *lines])

@@ -32,7 +32,7 @@ from rmsphase.perturbation import CorrectionCoefficients
 from rmsphase.quadrature import QuadratureRule, integrate
 
 from library_transcript import TRANSCRIPT, build
-from loop_reference import as_mappings, with_basis_phases
+from loop_reference import folded_sums, with_basis_phases
 
 SQRT3 = math.sqrt(3.0)
 
@@ -310,23 +310,14 @@ class TestCorrectionCoefficients:
         coeffs = CorrectionCoefficients(2, {np.int64(5): 0.5j}, {np.int32(1): 0.3})
         assert coeffs.a[ROW[5]] == 0.5j and coeffs.b[ROW[1]] == 0.3
 
-    # a read-only vector once took any state index, and the overlap route
-    # then raised a bare KeyError on it; the state index is checked before
-    # the coefficients, so a vector, refused now, meets the same refusal
-    @pytest.mark.parametrize("form", ["vector", "mapping"])
     @pytest.mark.parametrize("state, message", [
         (3, "state 3 vanishes identically"), (99, "state index must be in 1..16, got 99"),
         (1.0, "state index must be an integer, got 1.0"),
         (True, "state index must be an integer, got True")],
         ids=["null", "outside", "float", "bool"])
-    def test_state_index_checked_for_both_forms(self, form, state, message):
-        if form == "vector":
-            values = np.zeros(len(live_indices()), dtype=complex)
-            values.setflags(write=False)
-        else:
-            values = {5: 1.0}
+    def test_state_index_checked(self, state, message):
         with pytest.raises(ParameterError, match=message):
-            CorrectionCoefficients(state, values, values)
+            CorrectionCoefficients(state, {5: 1.0}, {5: 1.0})
 
     # a nan entry once passed, and a huge one raised a bare OverflowError from abs(v) ** 2
     @pytest.mark.parametrize("a, b", [({5: math.nan}, {5: 1.0}), ({5: 1.0}, {9: math.inf}),
@@ -368,10 +359,60 @@ class TestCorrectionCoefficients:
 NODES16 = NodeCounts.uniform(16)
 
 
+def sum_bits(sums: tuple[float, float, complex], top: float) -> list[str]:
+    """Connection sums and a max|coefficient| as ``float.hex`` strings."""
+    sum_aa, sum_bb, sum_ab = sums
+    return [v.hex() for v in (sum_aa, sum_bb, sum_ab.real, sum_ab.imag, top)]
+
+
 def record_bits(coeffs: CorrectionCoefficients) -> list[str]:
     """A set's connection sums and max|coefficient| as ``float.hex`` strings."""
-    sum_aa, sum_bb, sum_ab = coeffs.connection_sums
-    return [v.hex() for v in (sum_aa, sum_bb, sum_ab.real, sum_ab.imag, coeffs.max_magnitude())]
+    return sum_bits(coeffs.connection_sums, coeffs.max_magnitude())
+
+
+def patched_records(monkeypatch, couplings: np.ndarray) -> tuple[CorrectionCoefficients, ...]:
+    """The ten records built from ``couplings`` in place of a resolution's
+    coupling stack."""
+    monkeypatch.setattr(pert, "_couplings", lambda nodes: couplings)
+    pert._coefficient_tables.cache_clear()
+    return pert._coefficient_tables(NODES16)
+
+
+def random_records(monkeypatch) -> list[CorrectionCoefficients]:
+    """The records of 200 seeded random tables, which reach the rare entries
+    where a product in place of ** 2 rounds differently; the package's
+    tables miss them."""
+    rng = np.random.default_rng(2026)
+    shape = (len(Channel), len(live_indices()), len(live_indices()))
+    records = []
+    for _ in range(200):
+        couplings = 10.0 ** rng.uniform(-3, 3, shape) * (rng.normal(size=shape)
+                                                         + 1j * rng.normal(size=shape))
+        records += patched_records(monkeypatch, couplings)
+    return records
+
+
+# every cross term's imaginary part is -0.0 in the table these couplings give
+NEGATIVE_ZERO_COUPLINGS = np.stack([np.full((10, 10), complex(-1e-200, -1e-200)),
+                                    np.full((10, 10), complex(-1e-200, 1e-200))])
+
+
+def package_records(nodes: NodeCounts):
+    """Every live state's record at ``nodes``, as a source of ``RECORD_SOURCES``."""
+    return lambda monkeypatch: [correction_coefficients(j, nodes=nodes) for j in live_indices()]
+
+
+# each source of coefficient sets, by test id: a function of ``monkeypatch``
+RECORD_SOURCES = {
+    "nodes16": package_records(NODES16),
+    "nodes48": package_records(NodeCounts.uniform(48)),
+    "nodes128": package_records(NodeCounts.uniform(128)),
+    "uneven": package_records(NodeCounts(40, 72, 33, 96)),
+    "random-tables": random_records,
+    "transcript-sets": lambda monkeypatch: [
+        build(entry) for entry in json.loads(TRANSCRIPT.read_text(encoding="utf-8"))["sets"]],
+    "negative-zero": lambda monkeypatch: patched_records(monkeypatch, NEGATIVE_ZERO_COUPLINGS),
+}
 
 
 def compensated_sum(iterable, start=0):
@@ -427,47 +468,24 @@ class TestRecords:
         assert np.array_equal(patched.a, 2.0 * warm_record.a)
         assert np.array_equal(patched.b, 2.0 * warm_record.b)
 
-    @pytest.mark.parametrize("nodes", [NODES16, NodeCounts.uniform(48), NodeCounts.uniform(128),
-                                       NodeCounts(40, 72, 33, 96)],
-                             ids=["nodes16", "nodes48", "nodes128", "uneven"])
-    def test_table_records_match_the_constructor(self, nodes):
-        # the table's one array pass gives each record the bits the public
-        # constructor's fold gives the same vectors
-        for j in live_indices():
-            record = correction_coefficients(j, nodes=nodes)
-            rebuilt = CorrectionCoefficients(j, *as_mappings(j, record.a, record.b))
-            assert record_bits(rebuilt) == record_bits(record)
-
-    def test_random_tables_match_the_constructor(self, fresh_tables, monkeypatch):
-        # seeded random tables reach the rare entries where a product in
-        # place of ** 2 rounds differently, which the package's tables miss
-        rng = np.random.default_rng(2026)
-        shape = (len(Channel), len(live_indices()), len(live_indices()))
-        for _ in range(200):
-            couplings = 10.0 ** rng.uniform(-3, 3, shape) * (rng.normal(size=shape)
-                                                             + 1j * rng.normal(size=shape))
-            monkeypatch.setattr(pert, "_couplings", lambda nodes: couplings)
-            pert._coefficient_tables.cache_clear()
-            for record in pert._coefficient_tables(NODES16):
-                j = record.state_index
-                rebuilt = CorrectionCoefficients(j, *as_mappings(j, record.a, record.b))
-                assert record_bits(rebuilt) == record_bits(record)
-
     def test_negative_zero_cross_terms_sum_to_positive_zero(self, fresh_tables, monkeypatch):
         # a fold from +0 reads +0 where every term is -0.0, and so must the
         # array pass: in the patched table every cross term's imaginary part
         # is -0.0 (products of 1e-200 underflow to zeros with the product's sign)
-        tiny = 1e-200
-        monkeypatch.setattr(pert, "_couplings", lambda nodes: np.stack(
-            [np.full((10, 10), complex(-tiny, -tiny)), np.full((10, 10), complex(-tiny, tiny))]))
-        for coeffs in pert._coefficient_tables(NODES16):
+        for coeffs in patched_records(monkeypatch, NEGATIVE_ZERO_COUPLINGS):
             terms = [(x.conjugate() * y).imag
                      for x, y in zip(coeffs.a.tolist(), coeffs.b.tolist())]
             assert [t.hex() for t in terms] == ["-0x0.0p+0"] * len(terms)
             assert coeffs.connection_sums[2].imag.hex() == "0x0.0p+0"
-            j = coeffs.state_index
-            rebuilt = CorrectionCoefficients(j, *as_mappings(j, coeffs.a, coeffs.b))
-            assert record_bits(rebuilt) == record_bits(coeffs)
+
+    @pytest.mark.parametrize("source", RECORD_SOURCES)
+    def test_array_pass_is_the_fold(self, source, fresh_tables, monkeypatch):
+        # every set's sums and max|coefficient| are bit for bit a Python fold
+        # over its entries (``loop_reference.folded_sums``)
+        records = RECORD_SOURCES[source](monkeypatch)
+        assert records
+        for coeffs in records:
+            assert record_bits(coeffs) == sum_bits(*folded_sums(coeffs.a, coeffs.b))
 
     def test_sums_do_not_depend_on_the_interpreters_sum(self, fresh_tables, monkeypatch):
         # from Python 3.12 the builtin sum compensates its float additions; the
