@@ -92,8 +92,9 @@ class RunConfig(NamedTuple):
 
 def read_config_file(path: str) -> dict:
     """Flat key=value file of UTF-8 text, with or without a byte-order mark;
-    blank lines and # comments ignored."""
+    blank lines and # comments ignored, and each key given at most once."""
     settings = {}
+    seen = {}           # key -> the line that gave it
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -106,6 +107,10 @@ def read_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in _CONFIG_KEYS:
                     raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in seen:
+                    raise ParameterError(f"{path}:{lineno}: key {key!r} given twice, "
+                                         f"on lines {seen[key]} and {lineno}")
+                seen[key] = lineno
                 try:
                     settings[key] = _CONFIG_KEYS[key](value.strip())
                 except ValueError as exc:

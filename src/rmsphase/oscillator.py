@@ -15,9 +15,12 @@ resolution does new work only on the axes whose count is new.
 Each entry of ``AXES`` holds its axis's static layout, computed at import:
 the distinct profiles (the ten states share 3 polar, 3 rapidity and 4
 radial ones), each state's row among them, and which pairs take the odd
-rule of the axis's (even, odd) pair.  Each axis evaluates its profiles in
-one call (``polar_profiles``, ``rapidity_profiles``, ``radial_profiles``):
-the shared factors once and one recurrence over a column of indices.  The
+rule of the axis's (even, odd) pair.  It also holds its layout's
+evaluator, made at import by the axis's factory (``polar_profiles``,
+``rapidity_profiles``, ``radial_profiles``), which plans the recurrence
+over the column of the distinct profiles' indices once (``specfun``).  A
+build evaluates every distinct profile in one call of it: the shared
+factors once and one recurrence over the column, with nothing planned.  The
 polar (and the rapidity) pair stand on one node array; only the two
 radial rules have their own nodes, both from one stacked two-pass solve on
 the Laguerre recurrence, and their profiles are evaluated on the two
@@ -51,7 +54,7 @@ import numpy as np
 from . import quadrature as quad
 from .errors import (EvaluationError, ParameterError, require_instance, require_integer,
                      require_real)
-from .specfun import assoc_legendre, gen_laguerre
+from .specfun import laguerre_plan, laguerre_values, legendre_plan, legendre_values
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -281,66 +284,75 @@ def embed(rho: float, theta: float, phi: float, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # factor functions (dimensionless axis profiles of the product eigenfunction)
 
+def _on_one_row(evaluate, rows: int):
+    """f(x) of shape (rows, *x.shape), from ``evaluate`` on x as one (1, x.size)
+    row against a plan whose indices form a (rows, 1) column."""
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return evaluate(x.reshape(1, -1)).reshape(rows, *x.shape)
+
+    return f
+
+
 def polar_profiles(qns):
     """theta factors (sin theta)^{-1/2} P_l^n(cos theta) of the states ``qns``.
 
-    f(theta) has shape (len(qns), *theta.shape): the trigonometric factors
-    are taken once, and one Legendre recurrence runs over the column of (l, n).
-    Every rule node lies inside (0, pi), away from the axis where it is singular.
+    The Legendre plan of the column of (l, n) is made here, once.  f(theta)
+    has shape (len(qns), *theta.shape): the trigonometric factors are taken
+    once, and one Legendre recurrence runs over the column.  Every rule node
+    lies inside (0, pi), away from the axis where it is singular.
     """
     l, n = np.array([(qn.l, qn.n) for qn in qns]).T
+    plan = legendre_plan(l[:, None], n[:, None])
 
-    def f(theta):
-        theta = np.asarray(theta, dtype=float)
+    def evaluate(theta):
         s = np.sin(theta)
-        column = (-1,) + (1,) * theta.ndim
-        return assoc_legendre(l.reshape(column), n.reshape(column), np.cos(theta)) / np.sqrt(s)
+        return legendre_values(plan, np.cos(theta)) / np.sqrt(s)
 
-    return f
+    return _on_one_row(evaluate, len(qns))
 
 
 def rapidity_profiles(qns):
     """beta factors (1 - tanh^2 beta)^{1/4} P_m^{-n}(tanh beta) of the states ``qns``.
 
-    f(beta) has shape (len(qns), *beta.shape): tanh and the envelope are
-    taken once, and one Legendre recurrence runs over the column of (m, -n).
+    The Legendre plan of the column of (m, -n) is made here, once.  f(beta)
+    has shape (len(qns), *beta.shape): tanh and the envelope are taken once,
+    and one Legendre recurrence runs over the column.
     """
     m, n = np.array([(qn.m, qn.n) for qn in qns]).T
+    plan = legendre_plan(m[:, None], -n[:, None])
 
-    def f(beta):
-        u = np.tanh(np.asarray(beta, dtype=float))
-        column = (-1,) + (1,) * u.ndim
-        return ((1.0 - u) * (1.0 + u)) ** 0.25 * assoc_legendre(m.reshape(column),
-                                                                 -n.reshape(column), u)
+    def evaluate(beta):
+        u = np.tanh(beta)
+        return ((1.0 - u) * (1.0 + u)) ** 0.25 * legendre_values(plan, u)
 
-    return f
+    return _on_one_row(evaluate, len(qns))
 
 
 def radial_profiles(qns):
     """rho factors rho^{-1/2} s^{l/2} e^{-s/2} L_{n_a}^{l+1/2}(s), s = rho^2,
     of the states ``qns``.
 
+    The Laguerre plan of the column of (n_a, l + 1/2) is made here, once.
     f(rho) has shape (len(qns), *rho.shape): s, e^{-s/2} and rho^{-1/2} are
-    taken once, and one Laguerre recurrence runs over the column of
-    (n_a, l + 1/2).  Exactly 0 wherever e^{-s/2} underflows: the polynomial
-    is taken at s = 0 there, since far enough out it would overflow and
-    make 0 * inf.  Every rule node has rho > 0, away from the singular origin.
+    taken once, and one Laguerre recurrence runs over the column.  Exactly 0
+    wherever e^{-s/2} underflows: the polynomial is taken at s = 0 there,
+    since far enough out it would overflow and make 0 * inf.  Every rule
+    node has rho > 0, away from the singular origin.
     """
     n_a = np.array([qn.n_a for qn in qns])
-    half_l = 0.5 * np.array([qn.l for qn in qns])
+    power = 0.5 * np.array([qn.l for qn in qns])[:, None]
+    plan = laguerre_plan(n_a[:, None], 2.0 * power + 0.5)
 
-    def f(rho):
-        rho = np.asarray(rho, dtype=float)
+    def evaluate(rho):
         with np.errstate(over="ignore"):
             s = rho * rho
         decay = np.exp(-0.5 * s)
         s = np.where(decay > 0.0, s, 0.0)
-        column = (-1,) + (1,) * rho.ndim
-        power = half_l.reshape(column)
-        polynomial = gen_laguerre(n_a.reshape(column), 2.0 * power + 0.5, s)
-        return s ** power * polynomial * (decay / np.sqrt(rho))
+        return s ** power * laguerre_values(plan, s) * (decay / np.sqrt(rho))
 
-    return f
+    return _on_one_row(evaluate, len(qns))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +392,11 @@ def _layout(reads: tuple[str, ...], parity_of: str):
 class AxisSpec(NamedTuple):
     """One separable axis, and the one place where a pair's parity picks its rule.
 
-    ``profiles(qns)`` evaluates the profiles of several states in one call.
-    ``layout`` is the axis's ``_layout``, computed once, at import.
+    ``profiles(x)`` is the axis's evaluator: its factory's (``polar_profiles``,
+    ``rapidity_profiles`` or ``radial_profiles``) for the distinct states of
+    ``layout``, one row each, made at import with its recurrence planned, so
+    a build evaluates it on its nodes and plans nothing.  ``layout`` is the
+    axis's ``_layout``, computed once, at import.
     ``rules(n)`` returns the (even, odd) pair of n-node rules, which keeps
     every integral polynomial-exact.  It looks the constructor up on
     ``quad`` at each call, so a wrapper put on the module attribute sees
@@ -403,13 +418,21 @@ class AxisSpec(NamedTuple):
     rules: Callable
 
 
+def _axis(field: str, factory: Callable, reads: tuple[str, ...], parity_of: str,
+          weight: Callable, rules: Callable) -> AxisSpec:
+    """An axis whose ``profiles`` is ``factory``'s evaluator for the distinct
+    states of its ``_layout(reads, parity_of)``."""
+    layout = _layout(reads, parity_of)
+    return AxisSpec(field, factory(layout[0]), layout, weight, rules)
+
+
 AXES = (
-    AxisSpec("polar", polar_profiles, _layout(("l", "n"), "n"),
-             lambda t, p: np.sin(t) ** (2 + 2 * p), lambda n: quad.polar_rule(n)),
-    AxisSpec("rapidity", rapidity_profiles, _layout(("m", "n"), "n"),
-             lambda b, p: np.cosh(b) ** (1 + 2 * p), lambda n: quad.rapidity_rule(n)),
-    AxisSpec("radial", radial_profiles, _layout(("n_a", "l"), "l"),
-             lambda r, p: r ** (3 + 2 * p), lambda n: quad.radial_rule(n)),
+    _axis("polar", polar_profiles, ("l", "n"), "n",
+          lambda t, p: np.sin(t) ** (2 + 2 * p), lambda n: quad.polar_rule(n)),
+    _axis("rapidity", rapidity_profiles, ("m", "n"), "n",
+          lambda b, p: np.cosh(b) ** (1 + 2 * p), lambda n: quad.rapidity_rule(n)),
+    _axis("radial", radial_profiles, ("n_a", "l"), "l",
+          lambda r, p: r ** (3 + 2 * p), lambda n: quad.radial_rule(n)),
 )
 
 # the distinct m_j - m_i of the live pairs, and each pair's index among them
@@ -437,12 +460,12 @@ def _axis_overlaps(field: str, n: int) -> np.ndarray:
     each state then takes its profile's row, and each pair the rule its
     parity selects."""
     axis = next(axis for axis in AXES if axis.field == field)
-    states, rows, odd = axis.layout
+    _, rows, odd = axis.layout
     rules = axis.rules(n)
     x = np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
                  else [rule.nodes for rule in rules])
     # (x row, profile, node), and (rule, power, node); a single x row broadcasts
-    f = quad.check_finite(axis.profiles(states)(x), x, axis.field).swapaxes(0, 1)
+    f = quad.check_finite(axis.profiles(x), x, axis.field).swapaxes(0, 1)
     w = np.stack([rule.weights for rule in rules])[:, None] * np.stack(
         [axis.weight(x, p) for p in (0, 1)], axis=1)
     tables = ((f[:, None] * w[:, :, None]) @ f[:, None].swapaxes(-1, -2))[..., rows[:, None], rows]

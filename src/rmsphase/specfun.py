@@ -13,10 +13,17 @@ polynomials.  Conventions are fixed once here so every caller agrees:
 * Laguerre polynomials use the stable three-term recurrence in the degree.
 
 Both functions broadcast their indices against the evaluation points, so a
-column of index pairs runs in one recurrence; both are stateless and safe to
-call from multiple threads.
+column of index pairs runs in one recurrence.  Each is a plan, then an
+evaluation: ``legendre_plan`` and ``laguerre_plan`` take once what depends
+on the indices alone (seeds, factors, masks and the recurrence's length),
+and ``legendre_values`` and ``laguerre_values`` run the arithmetic on one
+array of points.  ``assoc_legendre`` and ``gen_laguerre`` plan, then
+evaluate, so there is one implementation of each; a caller that evaluates
+one column on many node arrays plans once and evaluates per array.  No
+function writes to a plan, so every function here is stateless and safe
+to call from multiple threads.
 
-Neither checks its arguments.  Their one caller, the axis profiles in
+None of them checks its arguments.  Their one caller, the axis profiles in
 ``oscillator``, passes catalogue indices (degrees 2 and 3, orders of
 either sign up to 3, upper indices 2.5 and 3.5) and points inside the
 domain: the cosine or tanh of a rule node, in [-1, 1], and rho^2 >= 0.
@@ -27,10 +34,12 @@ gives.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["assoc_legendre", "gen_laguerre"]
+__all__ = ["assoc_legendre", "gen_laguerre", "legendre_plan", "legendre_values",
+           "laguerre_plan", "laguerre_values"]
 
 
 def _seed(degree: int, order: int) -> float:
@@ -43,6 +52,50 @@ def _seed(degree: int, order: int) -> float:
     if order >= 0:
         return (-1) ** m * double
     return double * math.factorial(degree - m) / math.factorial(degree + m)
+
+
+class _LegendrePlan(NamedTuple):
+    """A column of (degree, order) pairs, as ``legendre_values`` reads it."""
+
+    seed: np.ndarray        # _seed of each pair
+    half_m: np.ndarray      # 0.5 m, the power of 1 - x^2 in P_m^m
+    first: np.ndarray       # 2m + 1, the factor of x P_m^m in P_{m+1}^m
+    low: np.ndarray         # degree <= m: the row keeps P_m^m
+    steps: tuple            # per step k >= 2: (k, 2 ell - 1, ell + m - 1, degree == ell)
+
+
+def legendre_plan(degree, order) -> _LegendrePlan:
+    """Everything ``assoc_legendre`` computes from its indices alone, once.
+
+    ``degree`` and ``order`` are as in ``assoc_legendre``; the plan holds
+    their broadcast seeds, factors and masks and the recurrence's length,
+    so ``legendre_values(plan, x)`` does arithmetic on ``x`` only.
+    """
+    deg, order = np.broadcast_arrays(degree, order)
+    pairs = list(zip(deg.ravel().tolist(), order.ravel().tolist()))
+    m = np.abs(order)
+    seed = np.reshape([_seed(int(l), int(k)) for l, k in pairs], deg.shape)
+    steps = []
+    for k in range(2, max(int(d) - abs(int(o)) for d, o in pairs) + 1):
+        ell = m + k
+        steps.append((k, 2 * ell - 1, ell + m - 1, deg == ell))
+    # a row with m > degree has seed 0, so it stays +0 in P_m^m
+    return _LegendrePlan(seed, 0.5 * m, 2 * m + 1, deg <= m, tuple(steps))
+
+
+def legendre_values(plan: _LegendrePlan, x):
+    """The functions of ``plan`` at the points ``x``, which broadcast against
+    its indices; a float where both are scalars."""
+    seed, half_m, first, low, steps = plan
+    arr = np.asarray(x, dtype=float)
+    y = (1.0 - arr) * (1.0 + arr)
+    pmm = seed * y ** half_m
+    pmmp1 = arr * first * pmm
+    values = np.where(low, pmm, pmmp1)
+    for k, rise, fall, at in steps:
+        pmm, pmmp1 = pmmp1, (arr * rise * pmmp1 - fall * pmm) / k
+        values = np.where(at, pmmp1, values)
+    return float(values) if values.ndim == 0 else values
 
 
 def assoc_legendre(degree, order, x):
@@ -71,20 +124,44 @@ def assoc_legendre(degree, order, x):
     float or ndarray
         Function values; exactly 0 where ``|order| > degree``.
     """
-    deg, order = np.broadcast_arrays(degree, order)
-    pairs = list(zip(deg.ravel().tolist(), order.ravel().tolist()))
+    return legendre_values(legendre_plan(degree, order), x)
+
+
+class _LaguerrePlan(NamedTuple):
+    """A column of (degree, alpha) pairs, as ``laguerre_values`` reads it."""
+
+    shape: tuple            # the broadcast shape of the indices
+    first: np.ndarray       # 1 + alpha, of L_1 = 1 + alpha - x
+    zero: np.ndarray        # degree == 0: the row keeps L_0 = 1
+    steps: tuple            # per step k >= 1: (k + 1, 2k + 1 + alpha, k + alpha, degree == k + 1)
+
+
+def laguerre_plan(degree, alpha) -> _LaguerrePlan:
+    """Everything ``gen_laguerre`` computes from its indices alone, once.
+
+    ``degree`` and ``alpha`` are as in ``gen_laguerre``; the plan holds the
+    recurrence's coefficients and masks up to the largest degree, so
+    ``laguerre_values(plan, x)`` does arithmetic on ``x`` only.
+    """
+    deg = np.asarray(degree)
+    alpha = np.asarray(alpha, dtype=float)
+    steps = tuple((k + 1, 2 * k + 1 + alpha, k + alpha, deg == k + 1)
+                  for k in range(1, int(deg.max())))
+    return _LaguerrePlan(np.broadcast_shapes(deg.shape, alpha.shape), 1.0 + alpha, deg == 0,
+                         steps)
+
+
+def laguerre_values(plan: _LaguerrePlan, x):
+    """The polynomials of ``plan`` at the points ``x``, which broadcast
+    against its indices; a float where both are scalars."""
+    shape, first, zero, steps = plan
     arr = np.asarray(x, dtype=float)
-    y = (1.0 - arr) * (1.0 + arr)
-    m = np.abs(order)
-    seed = np.reshape([_seed(int(l), int(k)) for l, k in pairs], deg.shape)
-    pmm = seed * y ** (0.5 * m)
-    pmmp1 = arr * (2 * m + 1) * pmm
-    # a row with m > degree has seed 0, so it stays +0 in pmm
-    values = np.where(deg <= m, pmm, pmmp1)
-    for k in range(2, max(int(d) - abs(int(o)) for d, o in pairs) + 1):
-        ell = m + k
-        pmm, pmmp1 = pmmp1, (arr * (2 * ell - 1) * pmmp1 - (ell + m - 1) * pmm) / k
-        values = np.where(deg == ell, pmmp1, values)
+    lkm1 = np.ones(np.broadcast_shapes(shape, arr.shape))
+    lk = first - arr
+    values = np.where(zero, lkm1, lk)
+    for k1, rise, fall, at in steps:
+        lkm1, lk = lk, ((rise - arr) * lk - fall * lkm1) / k1
+        values = np.where(at, lk, values)
     return float(values) if values.ndim == 0 else values
 
 
@@ -107,13 +184,4 @@ def gen_laguerre(degree, alpha, x):
     (degree, alpha) pairs against an array of points runs every polynomial in
     one recurrence, up to the largest degree.
     """
-    deg = np.asarray(degree)
-    alpha = np.asarray(alpha, dtype=float)
-    arr = np.asarray(x, dtype=float)
-    lkm1 = np.ones(np.broadcast_shapes(deg.shape, alpha.shape, arr.shape))
-    lk = 1.0 + alpha - arr
-    values = np.where(deg == 0, lkm1, lk)
-    for k in range(1, int(deg.max())):
-        lkm1, lk = lk, ((2 * k + 1 + alpha - arr) * lk - (k + alpha) * lkm1) / (k + 1)
-        values = np.where(deg == k + 1, lk, values)
-    return float(values) if values.ndim == 0 else values
+    return laguerre_values(laguerre_plan(degree, alpha), x)

@@ -45,10 +45,7 @@ def replayed_with() -> str:
     versions and the SIMD targets numpy dispatches to.  The last bits of
     numpy's transcendental functions depend on the target, and
     ``NPY_DISABLE_CPU_FEATURES`` or a CPU without AVX-512 drops some."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:     # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     targets = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
     return (f"Python {platform.python_version()} and numpy {np.__version__}, "
             f"dispatching to {targets}")

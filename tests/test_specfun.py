@@ -1,15 +1,27 @@
-"""Special-function checks against closed forms and independent oracles."""
+"""Special-function checks against closed forms and independent oracles,
+and the planned evaluations against the unplanned reference."""
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy import special
 
+import specfun_reference as reference
 from rmsphase import NodeCounts, live_indices, state_table
+from rmsphase import oscillator as osc
 from rmsphase import quadrature as quad
-from rmsphase.specfun import assoc_legendre, gen_laguerre
+from rmsphase.specfun import (
+    assoc_legendre,
+    gen_laguerre,
+    laguerre_plan,
+    laguerre_values,
+    legendre_plan,
+    legendre_values,
+)
 
 
 def laguerre_series(degree: int, alpha2: int, x: Fraction) -> Fraction:
@@ -140,3 +152,103 @@ class TestGenLaguerre:
         values = gen_laguerre(2, 1.5, x)
         assert values.shape == x.shape
         assert values[0] == pytest.approx((1.5 + 1) * (1.5 + 2) / 2, rel=1e-14)
+
+
+# every node count from the smallest to 64, and three larger ones up to the cap
+PLAN_COUNTS = (*range(2, 65), 128, 256, 1024)
+
+
+@lru_cache(maxsize=None)
+def family_nodes(n: int) -> dict:
+    """Each rule family's nodes at ``n``, as a build stacks them: the polar and
+    rapidity pairs share one array, the radial pair has two."""
+    def stacked(rules):
+        return np.stack([rules[0].nodes] if rules[0].nodes is rules[1].nodes
+                        else [rule.nodes for rule in rules])
+    return {"polar": stacked(quad.polar_rule(n)), "rapidity": stacked(quad.rapidity_rule(n)),
+            "radial": stacked(quad.radial_rule(n)),
+            "azimuthal": quad.periodic_trapezoid(n).nodes[None]}
+
+
+def legendre_points(n: int):
+    """Points in [-1, 1] from every family's nodes at ``n``."""
+    nodes = family_nodes(n)
+    return (np.cos(nodes["polar"]), np.tanh(nodes["rapidity"]), np.tanh(nodes["radial"]),
+            np.cos(nodes["azimuthal"]))
+
+
+def laguerre_points(n: int):
+    """Points >= 0 from every family's nodes at ``n``."""
+    nodes = family_nodes(n)
+    return (nodes["radial"] ** 2, nodes["polar"], nodes["rapidity"] ** 2, nodes["azimuthal"])
+
+
+def axis_column(field: str, *names: str) -> np.ndarray:
+    """The indices ``names`` of the ``field`` axis's distinct states, one row each."""
+    axis = next(axis for axis in osc.AXES if axis.field == field)
+    return np.array([[getattr(qn, name) for name in names] for qn in axis.layout[0]])
+
+
+def as_column(indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index rows as (k, 1, 1) columns against a build's (rules, nodes) stack."""
+    return tuple(part.reshape(-1, 1, 1) for part in np.asarray(indices).T)
+
+
+# (degree, order) columns: the polar axis's (l, n), the rapidity axis's (m, -n),
+# and every pair up to degree 6, with negative orders, |order| > degree, and
+# up to five recurrence steps past the two seeds, which no catalogue state takes
+LEGENDRE_COLUMNS = {
+    "polar": axis_column("polar", "l", "n"),
+    "rapidity": axis_column("rapidity", "m", "n") * [1, -1],
+    "general": np.array(list(itertools.product(range(7), range(-7, 8)))),
+}
+# (degree, alpha) columns: the radial axis's (n_a, l + 1/2), and degrees 0..6
+LAGUERRE_COLUMNS = {
+    "radial": axis_column("radial", "n_a", "l") + [0, 0.5],
+    "general": np.array(list(itertools.product(range(7), (0.0, 0.5, 1.5, 2.5, 3.5)))),
+}
+
+
+class TestPlansAreTheReference:
+    """One plan per column, evaluated on every family's nodes at every count,
+    gives the reference's bits: the same ufuncs on the same operands."""
+
+    @pytest.mark.parametrize("name", LEGENDRE_COLUMNS)
+    def test_legendre_column(self, name):
+        degree, order = as_column(LEGENDRE_COLUMNS[name])
+        plan = legendre_plan(degree, order)
+        for n in PLAN_COUNTS:
+            for x in legendre_points(n):
+                expected = reference.assoc_legendre(degree, order, x).tobytes()
+                assert legendre_values(plan, x).tobytes() == expected, (name, n)
+                assert assoc_legendre(degree, order, x).tobytes() == expected, (name, n)
+
+    @pytest.mark.parametrize("name", LAGUERRE_COLUMNS)
+    def test_laguerre_column(self, name):
+        degree, alpha = as_column(LAGUERRE_COLUMNS[name])
+        degree = degree.astype(int)
+        plan = laguerre_plan(degree, alpha)
+        for n in PLAN_COUNTS:
+            for x in laguerre_points(n):
+                expected = reference.gen_laguerre(degree, alpha, x).tobytes()
+                assert laguerre_values(plan, x).tobytes() == expected, (name, n)
+                assert gen_laguerre(degree, alpha, x).tobytes() == expected, (name, n)
+
+    @pytest.mark.parametrize("field", ["polar", "rapidity", "radial"])
+    def test_axis_evaluator(self, field):
+        # the evaluator a build calls, against the factory that planned nothing
+        axis = next(axis for axis in osc.AXES if axis.field == field)
+        unplanned = getattr(reference, f"{field}_profiles")(axis.layout[0])
+        for n in PLAN_COUNTS:
+            x = family_nodes(n)[field]
+            assert axis.profiles(x).tobytes() == unplanned(x).tobytes(), n
+
+    def test_scalars(self):
+        for degree, order, x in [(0, 0, 0.3), (3, -2, 0.3), (5, 1, -0.7), (2, 3, 0.5)]:
+            value = assoc_legendre(degree, order, x)
+            assert type(value) is float
+            assert value.hex() == reference.assoc_legendre(degree, order, x).hex()
+        for degree, alpha, x in [(0, 2.5, 7.0), (3, 2.5, 2.0), (6, 0.5, 11.0)]:
+            value = gen_laguerre(degree, alpha, x)
+            assert type(value) is float
+            assert value.hex() == reference.gen_laguerre(degree, alpha, x).hex()

@@ -15,6 +15,7 @@ from numpy.polynomial.legendre import leggauss
 from rmsphase import Channel, NodeCounts, gram_matrix, live_indices, matrix_element
 from rmsphase import oscillator as osc
 from rmsphase import quadrature as quad
+from rmsphase import specfun
 from rmsphase.errors import EvaluationError
 from rmsphase.oscillator import (
     live_entry,
@@ -35,6 +36,7 @@ from rmsphase.quadrature import (
 
 NULL = (3, 4, 7, 11, 12, 15)
 UNEVEN = NodeCounts(40, 72, 33, 96)
+FACTORIES = {"polar": polar_profiles, "rapidity": rapidity_profiles, "radial": radial_profiles}
 
 
 def single(profiles, qn):
@@ -117,13 +119,14 @@ def test_tables_are_read_only_and_hermitian():
         assert np.array_equal(table, table.conj().T)
 
 
-@pytest.mark.parametrize("function, axis", [("assoc_legendre", "polar"),
-                                            ("gen_laguerre", "radial")])
-def test_non_finite_profile_raises(monkeypatch, fresh_tables, function, axis):
-    def nan_like(degree, order, x):
-        return np.full_like(np.asarray(x, dtype=float), np.nan)
+@pytest.mark.parametrize("axis", ["polar", "rapidity", "radial"])
+def test_non_finite_profile_raises(monkeypatch, fresh_tables, axis):
+    def nan_like(spec):
+        rows = len(spec.layout[0])
+        return spec._replace(profiles=lambda x: np.full((rows, *np.shape(x)), np.nan))
 
-    monkeypatch.setattr(osc, function, nan_like)
+    monkeypatch.setattr(osc, "AXES", tuple(nan_like(spec) if spec.field == axis else spec
+                                           for spec in osc.AXES))
     with pytest.raises(EvaluationError, match=f"on {axis} axis"):
         overlap_tables(NodeCounts(41, 43, 45, 47))
 
@@ -147,9 +150,9 @@ def test_shared_axis_count_reuses_its_table(monkeypatch, fresh_tables, field):
             calls.append((axis.field, "rules"))
             return axis.rules(n)
 
-        def profiles(qns):
+        def profiles(x):
             calls.append((axis.field, "profiles"))
-            return axis.profiles(qns)
+            return axis.profiles(x)
 
         return axis._replace(rules=rules, profiles=profiles)
 
@@ -223,15 +226,19 @@ def test_build_solves_both_radial_parities_in_one_pass(monkeypatch, fresh_tables
 @pytest.mark.parametrize("nodes", [NodeCounts(37, 39, 41, 43), NodeCounts.uniform(1024)],
                          ids=["uneven", "nodes1024"])
 def test_stacked_profiles_match_each_state_alone(nodes):
-    # every live state at once, on the stack of an axis's node arrays, against
-    # each state's own profile on each array
+    # on the stack of an axis's node arrays: the evaluator the axis holds, for
+    # its distinct states, and its factory's for every live state at once,
+    # against each state's own profile on each array
     qns = [state_table()[i - 1] for i in live_indices()]
     for axis in osc.AXES:
+        factory = FACTORIES[axis.field]
         arrays = [rule.nodes for rule in axis.rules(getattr(nodes, axis.field))]
-        stacked = axis.profiles(qns)(np.stack(arrays))
-        for qn, rows in zip(qns, stacked):
-            for x, got in zip(arrays, rows):
-                np.testing.assert_allclose(got, single(axis.profiles, qn)(x), rtol=1e-14, atol=0)
+        for states, profiles in ((axis.layout[0], axis.profiles), (qns, factory(qns))):
+            stacked = profiles(np.stack(arrays))
+            assert stacked.shape == (len(states), len(arrays), len(arrays[0]))
+            for qn, rows in zip(states, stacked):
+                for x, got in zip(arrays, rows):
+                    np.testing.assert_allclose(got, single(factory, qn)(x), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("nodes", [NodeCounts.uniform(1024), NodeCounts(37, 39, 41, 43)])
@@ -261,18 +268,19 @@ def test_build_asks_each_axis_for_one_pair(monkeypatch, fresh_tables):
 def test_build_evaluates_each_profile_once_per_node_set(monkeypatch, fresh_tables):
     # a profile reads (l, n) on the polar axis, (m, n) on rapidity and
     # (n_a, l) on radial, so the ten states have 3, 3 and 4 distinct ones.
-    # Each axis runs one recurrence over a column of its profiles' indices:
-    # polar and rapidity one Legendre call (orders n and -n) on the one node
-    # array their pair shares, radial one Laguerre call on both of its node
-    # arrays at once
+    # Each axis evaluates all of its distinct profiles in one call of its
+    # evaluator: polar and rapidity on the one node array their pair shares,
+    # radial on both of its node arrays at once
     calls = []
-    for name in ("assoc_legendre", "gen_laguerre"):
-        def counted(degree, order, x, name=name, function=getattr(osc, name)):
-            axis = ("radial" if name == "gen_laguerre"
-                    else "polar" if np.all(order > 0) else "rapidity")
-            calls.append((axis, np.shape(degree), np.shape(x)))
-            return function(degree, order, x)
-        monkeypatch.setattr(osc, name, counted)
+
+    def counted(axis):
+        def profiles(x):
+            values = axis.profiles(x)
+            calls.append((axis.field, np.shape(x), values.shape))
+            return values
+        return axis._replace(profiles=profiles)
+
+    monkeypatch.setattr(osc, "AXES", tuple(counted(axis) for axis in osc.AXES))
     integrated = []
     wrapped = quad.integrate
 
@@ -282,7 +290,20 @@ def test_build_evaluates_each_profile_once_per_node_set(monkeypatch, fresh_table
 
     monkeypatch.setattr(quad, "integrate", counted_integrate)
     osc.overlap_tables.__wrapped__(NodeCounts(37, 39, 41, 43))
-    assert sorted(calls) == [("polar", (3, 1, 1), (1, 39)), ("radial", (4, 1, 1), (2, 37)),
-                             ("rapidity", (3, 1, 1), (1, 43))]
+    assert sorted(calls) == [("polar", (1, 39), (3, 1, 39)), ("radial", (2, 37), (4, 2, 37)),
+                             ("rapidity", (1, 43), (3, 1, 43))]
     # one azimuthal integral per distinct m_j - m_i, on the 41 azimuthal nodes
     assert integrated == [41] * 3
+
+
+def test_build_plans_nothing(monkeypatch, fresh_tables):
+    # every axis's recurrence was planned at import, so a build from empty
+    # caches runs with the planners gone
+    def planner(*args):
+        raise AssertionError("a build planned a recurrence")
+
+    for module in (osc, specfun):
+        for name in ("legendre_plan", "laguerre_plan"):
+            monkeypatch.setattr(module, name, planner)
+    tables = osc.overlap_tables(NodeCounts(51, 53, 55, 57))
+    assert np.all(np.isfinite(tables.gram))
