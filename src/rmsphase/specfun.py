@@ -130,7 +130,6 @@ def assoc_legendre(degree, order, x):
 class _LaguerrePlan(NamedTuple):
     """A column of (degree, alpha) pairs, as ``laguerre_values`` reads it."""
 
-    shape: tuple            # the broadcast shape of the indices
     first: np.ndarray       # 1 + alpha, of L_1 = 1 + alpha - x
     zero: np.ndarray        # degree == 0: the row keeps L_0 = 1
     steps: tuple            # per step k >= 1: (k + 1, 2k + 1 + alpha, k + alpha, degree == k + 1)
@@ -147,16 +146,15 @@ def laguerre_plan(degree, alpha) -> _LaguerrePlan:
     alpha = np.asarray(alpha, dtype=float)
     steps = tuple((k + 1, 2 * k + 1 + alpha, k + alpha, deg == k + 1)
                   for k in range(1, int(deg.max())))
-    return _LaguerrePlan(np.broadcast_shapes(deg.shape, alpha.shape), 1.0 + alpha, deg == 0,
-                         steps)
+    return _LaguerrePlan(1.0 + alpha, deg == 0, steps)
 
 
 def laguerre_values(plan: _LaguerrePlan, x):
     """The polynomials of ``plan`` at the points ``x``, which broadcast
     against its indices; a float where both are scalars."""
-    shape, first, zero, steps = plan
+    first, zero, steps = plan
     arr = np.asarray(x, dtype=float)
-    lkm1 = np.ones(np.broadcast_shapes(shape, arr.shape))
+    lkm1 = np.ones(np.broadcast_shapes(zero.shape, first.shape, arr.shape))
     lk = first - arr
     values = np.where(zero, lkm1, lk)
     for k1, rise, fall, at in steps:

@@ -365,7 +365,8 @@ class TestConfig:
         ("format = xml", "unknown output format 'xml'"),
         ("omega_convention = bogus", "unknown omega convention 'bogus'"),
         ("nodes 32", "{cfg}:1: expected key=value"),
-        ("nodes = 64\n# smaller\nnodes = 32", "{cfg}:3: key 'nodes' given twice, on lines 1 and 3"),
+        ("nodes = 64\n# smaller\nnodes = 32",
+         "{cfg}:3: key 'nodes' given twice, on lines 1 and 3"),
     ], ids=["format", "omega-convention", "no-equals", "key-twice"])
     def test_bad_config_line_is_config_error(self, capsys, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"

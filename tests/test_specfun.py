@@ -183,10 +183,12 @@ def laguerre_points(n: int):
     return (nodes["radial"] ** 2, nodes["polar"], nodes["rapidity"] ** 2, nodes["azimuthal"])
 
 
+AXIS = {axis.field: axis for axis in osc.AXES}
+
+
 def axis_column(field: str, *names: str) -> np.ndarray:
     """The indices ``names`` of the ``field`` axis's distinct states, one row each."""
-    axis = next(axis for axis in osc.AXES if axis.field == field)
-    return np.array([[getattr(qn, name) for name in names] for qn in axis.layout[0]])
+    return np.array([[getattr(qn, name) for name in names] for qn in AXIS[field].layout[0]])
 
 
 def as_column(indices: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -237,7 +239,7 @@ class TestPlansAreTheReference:
     @pytest.mark.parametrize("field", ["polar", "rapidity", "radial"])
     def test_axis_evaluator(self, field):
         # the evaluator a build calls, against the factory that planned nothing
-        axis = next(axis for axis in osc.AXES if axis.field == field)
+        axis = AXIS[field]
         unplanned = getattr(reference, f"{field}_profiles")(axis.layout[0])
         for n in PLAN_COUNTS:
             x = family_nodes(n)[field]
