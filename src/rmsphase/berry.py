@@ -20,11 +20,12 @@ nonzero coefficient sets in the test suite.
 
 What is constant around a loop is computed once, not once per step:
 
-* per loop, ``_loop_samples`` builds once per (steps, reverse) the
-  samples (cos alpha, sin alpha), with the one that closes the chain,
-  and the overlap chain's eight link terms, the products and sums of
-  adjacent samples that do not depend on the coefficient set; both loop
-  routes read the one entry (its memory: ``MAX_STEPS``);
+* per loop, ``_loop_samples`` builds once per step count the samples
+  (cos alpha, sin alpha), with the one that closes the chain, and the
+  overlap chain's eight link terms, the products and sums of adjacent
+  samples that do not depend on the coefficient set; both loop routes
+  read the one entry, and the last loop's is the one kept (its memory:
+  ``MAX_STEPS``);
 * per coefficient set, the set holds the three sums the connection reads
   and max|coefficient|, which sets the auto radius, taken at construction
   (``perturbation._fill_records``).  The connection is evaluated once, on
@@ -92,10 +93,9 @@ _PERTURBATIVE_BUDGET = 1e-2
 # oracle-agreement tolerance at 1e-24 and uses 5% of it at 1e-22.
 _OVERLAP_FLOOR = 1e-18
 
-# The loop's memory, stated here once: each ``_loop_samples`` entry holds
-# 10 steps + 2 floats, 80 MiB at this cap, and two entries are kept;
-# beyond it, a two-radius overlap pass holds 8 floats per step and a
-# connection pass 7.
+# The loop's memory, stated here once: the one ``_loop_samples`` entry
+# kept holds 10 steps + 2 floats, 80 MiB at this cap; beyond it, a
+# two-radius overlap pass holds 8 floats per step and a connection pass 7.
 MAX_STEPS = 2 ** 20
 
 # Per coefficient set (sets hash by identity), the last Gram matrix the overlap
@@ -107,23 +107,21 @@ _reduced_metrics = weakref.WeakKeyDictionary()
 class LoopParams:
     """Circle in coupling space: radius and number of samples.
 
+    The circle is traversed counterclockwise, the orientation whose phase
+    the closed form gives; the reversed loop's phase is its negation.
     ``radius``, a real number kept as a float, is in the coupling units of
     the constants the loop runs with (the oracles run dimensionless, units
-    of M omega^2); None picks r = 1e-2 / max|coefficient|.  ``reverse``, a
-    bool, traverses the loop backwards.
+    of M omega^2); None picks r = 1e-2 / max|coefficient|.
     """
 
     radius: float | None = None
     steps: int = 720
-    reverse: bool = False
 
     def __post_init__(self):
         require_integer(self.steps, "loop steps")
         if not 8 <= self.steps <= MAX_STEPS:
             raise ParameterError(
                 f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")
-        if not isinstance(self.reverse, bool):     # a truthy string would reverse the loop
-            raise ParameterError(f"loop reverse must be a bool, got {self.reverse!r}")
         if self.radius is None:
             return
         object.__setattr__(self, "radius", require_real(self.radius, "loop radius"))
@@ -178,8 +176,8 @@ def _radii_label(radii: tuple[float, ...]) -> str:
     return f"{label} {', '.join(map(repr, radii))}"
 
 
-@lru_cache(maxsize=2)
-def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _loop_samples(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The loop's samples and the overlap chain's link terms, read-only.
 
     ``samples`` holds the rows (cos alpha, sin alpha) of the samples in
@@ -190,12 +188,10 @@ def _loop_samples(steps: int, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
     c0 + c1, s0 + s1, c0 c1, s0 s1, c0 s1 + s0 c1, c1 - c0, s1 - s0 and
     c0 s1 - s0 c1; shape (8, steps).  Both loop routes read the samples and
     ``_overlap_phases`` the links, so the routes of one loop evaluate the
-    trigonometric functions and the products once (their memory:
-    ``MAX_STEPS``).
+    trigonometric functions and the products once.  Every command reads
+    one loop at a time, so one entry is kept (its memory: ``MAX_STEPS``).
     """
     alphas = np.arange(steps) * (2.0 * math.pi / steps)
-    if reverse:
-        alphas = alphas[::-1]
     samples = np.empty((2, steps + 1))
     np.cos(alphas, out=samples[0, :-1])
     np.sin(alphas, out=samples[1, :-1])
@@ -230,25 +226,24 @@ def connection_loop_integral(coeffs: pert.CorrectionCoefficients,
     result is a roundoff diagnostic.  An exact zero is returned as +0, so
     the printed sign of a structural zero does not follow roundoff.  The
     connection is evaluated once, on the arrays of every sample of the
-    circle (``_loop_samples``), and its tangent-weighted integrand is
-    summed by one ``np.add.reduce``, in place (its memory: ``MAX_STEPS``).
+    counterclockwise circle (``_loop_samples``), and its integrand, weighted
+    by the tangent (-r sin alpha, r cos alpha), is summed by one
+    ``np.add.reduce``, in place (its memory: ``MAX_STEPS``).
     The pass runs with numpy raising at the first overflow, which refuses
     the radius as a ``ParameterError``.
     """
     r = _auto_radius(coeffs, loop)
     _check_radius(r)
-    orientation = -1.0 if loop.reverse else 1.0
-    c, s = _loop_samples(loop.steps, loop.reverse)[0][:, :-1]
+    c, s = _loop_samples(loop.steps)[0][:, :-1]
     sum_aa, sum_bb, sum_ab = coeffs.connection_sums
     try:
         with np.errstate(over="raise"):
             rc, rs = r * c, r * s
             a1, a2 = rc * sum_aa + rs * sum_ab.conjugate(), rc * sum_ab + rs * sum_bb
-            # times dR/d(alpha) on the circle, signed by traversal direction,
-            # in place, so at MAX_STEPS this pass holds less than the overlap
-            # chain; a sign flips exactly, so rs * -o is -r * s * o
-            a1 *= rs * -orientation
-            a2 *= rc * orientation
+            # times the tangent in place, so at MAX_STEPS this pass holds less
+            # than the overlap chain
+            a1 *= -rs
+            a2 *= rc
             a1 += a2
             total = complex(np.add.reduce(a1))
     except FloatingPointError:
@@ -329,7 +324,7 @@ def _overlap_phases(coeffs: pert.CorrectionCoefficients, gram_data,
     spread = top * (2.0 * (abs(p01) + abs(p02)) + top * (abs(p11) + abs(p22) + 2.0 * abs(p12)))
     low, high = p00 - spread, p00 + spread
     screened = low > 0.0 and low * low > 0.25 * high * high * (1.0 + 1e-9)
-    samples, links = _loop_samples(loop.steps, loop.reverse)
+    samples, links = _loop_samples(loop.steps)
     c_sum, s_sum, cc, ss, cross_sum, c_diff, s_diff, cross_diff = links
     # coefficients of r and r^2 in Re o_k, Im o_k
     re1 = p01 * c_sum + p02 * s_sum

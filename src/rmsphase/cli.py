@@ -84,9 +84,14 @@ class RunConfig(NamedTuple):
     def node_counts(self) -> osc.NodeCounts:
         return osc.NodeCounts.uniform(self.nodes)
 
-    def constants_for(self, omega_mhz: float) -> osc.PhysicalConstants:
+    def constants_for(self, j: int) -> osc.PhysicalConstants:
+        """State j's constants: dimensionless, or at the --omega value when one
+        is given, else at j's reference frequency."""
         if self.dimensionless:
             return osc.PhysicalConstants.dimensionless()
+        # a given 0 must reach PhysicalConstants, which rejects it
+        omega_mhz = (self.omega_mhz if self.omega_mhz is not None
+                     else osc.ROW_FREQUENCIES_MHZ.get(j, 240.4))
         return osc.PhysicalConstants.from_frequency(omega_mhz, self.omega_convention)
 
 
@@ -149,20 +154,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _omega_mhz(config: RunConfig, j: int) -> float:
-    """The --omega value when one is given, else state j's reference frequency."""
-    # a given 0 must reach PhysicalConstants, which rejects it
-    if config.omega_mhz is not None:
-        return config.omega_mhz
-    return osc.ROW_FREQUENCIES_MHZ.get(j, 240.4)
-
-
 def _table_rows(config: RunConfig) -> list[dict]:
     nodes = config.node_counts()
     converged = osc.exactness_gap(nodes) < osc.EXACTNESS_BOUND
     rows = []
     for j in osc.live_indices():
-        constants = config.constants_for(_omega_mhz(config, j))
+        constants = config.constants_for(j)
         result = berry.berry_phase_closed(j, constants, nodes)
         rows.append({
             "j": j,
@@ -226,7 +223,7 @@ def cmd_table(config: RunConfig) -> int:
 
 def cmd_phase(config: RunConfig, j: int, method: str) -> int:
     qn = osc.get_state(j)
-    constants = config.constants_for(_omega_mhz(config, j))
+    constants = config.constants_for(j)
     nodes = config.node_counts()
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
     if method == "closed":
@@ -260,7 +257,7 @@ def cmd_phase(config: RunConfig, j: int, method: str) -> int:
 def cmd_oracle(config: RunConfig, j: int) -> int:
     if osc.get_state(j).is_null:
         raise ParameterError(f"state {j} vanishes identically; no oracle comparison")
-    constants = config.constants_for(_omega_mhz(config, j))
+    constants = config.constants_for(j)
     loop = berry.LoopParams(radius=config.radius, steps=config.steps)
     report = berry.oracle_comparison(j, constants, loop, config.node_counts())
     lines = [f"state {j} oracle comparison (dimensionless values)"]

@@ -6,14 +6,15 @@ matrix.  This one holds what it never runs:
 * 40 seeded synthetic coefficient sets, drawn as ``perfbench/run.py``'s
   ``oracle-loops`` draws them (2 to 4 other live states, entries of
   Gaussian real and imaginary parts, |Im sum conj(a) b| >= 0.05), at steps
-  in 64..2048, stored as ``float.hex`` values.  Each runs in both
-  directions under the 16-, 48- and then again the 16-node Gram matrix,
-  so the overlap chain's reduced-metric memo switches matrices; under each,
+  in 64..2048, stored as ``float.hex`` values.  Each runs under the 16-,
+  48- and then again the 16-node Gram matrix, so the overlap chain's
+  reduced-metric memo switches matrices; under each,
   ``overlap_loop_phase`` at r and then r/2, with r = 1e-2 / max|coefficient|
   as the benchmark takes it, ``connection_loop_integral`` and
   ``closed_form_phase``;
 * every live state's package record at 16, 48 and 128 nodes through
-  ``berry._route_values``, at the default loop and at 64 steps reversed;
+  ``berry._route_values``, at the default loop and at 64 steps, each
+  entry named by the loop's step count and radius;
 * the message of each floor and overflow refusal: the overlap route
   below its floor and the overflow of each loop route, on synthetic sets
   and on package records.
@@ -47,7 +48,7 @@ STEPS_RANGE = (64, 2048)
 # the Gram matrices each synthetic set runs under, in turn
 GRAM_NODES = (16, 48, 16)
 RECORD_NODES = (16, 48, 128)
-RECORD_LOOPS = (berry.LoopParams(), berry.LoopParams(steps=64, reverse=True))
+RECORD_LOOPS = (berry.LoopParams(), berry.LoopParams(steps=64))
 # radii at which a route refuses: 1e-150 is below the overlap floor of every
 # set here, 1e100 overflows the overlap chain and 1e153 the connection loop
 # of a set with sum|a|^2 above ~1.8
@@ -112,17 +113,16 @@ def entries(sets: list[dict]) -> dict:
     for k, entry in enumerate(sets):
         coeffs = build(entry)
         r = 1e-2 / coeffs.max_magnitude()
-        for reverse in (False, True):
-            loop = berry.LoopParams(radius=r, steps=entry["steps"], reverse=reverse)
-            for turn, n in enumerate(GRAM_NODES):
-                name = f"set {k} {'reverse' if reverse else 'forward'} gram{n}#{turn}"
-                out[f"{name} overlap r"] = outcome(
-                    lambda: berry.overlap_loop_phase(coeffs, grams[n], loop, r))
-                out[f"{name} overlap r/2"] = outcome(
-                    lambda: berry.overlap_loop_phase(coeffs, grams[n], loop, 0.5 * r))
-                out[f"{name} connection"] = outcome(
-                    lambda: berry.connection_loop_integral(coeffs, loop))
-                out[f"{name} closed"] = outcome(lambda: berry.closed_form_phase(coeffs))
+        loop = berry.LoopParams(radius=r, steps=entry["steps"])
+        for turn, n in enumerate(GRAM_NODES):
+            name = f"set {k} gram{n}#{turn}"
+            out[f"{name} overlap r"] = outcome(
+                lambda: berry.overlap_loop_phase(coeffs, grams[n], loop, r))
+            out[f"{name} overlap r/2"] = outcome(
+                lambda: berry.overlap_loop_phase(coeffs, grams[n], loop, 0.5 * r))
+            out[f"{name} connection"] = outcome(
+                lambda: berry.connection_loop_integral(coeffs, loop))
+            out[f"{name} closed"] = outcome(lambda: berry.closed_form_phase(coeffs))
         for radius in REFUSAL_RADII:
             loop = berry.LoopParams(radius=radius, steps=entry["steps"])
             out[f"set {k} radius {radius!r} overlap"] = outcome(
@@ -136,8 +136,9 @@ def entries(sets: list[dict]) -> dict:
             loops = [*RECORD_LOOPS, *(berry.LoopParams(radius=radius) for radius in
                                       (REFUSAL_RADII if n == 16 else ()))]
             for loop in loops:
+                name = f"record {j} nodes {n} steps {loop.steps} radius {loop.radius!r}"
                 for method in METHODS:
-                    out[f"record {j} nodes {n} {loop} {method}"] = outcome(
+                    out[f"{name} {method}"] = outcome(
                         lambda: route_outcome(berry._route_values(coeffs, nodes, loop,
                                                                   (method,))))
     return out

@@ -23,9 +23,8 @@ from rmsphase.perturbation import CorrectionCoefficients
 
 def loop_alphas(loop) -> np.ndarray:
     """The loop's sample angles in traversal order, as ``berry._loop_samples``
-    takes them: ``loop.steps`` equal steps from 0, reversed if ``loop.reverse``."""
-    a = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
-    return a[::-1] if loop.reverse else a
+    takes them: ``loop.steps`` equal steps from 0."""
+    return np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
 
 
 def loop_vectors(coeffs: CorrectionCoefficients, radius: float,
@@ -73,7 +72,7 @@ def normed_overlap_phases(coeffs: CorrectionCoefficients, gram: np.ndarray,
     basis = _loop_basis(coeffs)
     metric = _hermitian(basis.conj().T @ gram @ basis)
     p, q = metric.real, metric.imag
-    c, s = _loop_samples(loop.steps, loop.reverse)[0]
+    c, s = _loop_samples(loop.steps)[0]
     c0, s0, c1, s1 = c[:-1], s[:-1], c[1:], s[1:]
     re1 = p[0, 1] * (c0 + c1) + p[0, 2] * (s0 + s1)
     re2 = p[1, 1] * (c0 * c1) + p[2, 2] * (s0 * s1) + p[1, 2] * (c0 * s1 + s0 * c1)

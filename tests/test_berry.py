@@ -150,12 +150,9 @@ class TestSyntheticLoops:
         assert errs[1] < errs[0] / 3.0      # ~1/steps^2
 
     def test_overlap_orientation_flip(self, synthetic):
-        fwd = overlap_product_phase(
-            loop_vectors(synthetic, 1e-3, loop_alphas(LoopParams(radius=1e-3, steps=720))),
-            IDENTITY)
-        back = overlap_product_phase(
-            loop_vectors(synthetic, 1e-3,
-                         loop_alphas(LoopParams(radius=1e-3, steps=720, reverse=True))), IDENTITY)
+        alphas = loop_alphas(LoopParams(radius=1e-3, steps=720))
+        fwd = overlap_product_phase(loop_vectors(synthetic, 1e-3, alphas), IDENTITY)
+        back = overlap_product_phase(loop_vectors(synthetic, 1e-3, alphas[::-1]), IDENTITY)
         assert back == pytest.approx(-fwd, rel=1e-12)
 
     def test_overlap_gauge_invariance(self, synthetic, rng):
@@ -183,10 +180,9 @@ class TestSyntheticLoops:
             overlap_product_phase(loop_vectors(coeffs, 1e4, loop_alphas(loop)), gram)
 
     @pytest.mark.parametrize("steps", [8, 720, 1001, 2048])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_radius_batch_is_the_single_radius_calls(self, nodes64, rng, steps, reverse):
+    def test_radius_batch_is_the_single_radius_calls(self, nodes64, rng, steps):
         gram_data = gram_matrix(nodes64)
-        loop = LoopParams(steps=steps, reverse=reverse)
+        loop = LoopParams(steps=steps)
         coeffs = [random_coefficients(rng) for _ in range(8)]
         coeffs += [correction_coefficients(j, nodes=nodes64) for j in (1, 8, 16)]
         for c in coeffs:
@@ -204,9 +200,6 @@ def reference_connection_loop(coeffs, loop):
     """
     r = loop.radius
     alphas = np.linspace(0.0, 2.0 * math.pi, loop.steps, endpoint=False)
-    orientation = 1.0
-    if loop.reverse:
-        alphas, orientation = alphas[::-1], -1.0
     # left-to-right folds: from Python 3.12 the builtin sum no longer adds
     # floats in row order
     sum_aa = reduce(add, (abs(v) ** 2 for v in coeffs.a), 0.0)
@@ -216,7 +209,7 @@ def reference_connection_loop(coeffs, loop):
     c, s = np.cos(alphas), np.sin(alphas)
     a1 = r * c * sum_aa + r * s * sum_ba
     a2 = r * c * sum_ab + r * s * sum_bb
-    total = complex(np.sum(a1 * (-r * s * orientation) + a2 * (r * c * orientation)))
+    total = complex(np.sum(a1 * (-r * s) + a2 * (r * c)))
     value = 1j * (total * (2.0 * math.pi / loop.steps))
     return value.real / r ** 2, abs(value.imag) / r ** 2, r
 
@@ -224,12 +217,11 @@ def reference_connection_loop(coeffs, loop):
 def sequential_connection_loop(coeffs, loop):
     """The connection loop one step at a time, on Python floats."""
     r = loop.radius
-    orientation = -1.0 if loop.reverse else 1.0
     total = 0.0 + 0.0j
     for alpha in loop_alphas(loop).tolist():
         c, s = math.cos(alpha), math.sin(alpha)
         a1, a2 = connection(coeffs, r * c, r * s)
-        total += a1 * (-r * s * orientation) + a2 * (r * c * orientation)
+        total += a1 * (-r * s) + a2 * (r * c)
     total *= 2.0 * math.pi / loop.steps
     value = 1j * total
     return value.real / r ** 2, abs(value.imag) / r ** 2, r
@@ -267,33 +259,30 @@ class TestStoredSums:
             rotated.b[row] = 7.0
 
     @pytest.mark.parametrize("steps", [8, 720, 1001])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_connection_loop_is_exactly_the_reference(self, synthetic, steps, reverse):
-        loop = LoopParams(radius=1e-3, steps=steps, reverse=reverse)
+    def test_connection_loop_is_exactly_the_reference(self, synthetic, steps):
+        loop = LoopParams(radius=1e-3, steps=steps)
         assert connection_loop_integral(synthetic, loop) == reference_connection_loop(
             synthetic, loop)
 
     @pytest.mark.parametrize("steps", [8, 1001])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_loop_samples_are_shared_and_closed(self, steps, reverse):
-        entry = _loop_samples(steps, reverse)
-        assert _loop_samples(steps, reverse) is entry
+    def test_loop_samples_are_shared_and_closed(self, steps):
+        entry = _loop_samples(steps)
+        assert _loop_samples(steps) is entry
         samples, links = entry
         assert samples.shape == (2, steps + 1) and links.shape == (8, steps)
-        alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
+        alphas = loop_alphas(LoopParams(steps=steps))
         assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes()
         assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes()
         assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_loop_angles_are_the_reference_bits_at_every_step_count(self, reverse):
+    def test_loop_angles_are_the_reference_bits_at_every_step_count(self):
         # the package takes the angles as k (2 pi / steps), the reference as
         # np.linspace: the same bits at every step count up to 4096 and at
         # each power of two up to the cap
         for steps in [*range(8, 4097), *(2 ** k for k in range(13, MAX_STEPS.bit_length()))]:
-            samples, links = _loop_samples(steps, reverse)
+            samples, links = _loop_samples(steps)
             assert samples.shape == (2, steps + 1) and links.shape == (8, steps)
-            alphas = loop_alphas(LoopParams(steps=steps, reverse=reverse))
+            alphas = loop_alphas(LoopParams(steps=steps))
             assert samples[0, :-1].tobytes() == np.cos(alphas).tobytes(), steps
             assert samples[1, :-1].tobytes() == np.sin(alphas).tobytes(), steps
             assert samples[:, -1].tobytes() == samples[:, 0].tobytes()
@@ -301,9 +290,8 @@ class TestStoredSums:
         _loop_samples.cache_clear()     # the cap's entry holds 80 MiB
 
     @pytest.mark.parametrize("steps", [8, 720, 1001])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_link_terms_are_the_products_of_the_samples(self, steps, reverse):
-        samples, links = _loop_samples(steps, reverse)
+    def test_link_terms_are_the_products_of_the_samples(self, steps):
+        samples, links = _loop_samples(steps)
         c0, s0 = samples[:, :-1].copy()
         c1, s1 = samples[:, 1:].copy()
         fresh = [c0 + c1, s0 + s1, c0 * c1, s0 * s1, c0 * s1 + s0 * c1,
@@ -312,18 +300,17 @@ class TestStoredSums:
             assert links[k].tobytes() == term.tobytes(), k
 
     def test_loop_entry_is_read_only(self):
-        samples, links = _loop_samples(64, False)
+        samples, links = _loop_samples(64)
         for array in (samples, links):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
 
     @pytest.mark.parametrize("steps", [8, 720, 1001])
-    @pytest.mark.parametrize("reverse", [False, True])
     def test_overlap_chain_reads_a_cleared_and_a_warm_cache_alike(self, nodes64, synthetic,
-                                                                    steps, reverse):
+                                                                    steps):
         gram_data = gram_matrix(nodes64)
-        loop = LoopParams(steps=steps, reverse=reverse)
+        loop = LoopParams(steps=steps)
         for coeffs in (synthetic, correction_coefficients(8, nodes=nodes64)):
             r = 1e-2 / coeffs.max_magnitude()
             _loop_samples.cache_clear()
@@ -331,6 +318,13 @@ class TestStoredSums:
             warm = _overlap_phases(coeffs, gram_data, loop, (r, 0.5 * r))
             assert _loop_samples.cache_info().hits >= 1
             assert np.array(cold).tobytes() == np.array(warm).tobytes()
+
+    def test_one_loop_is_kept(self, dimensionless, nodes64):
+        # a command reads one loop at a time, and the entry at the cap holds 80 MiB
+        _loop_samples.cache_clear()
+        for steps in (64, 720):
+            oracle_comparison(1, dimensionless, LoopParams(steps=steps), nodes64)
+        assert _loop_samples.cache_info().currsize == 1
 
     def test_loop_passes_hold_at_most_eight_and_a_half_floats_per_step(self, synthetic,
                                                                       nodes64):
@@ -358,7 +352,7 @@ class TestStoredSums:
         for _ in range(60):
             coeffs = random_coefficients(rng)
             loop = LoopParams(radius=float(10.0 ** rng.uniform(-4.0, 0.0)),
-                              steps=int(rng.integers(8, 4096)), reverse=bool(rng.integers(2)))
+                              steps=int(rng.integers(8, 4096)))
             gamma, residual, r = connection_loop_integral(coeffs, loop)
             gamma_seq, residual_seq, r_seq = sequential_connection_loop(coeffs, loop)
             scale = coeffs.connection_sums[0] + coeffs.connection_sums[1]
@@ -375,12 +369,10 @@ class TestPhysicalPhases:
             assert result.method == "closed"
 
     @pytest.mark.parametrize("steps", [8, 720, 2048])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_connection_loop_zero_is_positive(self, nodes64, steps, reverse):
+    def test_connection_loop_zero_is_positive(self, nodes64, steps):
         for j in live_indices():
             coeffs = correction_coefficients(j, nodes=nodes64)
-            gamma, _, _ = connection_loop_integral(coeffs, LoopParams(steps=steps,
-                                                                      reverse=reverse))
+            gamma, _, _ = connection_loop_integral(coeffs, LoopParams(steps=steps))
             assert gamma == 0.0 and math.copysign(1.0, gamma) == 1.0, j
 
     def test_null_states_zero_with_note(self, dimensionless, nodes64):
@@ -490,13 +482,6 @@ class TestParams:
         with pytest.raises(ParameterError, match="loop steps must be an integer, got True"):
             LoopParams(steps=True)
         assert LoopParams(steps=np.int64(720)).steps == 720
-
-    def test_reverse_must_be_a_bool(self):
-        # a truthy string once reversed the loop, flipping a nonzero phase
-        for reverse in ("no", 1, None, np.True_):
-            with pytest.raises(ParameterError, match="loop reverse must be a bool"):
-                LoopParams(reverse=reverse)
-        assert LoopParams(reverse=True).reverse is True
 
     def test_bool_or_string_radius_is_parameter_error(self):
         # True once ran as radius 1.0, and a string raised a bare TypeError

@@ -59,8 +59,8 @@ def coefficient_sets(draw):
                                   {i: draw(coefficient) for i in members})
 
 
-# both directions and the benchmark's step range, so every chain closes both ways
-loops = st.builds(LoopParams, steps=st.integers(8, 2048), reverse=st.booleans())
+# the benchmark's step range
+loops = st.builds(LoopParams, steps=st.integers(8, 2048))
 
 
 def tolerance(coeffs, loop):
@@ -76,26 +76,11 @@ def routes(coeffs, loop):
             overlap_loop_phase(coeffs, GRAM_DATA[16], loop, r))
 
 
-def reversed_loop(loop):
-    return LoopParams(loop.radius, loop.steps, not loop.reverse)
-
-
 @PROPERTY_SETTINGS
 @given(coefficient_sets(), loops)
 def test_connection_route_equals_closed_form(coeffs, loop):
     closed, connection, _ = routes(coeffs, loop)
-    # the closed form is the phase of the forward loop
-    expected = -closed if loop.reverse else closed
-    assert connection == pytest.approx(expected, **tolerance(coeffs, loop))
-
-
-@PROPERTY_SETTINGS
-@given(coefficient_sets(), loops)
-def test_reversal_negates_both_loop_routes(coeffs, loop):
-    _, connection, overlap = routes(coeffs, loop)
-    _, back_connection, back_overlap = routes(coeffs, reversed_loop(loop))
-    assert back_connection == pytest.approx(-connection, **tolerance(coeffs, loop))
-    assert back_overlap == pytest.approx(-overlap, **tolerance(coeffs, loop))
+    assert connection == pytest.approx(closed, **tolerance(coeffs, loop))
 
 
 @PROPERTY_SETTINGS
@@ -135,15 +120,15 @@ def outcome(route):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(coefficient_sets(), st.integers(8, 64), st.booleans(),
+@given(coefficient_sets(), st.integers(8, 64),
        (st.floats(-1.0, 2.5) | st.floats(75.0, 79.0)).map(lambda e: 10.0 ** e),
        st.booleans())
-def test_screened_refusal_matches_the_normed_chain(coeffs, steps, reverse, scale, pair):
+def test_screened_refusal_matches_the_normed_chain(coeffs, steps, scale, pair):
     # r * max|coefficient| from 0.1 to ~316 at 8..64 steps spans the weak-overlap
     # refusal, so both the screened pass and the one that forms the norms run;
     # 1e75..1e79 spans the radius at which the chain's squares overflow
     gram_data = GRAM_DATA[16]
-    loop = LoopParams(steps=steps, reverse=reverse)
+    loop = LoopParams(steps=steps)
     r = scale / coeffs.max_magnitude()
     radii = (r, 0.5 * r) if pair else (r,)
     assert (outcome(lambda: _overlap_phases(coeffs, gram_data, loop, radii))

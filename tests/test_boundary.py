@@ -45,7 +45,7 @@ VALID = {
     "loop": LoopParams(steps=64), "nodes": NODES,
     "m_bra": 0, "m_ket": 1, "channel": Channel.COSINE,
     "rho": 1.0, "theta": 1.0, "phi": 0.5, "beta": -0.5,
-    "radius": None, "steps": 64, "reverse": False,
+    "radius": None, "steps": 64,
     "mass": 1.0, "omega": 1.0, "omega_mhz": 240.4, "omega_convention": "cyclic",
     "n_a": 2, "l": 3, "n": 2, "m": 3,
     "radial": 16, "polar": 17, "azimuthal": 18, "rapidity": 19,
