@@ -17,10 +17,11 @@ the distinct profiles (the ten states share 3 polar, 3 rapidity and 4
 radial ones), each state's row among them, and which pairs take the odd
 rule of the axis's (even, odd) pair.  It also holds its layout's
 evaluator, made at import by the axis's factory (``polar_profiles``,
-``rapidity_profiles``, ``radial_profiles``), which plans the recurrence
-over the column of the distinct profiles' indices once (``specfun``).  A
-build evaluates every distinct profile in one call of it: the shared
-factors once and one recurrence over the column, with nothing planned.  The
+``rapidity_profiles``, ``radial_profiles``), which plans the column of
+the distinct profiles' indices once (``specfun``).  A build evaluates
+every distinct profile in one call of it: the shared factors once, then
+the two Legendre seeds or one Laguerre recurrence over the column, with
+nothing planned.  The
 polar (and the rapidity) pair stand on one node array; only the two
 radial rules have their own nodes, both from one stacked two-pass solve on
 the Laguerre recurrence, and their profiles are evaluated on the two
@@ -300,7 +301,7 @@ def polar_profiles(qns):
 
     The Legendre plan of the column of (l, n) is made here, once.  f(theta)
     has shape (len(qns), *theta.shape): the trigonometric factors are taken
-    once, and one Legendre recurrence runs over the column.  Every rule node
+    once, and the two Legendre seeds run over the column.  Every rule node
     lies inside (0, pi), away from the axis where it is singular.
     """
     l, n = np.array([(qn.l, qn.n) for qn in qns]).T
@@ -318,7 +319,7 @@ def rapidity_profiles(qns):
 
     The Legendre plan of the column of (m, -n) is made here, once.  f(beta)
     has shape (len(qns), *beta.shape): tanh and the envelope are taken once,
-    and one Legendre recurrence runs over the column.
+    and the two Legendre seeds run over the column.
     """
     m, n = np.array([(qn.m, qn.n) for qn in qns]).T
     plan = legendre_plan(m[:, None], -n[:, None])
@@ -394,7 +395,7 @@ class AxisSpec(NamedTuple):
 
     ``profiles(x)`` is the axis's evaluator: its factory's (``polar_profiles``,
     ``rapidity_profiles`` or ``radial_profiles``) for the distinct states of
-    ``layout``, one row each, made at import with its recurrence planned, so
+    ``layout``, one row each, made at import with its column planned, so
     a build evaluates it on its nodes and plans nothing.  ``layout`` is the
     axis's ``_layout``, computed once, at import.
     ``rules(n)`` returns the (even, odd) pair of n-node rules, which keeps
