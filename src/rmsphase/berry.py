@@ -111,14 +111,15 @@ class LoopParams:
     the closed form gives; the reversed loop's phase is its negation.
     ``radius``, a real number kept as a float, is in the coupling units of
     the constants the loop runs with (the oracles run dimensionless, units
-    of M omega^2); None picks r = 1e-2 / max|coefficient|.
+    of M omega^2); None picks r = 1e-2 / max|coefficient|.  ``steps``, an
+    integer in 8..``MAX_STEPS``, is kept as an int.
     """
 
     radius: float | None = None
     steps: int = 720
 
     def __post_init__(self):
-        require_integer(self.steps, "loop steps")
+        object.__setattr__(self, "steps", require_integer(self.steps, "loop steps"))
         if not 8 <= self.steps <= MAX_STEPS:
             raise ParameterError(
                 f"loop steps must be in 8..{MAX_STEPS}, got {self.steps}")

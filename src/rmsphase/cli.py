@@ -134,8 +134,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ParameterError(f"--format {args.format}: only table reads --format; "
                              f"{args.command} prints plain text")
     settings: dict = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
+    path = args.config      # a given flag wins, an empty one too, which fails to open
+    if path is None:
+        path = os.environ.get(CONFIG_ENV_VAR) or None       # an empty variable names no file
+    if path is not None:
         settings.update(read_config_file(path))
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -202,7 +204,7 @@ def _render_rows(rows: list[dict], config: RunConfig) -> str:
 
 
 def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
+    if config.out is not None:      # an empty path fails to open, as any bad path does
         try:
             with open(config.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

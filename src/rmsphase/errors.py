@@ -2,12 +2,14 @@
 
 The CLI maps ``ParameterError`` to exit 2 (``configuration error:``) and
 ``EvaluationError`` to exit 3 (``numerical error:``).  No package error
-exits 1; that code is left to a failed validation.  ``require_integer`` is
-the one integer check behind every index (the keys of a coefficient mapping
-and ``perturbation.phi_integral``'s azimuthal indices too) and count the
-package takes.  ``require_real`` is the one number check (and float
-conversion) behind every real input, and ``require_instance`` the one type
-check behind every record.
+exits 1; that code is left to a failed validation.  Each ``require_*``
+returns the value that the package keeps, so an input is checked and
+converted once, where it enters.  ``require_integer`` is the one integer
+check behind every index (the keys of a coefficient mapping and
+``perturbation.phi_integral``'s azimuthal indices too) and count the package
+takes, and returns it as an int.  ``require_real`` is the one number check
+behind every real input, and returns it as a float.  ``require_instance``
+is the one type check behind every record.
 """
 
 from numbers import Real
@@ -29,14 +31,17 @@ class EvaluationError(RmsPhaseError):
     non-positive norm or a loop too coarse for its radius.  Exit 3."""
 
 
-def require_integer(value, what: str) -> None:
-    """Raise ParameterError unless ``value`` is an int or a numpy integer.
+def require_integer(value, what: str) -> int:
+    """``value`` as an int; ParameterError unless it is an int or a numpy
+    integer.
 
     A bool is refused, although Python counts it as an int: ``True`` would
-    pass as 1.
+    pass as 1.  Callers go on with the int: a numpy integer's arithmetic
+    has a fixed width, and wraps around.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_real(value, what: str) -> float:
@@ -49,8 +54,6 @@ def require_real(value, what: str) -> float:
     numpy scalar arithmetic warns where float arithmetic gives inf or
     raises, and a numpy int64 wraps around.
     """
-    if type(value) is float:        # the common case, without the slower check on Real
-        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ParameterError(f"{what} must be a number, got {value!r}")
     try:

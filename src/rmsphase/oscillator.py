@@ -155,7 +155,8 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Index quadruple (n_a, l, n, m) of an oscillator eigenstate."""
+    """Index quadruple (n_a, l, n, m) of an oscillator eigenstate, each a
+    non-negative integer, stored as an int."""
 
     n_a: int
     l: int
@@ -164,8 +165,8 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for name in ("n_a", "l", "n", "m"):
-            value = getattr(self, name)
-            require_integer(value, name)
+            value = require_integer(getattr(self, name), name)
+            object.__setattr__(self, name, value)
             if value < 0:
                 raise ParameterError(f"{name} must be non-negative")
 
@@ -198,9 +199,9 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class NodeCounts:
-    """Quadrature nodes per axis, each an integer in 2..``MAX_NODES``.  Every
-    count from the 9 of ``EXACT_NODES`` on gives the same tables to
-    roundoff, which ``exactness_gap`` measures."""
+    """Quadrature nodes per axis, each an integer in 2..``MAX_NODES``, stored
+    as an int.  Every count from the 9 of ``EXACT_NODES`` on gives the same
+    tables to roundoff, which ``exactness_gap`` measures."""
 
     radial: int = 128
     polar: int = 128
@@ -209,8 +210,8 @@ class NodeCounts:
 
     def __post_init__(self):
         for name in ("radial", "polar", "azimuthal", "rapidity"):
-            value = getattr(self, name)
-            require_integer(value, f"{name} node count")
+            value = require_integer(getattr(self, name), f"{name} node count")
+            object.__setattr__(self, name, value)
             if not 2 <= value <= MAX_NODES:
                 raise ParameterError(f"{name} node count must be in 2..{MAX_NODES}, got {value}")
 
@@ -233,8 +234,8 @@ def state_table() -> tuple[QuantumNumbers, ...]:
 
 def get_state(index: int) -> QuantumNumbers:
     """The catalogue state of an integer ``index`` in 1..16; numpy integers
-    pass, a bool does not."""
-    require_integer(index, "state index")
+    pass, as the int they equal, and a bool does not."""
+    index = require_integer(index, "state index")
     if not 1 <= index <= len(_STATES):
         raise ParameterError(f"state index must be in 1..{len(_STATES)}, got {index}")
     return _STATES[index - 1]

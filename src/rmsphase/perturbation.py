@@ -66,12 +66,13 @@ def phi_integral(m_bra: int, m_ket: int, channel: Channel) -> complex:
         Phi_sin(delta) = pi delta_{0} - (27 i delta - 12 sqrt3)/(36 delta^2 - 64)
 
     so the two channels always sum to 2 pi delta_{0}.  Each index passes
-    ``errors.require_integer``, as every index does; an index or a delta^2
-    too large for a float is refused too.
+    ``errors.require_integer``, as every index does, and delta is taken of
+    the ints it returns; an index or a delta^2 too large for a float is
+    refused too.
     """
-    require_integer(m_bra, "azimuthal index")
-    require_integer(m_ket, "azimuthal index")
-    delta = int(m_ket) - int(m_bra)
+    m_bra = require_integer(m_bra, "azimuthal index")
+    m_ket = require_integer(m_ket, "azimuthal index")
+    delta = m_ket - m_bra
     try:    # each index, and 36 delta^2 - 64, as a float
         float(m_bra) + float(m_ket)
         oscillatory = (27j * delta - 12.0 * _SQRT3) / (36 * delta * delta - 64)
@@ -115,29 +116,24 @@ def matrix_element(i: int, j: int, channel: Channel,
     return osc.live_entry(_couplings(nodes)[list(Channel).index(channel)], i, j)
 
 
-# What a coefficient mapping holds in practice, passed before the slower
-# check against the ``Number`` ABC.
-_PLAIN_NUMBERS = (complex, float, int)
-
-
 def _write_entries(j: int, values, column: np.ndarray) -> None:
     """Write ``values``, a mapping from catalogue index to number (not a
     bool), keyed by live states other than j, into ``column``, a zeroed
     complex vector over ``osc.live_indices()``: each entry fills its row,
     and the others, j's own among them, stay 0.  Its keys pass
-    ``require_integer``, as every state index does."""
+    ``require_integer``, as every state index does, and the ints it returns
+    place the entries."""
     if not (isinstance(values, Mapping) and all(
-            type(v) in _PLAIN_NUMBERS or (isinstance(v, Number) and not isinstance(v, bool))
-            for v in values.values())):
+            isinstance(v, Number) and not isinstance(v, bool) for v in values.values())):
         raise ParameterError(f"coefficients of state {j} must be a mapping from state index "
                              f"to number, got {values!r}")
-    for i in values:        # a bool or a float key would hash as the int it equals
-        require_integer(i, "coefficient key")
-    if any(i == j or i not in osc._ROW for i in values):
+    # a bool or a float key would hash as the int it equals
+    keys = [require_integer(i, "coefficient key") for i in values]
+    if any(i == j or i not in osc._ROW for i in keys):
         raise ParameterError(
             f"coefficients of state {j} are keyed by the other live states "
-            f"{osc.live_indices()}, got {list(values)}")
-    column[[osc._ROW[i] for i in values]] = list(values.values())
+            f"{osc.live_indices()}, got {keys}")
+    column[[osc._ROW[i] for i in keys]] = list(values.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +149,7 @@ class CorrectionCoefficients:
     catalogue index, where a state left out reads 0 (``_write_entries``); a
     mapping keyed by the state itself, or anything but a mapping, raises
     ParameterError, and ``state_index`` must be the integer index of a
-    live state.
+    live state, kept as an int.
 
     ``connection_sums`` -- sum|a|^2, sum|b|^2 and sum conj(a) b, the cross
     inner product <psi'|psi''> -- are what every loop route reads, taken
@@ -171,8 +167,9 @@ class CorrectionCoefficients:
     _max_magnitude: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        j = self.state_index
-        if osc.get_state(j).is_null:        # get_state checks the type and the range
+        j = require_integer(self.state_index, "state index")
+        object.__setattr__(self, "state_index", j)
+        if osc.get_state(j).is_null:        # get_state checks the range
             raise ParameterError(f"coefficients belong to one of the live states "
                                  f"{osc.live_indices()}; state {j} vanishes identically")
         table = np.zeros((len(Channel), len(_ENERGIES), 1), dtype=complex)

@@ -70,7 +70,7 @@ def legendre_plan(degree, order) -> _LegendrePlan:
     deg, order = np.broadcast_arrays(degree, order)
     pairs = zip(deg.ravel().tolist(), order.ravel().tolist())
     m = np.abs(order)
-    seed = np.reshape([_seed(int(l), int(k)) for l, k in pairs], deg.shape)
+    seed = np.reshape([_seed(l, k) for l, k in pairs], deg.shape)
     return _LegendrePlan(seed, 0.5 * m, 2 * m + 1, deg <= m)
 
 

@@ -38,14 +38,16 @@ COMMANDS = [
       for units in ((), ("--dimensionless",))),
     *(["oracle", "--state", str(j)] for j in LIVE),
     # exit 2: a format oracle does not print, a node count below 16, a
-    # radius below the overlap floor, a null state, and radii that
-    # overflow each loop route
+    # radius below the overlap floor, a null state, radii that overflow
+    # each loop route, and an empty output or config path
     ["oracle", "--state", "1", "--format", "json"],
     ["table", "--nodes", "8"],
     ["oracle", "--state", "1", "--radius", "1e-150", "--nodes", "16"],
     ["oracle", "--state", "3", "--nodes", "16"],
     ["phase", "--state", "8", "--radius", "1e153", "--method", "loop-connection"],
     ["oracle", "--state", "1", "--radius", "1e100", "--nodes", "16"],
+    ["table", "--out", ""],
+    ["table", "--config", ""],
     # exit 3: a loop too coarse for its radius
     ["oracle", "--state", "9", "--steps", "8", "--radius", "1e4", "--nodes", "16"],
 ]

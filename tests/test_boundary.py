@@ -5,7 +5,8 @@ Each exported callable is called with valid arguments, some of which are
 replaced by hostile values.  Two exports are classes that the package
 never calls with outside input: ``PhaseResult``, the record it returns,
 and the enum ``Channel``, whose call is Python's lookup by value.  They
-are left out.
+are left out.  A numpy integer gives what the Python int it equals gives,
+and every record keeps it as that int.
 """
 
 import cmath
@@ -57,7 +58,8 @@ WRONG_RECORDS = [NODES, LoopParams(), PhysicalConstants.dimensionless(), COEFFS]
 
 HOSTILE = st.sampled_from([
     math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0, 0.0, -1, -2.5,
-    True, False, np.True_, np.int64(5), np.float64(0.5), np.float32(2.0),
+    True, False, np.True_, np.int64(5), np.uint8(255), np.int16(-1), np.uint64(2 ** 63),
+    np.float64(0.5), np.float32(2.0),
     10 ** 400, -10 ** 400, "x", "1", "", None, [1], (2, 3), {5: "x"}, {5: 10 ** 400},
     {"5": 1.0}, np.zeros(3), Channel.COSINE,
 ])
@@ -169,3 +171,46 @@ def test_a_record_stays_finite_after_the_overlap_route_runs_on_it():
     # a loop-overlap call on it
     berry_phase_loop_overlap(1, PhysicalConstants.dimensionless(), LoopParams(steps=64), NODES)
     assert finite(correction_coefficients(1, NODES))
+
+
+# ---------------------------------------------------------------------------
+# numpy integers: each is kept as the int it equals, so its fixed width never
+# reaches the arithmetic.  They once overflowed (a RuntimeWarning) into a bare
+# ValueError, a false EvaluationError or a wrong energy.
+
+@pytest.mark.parametrize("kind, n", [(np.uint64, 33), (np.uint8, 34), (np.uint16, 1024),
+                                     (np.uint32, 40)], ids=lambda v: getattr(v, "__name__", v))
+def test_numpy_node_counts_build_the_python_ints_tables(fresh_tables, kind, n):
+    # equal records hash alike, so each build starts from empty caches
+    built = gram_matrix(NodeCounts.uniform(kind(n)))[1].tobytes()
+    for cache in (rmsphase.oscillator.overlap_tables, rmsphase.oscillator._axis_overlaps):
+        cache.cache_clear()
+    assert built == gram_matrix(NodeCounts.uniform(n))[1].tobytes()
+
+
+@pytest.mark.parametrize("kind, steps", [(np.uint8, 255), (np.int16, 32767)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_numpy_loop_steps_give_the_python_ints_phases(kind, steps):
+    def route_bits(loop):
+        rmsphase.berry._loop_samples.cache_clear()      # cached by step count, which hashes alike
+        routes = rmsphase.oracle_comparison(8, PhysicalConstants.dimensionless(), loop)
+        return [routes[name].dimensionless_value.hex()
+                for name in ("closed", "loop_connection", "loop_overlap")]
+
+    assert route_bits(LoopParams(steps=kind(steps))) == route_bits(LoopParams(steps=steps))
+
+
+def test_numpy_quantum_number_gives_the_python_ints_energy():
+    assert QuantumNumbers(np.uint8(100), 2, 2, 2).twice_energy == 407
+
+
+def test_records_keep_numpy_integers_as_ints():
+    records = [NodeCounts(np.uint8(16), np.uint16(17), np.int32(18), np.uint64(19)),
+               QuantumNumbers(np.uint8(2), np.int16(3), np.uint64(2), np.int32(3))]
+    for record in records:
+        assert all(type(getattr(record, f.name)) is int for f in dataclasses.fields(record))
+    assert type(LoopParams(steps=np.uint16(64)).steps) is int
+    coeffs = CorrectionCoefficients(np.uint8(1), {np.int64(5): 0.1}, {np.uint8(9): -0.3})
+    assert type(coeffs.state_index) is int
+    assert coeffs.a[rmsphase.oscillator._ROW[5]] == 0.1
+    assert coeffs.b[rmsphase.oscillator._ROW[9]] == -0.3

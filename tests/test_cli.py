@@ -385,6 +385,21 @@ class TestConfig:
         code, _, err = run_cli(capsys, "table", "--config", "/nonexistent.cfg")
         assert code == cli.EXIT_CONFIG
 
+    def test_empty_config_flag_is_config_error(self, capsys, tmp_path, monkeypatch):
+        # an empty flag once fell through to the variable's file, against "flags win"
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("nodes = 8\n")
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
+        code, out, err = run_cli(capsys, "table", "--config", "")
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err.startswith("configuration error: cannot read config file : ")
+
+    def test_empty_config_variable_reads_no_file(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, "")
+        code, out, _ = run_cli(capsys, "table", "--format", "csv", *FAST)
+        assert code == cli.EXIT_OK
+        assert out.startswith("j,omega_hz")
+
     def test_non_utf8_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"nodes = 32\n# \xff\n")
@@ -789,6 +804,16 @@ class TestBadInput:
         assert MAX_NODES == 1024
         with pytest.raises(ParameterError, match="2..1024"):
             NodeCounts(128, 128, MAX_NODES + 1, 128)
+
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_empty_out_is_config_error(self, capsys, tmp_path, source):
+        # an empty path once printed the table to stdout and exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        flags = ("--out", "") if source == "flag" else ("--config", str(cfg))
+        code, out, err = run_cli(capsys, "table", "--format", "csv", *flags, *FAST)
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err.startswith("configuration error: cannot write output file : ")
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.csv"
